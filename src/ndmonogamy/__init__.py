@@ -27,6 +27,7 @@ from .classical import (
     cycle_bound,
     enumerate_assignments,
     kcbs_expression,
+    monogamy_expression,
 )
 from .errors import (
     BlockStructureViolated,
@@ -46,7 +47,6 @@ from .nodisturbance import (
     fine_join_c1,
     fine_join_c2,
     monogamy_certificate,
-    monogamy_expression,
     nd_optimum,
     sample_behaviors,
 )

@@ -5,11 +5,16 @@ of deterministic assignments, one fixed outcome per measurement, so the
 classical bound of any linear correlator expression is its extremum over
 all 2^n assignments.  At n = 7 this is 128 cases; enumeration is exact
 and instant, so no symmetry reduction is attempted.
+
+The module also holds the bound constants and the paper's bounds table
+:data:`BOUNDS`, the one definition that ``ndmonogamy bounds``, ``verify``
+and the other modules read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -27,6 +32,17 @@ from .scenario import (
 
 MAX_ENUMERATION_BITS = 24
 MAX_CYCLE = 20
+
+PIVOTS = (1, 2, 3, 4, 5)
+SQRT5 = math.sqrt(5.0)
+KCBS_CLASSICAL_BOUND = -3.0
+CHSH_CLASSICAL_BOUND = -2.0
+CHSH_ND_BOUND = -4.0
+MONOGAMY_BOUND = -5.0
+#: lowest eigenvalue of the pentagon operator (the quantum kcbs minimum)
+KCBS_QUANTUM_MIN = 5.0 - 4.0 * SQRT5
+#: its other, four-fold degenerate eigenvalue
+KCBS_QUANTUM_DEGENERATE = -5.0 + 2.0 * SQRT5
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,42 @@ def c2_expression(pivot: int) -> LinearExpression:
         ),
         f"c2[{pivot}]",
     )
+
+
+def monogamy_expression(pivot: int = 5) -> LinearExpression:
+    """The combined expression kcbs + chsh for one pivot (bound -5)."""
+    return kcbs_expression() + chsh_expression(pivot)
+
+
+class BoundRow(NamedTuple):
+    """Classical, no-disturbance and quantum minima of one expression.
+
+    ``quantum`` is None where the minimum has no closed form here.
+    """
+
+    name: str
+    expression: LinearExpression
+    classical: float
+    nd: float
+    quantum: float | None
+
+
+#: The paper's bounds table, in the row order of ``ndmonogamy bounds``.
+#: The split parts c1, c2 keep their classical bound under no-disturbance
+#: and in the qutrit-qubit implementation.
+BOUNDS: tuple[BoundRow, ...] = (
+    BoundRow("kcbs", kcbs_expression(), KCBS_CLASSICAL_BOUND, -5.0, KCBS_QUANTUM_MIN),
+    BoundRow("chsh", chsh_expression(), CHSH_CLASSICAL_BOUND, CHSH_ND_BOUND, None),
+    *(
+        BoundRow(f"c1[{i}]", c1_expression(i), *(KCBS_CLASSICAL_BOUND,) * 3)
+        for i in PIVOTS
+    ),
+    *(
+        BoundRow(f"c2[{i}]", c2_expression(i), *(CHSH_CLASSICAL_BOUND,) * 3)
+        for i in PIVOTS
+    ),
+    BoundRow("kcbs+chsh", monogamy_expression(), *(MONOGAMY_BOUND,) * 3),
+)
 
 
 def enumerate_assignments(

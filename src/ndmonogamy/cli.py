@@ -26,23 +26,14 @@ TABLE_DIGITS = 12
 
 
 def _bounds_rows() -> list[dict]:
-    expressions = [
-        ("kcbs", classical.kcbs_expression()),
-        ("chsh", classical.chsh_expression()),
-        *[(f"c1[{i}]", classical.c1_expression(i)) for i in nodisturbance.PIVOTS],
-        *[(f"c2[{i}]", classical.c2_expression(i)) for i in nodisturbance.PIVOTS],
-        ("kcbs+chsh", nodisturbance.monogamy_expression()),
-    ]
     rows = []
-    for name, expr in expressions:
-        classical_min = classical.classical_bound(expr).minimum
-        nd_min = nodisturbance.nd_optimum(expr).value
-        w, _ = quantum.eigensystem(quantum.expression_operator(expr))
+    for row in classical.BOUNDS:
+        w, _ = quantum.eigensystem(quantum.expression_operator(row.expression))
         rows.append(
             {
-                "expression": name,
-                "classical_min": classical_min,
-                "nd_min": nd_min,
+                "expression": row.name,
+                "classical_min": classical.classical_bound(row.expression).minimum,
+                "nd_min": nodisturbance.nd_optimum(row.expression).value,
                 "quantum_min": float(w[0]),
             }
         )
@@ -50,23 +41,16 @@ def _bounds_rows() -> list[dict]:
 
 
 def _check_bounds_rows(rows: list[dict]) -> list[str]:
-    """Internal consistency of the printed table against known values."""
-    expected = {
-        "kcbs": (-3.0, -5.0, 5.0 - 4.0 * math.sqrt(5.0)),
-        "chsh": (-2.0, -4.0, None),
-        "kcbs+chsh": (-5.0, -5.0, -5.0),
-    }
-    for i in nodisturbance.PIVOTS:
-        expected[f"c1[{i}]"] = (-3.0, -3.0, None)
-        expected[f"c2[{i}]"] = (-2.0, -2.0, None)
+    """The printed table against :data:`ndmonogamy.classical.BOUNDS`."""
+    expected = {row.name: row for row in classical.BOUNDS}
     problems = []
     for row in rows:
-        classical_ref, nd_ref, quantum_ref = expected[row["expression"]]
-        if row["classical_min"] != classical_ref:
+        ref = expected[row["expression"]]
+        if row["classical_min"] != ref.classical:
             problems.append(f"{row['expression']}: classical {row['classical_min']}")
-        if abs(row["nd_min"] - nd_ref) > 1e-6:
+        if abs(row["nd_min"] - ref.nd) > 1e-6:
             problems.append(f"{row['expression']}: nd {row['nd_min']}")
-        if quantum_ref is not None and abs(row["quantum_min"] - quantum_ref) > 1e-9:
+        if ref.quantum is not None and abs(row["quantum_min"] - ref.quantum) > 1e-9:
             problems.append(f"{row['expression']}: quantum {row['quantum_min']}")
     return problems
 
@@ -114,7 +98,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     points = region.sample_boundary(args.samples)
     touch = region.touching_point()
     nd_line = [
-        (chsh, -5.0 - chsh) for chsh in np.linspace(-4.0, 1.0, args.samples)
+        (chsh, classical.MONOGAMY_BOUND - chsh)
+        for chsh in np.linspace(classical.CHSH_ND_BOUND, 1.0, args.samples)
     ]
     out_dir = Path(args.out)
     try:
@@ -209,8 +194,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "samples", 1) < 1:
         print("--samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "tol", 1.0) <= 0:
-        print("--tol must be positive", file=sys.stderr)
+    tol = getattr(args, "tol", 1.0)
+    if not (tol > 0 and math.isfinite(tol)):
+        print("--tol must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "seed", 0) < 0:
+        print("--seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args)
 

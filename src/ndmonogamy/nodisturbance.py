@@ -21,7 +21,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .classical import LinearExpression, chsh_expression, kcbs_expression
+from .classical import (
+    CHSH_CLASSICAL_BOUND,
+    KCBS_CLASSICAL_BOUND,
+    PIVOTS,
+    LinearExpression,
+)
 from .errors import Infeasible, NotNoDisturbance
 from .scenario import (
     CANONICAL,
@@ -38,11 +43,6 @@ from .scenario import (
 )
 
 ND_TOL = 1e-10
-
-PIVOTS = (1, 2, 3, 4, 5)
-KCBS_CLASSICAL_BOUND = -3.0
-CHSH_CLASSICAL_BOUND = -2.0
-MONOGAMY_BOUND = -5.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +68,10 @@ class JointDistribution:
                 f"need {2 ** len(self.variables)} probabilities for "
                 f"{len(self.variables)} variables, got {probs.shape}"
             )
-        if probs.min() < -1e-12:
-            raise ValueError(f"negative joint probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        # phrased so that NaN and infinite entries fail the comparisons
+        if not probs.min() >= -1e-12:
+            raise ValueError(f"negative or non-finite joint probability {probs.min()}")
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ValueError(f"joint probabilities sum to {probs.sum()}, not 1")
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
@@ -371,8 +372,3 @@ def monogamy_certificate(
         chsh_by_pivot={i: chsh_value(behavior, i) for i in PIVOTS},
         violation_tol=violation_tol,
     )
-
-
-def monogamy_expression(pivot: int = 5) -> LinearExpression:
-    """The combined expression kcbs + chsh for one pivot (bound -5)."""
-    return kcbs_expression() + chsh_expression(pivot)

@@ -8,17 +8,17 @@ Conventions
 - Alice's observables are reflections 2|v_i><v_i| - 1 about the pentagon
   vectors v_i; adjacent reflections commute because <v_i|v_{i+1}> = 0.
 - Bob measures the Pauli operators Z and X.
-- Eigensystems come from a dependency-free cyclic Jacobi iteration;
+- Eigensystems come from LAPACK's Hermitian solver (``numpy.linalg.eigh``);
   eigenvector phases are fixed by making the largest-magnitude component
-  real and positive.
+  real and positive.  The closed forms and the characteristic-polynomial
+  oracle give every spectrum a second, independent route.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .errors import BlockStructureViolated, NotHermitian, NotNormalized
 from .scenario import CANONICAL, OUTCOMES, Behavior, Scenario
 
 HERMITICITY_TOL = 1e-12
-EIG_TOL = 1e-14
-MAX_SWEEPS = 100
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -49,7 +47,7 @@ def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nd
 def require_normalized(ket: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
     norm = float(np.linalg.norm(ket))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # NaN and inf fail too
         raise NotNormalized(f"state has norm {norm}, expected 1")
     return ket
 
@@ -186,61 +184,21 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigensystem(
-    matrix: np.ndarray,
-    tol: float = EIG_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian.
 
-    Cyclic Jacobi iteration: each rotation folds the phase of one
-    off-diagonal entry into a plane rotation that zeroes it; sweeps stop
-    once the off-diagonal Frobenius norm falls below ``tol`` relative to
-    the matrix norm.  Returns (w, V) with matrix @ V = V @ diag(w).
+    LAPACK through ``numpy.linalg.eigh``.  Returns (w, V) with
+    matrix @ V = V @ diag(w), phases as in :func:`_fix_phases`.
     """
-    a = require_hermitian(matrix).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        if float(np.linalg.norm(a[off_mask])) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r <= 1e-18 * scale:
-                    continue
-                phase = a[p, q] / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if abs(tau) > 1e8:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = (1.0 if tau >= 0 else -1.0) / (
-                        abs(tau) + np.sqrt(1.0 + tau * tau)
-                    )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary columns u_p = (c, -s*conj(phase)), u_q = (s*phase, c)
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                vec_p = c * v[:, p] - s * np.conj(phase) * v[:, q]
-                vec_q = s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vec_p, vec_q
-    w = np.diag(a).real
-    order = np.argsort(w, kind="stable")
-    return w[order], _fix_phases(v[:, order])
+    w, v = np.linalg.eigh(require_hermitian(matrix))
+    return w, _fix_phases(v)
 
 
 def eigvals_characteristic_3x3(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric 3x3 by solving the cubic directly.
 
     Trigonometric solution of the characteristic polynomial; independent
-    of the Jacobi iteration, used as a cross-check oracle.
+    of :func:`eigensystem`, used as a cross-check oracle.
     """
     a = np.asarray(matrix, dtype=float)
     if a.shape != (3, 3) or np.max(np.abs(a - a.T)) > 1e-10:
@@ -345,26 +303,6 @@ def behavior_from_state(
     return Behavior(scenario, probs)
 
 
-def behavior_from_mixture(
-    states: Sequence[np.ndarray],
-    weights: Sequence[float] | None = None,
-    scenario: Scenario = CANONICAL,
-) -> Behavior:
-    """Behavior of a convex mixture of pure states."""
-    if weights is None:
-        weights = [1.0 / len(states)] * len(states)
-    probs = sum(
-        w * behavior_from_state(s, scenario).probs
-        for w, s in zip(weights, states)
-    )
-    return Behavior(scenario, probs)
-
-
-def maximally_mixed_behavior(scenario: Scenario = CANONICAL) -> Behavior:
-    """Uniform mixture of the six computational basis states."""
-    return behavior_from_mixture(list(np.eye(6, dtype=complex)), scenario=scenario)
-
-
 def random_states(
     count: int, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
@@ -380,45 +318,3 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     if states.ndim == 1:
         return np.real(states.conj() @ operator @ states)
     return np.real(np.einsum("ni,ij,nj->n", states.conj(), operator, states))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_json(matrix: np.ndarray) -> str:
-    matrix = np.asarray(matrix, dtype=complex)
-    return json.dumps(
-        {
-            "dim": matrix.shape[0],
-            "re": matrix.real.tolist(),
-            "im": matrix.imag.tolist(),
-        }
-    )
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-
-
-def ket_to_json(ket: np.ndarray) -> str:
-    ket = np.asarray(ket, dtype=complex)
-    return json.dumps(
-        {"dim": ket.shape[0], "re": ket.real.tolist(), "im": ket.imag.tolist()}
-    )
-
-
-def ket_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-
-
-def spectra_csv_rows(operators: Mapping[str, np.ndarray]) -> list[str]:
-    """CSV rows 'operator,index,eigenvalue' for each named operator."""
-    rows = ["operator,index,eigenvalue"]
-    for name, op in operators.items():
-        w, _ = eigensystem(op)
-        rows.extend(f"{name},{k},{val:.17g}" for k, val in enumerate(w))
-    return rows

@@ -19,7 +19,8 @@ gives the closed-form boundary condition
 and substituting it back yields one-parameter families of boundary states
 f(phi)|01> + g(phi)|10> + |21> (plus block) and the mirrored family on
 the other block.  The second block reproduces the same region with the
-chsh axis negated.
+chsh axis negated.  The region touches the line chsh + kcbs = -5 at the
+lowest eigenvector of M + N, whose eigenvalue is exactly -5.
 
 All constants (alpha, beta, g1..g5, f, g) are recomputed from the Bell
 block to full precision; rounded literature values appear only in tests
@@ -36,6 +37,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .classical import (
+    CHSH_CLASSICAL_BOUND,
+    KCBS_CLASSICAL_BOUND,
+    KCBS_QUANTUM_DEGENERATE,
+    KCBS_QUANTUM_MIN,
+    MONOGAMY_BOUND,
+    SQRT5,
+)
 from .errors import SingularParameter
 from .quantum import (
     block_decompose,
@@ -46,10 +55,6 @@ from .quantum import (
     random_states,
 )
 
-SQRT5 = math.sqrt(5.0)
-KCBS_QUANTUM_MIN = 5.0 - 4.0 * SQRT5
-KCBS_QUANTUM_DEGENERATE = -5.0 + 2.0 * SQRT5
-MONOGAMY_BOUND = -5.0
 POINTWISE_SLACK = 1e-9
 
 BRANCHES = ("plus", "minus")
@@ -183,11 +188,6 @@ def matrix_expectation_M(theta: float, phi: float) -> float:
     """Direct quadratic form through the Bell block (oracle path)."""
     v = frame_state(theta, phi)
     return float(v @ _blocks()[0] @ v)
-
-
-def matrix_expectation_N(theta: float, phi: float) -> float:
-    v = frame_state(theta, phi)
-    return float(v @ _blocks()[1] @ v)
 
 
 def closed_form_agreement_gap(n_theta: int, n_phi: int) -> float:
@@ -325,45 +325,23 @@ def sample_boundary(n: int) -> list[RegionPoint]:
     return points
 
 
-def _golden_minimize(func, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = func(x1), func(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = func(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = func(x2)
-    return (lo + hi) / 2.0
-
-
 def touching_point() -> RegionPoint:
     """The boundary point minimizing chsh + kcbs.
 
-    Golden-section refinement of theta along the lower plus-branch
-    boundary after a coarse bracketing grid; the minimum saturates the
-    no-disturbance line chsh + kcbs = -5.
+    It is the lowest eigenvector v of M + N, whose eigenvalue is exactly
+    -5, so the point lies on the no-disturbance line chsh + kcbs = -5.
+    With the sign of v fixed by v.a >= 0, theta = acos(v.a) and
+    phi = atan2(v.c, v.b) place it on the lower plus-branch boundary.
     """
-
-    def objective(theta: float) -> float:
-        return _phi_extremes(theta)[0].value + expectation_N(theta)
-
-    grid = np.linspace(0.0, math.pi / 2, 201)
-    values = [objective(float(t)) for t in grid]
-    k = int(np.argmin(values))
-    lo = float(grid[max(0, k - 1)])
-    hi = float(grid[min(len(grid) - 1, k + 1)])
-    theta = _golden_minimize(objective, lo, hi)
-    low, _ = _phi_extremes(theta)
-    return RegionPoint(
-        low.value, float(expectation_N(theta)), "plus", theta, low.phi
-    )
+    m, n, _, _ = _blocks()
+    frame = _region_basis()
+    _, vectors = eigensystem(m + n)
+    v = np.real(vectors[:, 0])
+    if v @ frame.a < 0.0:
+        v = -v
+    theta = math.acos(min(1.0, float(v @ frame.a)))
+    phi = math.atan2(float(v @ frame.c), float(v @ frame.b)) % (2 * math.pi)
+    return RegionPoint(float(v @ m @ v), float(v @ n @ v), "plus", theta, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +373,6 @@ def boundary_state(phi: float, branch: str = "plus") -> np.ndarray:
     block_vec /= np.linalg.norm(block_vec)
     basis = _blocks()[2] if branch == "plus" else _blocks()[3]
     return basis @ block_vec
-
-
-def boundary_point_of_state(state: np.ndarray, branch: str) -> RegionPoint:
-    """The (chsh, kcbs) point of a state, tagged with ``branch``."""
-    chsh = float(expectation(chsh_operator(), state))
-    kcbs = float(expectation(kcbs_operator(), state))
-    return RegionPoint(chsh, kcbs, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +466,12 @@ def region_membership_sweep(
         monogamy_violations=offenders(total < MONOGAMY_BOUND - slack),
         kcbs_floor_violations=offenders(kcbs < KCBS_QUANTUM_MIN - slack),
         chsh_floor_violations=offenders(chsh < chsh_floor - slack),
-        kcbs_only_violation_count=int(np.sum((kcbs < -3.0) & (chsh > -2.0))),
-        chsh_only_violation_count=int(np.sum((chsh < -2.0) & (kcbs > -3.0))),
+        kcbs_only_violation_count=int(
+            np.sum((kcbs < KCBS_CLASSICAL_BOUND) & (chsh > CHSH_CLASSICAL_BOUND))
+        ),
+        chsh_only_violation_count=int(
+            np.sum((chsh < CHSH_CLASSICAL_BOUND) & (kcbs > KCBS_CLASSICAL_BOUND))
+        ),
     )
 
 

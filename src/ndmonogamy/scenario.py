@@ -157,10 +157,13 @@ def _validate_table(table: np.ndarray, label: str, tol: float) -> np.ndarray:
     table = np.asarray(table, dtype=float)
     if table.shape != (8,):
         raise ValueError(f"context {label}: expected 8 probabilities, got {table.shape}")
-    if table.min() < -tol:
-        raise ValueError(f"context {label}: negative probability {table.min()}")
+    # phrased so that NaN and infinite entries fail the comparisons
+    if not table.min() >= -tol:
+        raise ValueError(
+            f"context {label}: negative or non-finite probability {table.min()}"
+        )
     total = float(table.sum())
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"context {label}: probabilities sum to {total}, not 1")
     return np.clip(table, 0.0, None)
 

@@ -1,10 +1,11 @@
 """Cross-module invariant suite behind the ``verify`` CLI command.
 
 Each check recomputes a property two independent ways (enumeration vs
-LP, closed form vs matrix quadratic form, Jacobi vs characteristic
-polynomial, behavior path vs operator path) and reports pass/fail with a
-short deterministic detail string, so repeated runs with the same seed
-produce identical output.
+LP, closed form vs matrix quadratic form, LAPACK eigensolver vs
+characteristic polynomial, behavior path vs operator path, eigenvector of
+M + N vs boundary arm) and reports pass/fail with a short deterministic
+detail string, so repeated runs with the same seed produce identical
+output.  Expected bounds come from :data:`ndmonogamy.classical.BOUNDS`.
 """
 
 from __future__ import annotations
@@ -37,24 +38,11 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def check_classical_bounds() -> CheckResult:
-    expected = {
-        "kcbs": -3.0,
-        "chsh": -2.0,
-        "kcbs+chsh": -5.0,
-        **{f"c1[{i}]": -3.0 for i in nodisturbance.PIVOTS},
-        **{f"c2[{i}]": -2.0 for i in nodisturbance.PIVOTS},
-    }
-    got = {
-        "kcbs": classical.classical_bound(classical.kcbs_expression()).minimum,
-        "chsh": classical.classical_bound(classical.chsh_expression()).minimum,
-        "kcbs+chsh": classical.classical_bound(
-            nodisturbance.monogamy_expression()
-        ).minimum,
-    }
-    for i in nodisturbance.PIVOTS:
-        got[f"c1[{i}]"] = classical.classical_bound(classical.c1_expression(i)).minimum
-        got[f"c2[{i}]"] = classical.classical_bound(classical.c2_expression(i)).minimum
-    bad = {k: v for k, v in got.items() if v != expected[k]}
+    bad = {}
+    for row in classical.BOUNDS:
+        got = classical.classical_bound(row.expression).minimum
+        if got != row.classical:
+            bad[row.name] = got
     return _result(
         "classical-bounds",
         not bad,
@@ -63,25 +51,10 @@ def check_classical_bounds() -> CheckResult:
 
 
 def check_nd_lp_bounds() -> CheckResult:
-    expected = {
-        "kcbs": -5.0,
-        "chsh": -4.0,
-        "kcbs+chsh": -5.0,
-        **{f"c1[{i}]": -3.0 for i in nodisturbance.PIVOTS},
-        **{f"c2[{i}]": -2.0 for i in nodisturbance.PIVOTS},
-    }
-    exprs = {
-        "kcbs": classical.kcbs_expression(),
-        "chsh": classical.chsh_expression(),
-        "kcbs+chsh": nodisturbance.monogamy_expression(),
-        **{f"c1[{i}]": classical.c1_expression(i) for i in nodisturbance.PIVOTS},
-        **{f"c2[{i}]": classical.c2_expression(i) for i in nodisturbance.PIVOTS},
-    }
-    gaps = {
-        name: abs(nodisturbance.nd_optimum(expr).value - expected[name])
-        for name, expr in exprs.items()
-    }
-    worst = max(gaps.values())
+    worst = max(
+        abs(nodisturbance.nd_optimum(row.expression).value - row.nd)
+        for row in classical.BOUNDS
+    )
     return _result(
         "nd-lp-bounds",
         worst <= 1e-6,
@@ -121,7 +94,7 @@ def check_nd_monogamy(seed: int, slack: float = 1e-9) -> CheckResult:
         report = nodisturbance.monogamy_certificate(behavior)
         worst = min(worst, min(report.sums_by_pivot.values()))
         flags_ok = flags_ok and report.at_most_one_violated
-    passed = flags_ok and worst >= nodisturbance.MONOGAMY_BOUND - slack
+    passed = flags_ok and worst >= classical.MONOGAMY_BOUND - slack
     return _result(
         "nd-monogamy-sweep",
         passed,
@@ -134,7 +107,7 @@ def check_kcbs_spectrum() -> CheckResult:
     off = float(np.max(np.abs(op - np.diag(np.diag(op)))))
     w, _ = quantum.eigensystem(op)
     expected = np.array(
-        [region.KCBS_QUANTUM_MIN] * 2 + [region.KCBS_QUANTUM_DEGENERATE] * 4
+        [classical.KCBS_QUANTUM_MIN] * 2 + [classical.KCBS_QUANTUM_DEGENERATE] * 4
     )
     gap = float(np.max(np.abs(w - expected)))
     passed = off <= 1e-12 and gap <= 1e-10
@@ -153,8 +126,7 @@ def check_chsh_block_structure(chsh_matrix: np.ndarray | None = None) -> CheckRe
         return _result("chsh-block-structure", False, str(exc))
     minus = decomposition.basis_minus.conj().T @ op @ decomposition.basis_minus
     mirror_gap = float(np.max(np.abs(decomposition.m + minus)))
-    s5 = math.sqrt(5.0)
-    corner_gap = abs(decomposition.m[0, 0].real - (1.0 - 1.0 / s5))
+    corner_gap = abs(decomposition.m[0, 0].real - (1.0 - 1.0 / classical.SQRT5))
     passed = mirror_gap <= 1e-10 and corner_gap <= 1e-10
     return _result(
         "chsh-block-structure",
@@ -254,20 +226,16 @@ def check_boundary_stationarity() -> CheckResult:
 
 def check_touching_point() -> CheckResult:
     point = region.touching_point()
-    sum_gap = abs(point.chsh + point.kcbs - region.MONOGAMY_BOUND)
-    m = region.bell_block()
-    n = region.pentagon_block()
-    w, v = quantum.eigensystem((m + n).astype(complex))
-    vec = np.real(v[:, 0])
-    oracle_chsh = float(vec @ m @ vec)
-    oracle_kcbs = float(vec @ n @ vec)
-    coord_gap = max(abs(point.chsh - oracle_chsh), abs(point.kcbs - oracle_kcbs))
-    eig_gap = abs(w[0] - region.MONOGAMY_BOUND)
-    passed = sum_gap <= 1e-6 and coord_gap <= 1e-5 and eig_gap <= 1e-10
+    w, _ = quantum.eigensystem(region.bell_block() + region.pentagon_block())
+    eig_gap = abs(w[0] - classical.MONOGAMY_BOUND)
+    low, _ = region._phi_extremes(point.theta)
+    phi_gap = abs((low.phi - point.phi + math.pi) % (2 * math.pi) - math.pi)
+    arm_gap = max(abs(low.value - point.chsh), phi_gap)
+    passed = eig_gap <= 1e-10 and arm_gap <= 1e-10
     return _result(
         "touching-point",
         passed,
-        f"sum gap {sum_gap:.3g}, eigen-oracle coordinate gap {coord_gap:.3g}",
+        f"eigenvalue gap {eig_gap:.3g}, boundary-arm gap {arm_gap:.3g}",
     )
 
 

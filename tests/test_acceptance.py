@@ -20,13 +20,13 @@ from ndmonogamy.classical import (
     c2_expression,
     chsh_expression,
     kcbs_expression,
+    monogamy_expression,
 )
 from ndmonogamy.nodisturbance import (
     PIVOTS,
     expression_vector,
     fine_join_c1,
     fine_join_c2,
-    monogamy_expression,
     nd_optimum,
     sample_behavior_matrix,
     sample_behaviors,

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndmonogamy.classical import (
+    BOUNDS,
     DeterministicAssignment,
     LinearExpression,
     behavior_from_assignment,
@@ -16,9 +18,9 @@ from ndmonogamy.classical import (
     cycle_bound,
     enumerate_assignments,
     kcbs_expression,
+    monogamy_expression,
 )
 from ndmonogamy.errors import TooLarge
-from ndmonogamy.nodisturbance import monogamy_expression
 from ndmonogamy.scenario import Measurement, Scenario, correlator
 
 
@@ -32,6 +34,19 @@ def brute_force_cycle_minimum(n: int) -> int:
     for signs in itertools.product((-1, 1), repeat=n):
         best = min(best, sum(signs[i] * signs[(i + 1) % n] for i in range(n)))
     return best
+
+
+class TestBoundsTable:
+    def test_is_the_papers_table(self):
+        s5 = math.sqrt(5.0)
+        paper = [
+            ("kcbs", kcbs_expression(), -3.0, -5.0, 5.0 - 4.0 * s5),
+            ("chsh", chsh_expression(), -2.0, -4.0, None),
+            *[(f"c1[{i}]", c1_expression(i), -3.0, -3.0, -3.0) for i in range(1, 6)],
+            *[(f"c2[{i}]", c2_expression(i), -2.0, -2.0, -2.0) for i in range(1, 6)],
+            ("kcbs+chsh", monogamy_expression(), -5.0, -5.0, -5.0),
+        ]
+        assert [tuple(row) for row in BOUNDS] == paper
 
 
 class TestEnumeration:

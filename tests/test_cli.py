@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ndmonogamy import classical, verify
 from ndmonogamy.cli import main
 
 
@@ -143,6 +144,28 @@ class TestVerify:
     def test_nonpositive_tol_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--tol", "-1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_usage_error(self, tol, capsys):
+        code, _, err = run_cli(["verify", "--tol", tol], capsys)
+        assert code == 2
+        assert err.strip().splitlines() == ["--tol must be positive and finite"]
+
+    def test_negative_seed_usage_error(self, capsys):
+        code, _, err = run_cli(["verify", "--seed", "-1"], capsys)
+        assert code == 2
+        assert err.strip().splitlines() == ["--seed must be non-negative"]
+
+
+def test_bounds_table_drives_bounds_and_verify(monkeypatch, capsys):
+    rows = list(classical.BOUNDS)
+    rows[0] = rows[0]._replace(classical=-4.0)  # kcbs, really -3
+    monkeypatch.setattr(classical, "BOUNDS", tuple(rows))
+    code, _, err = run_cli(["bounds"], capsys)
+    assert code == 1
+    assert "bound check failed: kcbs: classical -3.0" in err
+    results = verify.verify_all(samples=1000, seed=42)
+    assert [r.name for r in results if not r.passed] == ["classical-bounds"]
 
 
 def test_unknown_command_is_usage_error(capsys):

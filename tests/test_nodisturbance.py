@@ -8,6 +8,7 @@ from ndmonogamy.classical import (
     c2_expression,
     chsh_expression,
     kcbs_expression,
+    monogamy_expression,
 )
 from ndmonogamy.errors import NotNoDisturbance
 from ndmonogamy.nodisturbance import (
@@ -16,7 +17,6 @@ from ndmonogamy.nodisturbance import (
     fine_join_c1,
     fine_join_c2,
     monogamy_certificate,
-    monogamy_expression,
     nd_equality_system,
     nd_optimum,
     sample_behavior_matrix,
@@ -56,6 +56,11 @@ class TestJointDistribution:
             JointDistribution(("X",), np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             JointDistribution(("X",), np.array([-0.5, 1.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        with pytest.raises(ValueError):
+            JointDistribution(("X", "Y"), np.array([0.25, 0.25, 0.5, bad]))
 
     def test_marginal_orders_variables_as_requested(self):
         probs = np.arange(8, dtype=float)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -26,15 +25,16 @@ from ndmonogamy.quantum import (
     kcbs_observables,
     kcbs_operator,
     kcbs_vectors,
-    ket_from_json,
-    ket_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    maximally_mixed_behavior,
     random_states,
-    spectra_csv_rows,
+    require_normalized,
 )
-from ndmonogamy.scenario import check_no_disturbance, chsh_value, kcbs_value
+from ndmonogamy.scenario import (
+    CANONICAL,
+    Behavior,
+    check_no_disturbance,
+    chsh_value,
+    kcbs_value,
+)
 
 S5 = math.sqrt(5.0)
 KCBS_MIN = 5.0 - 4.0 * S5          # about -3.9443
@@ -264,7 +264,11 @@ class TestBehaviorFromState:
         )
 
     def test_maximally_mixed_behavior_trace_oracle(self):
-        behavior = maximally_mixed_behavior()
+        # the maximally mixed state as the uniform mixture of the basis states
+        probs = np.mean(
+            [behavior_from_state(e).probs for e in np.eye(6, dtype=complex)], axis=0
+        )
+        behavior = Behavior(CANONICAL, probs)
         observables = kcbs_observables()
         from ndmonogamy.scenario import correlator
 
@@ -278,6 +282,16 @@ class TestBehaviorFromState:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             behavior_from_state(np.ones(6, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        psi = np.zeros(6, dtype=complex)
+        psi[0] = 1.0
+        psi[3] = bad
+        with pytest.raises(NotNormalized):
+            require_normalized(psi)
+        with pytest.raises(NotNormalized):
+            behavior_from_state(psi)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(NotNormalized):
@@ -325,32 +339,6 @@ class TestExpressionOperator:
 
         op = expression_operator(LinearExpression(((2.0, ("B1",)),)))
         assert np.max(np.abs(op - 2 * np.kron(np.eye(3), bob_observable(1)))) < 1e-14
-
-
-class TestSerialization:
-    def test_matrix_round_trip(self):
-        op = chsh_operator()
-        again = matrix_from_json(matrix_to_json(op))
-        assert np.array_equal(again, op)
-
-    def test_ket_round_trip(self):
-        psi = random_states(1, seed=2)[0]
-        again = ket_from_json(ket_to_json(psi))
-        assert np.array_equal(again, psi)
-
-    def test_matrix_json_has_re_im(self):
-        payload = json.loads(matrix_to_json(np.eye(2, dtype=complex)))
-        assert payload["dim"] == 2
-        assert payload["re"] == [[1.0, 0.0], [0.0, 1.0]]
-        assert payload["im"] == [[0.0, 0.0], [0.0, 0.0]]
-
-    def test_spectra_csv(self):
-        rows = spectra_csv_rows({"kcbs": kcbs_operator()})
-        assert rows[0] == "operator,index,eigenvalue"
-        assert len(rows) == 7
-        name, index, value = rows[1].split(",")
-        assert name == "kcbs" and index == "0"
-        assert float(value) == pytest.approx(KCBS_MIN, abs=1e-12)
 
 
 def test_alice_observable_wraps_modulo_five():

@@ -9,6 +9,7 @@ from ndmonogamy.region import (
     KCBS_QUANTUM_DEGENERATE,
     KCBS_QUANTUM_MIN,
     RegionPoint,
+    _phi_extremes,
     bell_block,
     bell_block_minimum,
     boundary_coefficients,
@@ -31,6 +32,40 @@ from ndmonogamy.region import (
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
 QUARTER = math.pi / 2
+
+
+def _golden_minimize(func, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Golden-section minimizer of a unimodal function on [lo, hi]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = func(x1), func(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = func(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = func(x2)
+    return (lo + hi) / 2.0
+
+
+def boundary_minimum_oracle() -> tuple[float, float, float]:
+    """(theta, chsh, kcbs) minimizing chsh + kcbs along the lower boundary arm.
+
+    A 201-point grid brackets the minimum and golden-section search refines
+    it; this never touches the eigenvector route of ``touching_point``.
+    """
+
+    def objective(theta: float) -> float:
+        return _phi_extremes(theta)[0].value + expectation_N(theta)
+
+    grid = np.linspace(0.0, QUARTER, 201)
+    k = int(np.argmin([objective(float(t)) for t in grid]))
+    theta = _golden_minimize(objective, float(grid[max(0, k - 1)]), float(grid[min(200, k + 1)]))
+    return theta, _phi_extremes(theta)[0].value, float(expectation_N(theta))
 
 
 class TestRegionBasis:
@@ -207,15 +242,16 @@ class TestTouchingPoint:
         distance = math.hypot(point.chsh + 2.0, point.kcbs + 3.0)
         assert distance > 0.05
 
-    def test_matches_eigenvector_oracle(self):
-        # independent path: the minimizing eigenvector of M + N
-        m, n = bell_block(), pentagon_block()
-        w, v = eigensystem((m + n).astype(complex))
-        vec = np.real(v[:, 0])
+    def test_matches_boundary_minimisation_oracle(self):
+        theta, chsh, kcbs = boundary_minimum_oracle()
         point = touching_point()
-        assert w[0] == pytest.approx(-5.0, abs=1e-10)
-        assert point.chsh == pytest.approx(float(vec @ m @ vec), abs=1e-5)
-        assert point.kcbs == pytest.approx(float(vec @ n @ vec), abs=1e-5)
+        assert point.theta == pytest.approx(theta, abs=1e-7)
+        assert point.chsh == pytest.approx(chsh, abs=1e-7)
+        assert point.kcbs == pytest.approx(kcbs, abs=1e-7)
+
+    def test_lowest_eigenvalue_of_m_plus_n_is_monogamy_bound(self):
+        w = np.linalg.eigvalsh(bell_block() + pentagon_block())
+        assert w[0] == pytest.approx(-5.0, abs=1e-12)
 
     def test_only_the_plus_branch_touches(self):
         m, n = bell_block(), pentagon_block()

@@ -80,6 +80,13 @@ class TestBehavior:
         with pytest.raises(ValueError, match="sum"):
             Behavior(scenario, probs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, scenario, bad):
+        probs = np.full((10, 8), 1 / 8)
+        probs[2, 5] = bad
+        with pytest.raises(ValueError, match=str(bad)):
+            Behavior(scenario, probs)
+
     def test_rejects_missing_context(self):
         with pytest.raises(ValueError, match="missing"):
             Behavior.from_tables({"A1,A2,B1": [1 / 8] * 8})
