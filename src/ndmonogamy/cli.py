@@ -198,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     if not (tol > 0 and math.isfinite(tol)):
         print("--tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
+    if not math.isfinite(getattr(args, "perturb_chsh", 0.0)):
+        print("--perturb-chsh must be finite", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "seed", 0) < 0:
         print("--seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE

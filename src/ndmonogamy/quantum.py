@@ -39,7 +39,7 @@ MINUS_BLOCK = (0, 3, 4)   # |00>, |11>, |20>
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     gap = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if gap > tol:
+    if not gap <= tol:  # NaN fails too
         raise NotHermitian(f"matrix deviates from Hermiticity by {gap:.3e}")
     return matrix
 
@@ -244,7 +244,7 @@ def block_decompose(
         basis_minus[idx, k] = signs[k]
     cross = basis_plus.conj().T @ chsh @ basis_minus
     worst = float(np.max(np.abs(cross)))
-    if worst > cross_tol:
+    if not worst <= cross_tol:  # NaN fails too
         raise BlockStructureViolated(
             f"cross-block entries reach {worst:.3e} (tolerance {cross_tol:.1e})"
         )

@@ -56,6 +56,7 @@ from .quantum import (
 )
 
 POINTWISE_SLACK = 1e-9
+_EXTREMES_BLOCK = 4096  # thetas per stacked root solve in _phi_extremes_many
 
 BRANCHES = ("plus", "minus")
 
@@ -256,27 +257,89 @@ class _Extreme(NamedTuple):
 def _phi_extremes(theta: float) -> tuple[_Extreme, _Extreme]:
     """(min, max) of the Bell expectation over phi at fixed theta.
 
+    A one-row call of :func:`_phi_extremes_many`.
+    """
+    lo, lo_phi, hi, hi_phi = (float(col[0]) for col in _phi_extremes_many([theta]))
+    return _Extreme(lo, lo_phi), _Extreme(hi, hi_phi)
+
+
+def _phi_extremes_many(
+    thetas,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(min value, its phi, max value, its phi) over phi, for every theta.
+
     Stationary phis solve a degree-4 polynomial in tan(phi/2); all real
-    roots plus phi = pi are evaluated and compared.
+    roots plus phi = pi are evaluated, and ties in value go to the smaller
+    (min) or larger (max) phi mod 2 pi.  Where the polynomial vanishes
+    (theta = 0) the expectation is constant and the candidates are 0 and
+    pi.  The roots of each block of thetas come from one stacked
+    eigenvalue solve of the companion matrices (ones on the subdiagonal,
+    first row -p[1:]/p[0]).  Blocks of ``_EXTREMES_BLOCK`` thetas keep
+    the temporaries, and so the peak memory, small.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    blocks = [
+        _phi_extremes_block(thetas[start : start + _EXTREMES_BLOCK])
+        for start in range(0, len(thetas), _EXTREMES_BLOCK)
+    ]
+    lo, lo_phi, hi, hi_phi = (np.concatenate(col) for col in zip(*blocks))
+    return lo, lo_phi, hi, hi_phi
+
+
+def _phi_extremes_block(
+    thetas: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One block of :func:`_phi_extremes_many`.
+
+    Every value equals, bit for bit, ``expectation_M(theta, phi)`` at the
+    same theta and phi, so the boundary files do not depend on the block
+    layout.  Two operations need libm for that: ``math.atan`` (``np.arctan``
+    differs in the last bit on some roots) and ``math.pow(x, 2.0)`` for
+    cos^2 and sin^2 (the scalar ``np.float64 ** 2`` is libm ``pow``, while
+    ``array ** 2`` is ``x * x``).
     """
     g = gammas()
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
     a = g.g3 * sin_t * sin_t
     b = g.g4 * sin_t * cos_t
     c = g.g5 * sin_t * cos_t
-    coeffs = np.array([-c, 8.0 * a - 2.0 * b, 0.0, -(8.0 * a + 2.0 * b), c])
-    candidates = [math.pi]
-    if np.max(np.abs(coeffs)) > 1e-15:
-        roots = np.roots(coeffs)
-        candidates.extend(
-            2.0 * math.atan(float(r.real))
-            for r in roots
-            if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
-        )
-    else:
-        candidates.append(0.0)  # expectation constant in phi
-    values = [_Extreme(float(expectation_M(theta, p)), p % (2 * math.pi)) for p in candidates]
-    return min(values), max(values)
+    coeffs = np.stack(
+        [-c, 8.0 * a - 2.0 * b, np.zeros_like(a), -(8.0 * a + 2.0 * b), c], axis=1
+    )
+    live = np.max(np.abs(coeffs), axis=1) > 1e-15
+    # column 0 is phi = pi on every row; where the polynomial vanishes the
+    # expectation is constant in phi and column 1 adds phi = 0
+    phis = np.zeros((len(thetas), 5))
+    valid = np.zeros((len(thetas), 5), dtype=bool)
+    phis[:, 0] = math.pi
+    valid[:, 0] = True
+    valid[~live, 1] = True
+    # the leading coefficient -g5 sin cos is nonzero on every live row
+    p = coeffs[live]
+    companion = np.zeros((len(p), 4, 4))
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))
+    atans = np.fromiter(map(math.atan, roots.real[real].tolist()), float)
+    live_phis = np.zeros((len(p), 4))
+    live_phis[real] = 2.0 * atans
+    phis[live, 1:] = live_phis
+    valid[live, 1:] = real
+
+    cos_sq = np.fromiter((math.pow(v, 2.0) for v in cos_t.tolist()), float)[:, None]
+    sin_sq = np.fromiter((math.pow(v, 2.0) for v in sin_t.tolist()), float)[:, None]
+    values = (
+        g.g1 * cos_sq
+        + (g.g2 + g.g3 * np.cos(2 * phis)) * sin_sq
+        + (cos_t * sin_t)[:, None] * (g.g4 * np.cos(phis) + g.g5 * np.sin(phis))
+    )
+    wrapped = np.mod(phis, 2 * math.pi)
+    lo = np.where(valid, values, np.inf).min(axis=1)
+    lo_phi = np.where(valid & (values == lo[:, None]), wrapped, np.inf).min(axis=1)
+    hi = np.where(valid, values, -np.inf).max(axis=1)
+    hi_phi = np.where(valid & (values == hi[:, None]), wrapped, -np.inf).max(axis=1)
+    return lo, lo_phi, hi, hi_phi
 
 
 @dataclass(frozen=True)
@@ -303,9 +366,12 @@ def sample_boundary(n: int) -> list[RegionPoint]:
 
     For each theta on a grid over [0, pi/2] the Bell expectation is
     extremized over phi exactly; lower and upper extremes give the two
-    arms of the boundary.  The minus branch is the plus branch with the
-    chsh coordinate negated.  Points are ordered by branch, then kcbs,
-    then chsh.
+    arms of the boundary.  Each arm is one :func:`_phi_extremes_many`
+    call, a stacked companion-matrix root solve per block of thetas whose
+    libm ``atan``/``pow`` keep every point bit-identical to a per-theta
+    evaluation of ``expectation_M``.  The minus branch is the plus branch
+    with the chsh coordinate negated.  Points are ordered by branch, then
+    kcbs, then chsh.
     """
     if n < 2:
         raise ValueError(f"need at least 2 boundary samples, got {n}")
@@ -315,12 +381,15 @@ def sample_boundary(n: int) -> list[RegionPoint]:
     for count, pick_low in ((n_lower, True), (n_upper, False)):
         if count == 0:
             continue
-        for theta in np.linspace(0.0, math.pi / 2, count):
-            lo, hi = _phi_extremes(float(theta))
-            ext = lo if pick_low else hi
-            kcbs = float(expectation_N(float(theta)))
-            points.append(RegionPoint(ext.value, kcbs, "plus", float(theta), ext.phi))
-            points.append(RegionPoint(-ext.value, kcbs, "minus", float(theta), ext.phi))
+        thetas = np.linspace(0.0, math.pi / 2, count)
+        lo, lo_phi, hi, hi_phi = _phi_extremes_many(thetas)
+        values, phis = (lo, lo_phi) if pick_low else (hi, hi_phi)
+        kcbs = expectation_N(thetas)
+        for theta, value, phi, k in zip(
+            thetas.tolist(), values.tolist(), phis.tolist(), kcbs.tolist()
+        ):
+            points.append(RegionPoint(value, k, "plus", theta, phi))
+            points.append(RegionPoint(-value, k, "minus", theta, phi))
     points.sort(key=lambda p: (p.branch != "plus", p.kcbs, p.chsh))
     return points
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, nodisturbance, quantum, region
-from .errors import BlockStructureViolated
+from .errors import BlockStructureViolated, NotHermitian
 from .scenario import check_no_disturbance, chsh_value, correlator, kcbs_value
 
 ND_BEHAVIOR_COUNT = 200
@@ -122,7 +122,7 @@ def check_chsh_block_structure(chsh_matrix: np.ndarray | None = None) -> CheckRe
     op = quantum.chsh_operator() if chsh_matrix is None else chsh_matrix
     try:
         decomposition = quantum.block_decompose(op)
-    except BlockStructureViolated as exc:
+    except (BlockStructureViolated, NotHermitian) as exc:
         return _result("chsh-block-structure", False, str(exc))
     minus = decomposition.basis_minus.conj().T @ op @ decomposition.basis_minus
     mirror_gap = float(np.max(np.abs(decomposition.m + minus)))

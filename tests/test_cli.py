@@ -151,6 +151,13 @@ class TestVerify:
         assert code == 2
         assert err.strip().splitlines() == ["--tol must be positive and finite"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_perturbation_usage_error(self, value, capsys):
+        code, out, err = run_cli(["verify", f"--perturb-chsh={value}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == ["--perturb-chsh must be finite"]
+
     def test_negative_seed_usage_error(self, capsys):
         code, _, err = run_cli(["verify", "--seed", "-1"], capsys)
         assert code == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ndmonogamy import quantum, verify
 from ndmonogamy.classical import chsh_expression, kcbs_expression
 from ndmonogamy.errors import (
     BlockStructureViolated,
@@ -26,6 +27,7 @@ from ndmonogamy.quantum import (
     kcbs_operator,
     kcbs_vectors,
     random_states,
+    require_hermitian,
     require_normalized,
 )
 from ndmonogamy.scenario import (
@@ -185,6 +187,31 @@ class TestBlockDecompose:
         perturbed[1, 0] += 1e-6
         with pytest.raises(BlockStructureViolated):
             block_decompose(perturbed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_not_hermitian(self, bad):
+        matrix = chsh_operator()
+        matrix[0, 1] = matrix[1, 0] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in the gap
+            with pytest.raises(NotHermitian):
+                require_hermitian(matrix)
+            with pytest.raises(NotHermitian):
+                block_decompose(matrix)
+
+    def test_nan_cross_block_entry_violates_block_structure(self, monkeypatch):
+        # reach the cross-block comparison past the Hermiticity check
+        monkeypatch.setattr(quantum, "require_hermitian", np.asarray)
+        matrix = chsh_operator()
+        matrix[0, 1] = matrix[1, 0] = np.nan
+        with pytest.raises(BlockStructureViolated):
+            block_decompose(matrix)
+
+    def test_block_check_reports_non_hermitian_input(self):
+        matrix = chsh_operator()
+        matrix[0, 1] = np.nan
+        result = verify.check_chsh_block_structure(matrix)
+        assert not result.passed
+        assert result.detail == "matrix deviates from Hermiticity by nan"
 
 
 class TestEigensystem:

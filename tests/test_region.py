@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ndmonogamy import region
 from ndmonogamy.errors import SingularParameter
 from ndmonogamy.quantum import behavior_from_state, eigensystem
 from ndmonogamy.region import (
@@ -10,6 +11,7 @@ from ndmonogamy.region import (
     KCBS_QUANTUM_MIN,
     RegionPoint,
     _phi_extremes,
+    _phi_extremes_many,
     bell_block,
     bell_block_minimum,
     boundary_coefficients,
@@ -32,6 +34,47 @@ from ndmonogamy.region import (
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
 QUARTER = math.pi / 2
+
+
+def per_theta_phi_extremes(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((min value, phi), (max value, phi)) over phi at one theta.
+
+    The reference for the stacked solve: ``np.roots`` on this theta's
+    quartic in tan(phi/2), libm ``atan`` of every real root, and the
+    scalar ``expectation_M`` at each candidate phi (the real roots and pi,
+    or 0 and pi where the quartic vanishes), compared as (value, phi mod
+    2 pi) tuples.
+    """
+    g = gammas()
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    a = g.g3 * sin_t * sin_t
+    b = g.g4 * sin_t * cos_t
+    c = g.g5 * sin_t * cos_t
+    coeffs = np.array([-c, 8.0 * a - 2.0 * b, 0.0, -(8.0 * a + 2.0 * b), c])
+    candidates = [math.pi]
+    if np.max(np.abs(coeffs)) > 1e-15:
+        candidates.extend(
+            2.0 * math.atan(float(r.real))
+            for r in np.roots(coeffs)
+            if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
+        )
+    else:
+        candidates.append(0.0)
+    values = [(float(expectation_M(theta, p)), p % (2 * math.pi)) for p in candidates]
+    return min(values), max(values)
+
+
+def per_theta_boundary(n: int) -> list[RegionPoint]:
+    """sample_boundary(n) rebuilt one theta at a time from the reference."""
+    points = []
+    for count, pick in (((n + 1) // 2, 0), (n - (n + 1) // 2, 1)):
+        for theta in np.linspace(0.0, QUARTER, count).tolist():
+            value, phi = per_theta_phi_extremes(theta)[pick]
+            kcbs = float(expectation_N(theta))
+            points.append(RegionPoint(value, kcbs, "plus", theta, phi))
+            points.append(RegionPoint(-value, kcbs, "minus", theta, phi))
+    points.sort(key=lambda p: (p.branch != "plus", p.kcbs, p.chsh))
+    return points
 
 
 def _golden_minimize(func, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -186,6 +229,62 @@ class TestBoundaryTheta:
             high = max(p.chsh for p in group)
             assert values.min() >= low - 1e-8
             assert values.max() <= high + 1e-8
+
+
+ORACLE_THETAS = np.concatenate(
+    [np.linspace(0.0, QUARTER, 2001), [0.0, QUARTER, 1.7, 2.2, 2.9, math.pi - 1e-3]]
+)
+
+
+class TestStackedPhiExtremes:
+    def _assert_matches_reference(self, thetas):
+        lo, lo_phi, hi, hi_phi = _phi_extremes_many(thetas)
+        mismatches = []
+        for i, theta in enumerate(thetas.tolist()):
+            (ref_lo, ref_lo_phi), (ref_hi, ref_hi_phi) = per_theta_phi_extremes(theta)
+            got = (lo[i], lo_phi[i], hi[i], hi_phi[i])
+            if got != (ref_lo, ref_lo_phi, ref_hi, ref_hi_phi):
+                mismatches.append(theta)
+        assert mismatches == []
+
+    def test_bit_identical_to_per_theta_roots(self):
+        self._assert_matches_reference(ORACLE_THETAS)
+
+    def test_thetas_where_pow_and_product_squares_differ(self):
+        # the reference squares cos and sin with libm pow; on the default
+        # region grid some thetas round x * x differently
+        grid = np.linspace(0.0, QUARTER, 50_000)
+        differ = [
+            theta
+            for theta in grid.tolist()
+            if math.pow(math.cos(theta), 2.0) != math.cos(theta) * math.cos(theta)
+            or math.pow(math.sin(theta), 2.0) != math.sin(theta) * math.sin(theta)
+        ]
+        if not differ:
+            pytest.skip("libm pow(x, 2) equals x * x on every grid theta here")
+        self._assert_matches_reference(np.array(differ))
+
+    def test_block_layout_does_not_matter(self, monkeypatch):
+        monkeypatch.setattr(region, "_EXTREMES_BLOCK", 7)
+        self._assert_matches_reference(ORACLE_THETAS[::13])
+
+    def test_one_row_wrapper(self):
+        for theta in ORACLE_THETAS[::250].tolist():
+            lo, hi = _phi_extremes(theta)
+            assert (tuple(lo), tuple(hi)) == per_theta_phi_extremes(theta)
+
+    def test_theta_zero_tie_break(self):
+        lo, lo_phi, hi, hi_phi = _phi_extremes_many([0.0])
+        assert lo[0] == hi[0] == gammas().g1
+        assert lo_phi[0] == 0.0
+        assert hi_phi[0] == math.pi
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 60])
+    def test_sample_boundary_matches_per_theta_build(self, n):
+        points = sample_boundary(n)
+        reference = per_theta_boundary(n)
+        assert points == reference
+        assert boundary_csv_rows(points) == boundary_csv_rows(reference)
 
 
 class TestSampleBoundary:
