@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,6 +26,8 @@ from .classical import (
     KCBS_CLASSICAL_BOUND,
     PIVOTS,
     LinearExpression,
+    chsh_expression,
+    kcbs_expression,
 )
 from .errors import Infeasible, NotNoDisturbance
 from .scenario import (
@@ -35,11 +37,10 @@ from .scenario import (
     Scenario,
     alice,
     bob,
-    check_no_disturbance,
-    chsh_value,
-    kcbs_value,
+    correlator_many,
     marginal_constraint_rows,
-    sign_vector,
+    nd_violations,
+    require_tolerance,
 )
 
 ND_TOL = 1e-10
@@ -68,57 +69,99 @@ class JointDistribution:
                 f"need {2 ** len(self.variables)} probabilities for "
                 f"{len(self.variables)} variables, got {probs.shape}"
             )
-        # phrased so that NaN and infinite entries fail the comparisons
-        if not probs.min() >= -1e-12:
-            raise ValueError(f"negative or non-finite joint probability {probs.min()}")
-        if not abs(probs.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"joint probabilities sum to {probs.sum()}, not 1")
-        probs = np.clip(probs, 0.0, None)
+        probs = _joint_rows(probs[None])[0]
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    def outcome_tuples(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(OUTCOMES, repeat=len(self.variables))
-
-    def as_array(self) -> np.ndarray:
-        """The table as a (2, ..., 2) array, axis k = variable k, -1 first."""
-        return self.probs.reshape((2,) * len(self.variables))
-
     def marginal(self, subset: Sequence[str]) -> "JointDistribution":
         """Marginal distribution over ``subset`` (in ``subset`` order)."""
-        positions = [self.variables.index(m) for m in subset]
-        drop = tuple(
-            k for k in range(len(self.variables)) if k not in positions
-        )
-        summed = self.as_array().sum(axis=drop)
-        reordered = np.transpose(summed, np.argsort(np.argsort(positions)))
-        return JointDistribution(tuple(subset), reordered.ravel())
+        marginals = _joint_marginals(self.variables, self.probs[None], subset)
+        return JointDistribution(tuple(subset), marginals[0])
 
     def correlator(self, subset: Sequence[str]) -> float:
         """Mean product of the outcomes of ``subset`` under this joint."""
-        marg = self.marginal(subset)
-        signs = np.array(
-            [float(np.prod(t)) for t in marg.outcome_tuples()]
+        return float(joint_correlator_many(self.variables, self.probs[None], subset)[0])
+
+
+def _joint_rows(probs: np.ndarray) -> np.ndarray:
+    """Stacked joint tables, each checked like a :class:`JointDistribution`.
+
+    Every row must be nonnegative and sum to 1 within 1e-12; entries
+    within the tolerance below zero are clipped to exactly zero.
+    """
+    # phrased so that NaN and infinite entries fail the comparisons
+    bad = np.flatnonzero(~(probs.min(axis=1) >= -1e-12))
+    if bad.size:
+        raise ValueError(
+            f"negative or non-finite joint probability {probs[bad[0]].min()}"
         )
-        return float(signs @ marg.probs)
+    sums = probs.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12))
+    if bad.size:
+        raise ValueError(f"joint probabilities sum to {sums[bad[0]]}, not 1")
+    return np.clip(probs, 0.0, None)
 
 
-def _require_nd(behavior: Behavior, tol: float) -> None:
-    matrix, _ = marginal_constraint_rows(behavior.scenario)
-    worst = float(np.max(np.abs(matrix @ behavior.probs.ravel())))
-    if worst > tol:
+def _joint_marginals(
+    variables: Sequence[str], joints: np.ndarray, subset: Sequence[str]
+) -> np.ndarray:
+    """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order."""
+    positions = [variables.index(m) for m in subset]
+    drop = tuple(1 + k for k in range(len(variables)) if k not in positions)
+    summed = joints.reshape((-1,) + (2,) * len(variables)).sum(axis=drop)
+    order = [0] + [1 + k for k in np.argsort(np.argsort(positions))]
+    return np.transpose(summed, order).reshape(len(joints), 2 ** len(subset))
+
+
+def joint_correlator_many(
+    variables: Sequence[str], joints: np.ndarray, subset: Sequence[str]
+) -> np.ndarray:
+    """:meth:`JointDistribution.correlator` of every row of ``joints``.
+
+    ``joints`` is an (n, 2**len(variables)) stack of joint tables over
+    ``variables``.  Each row's marginal over ``subset`` is summed with
+    its outcome signs one entry after the other, in outcome order.
+    """
+    signs = np.array(
+        [float(np.prod(t)) for t in itertools.product(OUTCOMES, repeat=len(subset))]
+    )
+    marginals = _joint_marginals(variables, joints, subset)
+    return np.cumsum(marginals * signs, axis=1)[:, -1]
+
+
+def _nd_tables(probs: np.ndarray, tol: float, scenario: Scenario) -> np.ndarray:
+    """``probs`` as an (n, n_contexts, 8) array, every row no-disturbance at ``tol``.
+
+    One matrix product with the marginal-agreement rows checks the whole
+    stack; the first offending row raises :class:`NotNoDisturbance`
+    carrying its violation records.
+    """
+    require_tolerance(tol)
+    probs = np.asarray(probs, dtype=float)
+    shape = (len(scenario.contexts), 8)
+    if probs.ndim != 3 or probs.shape[1:] != shape:
+        raise ValueError(f"need an (n, {shape[0]}, 8) table stack, got {probs.shape}")
+    matrix, _ = marginal_constraint_rows(scenario)
+    gaps = np.abs(probs.reshape(-1, matrix.shape[1]) @ matrix.T).max(axis=1)
+    bad = np.flatnonzero(~(gaps <= tol))
+    if bad.size:
+        k = int(bad[0])
+        where = f"row {k} " if len(probs) > 1 else ""
         raise NotNoDisturbance(
-            f"behavior violates no-disturbance (worst marginal gap {worst:.3e} "
-            f"at tolerance {tol:.1e})",
-            check_no_disturbance(behavior, tol),
+            f"behavior {where}violates no-disturbance (worst marginal gap "
+            f"{gaps[k]:.3e} at tolerance {tol:.1e})",
+            nd_violations(probs[k], tol, scenario),
         )
+    return probs
 
 
-def _context_array(behavior: Behavior, members: tuple[str, str, str]) -> np.ndarray:
-    """Table of the context containing ``members``, axes in ``members`` order."""
-    context = behavior.scenario.canonical_context(members)
-    table = behavior.table(context).reshape(2, 2, 2)
-    return np.transpose(table, [context.position(m) for m in members])
+def _context_arrays(
+    probs: np.ndarray, scenario: Scenario, members: tuple[str, str, str]
+) -> np.ndarray:
+    """Stacked tables of the context containing ``members``, axes in ``members`` order."""
+    context = scenario.canonical_context(members)
+    tables = probs[:, scenario.context_index(context)].reshape(-1, 2, 2, 2)
+    return np.transpose(tables, [0] + [1 + context.position(m) for m in members])
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -126,6 +169,30 @@ def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0.0)
     return out
+
+
+def fine_join_c1_many(
+    probs: np.ndarray, pivot: int, tol: float = ND_TOL, scenario: Scenario = CANONICAL
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`fine_join_c1` of every row of an (n, n_contexts, 8) table stack.
+
+    Returns the joint's variables and the (n, 32) stack of joint tables.
+    Raises :class:`NotNoDisturbance` for the first row that violates
+    no-disturbance at ``tol``.
+    """
+    probs = _nd_tables(probs, tol, scenario)
+    i = pivot
+    t_a = _context_arrays(probs, scenario, (alice(i + 1), alice(i + 2), bob(1)))
+    t_b = _context_arrays(probs, scenario, (alice(i + 2), alice(i - 2), bob(1)))
+    t_c = _context_arrays(probs, scenario, (alice(i - 2), alice(i - 1), bob(1)))
+    den_a = t_b.sum(axis=2)  # p(a_{i+2}, b1)
+    den_b = t_c.sum(axis=2)  # p(a_{i-2}, b1)
+    # joint[n, a+1, a+2, a-1, a-2, b1]
+    num = np.einsum("npqb,nqsb,nsrb->npqrsb", t_a, t_b, t_c)
+    den = np.einsum("nqb,nsb->nqsb", den_a, den_b)
+    joint = _safe_divide(num, den[:, None, :, None, :, :])
+    variables = (alice(i + 1), alice(i + 2), alice(i - 1), alice(i - 2), bob(1))
+    return variables, _joint_rows(joint.reshape(len(probs), 32))
 
 
 def fine_join_c1(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDistribution:
@@ -138,19 +205,29 @@ def fine_join_c1(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
     vanishes are zero (their numerators vanish too) and the remaining
     entries still sum to one, so no renormalization is applied.
     """
-    _require_nd(behavior, tol)
+    variables, joints = fine_join_c1_many(behavior.probs[None], pivot, tol, behavior.scenario)
+    return JointDistribution(variables, joints[0])
+
+
+def fine_join_c2_many(
+    probs: np.ndarray, pivot: int, tol: float = ND_TOL, scenario: Scenario = CANONICAL
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`fine_join_c2` of every row of an (n, n_contexts, 8) table stack.
+
+    Returns the joint's variables and the (n, 16) stack of joint tables.
+    Raises :class:`NotNoDisturbance` for the first row that violates
+    no-disturbance at ``tol``.
+    """
+    probs = _nd_tables(probs, tol, scenario)
     i = pivot
-    t_a = _context_array(behavior, (alice(i + 1), alice(i + 2), bob(1)))
-    t_b = _context_array(behavior, (alice(i + 2), alice(i - 2), bob(1)))
-    t_c = _context_array(behavior, (alice(i - 2), alice(i - 1), bob(1)))
-    den_a = t_b.sum(axis=1)  # p(a_{i+2}, b1)
-    den_b = t_c.sum(axis=1)  # p(a_{i-2}, b1)
-    # joint[a+1, a+2, a-1, a-2, b1]
-    num = np.einsum("pqb,qsb,srb->pqrsb", t_a, t_b, t_c)
-    den = np.einsum("qb,sb->qsb", den_a, den_b)
-    joint = _safe_divide(num, den[None, :, None, :, :])
-    variables = (alice(i + 1), alice(i + 2), alice(i - 1), alice(i - 2), bob(1))
-    return JointDistribution(variables, joint.ravel())
+    t_prev = _context_arrays(probs, scenario, (alice(i - 1), alice(i), bob(2)))
+    t_next = _context_arrays(probs, scenario, (alice(i), alice(i + 1), bob(2)))
+    den = t_next.sum(axis=2)  # p(a_i, b2)
+    # joint[n, a-1, a_i, a+1, b2]
+    num = np.einsum("nmib,nipb->nmipb", t_prev, t_next)
+    joint = _safe_divide(num, den[:, None, :, None, :])
+    variables = (alice(i - 1), alice(i), alice(i + 1), bob(2))
+    return variables, _joint_rows(joint.reshape(len(probs), 16))
 
 
 def fine_join_c2(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDistribution:
@@ -161,16 +238,8 @@ def fine_join_c2(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
     (A_{i+1}, B2) recovers p(a_{i-1}, a_i); over (A_{i-1}, B2) recovers
     p(a_i, a_{i+1}).  Same zero-denominator rule as the pentagon joint.
     """
-    _require_nd(behavior, tol)
-    i = pivot
-    t_prev = _context_array(behavior, (alice(i - 1), alice(i), bob(2)))
-    t_next = _context_array(behavior, (alice(i), alice(i + 1), bob(2)))
-    den = t_next.sum(axis=1)  # p(a_i, b2)
-    # joint[a-1, a_i, a+1, b2]
-    num = np.einsum("mib,ipb->mipb", t_prev, t_next)
-    joint = _safe_divide(num, den[None, :, None, :])
-    variables = (alice(i - 1), alice(i), alice(i + 1), bob(2))
-    return JointDistribution(variables, joint.ravel())
+    variables, joints = fine_join_c2_many(behavior.probs[None], pivot, tol, behavior.scenario)
+    return JointDistribution(variables, joints[0])
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +277,8 @@ def expression_vector(expr: LinearExpression, scenario: Scenario = CANONICAL) ->
     """
     c = np.zeros(len(scenario.contexts) * 8)
     for coeff, subset in expr.terms:
-        context = scenario.canonical_context(subset)
-        c_idx = scenario.context_index(context)
-        c[8 * c_idx : 8 * c_idx + 8] += coeff * sign_vector(context, subset)
+        c_idx, signs = scenario.term(subset)
+        c[8 * c_idx : 8 * c_idx + 8] += coeff * signs
     return c
 
 
@@ -276,10 +344,12 @@ def sample_behavior_matrix(
     """
     if method not in ("reject", "shrink"):
         raise ValueError(f"method must be 'reject' or 'shrink', got {method!r}")
+    if count < 0:
+        raise ValueError(f"cannot sample a negative number of behaviors, got {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     q, uniform = _projector(scenario)
     n_ctx = len(scenario.contexts)
-    chunks: list[np.ndarray] = []
+    chunks = [np.empty((0, 8 * n_ctx))]
     total = 0
     while total < count:
         size = min(batch, max(1000, 16 * (count - total)))
@@ -358,6 +428,39 @@ class MonogamyReport:
         )
 
 
+def _expression_values(
+    probs: np.ndarray, expr: LinearExpression, scenario: Scenario
+) -> np.ndarray:
+    """``expr`` on every row, its terms added in order like ``kcbs_value``."""
+    return sum(
+        coeff * correlator_many(probs, subset, scenario=scenario)
+        for coeff, subset in expr.terms
+    )
+
+
+def monogamy_certificate_many(
+    probs: np.ndarray,
+    tol: float = ND_TOL,
+    violation_tol: float = 1e-9,
+    scenario: Scenario = CANONICAL,
+) -> list[MonogamyReport]:
+    """:func:`monogamy_certificate` of every row of an (n, n_contexts, 8) table stack.
+
+    Raises :class:`NotNoDisturbance` for the first row that violates
+    no-disturbance at ``tol``.
+    """
+    probs = _nd_tables(probs, tol, scenario)
+    kcbs = _expression_values(probs, kcbs_expression(), scenario)
+    chsh = np.stack(
+        [_expression_values(probs, chsh_expression(i), scenario) for i in PIVOTS],
+        axis=-1,
+    )
+    return [
+        MonogamyReport(float(k), dict(zip(PIVOTS, map(float, row))), violation_tol)
+        for k, row in zip(kcbs, chsh)
+    ]
+
+
 def monogamy_certificate(
     behavior: Behavior, tol: float = ND_TOL, violation_tol: float = 1e-9
 ) -> MonogamyReport:
@@ -366,9 +469,6 @@ def monogamy_certificate(
     For any behavior satisfying no-disturbance at ``tol``, at most one of
     the two inequalities can be violated (beyond ``violation_tol``).
     """
-    _require_nd(behavior, tol)
-    return MonogamyReport(
-        kcbs=kcbs_value(behavior),
-        chsh_by_pivot={i: chsh_value(behavior, i) for i in PIVOTS},
-        violation_tol=violation_tol,
-    )
+    return monogamy_certificate_many(
+        behavior.probs[None], tol, violation_tol, behavior.scenario
+    )[0]

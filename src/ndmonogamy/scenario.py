@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -90,6 +91,7 @@ class Scenario:
 
     measurements: tuple[Measurement, ...]
     contexts: tuple[Context, ...]
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def measurement_ids(self) -> tuple[str, ...]:
@@ -110,6 +112,30 @@ class Scenario:
                 f"measurements {tuple(subset)} share no context"
             )
         return containing[0]
+
+    def term(
+        self, subset: Iterable[str], context: Context | None = None
+    ) -> tuple[int, np.ndarray]:
+        """(context index, read-only sign vector) of the correlator of ``subset``.
+
+        The context is ``context`` when given, else the canonical one.
+        Memoised per subset and context; a context that does not contain
+        ``subset`` raises :class:`SubsetNotMeasurable` on every call.
+        """
+        subset = tuple(subset)
+        key = (subset, context)
+        found = self._terms.get(key)
+        if found is None:
+            if context is None:
+                context = self.canonical_context(subset)
+            elif not context.contains(subset):
+                raise SubsetNotMeasurable(
+                    f"{subset} not contained in context {context.label}"
+                )
+            signs = sign_vector(context, subset)
+            signs.setflags(write=False)
+            found = self._terms[key] = (self.context_index(context), signs)
+        return found
 
     def marginal_requirements(self) -> tuple[MarginalRequirement, ...]:
         """All proper subsets of contexts that appear in several contexts.
@@ -223,13 +249,7 @@ class Behavior:
 
     def marginal(self, context: Context, assignment: Mapping[str, int]) -> float:
         """Probability of ``assignment`` (id -> outcome) within one context."""
-        positions = [(context.position(m), v) for m, v in assignment.items()]
-        total = 0.0
-        table = self.table(context)
-        for k, triple in enumerate(OUTCOME_TRIPLES):
-            if all(triple[pos] == v for pos, v in positions):
-                total += table[k]
-        return total
+        return _table_marginal(self.table(context), context, assignment)
 
     # -- algebra -----------------------------------------------------------
 
@@ -254,6 +274,18 @@ class Behavior:
     @classmethod
     def from_json(cls, text: str, scenario: Scenario = CANONICAL) -> "Behavior":
         return cls.from_tables(json.loads(text), scenario)
+
+
+def _table_marginal(
+    table: np.ndarray, context: Context, assignment: Mapping[str, int]
+) -> float:
+    """Probability of ``assignment`` under one context's 8-entry table."""
+    positions = [(context.position(m), v) for m, v in assignment.items()]
+    total = 0.0
+    for k, triple in enumerate(OUTCOME_TRIPLES):
+        if all(triple[pos] == v for pos, v in positions):
+            total += table[k]
+    return total
 
 
 def sign_vector(context: Context, subset: Sequence[str]) -> np.ndarray:
@@ -313,6 +345,22 @@ def marginal_constraint_rows(
     return matrix, tuple(infos)
 
 
+def correlator_many(
+    probs: np.ndarray,
+    subset: Sequence[str],
+    context: Context | None = None,
+    scenario: Scenario = CANONICAL,
+) -> np.ndarray:
+    """:func:`correlator` of every row of an (n, n_contexts, 8) table stack.
+
+    Each row's signed table entries are summed in outcome order, one
+    after the other, so a row's value does not depend on the stack it
+    sits in.
+    """
+    c_idx, signs = scenario.term(subset, context)
+    return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
+
+
 def correlator(
     behavior: Behavior,
     subset: Sequence[str],
@@ -325,14 +373,9 @@ def correlator(
     context may be requested explicitly, which matters only for behaviors
     violating no-disturbance.
     """
-    subset = tuple(subset)
-    if context is None:
-        context = behavior.scenario.canonical_context(subset)
-    elif not context.contains(subset):
-        raise SubsetNotMeasurable(
-            f"{subset} not contained in context {context.label}"
-        )
-    return float(sign_vector(context, subset) @ behavior.table(context))
+    return float(
+        correlator_many(behavior.probs[None], subset, context, behavior.scenario)[0]
+    )
 
 
 class NdViolation(NamedTuple):
@@ -350,17 +393,19 @@ class NdViolation(NamedTuple):
         return abs(self.value_a - self.value_b)
 
 
-def check_no_disturbance(behavior: Behavior, tol: float = 1e-10) -> list[NdViolation]:
-    """All marginal disagreements of ``behavior`` beyond ``tol``.
+def require_tolerance(tol: float) -> None:
+    """Reject a tolerance that is negative, NaN or infinite."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
-    Covers every shared pair marginal, p(a_i, a_{i+1}) across j in {1,2}
-    and p(a_i, b_j) across the two contexts containing {A_i, B_j}, and
-    every singleton marginal across all containing contexts.  An empty
-    list means the behavior satisfies no-disturbance at this tolerance;
-    violations are returned as data, never raised.
-    """
-    matrix, infos = marginal_constraint_rows(behavior.scenario)
-    residuals = matrix @ behavior.probs.ravel()
+
+def nd_violations(
+    probs: np.ndarray, tol: float = 1e-10, scenario: Scenario = CANONICAL
+) -> list[NdViolation]:
+    """All marginal disagreements beyond ``tol`` of one (n_contexts, 8) table array."""
+    require_tolerance(tol)
+    matrix, infos = marginal_constraint_rows(scenario)
+    residuals = matrix @ probs.ravel()
     violations: list[NdViolation] = []
     for k in np.flatnonzero(np.abs(residuals) > tol):
         info = infos[k]
@@ -371,11 +416,28 @@ def check_no_disturbance(behavior: Behavior, tol: float = 1e-10) -> list[NdViola
                 info.context_a.label,
                 info.context_b.label,
                 info.outcomes,
-                behavior.marginal(info.context_a, assignment),
-                behavior.marginal(info.context_b, assignment),
+                _table_marginal(
+                    probs[scenario.context_index(info.context_a)], info.context_a, assignment
+                ),
+                _table_marginal(
+                    probs[scenario.context_index(info.context_b)], info.context_b, assignment
+                ),
             )
         )
     return violations
+
+
+def check_no_disturbance(behavior: Behavior, tol: float = 1e-10) -> list[NdViolation]:
+    """All marginal disagreements of ``behavior`` beyond ``tol``.
+
+    Covers every shared pair marginal, p(a_i, a_{i+1}) across j in {1,2}
+    and p(a_i, b_j) across the two contexts containing {A_i, B_j}, and
+    every singleton marginal across all containing contexts.  An empty
+    list means the behavior satisfies no-disturbance at this tolerance;
+    violations are returned as data, never raised.  A negative or
+    non-finite ``tol`` raises ``ValueError``.
+    """
+    return nd_violations(behavior.probs, tol, behavior.scenario)
 
 
 def kcbs_value(behavior: Behavior) -> float:

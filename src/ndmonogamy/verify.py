@@ -18,7 +18,7 @@ import numpy as np
 
 from . import classical, nodisturbance, quantum, region
 from .errors import BlockStructureViolated, NotHermitian
-from .scenario import check_no_disturbance, chsh_value, correlator, kcbs_value
+from .scenario import check_no_disturbance, chsh_value, correlator_many, kcbs_value
 
 ND_BEHAVIOR_COUNT = 200
 STATE_SPOT_CHECKS = 25
@@ -64,20 +64,20 @@ def check_nd_lp_bounds() -> CheckResult:
 
 def check_fine_recovery(seed: int) -> CheckResult:
     behaviors = nodisturbance.sample_behaviors(ND_BEHAVIOR_COUNT, seed)
+    probs = np.stack([behavior.probs for behavior in behaviors])
     worst = 0.0
-    for behavior in behaviors:
-        for pivot in nodisturbance.PIVOTS:
-            joint1 = nodisturbance.fine_join_c1(behavior, pivot)
-            joint2 = nodisturbance.fine_join_c2(behavior, pivot)
-            for joint, expr in (
-                (joint1, classical.c1_expression(pivot)),
-                (joint2, classical.c2_expression(pivot)),
-            ):
-                for _, subset in expr.terms:
-                    gap = abs(
-                        joint.correlator(subset) - correlator(behavior, subset)
-                    )
-                    worst = max(worst, gap)
+    for pivot in nodisturbance.PIVOTS:
+        for join, expr in (
+            (nodisturbance.fine_join_c1_many, classical.c1_expression(pivot)),
+            (nodisturbance.fine_join_c2_many, classical.c2_expression(pivot)),
+        ):
+            variables, joints = join(probs, pivot)
+            for _, subset in expr.terms:
+                gaps = np.abs(
+                    nodisturbance.joint_correlator_many(variables, joints, subset)
+                    - correlator_many(probs, subset)
+                )
+                worst = max(worst, float(gaps.max()))
     return _result(
         "fine-marginal-recovery",
         worst <= 1e-10,
@@ -88,12 +88,11 @@ def check_fine_recovery(seed: int) -> CheckResult:
 
 def check_nd_monogamy(seed: int, slack: float = 1e-9) -> CheckResult:
     behaviors = nodisturbance.sample_behaviors(ND_BEHAVIOR_COUNT, seed + 1)
-    worst = math.inf
-    flags_ok = True
-    for behavior in behaviors:
-        report = nodisturbance.monogamy_certificate(behavior)
-        worst = min(worst, min(report.sums_by_pivot.values()))
-        flags_ok = flags_ok and report.at_most_one_violated
+    reports = nodisturbance.monogamy_certificate_many(
+        np.stack([behavior.probs for behavior in behaviors])
+    )
+    worst = min(min(report.sums_by_pivot.values()) for report in reports)
+    flags_ok = all(report.at_most_one_violated for report in reports)
     passed = flags_ok and worst >= classical.MONOGAMY_BOUND - slack
     return _result(
         "nd-monogamy-sweep",

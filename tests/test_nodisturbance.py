@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from ndmonogamy import nodisturbance, verify
 from ndmonogamy.classical import (
+    BOUNDS,
     c1_expression,
     c2_expression,
     chsh_expression,
@@ -15,8 +17,12 @@ from ndmonogamy.nodisturbance import (
     JointDistribution,
     expression_vector,
     fine_join_c1,
+    fine_join_c1_many,
     fine_join_c2,
+    fine_join_c2_many,
+    joint_correlator_many,
     monogamy_certificate,
+    monogamy_certificate_many,
     nd_equality_system,
     nd_optimum,
     sample_behavior_matrix,
@@ -26,9 +32,12 @@ from ndmonogamy.quantum import behavior_from_state
 from ndmonogamy.scenario import (
     Behavior,
     alice,
+    bob,
     check_no_disturbance,
+    chsh_value,
     correlator,
     kcbs_value,
+    sign_vector,
 )
 
 PIVOTS = (1, 2, 3, 4, 5)
@@ -301,3 +310,240 @@ class TestFineRecoveryProperty:
                         )
                         worst = max(worst, gap)
         assert worst <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-behavior construction the stacked sweeps replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_context_array(behavior, members):
+    context = behavior.scenario.canonical_context(members)
+    table = behavior.table(context).reshape(2, 2, 2)
+    return np.transpose(table, [context.position(m) for m in members])
+
+
+def _reference_divide(num, den):
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
+
+
+def reference_fine_join_c1(behavior, pivot):
+    i = pivot
+    t_a = _reference_context_array(behavior, (alice(i + 1), alice(i + 2), bob(1)))
+    t_b = _reference_context_array(behavior, (alice(i + 2), alice(i - 2), bob(1)))
+    t_c = _reference_context_array(behavior, (alice(i - 2), alice(i - 1), bob(1)))
+    num = np.einsum("pqb,qsb,srb->pqrsb", t_a, t_b, t_c)
+    den = np.einsum("qb,sb->qsb", t_b.sum(axis=1), t_c.sum(axis=1))
+    variables = (alice(i + 1), alice(i + 2), alice(i - 1), alice(i - 2), bob(1))
+    return variables, _reference_divide(num, den[None, :, None, :, :]).ravel()
+
+
+def reference_fine_join_c2(behavior, pivot):
+    i = pivot
+    t_prev = _reference_context_array(behavior, (alice(i - 1), alice(i), bob(2)))
+    t_next = _reference_context_array(behavior, (alice(i), alice(i + 1), bob(2)))
+    num = np.einsum("mib,ipb->mipb", t_prev, t_next)
+    variables = (alice(i - 1), alice(i), alice(i + 1), bob(2))
+    return variables, _reference_divide(num, t_next.sum(axis=1)[None, :, None, :]).ravel()
+
+
+def _sequential_dot(signs, probs):
+    total = 0.0
+    for s, p in zip(signs, probs):
+        total += s * p
+    return total
+
+
+def reference_joint_correlator(variables, probs, subset):
+    """Marginal of one joint table, then its signed entries added in order."""
+    positions = [variables.index(m) for m in subset]
+    drop = tuple(k for k in range(len(variables)) if k not in positions)
+    summed = probs.reshape((2,) * len(variables)).sum(axis=drop)
+    marginal = np.transpose(summed, np.argsort(np.argsort(positions))).ravel()
+    signs = [np.prod(t) for t in itertools.product((-1, 1), repeat=len(subset))]
+    return _sequential_dot(signs, marginal)
+
+
+def reference_correlator(behavior, subset):
+    context = behavior.scenario.canonical_context(subset)
+    return _sequential_dot(sign_vector(context, subset), behavior.table(context))
+
+
+def reference_worst_recovery_gap(behaviors):
+    """The per-behavior loop of the fine-marginal-recovery check."""
+    worst = 0.0
+    for behavior in behaviors:
+        for pivot in PIVOTS:
+            for join, expr in (
+                (reference_fine_join_c1, c1_expression(pivot)),
+                (reference_fine_join_c2, c2_expression(pivot)),
+            ):
+                variables, joint = join(behavior, pivot)
+                for _, subset in expr.terms:
+                    gap = abs(
+                        reference_joint_correlator(variables, joint, subset)
+                        - reference_correlator(behavior, subset)
+                    )
+                    worst = max(worst, gap)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def sweep_behaviors(nd_behaviors):
+    """Sampled behaviors plus every LP witness of the bounds table."""
+    witnesses = [nd_optimum(row.expression).witness for row in BOUNDS]
+    witnesses.append(nd_optimum(kcbs_expression(), sense="max").witness)
+    return nd_behaviors + witnesses
+
+
+class TestStackedFineJoins:
+    @pytest.mark.parametrize("pivot", PIVOTS)
+    def test_stacked_joints_equal_scalar_construction(self, sweep_behaviors, pivot):
+        probs = np.stack([b.probs for b in sweep_behaviors])
+        for many, reference in (
+            (fine_join_c1_many, reference_fine_join_c1),
+            (fine_join_c2_many, reference_fine_join_c2),
+        ):
+            variables, joints = many(probs, pivot)
+            expected = [reference(b, pivot) for b in sweep_behaviors]
+            assert variables == expected[0][0]
+            np.testing.assert_array_equal(joints, np.stack([j for _, j in expected]))
+
+    @pytest.mark.parametrize("pivot", PIVOTS)
+    def test_stacked_joint_correlators_equal_scalar_ones(self, sweep_behaviors, pivot):
+        probs = np.stack([b.probs for b in sweep_behaviors])
+        for many, expr in (
+            (fine_join_c1_many, c1_expression(pivot)),
+            (fine_join_c2_many, c2_expression(pivot)),
+        ):
+            variables, joints = many(probs, pivot)
+            for subset in [s for _, s in expr.terms] + [variables[:3]]:
+                expected = [
+                    reference_joint_correlator(variables, row, subset) for row in joints
+                ]
+                stacked = joint_correlator_many(variables, joints, subset)
+                np.testing.assert_array_equal(stacked, expected)
+
+    def test_one_row_stack_is_the_single_behavior_joint(self, nd_behaviors):
+        behavior = nd_behaviors[0]
+        for many, single in ((fine_join_c1_many, fine_join_c1), (fine_join_c2_many, fine_join_c2)):
+            variables, joints = many(behavior.probs[None], 3)
+            joint = single(behavior, 3)
+            assert joints.shape == (1, joint.probs.size)
+            np.testing.assert_array_equal(joints[0], joint.probs)
+            assert variables == joint.variables
+
+    def test_empty_stack(self):
+        empty = np.empty((0, 10, 8))
+        for many, size in ((fine_join_c1_many, 32), (fine_join_c2_many, 16)):
+            variables, joints = many(empty, 2)
+            assert joints.shape == (0, size)
+            assert joint_correlator_many(variables, joints, variables[:2]).shape == (0,)
+        assert monogamy_certificate_many(empty) == []
+
+    def test_rejects_malformed_stack(self, uniform_behavior):
+        with pytest.raises(ValueError, match="table stack"):
+            fine_join_c1_many(uniform_behavior.probs, 1)
+        unnormalized = np.full((2, 10, 8), 1 / 4)
+        with pytest.raises(ValueError, match="sum to"):
+            fine_join_c2_many(unnormalized, 1)
+
+    def test_disturbing_row_names_its_index(self, scenario, uniform_behavior):
+        probs = np.stack([uniform_behavior.probs, disturbing_behavior(scenario).probs])
+        for call in (
+            lambda: fine_join_c1_many(probs, 1),
+            lambda: fine_join_c2_many(probs, 1),
+            lambda: monogamy_certificate_many(probs),
+        ):
+            with pytest.raises(NotNoDisturbance, match="row 1") as excinfo:
+                call()
+            assert excinfo.value.violations
+
+
+class TestStackedCertificates:
+    def test_agree_with_scalar_witnesses(self, sweep_behaviors):
+        probs = np.stack([b.probs for b in sweep_behaviors])
+        reports = monogamy_certificate_many(probs, violation_tol=1e-7)
+        assert len(reports) == len(sweep_behaviors)
+        for behavior, report in zip(sweep_behaviors, reports):
+            # the terms are added in the witnesses' own order, so they agree exactly
+            assert report.kcbs == kcbs_value(behavior)
+            assert report.chsh_by_pivot == {i: chsh_value(behavior, i) for i in PIVOTS}
+            assert report.violation_tol == 1e-7
+            assert report == monogamy_certificate(behavior, violation_tol=1e-7)
+
+    def test_one_row_stack(self, nd_behaviors):
+        (report,) = monogamy_certificate_many(nd_behaviors[4].probs[None])
+        assert report == monogamy_certificate(nd_behaviors[4])
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_rejects_bad_tolerance(self, scenario, tol):
+        behavior = disturbing_behavior(scenario)
+        calls = (
+            lambda: check_no_disturbance(behavior, tol),
+            lambda: fine_join_c1(behavior, 1, tol),
+            lambda: fine_join_c2(behavior, 1, tol),
+            lambda: monogamy_certificate(behavior, tol),
+            lambda: fine_join_c1_many(behavior.probs[None], 1, tol),
+            lambda: fine_join_c2_many(behavior.probs[None], 1, tol),
+            lambda: monogamy_certificate_many(behavior.probs[None], tol),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="tolerance"):
+                call()
+
+    def test_zero_tolerance_is_allowed(self, uniform_behavior):
+        assert check_no_disturbance(uniform_behavior, 0.0) == []
+        assert monogamy_certificate(uniform_behavior, 0.0).kcbs == 0.0
+
+
+class TestEmptySample:
+    def test_zero_count(self):
+        assert sample_behavior_matrix(0).shape == (0, 80)
+        assert sample_behavior_matrix(0, method="shrink").shape == (0, 80)
+        assert sample_behaviors(0) == []
+
+    @pytest.mark.parametrize("count", [-1, -200])
+    def test_negative_count(self, count):
+        with pytest.raises(ValueError, match=str(count)):
+            sample_behavior_matrix(count)
+        with pytest.raises(ValueError, match=str(count)):
+            sample_behaviors(count)
+
+
+class TestStackedVerifyChecks:
+    def test_fine_recovery_matches_reference_loop(self, monkeypatch):
+        monkeypatch.setattr(verify, "ND_BEHAVIOR_COUNT", 40)
+        behaviors = sample_behaviors(40, seed=7)
+        worst = reference_worst_recovery_gap(behaviors)
+        result = verify.check_fine_recovery(7)
+        assert result.passed
+        assert result.detail == f"40 behaviors x 5 pivots, worst marginal gap {worst:.3g}"
+
+    def test_monogamy_sweep_matches_reference_loop(self, monkeypatch):
+        monkeypatch.setattr(verify, "ND_BEHAVIOR_COUNT", 40)
+        behaviors = sample_behaviors(40, seed=8)
+        worst = min(
+            kcbs_value(b) + chsh_value(b, i) for b in behaviors for i in PIVOTS
+        )
+        result = verify.check_nd_monogamy(7)
+        assert result.passed
+        assert result.detail == f"min kcbs+chsh over sample {worst:.12g}"
+
+    def test_fine_recovery_can_fail(self, monkeypatch):
+        stacked = nodisturbance.fine_join_c1_many
+
+        def perturbed(probs, pivot, *args, **kwargs):
+            variables, joints = stacked(probs, pivot, *args, **kwargs)
+            joints = joints.copy()
+            joints[17, 5] += 1e-6
+            return variables, joints
+
+        monkeypatch.setattr(nodisturbance, "fine_join_c1_many", perturbed)
+        result = verify.check_fine_recovery(42)
+        assert not result.passed
+        assert "worst marginal gap 1e-06" in result.detail

@@ -23,7 +23,9 @@ from ndmonogamy.scenario import (
     check_no_disturbance,
     chsh_value,
     correlator,
+    correlator_many,
     kcbs_value,
+    sign_vector,
 )
 
 
@@ -133,8 +135,36 @@ class TestCorrelator:
 
     def test_explicit_context_must_contain_subset(self, uniform_behavior, scenario):
         other = scenario.canonical_context(("A3", "A4"))
-        with pytest.raises(SubsetNotMeasurable):
-            correlator(uniform_behavior, ("A1", "A2"), context=other)
+        for _ in range(2):  # also once the canonical lookup is memoised
+            with pytest.raises(SubsetNotMeasurable):
+                correlator(uniform_behavior, ("A1", "A2"), context=other)
+            assert correlator(uniform_behavior, ("A1", "A2")) == 0.0
+
+    def test_cached_sign_vectors_are_read_only(self, scenario):
+        for subset, context in [
+            (("A1", "A2"), None),
+            (("A2", "B1"), scenario.contexts[2]),
+            (("A1", "A2", "B1"), None),
+        ]:
+            c_idx, signs = scenario.term(subset, context)
+            assert scenario.term(list(subset), context)[1] is signs
+            expected = context or scenario.canonical_context(subset)
+            assert c_idx == scenario.context_index(expected)
+            assert np.array_equal(signs, sign_vector(expected, subset))
+            with pytest.raises(ValueError):
+                signs[0] = 0.0
+
+    def test_stacked_correlators_equal_scalar_ones(self, nd_behaviors, quantum_behaviors):
+        behaviors = nd_behaviors + quantum_behaviors
+        probs = np.stack([b.probs for b in behaviors])
+        for subset in [("A1", "A2"), ("A4", "B2"), ("A5", "A1", "B1"), ("B1",)]:
+            context = CANONICAL.canonical_context(subset)
+            signs = sign_vector(context, subset)
+            # reference: the signed entries added one after the other
+            expected = [float(sum(signs * b.table(context))) for b in behaviors]
+            assert correlator_many(probs, subset).tolist() == expected
+            assert [correlator(b, subset) for b in behaviors] == expected
+        assert correlator_many(probs[:0], ("A1", "A2")).shape == (0,)
 
     def test_quantum_pair_correlator_matches_trace_oracle(self, basis_state_behavior):
         # oracle: <20|A1 A2 (x) 1|20> computed directly from the observables
