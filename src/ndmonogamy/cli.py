@@ -95,30 +95,31 @@ def cmd_region(args: argparse.Namespace) -> int:
     if args.samples < 2:
         print("region export needs --samples >= 2", file=sys.stderr)
         return EXIT_USAGE
-    points = region.sample_boundary(args.samples)
+    boundary = region.sample_boundary(args.samples)
     touch = region.touching_point()
-    nd_line = [
-        (chsh, classical.MONOGAMY_BOUND - chsh)
-        for chsh in np.linspace(classical.CHSH_ND_BOUND, 1.0, args.samples)
-    ]
+    line_chsh = np.linspace(classical.CHSH_ND_BOUND, 1.0, args.samples)
+    line_kcbs = classical.MONOGAMY_BOUND - line_chsh
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "boundary.csv").write_text(
-            "\n".join(region.boundary_csv_rows(points)) + "\n"
-        )
-        (out_dir / "touching_point.csv").write_text(
-            "\n".join(region.boundary_csv_rows([touch])) + "\n"
-        )
-        nd_rows = ["chsh,kcbs"] + [
-            f"{c:.17g},{k:.17g}" for c, k in nd_line
-        ]
-        (out_dir / "nd_line.csv").write_text("\n".join(nd_rows) + "\n")
+        with open(out_dir / "boundary.csv", "w") as file:
+            region.write_boundary_csv(file, boundary)
+        with open(out_dir / "touching_point.csv", "w") as file:
+            region.write_point_csv(file, touch)
+        with open(out_dir / "nd_line.csv", "w") as file:
+            region.write_csv(
+                file,
+                "chsh,kcbs",
+                zip(
+                    region.csv_floats(line_chsh.tolist()),
+                    region.csv_floats(line_kcbs.tolist()),
+                ),
+            )
     except OSError as exc:
         print(f"cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
     print(
-        f"wrote {len(points)} boundary points, {len(nd_line)} line samples and "
+        f"wrote {len(boundary)} boundary points, {len(line_chsh)} line samples and "
         f"the touching point ({touch.chsh:.6f}, {touch.kcbs:.6f}) to {out_dir}"
     )
     return EXIT_OK

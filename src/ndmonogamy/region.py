@@ -31,9 +31,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from itertools import chain, islice, repeat, starmap
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -355,43 +358,126 @@ class RegionPoint:
     def __post_init__(self) -> None:
         if self.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
-        if self.chsh + self.kcbs < MONOGAMY_BOUND - POINTWISE_SLACK:
+        entries = (self.chsh, self.kcbs, self.theta, self.phi)
+        if not all(math.isfinite(v) for v in entries if v is not None):
+            raise ValueError(f"point ({self.chsh}, {self.kcbs}) has a non-finite entry")
+        # phrased so that NaN fails the comparison
+        if not self.chsh + self.kcbs >= MONOGAMY_BOUND - POINTWISE_SLACK:
             raise ValueError(
                 f"point ({self.chsh}, {self.kcbs}) breaks chsh+kcbs >= -5"
             )
 
 
-def sample_boundary(n: int) -> list[RegionPoint]:
+@dataclass(frozen=True, eq=False)
+class Boundary(Sequence):
+    """Both branches of the sampled boundary, kept as columns.
+
+    Row i of ``theta``, ``phi``, ``chsh`` and ``kcbs`` is one arm point:
+    the lower arm (minimum over phi) first, then the upper arm.  The plus
+    branch has ``chsh`` and the minus branch ``-chsh``; both share theta,
+    phi and kcbs.  ``plus_order`` and ``minus_order`` list the rows of each
+    branch by kcbs, then chsh, ties in row order.  As a sequence it holds
+    the plus points in that order, then the minus points; each
+    :class:`RegionPoint` is built on access.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    chsh: np.ndarray
+    kcbs: np.ndarray
+    plus_order: np.ndarray = field(init=False)
+    minus_order: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        names = ("theta", "phi", "chsh", "kcbs")
+        columns = [np.array(getattr(self, name), dtype=float) for name in names]
+        theta, phi, chsh, kcbs = columns
+        if theta.ndim != 1 or any(c.shape != theta.shape for c in columns):
+            raise ValueError("boundary columns must be 1-dim and of equal length")
+        finite = np.isfinite(np.stack(columns)).all(axis=0)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(
+                f"point ({float(chsh[row])}, {float(kcbs[row])}) has a non-finite entry"
+            )
+        # (row, branch) order, so the first offender is the first point built;
+        # phrased so that NaN fails the comparison
+        totals = np.stack([chsh + kcbs, kcbs - chsh], axis=1)
+        bad = np.flatnonzero(~(totals >= MONOGAMY_BOUND - POINTWISE_SLACK))
+        if bad.size:
+            row, minus = divmod(int(bad[0]), 2)
+            point_chsh = -chsh[row] if minus else chsh[row]
+            raise ValueError(
+                f"point ({float(point_chsh)}, {float(kcbs[row])}) "
+                "breaks chsh+kcbs >= -5"
+            )
+        orders = np.lexsort((chsh, kcbs)), np.lexsort((-chsh, kcbs))
+        names += ("plus_order", "minus_order")
+        for name, value in zip(names, (*columns, *orders)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return 2 * len(self.theta)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        n = len(self.theta)
+        if not -2 * n <= index < 2 * n:
+            raise IndexError(f"boundary index {index} out of range")
+        index %= 2 * n
+        if index < n:
+            row = int(self.plus_order[index])
+            chsh, branch = float(self.chsh[row]), "plus"
+        else:
+            row = int(self.minus_order[index - n])
+            chsh, branch = -float(self.chsh[row]), "minus"
+        theta, phi, kcbs = (float(c[row]) for c in (self.theta, self.phi, self.kcbs))
+        return RegionPoint(chsh, kcbs, branch, theta, phi)
+
+    def __iter__(self):
+        for branch, signed, order in (
+            ("plus", self.chsh, self.plus_order),
+            ("minus", -self.chsh, self.minus_order),
+        ):
+            chsh, kcbs, theta, phi = (
+                c[order].tolist() for c in (signed, self.kcbs, self.theta, self.phi)
+            )
+            yield from starmap(RegionPoint, zip(chsh, kcbs, repeat(branch), theta, phi))
+
+
+def sample_boundary(n: int) -> Boundary:
     """n points per branch tracing the closed quantum boundary curves.
 
     For each theta on a grid over [0, pi/2] the Bell expectation is
     extremized over phi exactly; lower and upper extremes give the two
-    arms of the boundary.  Each arm is one :func:`_phi_extremes_many`
-    call, a stacked companion-matrix root solve per block of thetas whose
-    libm ``atan``/``pow`` keep every point bit-identical to a per-theta
-    evaluation of ``expectation_M``.  The minus branch is the plus branch
-    with the chsh coordinate negated.  Points are ordered by branch, then
-    kcbs, then chsh.
+    arms of the boundary, of (n + 1) // 2 and n // 2 thetas.  When both
+    arms have the same grid (every even n) one :func:`_phi_extremes_many`
+    call serves both; its libm ``atan``/``pow`` keep every point
+    bit-identical to a per-theta evaluation of ``expectation_M``.  The
+    minus branch is the plus branch with the chsh coordinate negated.
+    Points are ordered by branch, then kcbs, then chsh.
     """
     if n < 2:
         raise ValueError(f"need at least 2 boundary samples, got {n}")
     n_lower = (n + 1) // 2
-    n_upper = n - n_lower
-    points: list[RegionPoint] = []
-    for count, pick_low in ((n_lower, True), (n_upper, False)):
-        if count == 0:
-            continue
-        thetas = np.linspace(0.0, math.pi / 2, count)
-        lo, lo_phi, hi, hi_phi = _phi_extremes_many(thetas)
-        values, phis = (lo, lo_phi) if pick_low else (hi, hi_phi)
-        kcbs = expectation_N(thetas)
-        for theta, value, phi, k in zip(
-            thetas.tolist(), values.tolist(), phis.tolist(), kcbs.tolist()
-        ):
-            points.append(RegionPoint(value, k, "plus", theta, phi))
-            points.append(RegionPoint(-value, k, "minus", theta, phi))
-    points.sort(key=lambda p: (p.branch != "plus", p.kcbs, p.chsh))
-    return points
+    lower = np.linspace(0.0, math.pi / 2, n_lower)
+    if n - n_lower == n_lower:
+        upper = lower
+        lo, lo_phi, hi, hi_phi = _phi_extremes_many(lower)
+    else:
+        upper = np.linspace(0.0, math.pi / 2, n - n_lower)
+        lo, lo_phi, _, _ = _phi_extremes_many(lower)
+        _, _, hi, hi_phi = _phi_extremes_many(upper)
+    theta = np.concatenate([lower, upper])
+    return Boundary(
+        theta=theta,
+        phi=np.concatenate([lo_phi, hi_phi]),
+        chsh=np.concatenate([lo, hi]),
+        kcbs=expectation_N(theta),
+    )
 
 
 def touching_point() -> RegionPoint:
@@ -549,11 +635,65 @@ def region_membership_sweep(
 # ---------------------------------------------------------------------------
 
 
-def boundary_csv_rows(points: Iterable[RegionPoint]) -> list[str]:
-    """CSV rows 'branch,phi,theta,chsh,kcbs' at 17 significant digits."""
-    rows = ["branch,phi,theta,chsh,kcbs"]
-    for p in points:
-        phi = "" if p.phi is None else f"{p.phi:.17g}"
-        theta = "" if p.theta is None else f"{p.theta:.17g}"
-        rows.append(f"{p.branch},{phi},{theta},{p.chsh:.17g},{p.kcbs:.17g}")
-    return rows
+BOUNDARY_HEADER = "branch,phi,theta,chsh,kcbs"
+_CSV_BLOCK = 4096  # rows per write in write_csv
+
+
+def csv_floats(values: Iterable[float]) -> Iterator[str]:
+    """Each value at 17 significant digits, the number format of every CSV."""
+    return map(format, values, repeat(".17g"))
+
+
+def write_csv(file: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """The header line, then each row's fields joined by commas.
+
+    Rows are written in blocks of ``_CSV_BLOCK``, so no whole-file string
+    is ever built.
+    """
+    file.write(header + "\n")
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        file.write("\n".join(map(",".join, block)) + "\n")
+
+
+def _column_strings(column: np.ndarray) -> list[str]:
+    """csv_floats of a column, each half formatted once if both hold the same bits.
+
+    Both boundary arms share their theta grid, and so their kcbs, for every
+    even sample count.
+    """
+    half, odd = divmod(len(column), 2)
+    first, second = column[:half], column[half:]
+    if not odd and first.tobytes() == second.tobytes():
+        return list(csv_floats(first.tolist())) * 2
+    return list(csv_floats(column.tolist()))
+
+
+def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
+    """Rows 'branch,phi,theta,chsh,kcbs' of both branches, in sequence order.
+
+    Every float is formatted once: the theta, phi and kcbs strings serve
+    both branches, and a minus-branch chsh is its plus string negated.
+    """
+    phi, theta, chsh, kcbs = (
+        np.array(_column_strings(c), dtype=object)
+        for c in (boundary.phi, boundary.theta, boundary.chsh, boundary.kcbs)
+    )
+    # the string of -x is that of x with its sign flipped
+    minus_chsh = np.array(
+        [s[1:] if s[0] == "-" else "-" + s for s in chsh.tolist()], dtype=object
+    )
+    rows = chain.from_iterable(
+        zip(repeat(branch), *(c[order].tolist() for c in (phi, theta, signed, kcbs)))
+        for branch, order, signed in (
+            ("plus", boundary.plus_order, chsh),
+            ("minus", boundary.minus_order, minus_chsh),
+        )
+    )
+    write_csv(file, BOUNDARY_HEADER, rows)
+
+
+def write_point_csv(file: TextIO, point: RegionPoint) -> None:
+    """The one-row boundary CSV of a single point, such as the touching point."""
+    numbers = csv_floats([point.phi, point.theta, point.chsh, point.kcbs])
+    write_csv(file, BOUNDARY_HEADER, [(point.branch, *numbers)])

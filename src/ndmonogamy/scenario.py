@@ -213,12 +213,14 @@ class Behavior:
         expected = (len(self.scenario.contexts), 8)
         if probs.shape != expected:
             raise ValueError(f"behavior table must have shape {expected}, got {probs.shape}")
-        probs = np.array(
-            [
-                _validate_table(row, ctx.label, self.validation_tol)
-                for ctx, row in zip(self.scenario.contexts, probs)
-            ]
-        )
+        # one pass over every row, phrased so that NaN and infinite entries
+        # fail; failing rows go through the per-row check, which raises
+        # with the context's label
+        tol = self.validation_tol
+        ok = (probs.min(axis=1) >= -tol) & (np.abs(probs.sum(axis=1) - 1.0) <= tol)
+        for row in np.flatnonzero(~ok):
+            _validate_table(probs[row], self.scenario.contexts[row].label, tol)
+        probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 

@@ -88,6 +88,24 @@ class TestRegion:
         for name in ("boundary.csv", "nd_line.csv", "touching_point.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_out_naming_a_file_is_io_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("a file, not a directory")
+        code, out, err = run_cli(["region", "--samples", "6", "--out", str(target)], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"cannot write to {target}: ")
+
+    def test_boundary_csv_that_is_a_directory_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "boundary.csv").mkdir()
+        code, out, err = run_cli(["region", "--samples", "6", "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"cannot write to {tmp_path}: ")
+        assert "boundary.csv" in err
+
     def test_too_few_samples_is_usage_error(self, capsys):
         code, _, err = run_cli(["region", "--samples", "1"], capsys)
         assert code == 2

@@ -1,21 +1,23 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from ndmonogamy import region
+from ndmonogamy import cli, region
+from ndmonogamy.classical import CHSH_ND_BOUND, MONOGAMY_BOUND
 from ndmonogamy.errors import SingularParameter
 from ndmonogamy.quantum import behavior_from_state, eigensystem
 from ndmonogamy.region import (
     KCBS_QUANTUM_DEGENERATE,
     KCBS_QUANTUM_MIN,
+    Boundary,
     RegionPoint,
     _phi_extremes,
     _phi_extremes_many,
     bell_block,
     bell_block_minimum,
     boundary_coefficients,
-    boundary_csv_rows,
     boundary_state,
     boundary_theta,
     closed_form_agreement_gap,
@@ -30,6 +32,7 @@ from ndmonogamy.region import (
     sample_boundary,
     stationarity_residual,
     touching_point,
+    write_boundary_csv,
 )
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
@@ -75,6 +78,28 @@ def per_theta_boundary(n: int) -> list[RegionPoint]:
             points.append(RegionPoint(-value, kcbs, "minus", theta, phi))
     points.sort(key=lambda p: (p.branch != "plus", p.kcbs, p.chsh))
     return points
+
+
+def per_point_csv(points) -> str:
+    """Boundary CSV text built one f-string row per point."""
+    rows = ["branch,phi,theta,chsh,kcbs"]
+    for p in points:
+        rows.append(f"{p.branch},{p.phi:.17g},{p.theta:.17g},{p.chsh:.17g},{p.kcbs:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def per_sample_nd_line_csv(n: int) -> str:
+    """nd_line.csv text built one f-string row per line sample."""
+    rows = ["chsh,kcbs"] + [
+        f"{c:.17g},{MONOGAMY_BOUND - c:.17g}" for c in np.linspace(CHSH_ND_BOUND, 1.0, n)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def boundary_csv(boundary) -> str:
+    file = io.StringIO()
+    write_boundary_csv(file, boundary)
+    return file.getvalue()
 
 
 def _golden_minimize(func, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -279,12 +304,12 @@ class TestStackedPhiExtremes:
         assert lo_phi[0] == 0.0
         assert hi_phi[0] == math.pi
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 60])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 60, 101])
     def test_sample_boundary_matches_per_theta_build(self, n):
-        points = sample_boundary(n)
+        boundary = sample_boundary(n)
         reference = per_theta_boundary(n)
-        assert points == reference
-        assert boundary_csv_rows(points) == boundary_csv_rows(reference)
+        assert list(boundary) == reference
+        assert boundary_csv(boundary) == per_point_csv(reference)
 
 
 class TestSampleBoundary:
@@ -318,12 +343,139 @@ class TestSampleBoundary:
             sample_boundary(1)
 
     def test_csv_rows_format(self):
-        rows = boundary_csv_rows(sample_boundary(4))
+        rows = boundary_csv(sample_boundary(4)).splitlines()
         assert rows[0] == "branch,phi,theta,chsh,kcbs"
         assert len(rows) == 9
         branch, phi, theta, chsh, kcbs = rows[1].split(",")
         assert branch in ("plus", "minus")
         float(phi), float(theta), float(chsh), float(kcbs)
+
+
+class TestBoundarySequence:
+    def test_length_indexing_and_iteration_agree(self):
+        boundary = sample_boundary(9)
+        points = list(boundary)
+        assert len(boundary) == len(points) == 18
+        assert [boundary[i] for i in range(18)] == points
+        assert boundary[-1] == points[-1]
+        assert boundary[-18] == points[0]
+        assert boundary[np.int64(3)] == points[3]
+        assert boundary[2:7] == points[2:7]
+        assert boundary[::-4] == points[::-4]
+        assert list(reversed(boundary)) == points[::-1]
+        assert points[3] in boundary
+        for i in (18, -19):
+            with pytest.raises(IndexError):
+                boundary[i]
+
+    def test_columns_are_read_only(self):
+        boundary = sample_boundary(6)
+        for column in (boundary.theta, boundary.chsh, boundary.plus_order):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_one_extremes_solve_for_both_arms_of_even_n(self, monkeypatch):
+        calls = []
+        real = region._phi_extremes_many
+
+        def counted(thetas):
+            calls.append(len(thetas))
+            return real(thetas)
+
+        monkeypatch.setattr(region, "_phi_extremes_many", counted)
+        sample_boundary(10)
+        assert calls == [5]
+        calls.clear()
+        sample_boundary(11)
+        assert calls == [6, 5]
+
+    def test_equal_points_keep_lower_arm_first(self):
+        # theta = 0 gives the same (chsh, kcbs) on both arms, at phi 0 and pi
+        boundary = sample_boundary(4)
+        assert boundary[0].chsh == boundary[1].chsh
+        assert (boundary[0].phi, boundary[1].phi) == (0.0, math.pi)
+        assert (boundary[4].phi, boundary[5].phi) == (0.0, math.pi)
+
+    @pytest.mark.parametrize(
+        "arm,index,value,message",
+        [
+            ("lo", 2, math.nan, "non-finite"),
+            ("hi", 4, -math.inf, "non-finite"),
+            ("hi", 3, -10.0, "point (-10.0, "),
+            ("lo", 1, 10.0, "point (-10.0, "),
+        ],
+    )
+    def test_columnar_check_rejects_bad_extremes(self, monkeypatch, arm, index, value, message):
+        real = region._phi_extremes_many
+
+        def corrupted(thetas):
+            lo, lo_phi, hi, hi_phi = (c.copy() for c in real(thetas))
+            (lo if arm == "lo" else hi)[index] = value
+            return lo, lo_phi, hi, hi_phi
+
+        monkeypatch.setattr(region, "_phi_extremes_many", corrupted)
+        with pytest.raises(ValueError) as excinfo:
+            sample_boundary(12)
+        assert message in str(excinfo.value)
+
+    def test_columnar_check_names_first_offender(self):
+        with pytest.raises(ValueError, match=r"point \(-7\.0, -3\.0\)"):
+            Boundary(
+                theta=[0.1, 0.2, 0.3],
+                phi=[1.0, 1.0, 1.0],
+                chsh=[0.0, 7.0, -8.0],
+                kcbs=[-3.0, -3.0, -3.0],
+            )
+
+    @pytest.mark.parametrize("column", ["theta", "phi", "kcbs"])
+    def test_columnar_check_rejects_non_finite_shared_columns(self, column):
+        columns = {"theta": [0.1, 0.2], "phi": [1.0, 1.0], "chsh": [0.0, 0.5], "kcbs": [-3.0, -3.0]}
+        columns[column] = [columns[column][0], math.inf]
+        with pytest.raises(ValueError, match="non-finite"):
+            Boundary(**columns)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Boundary(theta=[0.1, 0.2], phi=[1.0], chsh=[0.0, 0.0], kcbs=[-3.0, -3.0])
+
+
+class TestRegionExport:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 60, 101])
+    def test_cli_files_match_per_point_build(self, n, tmp_path, capsys):
+        assert cli.main(["region", "--samples", str(n), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "boundary.csv").read_bytes() == per_point_csv(
+            per_theta_boundary(n)
+        ).encode()
+        assert (tmp_path / "touching_point.csv").read_bytes() == per_point_csv(
+            [touching_point()]
+        ).encode()
+        assert (tmp_path / "nd_line.csv").read_bytes() == per_sample_nd_line_csv(n).encode()
+        assert f"wrote {2 * n} boundary points, {n} line samples" in capsys.readouterr().out
+
+    def test_minus_branch_strings_are_negated_plus_strings(self):
+        # the writer negates strings; 0.0 and -0.0 must come out as "-0" and "0"
+        boundary = Boundary(
+            theta=[0.1, 0.2, 0.3],
+            phi=[1.0, 2.0, 3.0],
+            chsh=[0.0, -0.0, -1.25e-7],
+            kcbs=[-3.0, -2.0, -1.0],
+        )
+        assert boundary_csv(boundary) == per_point_csv(boundary)
+
+    def test_rows_are_written_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(region, "_CSV_BLOCK", 3)
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        file = Recorder()
+        boundary = sample_boundary(7)
+        write_boundary_csv(file, boundary)
+        assert file.getvalue() == per_point_csv(boundary)
+        assert [text.count("\n") for text in writes] == [1, 3, 3, 3, 3, 2]
 
 
 class TestTouchingPoint:
@@ -404,6 +556,26 @@ class TestRegionPoint:
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
             RegionPoint(0.0, 0.0, "middle")
+
+    @pytest.mark.parametrize(
+        "chsh,kcbs",
+        [
+            (math.nan, -3.0),
+            (0.0, math.nan),
+            (math.inf, -math.inf),
+            (math.inf, 0.0),
+            (0.0, math.inf),
+            (-math.inf, 0.0),
+        ],
+    )
+    def test_rejects_non_finite_values(self, chsh, kcbs):
+        with pytest.raises(ValueError):
+            RegionPoint(chsh, kcbs, "plus")
+
+    @pytest.mark.parametrize("theta,phi", [(math.nan, 0.5), (0.5, math.inf)])
+    def test_rejects_non_finite_parameters(self, theta, phi):
+        with pytest.raises(ValueError, match="non-finite"):
+            RegionPoint(-2.0, -2.9, "plus", theta, phi)
 
 
 class TestMembershipSweep:

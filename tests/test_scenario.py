@@ -19,6 +19,7 @@ from ndmonogamy.scenario import (
     CANONICAL,
     OUTCOME_TRIPLES,
     Behavior,
+    _validate_table,
     build_canonical_scenario,
     check_no_disturbance,
     chsh_value,
@@ -88,6 +89,49 @@ class TestBehavior:
         probs[2, 5] = bad
         with pytest.raises(ValueError, match=str(bad)):
             Behavior(scenario, probs)
+
+    def test_whole_table_check_matches_per_row_check(self, scenario):
+        # the reference validates one context row at a time; the whole-array
+        # check must accept the same tables, raise the same first message and
+        # clip to the same bits
+        rng = np.random.default_rng(5)
+
+        def per_row(probs, tol):
+            return np.array(
+                [
+                    _validate_table(row, ctx.label, tol)
+                    for ctx, row in zip(scenario.contexts, probs)
+                ]
+            )
+
+        def outcome(build, probs, tol):
+            try:
+                return build(probs, tol).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        tables = []
+        for _ in range(300):
+            probs = rng.dirichlet(np.ones(8), size=10)
+            rows = rng.choice(10, size=rng.integers(0, 3), replace=False)
+            probs[rows, rng.integers(0, 8)] -= rng.choice([1e-14, 1e-12, 2e-12, 1e-3])
+            probs[rng.integers(0, 10), 0] += rng.choice([0.0, 1e-13, 1e-12, 3e-12])
+            tables.append(probs)
+        tables[0][4, 2] = np.nan
+        tables[1][7, 0] = np.inf
+        tables[2][0, 0] = -0.0
+        for low in (-1e-12, -1.5e-12, -3e-12):
+            probs = np.full((10, 8), 1 / 8)
+            probs[5] = [low, 0.25 - low, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0]
+            tables.append(probs)
+        raised = 0
+        for probs in tables:
+            for tol in (1e-12, 1e-7, np.nan):
+                expected = outcome(per_row, probs, tol)
+                got = outcome(lambda p, t: Behavior(scenario, p, validation_tol=t).probs, probs, tol)
+                assert got == expected
+                raised += isinstance(expected, str)
+        assert 0 < raised < 3 * len(tables)
 
     def test_rejects_missing_context(self):
         with pytest.raises(ValueError, match="missing"):
