@@ -35,7 +35,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -420,9 +420,7 @@ class Boundary(Sequence):
     def __len__(self) -> int:
         return 2 * len(self.theta)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index) -> RegionPoint:
         index = operator.index(index)
         n = len(self.theta)
         if not -2 * n <= index < 2 * n:
@@ -436,16 +434,6 @@ class Boundary(Sequence):
             chsh, branch = -float(self.chsh[row]), "minus"
         theta, phi, kcbs = (float(c[row]) for c in (self.theta, self.phi, self.kcbs))
         return RegionPoint(chsh, kcbs, branch, theta, phi)
-
-    def __iter__(self):
-        for branch, signed, order in (
-            ("plus", self.chsh, self.plus_order),
-            ("minus", -self.chsh, self.minus_order),
-        ):
-            chsh, kcbs, theta, phi = (
-                c[order].tolist() for c in (signed, self.kcbs, self.theta, self.phi)
-            )
-            yield from starmap(RegionPoint, zip(chsh, kcbs, repeat(branch), theta, phi))
 
 
 def sample_boundary(n: int) -> Boundary:
@@ -656,37 +644,20 @@ def write_csv(file: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
         file.write("\n".join(map(",".join, block)) + "\n")
 
 
-def _column_strings(column: np.ndarray) -> list[str]:
-    """csv_floats of a column, each half formatted once if both hold the same bits.
-
-    Both boundary arms share their theta grid, and so their kcbs, for every
-    even sample count.
-    """
-    half, odd = divmod(len(column), 2)
-    first, second = column[:half], column[half:]
-    if not odd and first.tobytes() == second.tobytes():
-        return list(csv_floats(first.tolist())) * 2
-    return list(csv_floats(column.tolist()))
-
-
 def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
     """Rows 'branch,phi,theta,chsh,kcbs' of both branches, in sequence order.
 
-    Every float is formatted once: the theta, phi and kcbs strings serve
-    both branches, and a minus-branch chsh is its plus string negated.
+    Each column is formatted once; the theta, phi and kcbs strings serve
+    both branches.
     """
-    phi, theta, chsh, kcbs = (
-        np.array(_column_strings(c), dtype=object)
-        for c in (boundary.phi, boundary.theta, boundary.chsh, boundary.kcbs)
-    )
-    # the string of -x is that of x with its sign flipped
-    minus_chsh = np.array(
-        [s[1:] if s[0] == "-" else "-" + s for s in chsh.tolist()], dtype=object
+    phi, theta, kcbs, plus_chsh, minus_chsh = (
+        np.array(list(csv_floats(c.tolist())), dtype=object)
+        for c in (boundary.phi, boundary.theta, boundary.kcbs, boundary.chsh, -boundary.chsh)
     )
     rows = chain.from_iterable(
-        zip(repeat(branch), *(c[order].tolist() for c in (phi, theta, signed, kcbs)))
-        for branch, order, signed in (
-            ("plus", boundary.plus_order, chsh),
+        zip(repeat(branch), *(c[order].tolist() for c in (phi, theta, chsh, kcbs)))
+        for branch, order, chsh in (
+            ("plus", boundary.plus_order, plus_chsh),
             ("minus", boundary.minus_order, minus_chsh),
         )
     )
@@ -694,6 +665,12 @@ def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
 
 
 def write_point_csv(file: TextIO, point: RegionPoint) -> None:
-    """The one-row boundary CSV of a single point, such as the touching point."""
-    numbers = csv_floats([point.phi, point.theta, point.chsh, point.kcbs])
+    """The one-row boundary CSV of a single point, such as the touching point.
+
+    A point without theta or phi leaves that field empty.
+    """
+    numbers = (
+        "" if v is None else format(v, ".17g")
+        for v in (point.phi, point.theta, point.chsh, point.kcbs)
+    )
     write_csv(file, BOUNDARY_HEADER, [(point.branch, *numbers)])

@@ -33,6 +33,7 @@ from ndmonogamy.region import (
     stationarity_residual,
     touching_point,
     write_boundary_csv,
+    write_point_csv,
 )
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
@@ -354,16 +355,17 @@ class TestSampleBoundary:
 class TestBoundarySequence:
     def test_length_indexing_and_iteration_agree(self):
         boundary = sample_boundary(9)
-        points = list(boundary)
+        points = per_theta_boundary(9)
         assert len(boundary) == len(points) == 18
         assert [boundary[i] for i in range(18)] == points
+        assert list(boundary) == points
         assert boundary[-1] == points[-1]
         assert boundary[-18] == points[0]
         assert boundary[np.int64(3)] == points[3]
-        assert boundary[2:7] == points[2:7]
-        assert boundary[::-4] == points[::-4]
         assert list(reversed(boundary)) == points[::-1]
         assert points[3] in boundary
+        assert boundary.index(points[5]) == 5
+        assert boundary.count(points[5]) == 1
         for i in (18, -19):
             with pytest.raises(IndexError):
                 boundary[i]
@@ -453,7 +455,7 @@ class TestRegionExport:
         assert f"wrote {2 * n} boundary points, {n} line samples" in capsys.readouterr().out
 
     def test_minus_branch_strings_are_negated_plus_strings(self):
-        # the writer negates strings; 0.0 and -0.0 must come out as "-0" and "0"
+        # the minus chsh is formatted from -chsh; 0.0 and -0.0 come out as "-0" and "0"
         boundary = Boundary(
             theta=[0.1, 0.2, 0.3],
             phi=[1.0, 2.0, 3.0],
@@ -461,6 +463,11 @@ class TestRegionExport:
             kcbs=[-3.0, -2.0, -1.0],
         )
         assert boundary_csv(boundary) == per_point_csv(boundary)
+
+    def test_point_without_angles_leaves_them_empty(self):
+        file = io.StringIO()
+        write_point_csv(file, RegionPoint(-2.0, -2.9, "plus"))
+        assert file.getvalue() == "branch,phi,theta,chsh,kcbs\nplus,,,-2,-2.8999999999999999\n"
 
     def test_rows_are_written_in_blocks(self, monkeypatch):
         monkeypatch.setattr(region, "_CSV_BLOCK", 3)
