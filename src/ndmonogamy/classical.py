@@ -67,9 +67,6 @@ class DeterministicAssignment:
             p *= self.value(m)
         return p
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.ids, self.outcomes))
-
 
 @dataclass(frozen=True)
 class LinearExpression:
@@ -94,11 +91,6 @@ class LinearExpression:
 
     def evaluate_assignment(self, assignment: DeterministicAssignment) -> float:
         return sum(c * assignment.product(sub) for c, sub in self.terms)
-
-    def evaluate_behavior(self, behavior: Behavior) -> float:
-        from .scenario import correlator
-
-        return sum(c * correlator(behavior, sub) for c, sub in self.terms)
 
     def relabeled(self, shift: int) -> "LinearExpression":
         """Cyclic relabeling A_i -> A_{i+shift}; Bob's settings unchanged."""

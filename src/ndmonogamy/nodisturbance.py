@@ -44,6 +44,7 @@ from .scenario import (
 )
 
 ND_TOL = 1e-10
+_SAMPLE_BATCH = 200_000  # most raw rows drawn per pass of sample_behavior_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,6 @@ def sample_behavior_matrix(
     count: int,
     seed: int | np.random.Generator = 0,
     scenario: Scenario = CANONICAL,
-    batch: int = 200_000,
     method: str = "reject",
 ) -> np.ndarray:
     """``count`` random no-disturbance behaviors, stacked as rows.
@@ -352,7 +352,7 @@ def sample_behavior_matrix(
     chunks = [np.empty((0, 8 * n_ctx))]
     total = 0
     while total < count:
-        size = min(batch, max(1000, 16 * (count - total)))
+        size = min(_SAMPLE_BATCH, max(1000, 16 * (count - total)))
         raw = rng.dirichlet(np.ones(8), size=(size, n_ctx)).reshape(size, 8 * n_ctx)
         raw -= uniform
         raw -= (raw @ q) @ q.T
@@ -449,6 +449,7 @@ def monogamy_certificate_many(
     Raises :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``tol``.
     """
+    require_tolerance(violation_tol)
     probs = _nd_tables(probs, tol, scenario)
     kcbs = _expression_values(probs, kcbs_expression(), scenario)
     chsh = np.stack(

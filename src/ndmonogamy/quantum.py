@@ -58,7 +58,13 @@ def require_normalized(ket: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pentagon_vectors() -> tuple[np.ndarray, ...]:
+def kcbs_vectors() -> tuple[np.ndarray, ...]:
+    """The five pentagon rays, normalized; v_i is orthogonal to v_{i+1}.
+
+    Ray i is proportional to (cos(4 pi i/5), sin(4 pi i/5), sqrt(cos(pi/5)))
+    for i = 1..5; the common normalization is 1/sqrt(1 + cos(pi/5)).
+    Cached: every call returns the same tuple of read-only vectors.
+    """
     vectors = []
     for i in range(1, 6):
         v = np.array(
@@ -74,37 +80,25 @@ def _pentagon_vectors() -> tuple[np.ndarray, ...]:
     return tuple(vectors)
 
 
-def kcbs_vectors() -> list[np.ndarray]:
-    """The five pentagon rays, normalized; v_i is orthogonal to v_{i+1}.
-
-    Ray i is proportional to (cos(4 pi i/5), sin(4 pi i/5), sqrt(cos(pi/5)))
-    for i = 1..5; the common normalization is 1/sqrt(1 + cos(pi/5)).
-    """
-    return [v.copy() for v in _pentagon_vectors()]
-
-
 @lru_cache(maxsize=None)
-def _observables() -> tuple[np.ndarray, ...]:
+def kcbs_observables() -> tuple[np.ndarray, ...]:
+    """Alice's five reflections A_i = 2|v_i><v_i| - 1 (qutrit, Hermitian).
+
+    Each is involutory with spectrum {+1, -1, -1}; A_i commutes with
+    A_{i+1} and with no other A_j.  Cached: every call returns the same
+    tuple of read-only matrices.
+    """
     obs = []
-    for v in _pentagon_vectors():
+    for v in kcbs_vectors():
         a = (2.0 * np.outer(v, v) - np.eye(3)).astype(complex)
         a.setflags(write=False)
         obs.append(a)
     return tuple(obs)
 
 
-def kcbs_observables() -> list[np.ndarray]:
-    """Alice's five reflections A_i = 2|v_i><v_i| - 1 (qutrit, Hermitian).
-
-    Each is involutory with spectrum {+1, -1, -1}; A_i commutes with
-    A_{i+1} and with no other A_j.
-    """
-    return [a.copy() for a in _observables()]
-
-
 def alice_observable(i: int) -> np.ndarray:
     """A_i on the qutrit, index mod 5."""
-    return _observables()[(i - 1) % 5].copy()
+    return kcbs_observables()[(i - 1) % 5].copy()
 
 
 def bob_observable(j: int) -> np.ndarray:
@@ -133,7 +127,7 @@ def kcbs_operator() -> np.ndarray:
     (multiplicity 4, on |00>,|01>,|10>,|11>) and 5-4*sqrt(5)
     (multiplicity 2, on |20>,|21>).
     """
-    a = _observables()
+    a = kcbs_observables()
     qutrit = sum(a[i] @ a[(i + 1) % 5] for i in range(5))
     return np.kron(qutrit, np.eye(2, dtype=complex))
 
@@ -261,7 +255,7 @@ def block_decompose(
 def _context_projectors(scenario: Scenario = CANONICAL) -> tuple[np.ndarray, ...]:
     """For each context, the 8 commuting projectors, outcome order matching
     the behavior tables."""
-    rank1 = [np.outer(v, v).astype(complex) for v in _pentagon_vectors()]
+    rank1 = [np.outer(v, v).astype(complex) for v in kcbs_vectors()]
     eye3 = np.eye(3, dtype=complex)
     eye2 = np.eye(2, dtype=complex)
     all_ops = []

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,6 +56,7 @@ from .quantum import (
     kcbs_operator,
     random_states,
 )
+from .scenario import require_tolerance
 
 POINTWISE_SLACK = 1e-9
 _EXTREMES_BLOCK = 4096  # thetas per stacked root solve in _phi_extremes_many
@@ -108,7 +108,11 @@ class RegionBasis:
 
 
 @lru_cache(maxsize=None)
-def _region_basis() -> RegionBasis:
+def region_basis() -> RegionBasis:
+    """Frame with |b> minimizing and |c> maximizing <M> on the top plane.
+
+    Cached: every call returns the same object, with read-only vectors.
+    """
     m = _blocks()[0]
     w, v = eigensystem(m[:2, :2].astype(complex))
     minimizer = np.real(v[:, 0])
@@ -119,11 +123,6 @@ def _region_basis() -> RegionBasis:
     for vec in (a, b, c):
         vec.setflags(write=False)
     return RegionBasis(a, b, c, alpha, beta)
-
-
-def region_basis() -> RegionBasis:
-    """Frame with |b> minimizing and |c> maximizing <M> on the top plane."""
-    return _region_basis()
 
 
 class Gammas(NamedTuple):
@@ -141,7 +140,7 @@ def gammas() -> Gammas:
     """g1 = <a|M|a>, g2/g3 = mean/half-gap of <b|M|b>, <c|M|c>, g4 = 2<a|M|b>,
     g5 = 2<a|M|c>; recomputed from the Bell block to full precision."""
     m = _blocks()[0]
-    frame = _region_basis()
+    frame = region_basis()
     mbb = float(frame.b @ m @ frame.b)
     mcc = float(frame.c @ m @ frame.c)
     return Gammas(
@@ -178,34 +177,28 @@ def expectation_N(theta):
     return float(value) if value.ndim == 0 else value
 
 
-def frame_state(theta: float, phi: float) -> np.ndarray:
-    """The parametrized block vector in (e1, e2, e3) coordinates."""
-    frame = _region_basis()
+def frame_state(theta, phi) -> np.ndarray:
+    """The parametrized block vector in (e1, e2, e3) coordinates.
+
+    Array-safe: the three coordinates run along a new last axis.
+    """
+    frame = region_basis()
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     return (
-        math.cos(theta) * frame.a
-        + math.sin(theta) * math.cos(phi) * frame.b
-        + math.sin(theta) * math.sin(phi) * frame.c
+        np.cos(theta)[..., None] * frame.a
+        + (np.sin(theta) * np.cos(phi))[..., None] * frame.b
+        + (np.sin(theta) * np.sin(phi))[..., None] * frame.c
     )
-
-
-def matrix_expectation_M(theta: float, phi: float) -> float:
-    """Direct quadratic form through the Bell block (oracle path)."""
-    v = frame_state(theta, phi)
-    return float(v @ _blocks()[0] @ v)
 
 
 def closed_form_agreement_gap(n_theta: int, n_phi: int) -> float:
     """Worst |closed form - quadratic form| for both witnesses on a grid."""
     m, n, _, _ = _blocks()
-    frame = _region_basis()
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    states = (
-        np.cos(th)[..., None] * frame.a
-        + (np.sin(th) * np.cos(ph))[..., None] * frame.b
-        + (np.sin(th) * np.sin(ph))[..., None] * frame.c
-    )
+    states = frame_state(th, ph)
     direct_m = np.einsum("...i,ij,...j->...", states, m, states)
     direct_n = np.einsum("...i,ij,...j->...", states, n, states)
     gap_m = np.max(np.abs(expectation_M(th, ph) - direct_m))
@@ -219,6 +212,8 @@ def closed_form_agreement_gap(n_theta: int, n_phi: int) -> float:
 
 
 def _check_not_singular(phi: float, tol: float = 1e-9) -> None:
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     nearest = round(phi / (math.pi / 2)) * (math.pi / 2)
     if abs(phi - nearest) < tol:
         raise SingularParameter(
@@ -250,20 +245,6 @@ def stationarity_residual(phi: float, step: float = 1e-6) -> float:
     return (expectation_M(theta, phi + step) - expectation_M(theta, phi - step)) / (
         2.0 * step
     )
-
-
-class _Extreme(NamedTuple):
-    value: float
-    phi: float
-
-
-def _phi_extremes(theta: float) -> tuple[_Extreme, _Extreme]:
-    """(min, max) of the Bell expectation over phi at fixed theta.
-
-    A one-row call of :func:`_phi_extremes_many`.
-    """
-    lo, lo_phi, hi, hi_phi = (float(col[0]) for col in _phi_extremes_many([theta]))
-    return _Extreme(lo, lo_phi), _Extreme(hi, hi_phi)
 
 
 def _phi_extremes_many(
@@ -345,6 +326,19 @@ def _phi_extremes_block(
     return lo, lo_phi, hi, hi_phi
 
 
+def _check_points(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None:
+    """Reject the first point with a non-finite entry, then the first point
+    below chsh + kcbs = -5; every argument holds one entry per point."""
+    finite = np.isfinite(np.stack([chsh, kcbs, *angles])).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"point ({float(chsh[k])}, {float(kcbs[k])}) has a non-finite entry")
+    below = chsh + kcbs < MONOGAMY_BOUND - POINTWISE_SLACK
+    if below.any():
+        k = int(np.argmax(below))
+        raise ValueError(f"point ({float(chsh[k])}, {float(kcbs[k])}) breaks chsh+kcbs >= -5")
+
+
 @dataclass(frozen=True)
 class RegionPoint:
     """One (chsh, kcbs) pair with the block and parameters producing it."""
@@ -352,33 +346,26 @@ class RegionPoint:
     chsh: float
     kcbs: float
     branch: str
-    theta: float | None = None
-    phi: float | None = None
+    theta: float
+    phi: float
 
     def __post_init__(self) -> None:
         if self.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
         entries = (self.chsh, self.kcbs, self.theta, self.phi)
-        if not all(math.isfinite(v) for v in entries if v is not None):
-            raise ValueError(f"point ({self.chsh}, {self.kcbs}) has a non-finite entry")
-        # phrased so that NaN fails the comparison
-        if not self.chsh + self.kcbs >= MONOGAMY_BOUND - POINTWISE_SLACK:
-            raise ValueError(
-                f"point ({self.chsh}, {self.kcbs}) breaks chsh+kcbs >= -5"
-            )
+        _check_points(*np.array(entries, dtype=float)[:, None])
 
 
 @dataclass(frozen=True, eq=False)
-class Boundary(Sequence):
+class Boundary:
     """Both branches of the sampled boundary, kept as columns.
 
     Row i of ``theta``, ``phi``, ``chsh`` and ``kcbs`` is one arm point:
     the lower arm (minimum over phi) first, then the upper arm.  The plus
     branch has ``chsh`` and the minus branch ``-chsh``; both share theta,
     phi and kcbs.  ``plus_order`` and ``minus_order`` list the rows of each
-    branch by kcbs, then chsh, ties in row order.  As a sequence it holds
-    the plus points in that order, then the minus points; each
-    :class:`RegionPoint` is built on access.
+    branch by kcbs, then chsh, ties in row order.  ``len`` counts the
+    points of both branches.
     """
 
     theta: np.ndarray
@@ -394,23 +381,11 @@ class Boundary(Sequence):
         theta, phi, chsh, kcbs = columns
         if theta.ndim != 1 or any(c.shape != theta.shape for c in columns):
             raise ValueError("boundary columns must be 1-dim and of equal length")
-        finite = np.isfinite(np.stack(columns)).all(axis=0)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ValueError(
-                f"point ({float(chsh[row])}, {float(kcbs[row])}) has a non-finite entry"
-            )
-        # (row, branch) order, so the first offender is the first point built;
-        # phrased so that NaN fails the comparison
-        totals = np.stack([chsh + kcbs, kcbs - chsh], axis=1)
-        bad = np.flatnonzero(~(totals >= MONOGAMY_BOUND - POINTWISE_SLACK))
-        if bad.size:
-            row, minus = divmod(int(bad[0]), 2)
-            point_chsh = -chsh[row] if minus else chsh[row]
-            raise ValueError(
-                f"point ({float(point_chsh)}, {float(kcbs[row])}) "
-                "breaks chsh+kcbs >= -5"
-            )
+        # every point in (row, branch) order, so a row's plus point comes first
+        _check_points(
+            np.stack([chsh, -chsh], axis=1).ravel(),
+            *(np.repeat(c, 2) for c in (kcbs, theta, phi)),
+        )
         orders = np.lexsort((chsh, kcbs)), np.lexsort((-chsh, kcbs))
         names += ("plus_order", "minus_order")
         for name, value in zip(names, (*columns, *orders)):
@@ -419,21 +394,6 @@ class Boundary(Sequence):
 
     def __len__(self) -> int:
         return 2 * len(self.theta)
-
-    def __getitem__(self, index) -> RegionPoint:
-        index = operator.index(index)
-        n = len(self.theta)
-        if not -2 * n <= index < 2 * n:
-            raise IndexError(f"boundary index {index} out of range")
-        index %= 2 * n
-        if index < n:
-            row = int(self.plus_order[index])
-            chsh, branch = float(self.chsh[row]), "plus"
-        else:
-            row = int(self.minus_order[index - n])
-            chsh, branch = -float(self.chsh[row]), "minus"
-        theta, phi, kcbs = (float(c[row]) for c in (self.theta, self.phi, self.kcbs))
-        return RegionPoint(chsh, kcbs, branch, theta, phi)
 
 
 def sample_boundary(n: int) -> Boundary:
@@ -446,7 +406,7 @@ def sample_boundary(n: int) -> Boundary:
     call serves both; its libm ``atan``/``pow`` keep every point
     bit-identical to a per-theta evaluation of ``expectation_M``.  The
     minus branch is the plus branch with the chsh coordinate negated.
-    Points are ordered by branch, then kcbs, then chsh.
+    ``plus_order`` and ``minus_order`` order each branch by kcbs, then chsh.
     """
     if n < 2:
         raise ValueError(f"need at least 2 boundary samples, got {n}")
@@ -477,7 +437,7 @@ def touching_point() -> RegionPoint:
     phi = atan2(v.c, v.b) place it on the lower plus-branch boundary.
     """
     m, n, _, _ = _blocks()
-    frame = _region_basis()
+    frame = region_basis()
     _, vectors = eigensystem(m + n)
     v = np.real(vectors[:, 0])
     if v @ frame.a < 0.0:
@@ -496,7 +456,7 @@ def boundary_coefficients(phi: float) -> tuple[float, float]:
     """(f, g) with f e1 + g e2 + e3 the unnormalized boundary vector."""
     theta = boundary_theta(phi)
     tan_theta = math.tan(theta)
-    frame = _region_basis()
+    frame = region_basis()
     f = tan_theta * (frame.alpha * math.cos(phi) - frame.beta * math.sin(phi))
     g = tan_theta * (frame.beta * math.cos(phi) + frame.alpha * math.sin(phi))
     return f, g
@@ -585,6 +545,7 @@ def region_membership_sweep(
     """
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
+    require_tolerance(slack)
     states = random_states(samples, seed)
     kcbs = expectation(kcbs_operator(), states)
     chsh = expectation(chsh_operator(), states)
@@ -645,7 +606,8 @@ def write_csv(file: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
-    """Rows 'branch,phi,theta,chsh,kcbs' of both branches, in sequence order.
+    """Rows 'branch,phi,theta,chsh,kcbs': the plus branch in ``plus_order``,
+    then the minus branch in ``minus_order``.
 
     Each column is formatted once; the theta, phi and kcbs strings serve
     both branches.
@@ -665,12 +627,6 @@ def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
 
 
 def write_point_csv(file: TextIO, point: RegionPoint) -> None:
-    """The one-row boundary CSV of a single point, such as the touching point.
-
-    A point without theta or phi leaves that field empty.
-    """
-    numbers = (
-        "" if v is None else format(v, ".17g")
-        for v in (point.phi, point.theta, point.chsh, point.kcbs)
-    )
+    """The one-row boundary CSV of a single point, such as the touching point."""
+    numbers = csv_floats((point.phi, point.theta, point.chsh, point.kcbs))
     write_csv(file, BOUNDARY_HEADER, [(point.branch, *numbers)])

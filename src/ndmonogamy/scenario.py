@@ -253,16 +253,6 @@ class Behavior:
         """Probability of ``assignment`` (id -> outcome) within one context."""
         return _table_marginal(self.table(context), context, assignment)
 
-    # -- algebra -----------------------------------------------------------
-
-    def mix(self, other: "Behavior", weight: float) -> "Behavior":
-        """Convex mixture ``weight*self + (1-weight)*other``."""
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"mixture weight must lie in [0,1], got {weight}")
-        return Behavior(
-            self.scenario, weight * self.probs + (1.0 - weight) * other.probs
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:

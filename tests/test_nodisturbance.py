@@ -50,6 +50,11 @@ def disturbing_behavior(scenario):
     return Behavior.from_tables(tables)
 
 
+def expression_value(behavior, expr) -> float:
+    """``expr`` on one behavior through the stacked ``_expression_values``."""
+    return float(nodisturbance._expression_values(behavior.probs[None], expr, behavior.scenario)[0])
+
+
 def bell_like_state():
     """(|00> + |11>)/sqrt(2) in the qutrit-qubit product basis."""
     psi = np.zeros(6, dtype=complex)
@@ -109,7 +114,7 @@ class TestFineJoinC1:
                     coeff * joint.correlator(subset)
                     for coeff, subset in c1_expression(pivot).terms
                 )
-                direct = c1_expression(pivot).evaluate_behavior(behavior)
+                direct = expression_value(behavior, c1_expression(pivot))
                 assert from_joint == pytest.approx(direct, abs=1e-10)
 
     def test_rejects_disturbing_behavior(self, scenario):
@@ -177,7 +182,7 @@ class TestNdOptimum:
         for expr in (kcbs_expression(), chsh_expression(), monogamy_expression()):
             value, witness = nd_optimum(expr)
             assert check_no_disturbance(witness, 1e-8) == []
-            assert expr.evaluate_behavior(witness) == pytest.approx(value, abs=1e-8)
+            assert expression_value(witness, expr) == pytest.approx(value, abs=1e-8)
 
     def test_max_sense(self):
         value, witness = nd_optimum(kcbs_expression(), sense="max")
@@ -491,6 +496,8 @@ class TestToleranceValidation:
             lambda: fine_join_c1_many(behavior.probs[None], 1, tol),
             lambda: fine_join_c2_many(behavior.probs[None], 1, tol),
             lambda: monogamy_certificate_many(behavior.probs[None], tol),
+            lambda: monogamy_certificate(behavior, violation_tol=tol),
+            lambda: monogamy_certificate_many(behavior.probs[None], violation_tol=tol),
         )
         for call in calls:
             with pytest.raises(ValueError, match="tolerance"):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ndmonogamy import cli, region
+from ndmonogamy import cli, region, verify
 from ndmonogamy.classical import CHSH_ND_BOUND, MONOGAMY_BOUND
 from ndmonogamy.errors import SingularParameter
 from ndmonogamy.quantum import behavior_from_state, eigensystem
@@ -13,7 +13,6 @@ from ndmonogamy.region import (
     KCBS_QUANTUM_MIN,
     Boundary,
     RegionPoint,
-    _phi_extremes,
     _phi_extremes_many,
     bell_block,
     bell_block_minimum,
@@ -25,7 +24,6 @@ from ndmonogamy.region import (
     expectation_N,
     frame_state,
     gammas,
-    matrix_expectation_M,
     pentagon_block,
     region_basis,
     region_membership_sweep,
@@ -33,7 +31,6 @@ from ndmonogamy.region import (
     stationarity_residual,
     touching_point,
     write_boundary_csv,
-    write_point_csv,
 )
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
@@ -81,11 +78,35 @@ def per_theta_boundary(n: int) -> list[RegionPoint]:
     return points
 
 
-def per_point_csv(points) -> str:
-    """Boundary CSV text built one f-string row per point."""
+COLUMNS = ("phi", "theta", "chsh", "kcbs")
+
+
+def point_columns(points) -> dict[str, dict[str, list[float]]]:
+    """Each branch's phi, theta, chsh and kcbs columns, points in the given order."""
+    return {
+        branch: {name: [getattr(p, name) for p in points if p.branch == branch] for name in COLUMNS}
+        for branch in ("plus", "minus")
+    }
+
+
+def boundary_columns(boundary) -> dict[str, dict[str, list[float]]]:
+    """Each branch's columns of a Boundary, rows in ``plus_order`` / ``minus_order``."""
+    columns = {}
+    for branch, order, chsh in (
+        ("plus", boundary.plus_order, boundary.chsh),
+        ("minus", boundary.minus_order, -boundary.chsh),
+    ):
+        values = (boundary.phi, boundary.theta, chsh, boundary.kcbs)
+        columns[branch] = {name: c[order].tolist() for name, c in zip(COLUMNS, values)}
+    return columns
+
+
+def per_point_csv(columns) -> str:
+    """Boundary CSV text built one f-string row per point from branch columns."""
     rows = ["branch,phi,theta,chsh,kcbs"]
-    for p in points:
-        rows.append(f"{p.branch},{p.phi:.17g},{p.theta:.17g},{p.chsh:.17g},{p.kcbs:.17g}")
+    for branch, c in columns.items():
+        for phi, theta, chsh, kcbs in zip(*(c[name] for name in COLUMNS)):
+            rows.append(f"{branch},{phi:.17g},{theta:.17g},{chsh:.17g},{kcbs:.17g}")
     return "\n".join(rows) + "\n"
 
 
@@ -128,13 +149,16 @@ def boundary_minimum_oracle() -> tuple[float, float, float]:
     it; this never touches the eigenvector route of ``touching_point``.
     """
 
+    def lower_arm(theta: float) -> float:
+        return float(_phi_extremes_many([theta])[0][0])
+
     def objective(theta: float) -> float:
-        return _phi_extremes(theta)[0].value + expectation_N(theta)
+        return lower_arm(theta) + expectation_N(theta)
 
     grid = np.linspace(0.0, QUARTER, 201)
     k = int(np.argmin([objective(float(t)) for t in grid]))
     theta = _golden_minimize(objective, float(grid[max(0, k - 1)]), float(grid[min(200, k + 1)]))
-    return theta, _phi_extremes(theta)[0].value, float(expectation_N(theta))
+    return theta, lower_arm(theta), float(expectation_N(theta))
 
 
 class TestRegionBasis:
@@ -178,12 +202,11 @@ class TestGammas:
 
     def test_closed_form_agrees_with_quadratic_form_randomly(self):
         rng = np.random.default_rng(31)
-        for _ in range(100):
-            theta = float(rng.uniform(0, math.pi))
-            phi = float(rng.uniform(0, 2 * math.pi))
-            assert expectation_M(theta, phi) == pytest.approx(
-                matrix_expectation_M(theta, phi), abs=1e-10
-            )
+        thetas = rng.uniform(0, math.pi, 100)
+        phis = rng.uniform(0, 2 * math.pi, 100)
+        states = frame_state(thetas, phis)
+        direct = np.einsum("ni,ij,nj->n", states, bell_block(), states)
+        assert np.max(np.abs(expectation_M(thetas, phis) - direct)) <= 1e-10
 
 
 class TestClosedForms:
@@ -194,18 +217,24 @@ class TestClosedForms:
     def test_grid_agreement(self):
         assert closed_form_agreement_gap(100, 100) <= 1e-10
 
+    def test_agreement_check_catches_a_shifted_coefficient(self, monkeypatch):
+        shifted = gammas()._replace(g4=gammas().g4 + 1e-6)
+        monkeypatch.setattr(region, "gammas", lambda: shifted)
+        assert not verify.check_closed_form_agreement().passed
+
     def test_boundary_reaches_bell_minimum(self):
         lam1 = bell_block_minimum()
-        best = min(
-            p.chsh for p in sample_boundary(800) if p.branch == "plus"
-        )
-        assert best == pytest.approx(lam1, abs=1e-3)
+        assert sample_boundary(800).chsh.min() == pytest.approx(lam1, abs=1e-3)
 
     def test_frame_state_is_unit(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            v = frame_state(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        thetas = rng.uniform(0, math.pi, 20)
+        phis = rng.uniform(0, 2 * math.pi, 20)
+        states = frame_state(thetas, phis)
+        assert states.shape == (20, 3)
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
+        for theta, phi, state in zip(thetas.tolist(), phis.tolist(), states):
+            assert np.array_equal(frame_state(theta, phi), state)
 
 
 class TestBoundaryTheta:
@@ -220,6 +249,12 @@ class TestBoundaryTheta:
     def test_singular_parameters_raise(self, phi):
         with pytest.raises(SingularParameter):
             boundary_theta(phi)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [boundary_theta, boundary_state])
+    def test_non_finite_phi_is_named(self, entry, phi):
+        with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+            entry(phi)
 
     def test_result_in_range(self):
         for phi in np.linspace(0.05, 2 * math.pi - 0.05, 50):
@@ -244,17 +279,13 @@ class TestBoundaryTheta:
     def test_boundary_dominates_dense_interior_grid(self):
         # no interior point at the same pentagon value may undercut the
         # lower branch or exceed the upper branch
-        points = [p for p in sample_boundary(60) if p.branch == "plus"]
+        boundary = sample_boundary(60)
         phis = np.linspace(0.0, 2 * math.pi, 2000, endpoint=False)
-        by_theta: dict[float, list[RegionPoint]] = {}
-        for p in points:
-            by_theta.setdefault(p.theta, []).append(p)
-        for theta, group in by_theta.items():
+        for theta in np.unique(boundary.theta):
+            chsh = boundary.chsh[boundary.theta == theta]
             values = expectation_M(theta, phis)
-            low = min(p.chsh for p in group)
-            high = max(p.chsh for p in group)
-            assert values.min() >= low - 1e-8
-            assert values.max() <= high + 1e-8
+            assert values.min() >= chsh.min() - 1e-8
+            assert values.max() <= chsh.max() + 1e-8
 
 
 ORACLE_THETAS = np.concatenate(
@@ -294,11 +325,6 @@ class TestStackedPhiExtremes:
         monkeypatch.setattr(region, "_EXTREMES_BLOCK", 7)
         self._assert_matches_reference(ORACLE_THETAS[::13])
 
-    def test_one_row_wrapper(self):
-        for theta in ORACLE_THETAS[::250].tolist():
-            lo, hi = _phi_extremes(theta)
-            assert (tuple(lo), tuple(hi)) == per_theta_phi_extremes(theta)
-
     def test_theta_zero_tie_break(self):
         lo, lo_phi, hi, hi_phi = _phi_extremes_many([0.0])
         assert lo[0] == hi[0] == gammas().g1
@@ -308,36 +334,35 @@ class TestStackedPhiExtremes:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 60, 101])
     def test_sample_boundary_matches_per_theta_build(self, n):
         boundary = sample_boundary(n)
-        reference = per_theta_boundary(n)
-        assert list(boundary) == reference
+        reference = point_columns(per_theta_boundary(n))
+        assert boundary_columns(boundary) == reference
         assert boundary_csv(boundary) == per_point_csv(reference)
 
 
 class TestSampleBoundary:
     def test_point_counts_per_branch(self):
-        points = sample_boundary(100)
-        assert sum(p.branch == "plus" for p in points) == 100
-        assert sum(p.branch == "minus" for p in points) == 100
+        boundary = sample_boundary(100)
+        assert len(boundary) == 200
+        assert len(boundary.plus_order) == len(boundary.minus_order) == 100
 
     def test_minimum_kcbs_is_quantum_floor(self):
-        points = sample_boundary(100)
-        assert min(p.kcbs for p in points) == pytest.approx(KCBS_QUANTUM_MIN, abs=1e-6)
+        boundary = sample_boundary(100)
+        assert boundary.kcbs.min() == pytest.approx(KCBS_QUANTUM_MIN, abs=1e-6)
 
     def test_all_points_respect_monogamy(self):
-        for p in sample_boundary(400):
-            assert p.chsh + p.kcbs >= -5.0 - 1e-9
+        for c in boundary_columns(sample_boundary(400)).values():
+            assert min(np.add(c["chsh"], c["kcbs"])) >= -5.0 - 1e-9
 
     def test_minus_branch_is_mirrored_plus_branch(self):
-        points = sample_boundary(80)
-        plus = sorted((round(p.kcbs, 12), round(p.chsh, 12)) for p in points if p.branch == "plus")
-        minus = sorted((round(p.kcbs, 12), round(-p.chsh, 12)) for p in points if p.branch == "minus")
-        assert plus == minus
+        columns = boundary_columns(sample_boundary(80))
+        plus, minus = columns["plus"], columns["minus"]
+        assert sorted(zip(plus["kcbs"], plus["chsh"])) == sorted(
+            zip(minus["kcbs"], np.negative(minus["chsh"]).tolist())
+        )
 
     def test_sorted_by_kcbs_within_branch(self):
-        points = sample_boundary(50)
-        for branch in ("plus", "minus"):
-            ks = [p.kcbs for p in points if p.branch == branch]
-            assert ks == sorted(ks)
+        for c in boundary_columns(sample_boundary(50)).values():
+            assert c["kcbs"] == sorted(c["kcbs"])
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -353,23 +378,6 @@ class TestSampleBoundary:
 
 
 class TestBoundarySequence:
-    def test_length_indexing_and_iteration_agree(self):
-        boundary = sample_boundary(9)
-        points = per_theta_boundary(9)
-        assert len(boundary) == len(points) == 18
-        assert [boundary[i] for i in range(18)] == points
-        assert list(boundary) == points
-        assert boundary[-1] == points[-1]
-        assert boundary[-18] == points[0]
-        assert boundary[np.int64(3)] == points[3]
-        assert list(reversed(boundary)) == points[::-1]
-        assert points[3] in boundary
-        assert boundary.index(points[5]) == 5
-        assert boundary.count(points[5]) == 1
-        for i in (18, -19):
-            with pytest.raises(IndexError):
-                boundary[i]
-
     def test_columns_are_read_only(self):
         boundary = sample_boundary(6)
         for column in (boundary.theta, boundary.chsh, boundary.plus_order):
@@ -393,10 +401,9 @@ class TestBoundarySequence:
 
     def test_equal_points_keep_lower_arm_first(self):
         # theta = 0 gives the same (chsh, kcbs) on both arms, at phi 0 and pi
-        boundary = sample_boundary(4)
-        assert boundary[0].chsh == boundary[1].chsh
-        assert (boundary[0].phi, boundary[1].phi) == (0.0, math.pi)
-        assert (boundary[4].phi, boundary[5].phi) == (0.0, math.pi)
+        columns = boundary_columns(sample_boundary(4))
+        assert columns["plus"]["chsh"][0] == columns["plus"]["chsh"][1]
+        assert columns["plus"]["phi"][:2] == columns["minus"]["phi"][:2] == [0.0, math.pi]
 
     @pytest.mark.parametrize(
         "arm,index,value,message",
@@ -446,10 +453,10 @@ class TestRegionExport:
     def test_cli_files_match_per_point_build(self, n, tmp_path, capsys):
         assert cli.main(["region", "--samples", str(n), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "boundary.csv").read_bytes() == per_point_csv(
-            per_theta_boundary(n)
+            point_columns(per_theta_boundary(n))
         ).encode()
         assert (tmp_path / "touching_point.csv").read_bytes() == per_point_csv(
-            [touching_point()]
+            point_columns([touching_point()])
         ).encode()
         assert (tmp_path / "nd_line.csv").read_bytes() == per_sample_nd_line_csv(n).encode()
         assert f"wrote {2 * n} boundary points, {n} line samples" in capsys.readouterr().out
@@ -462,12 +469,7 @@ class TestRegionExport:
             chsh=[0.0, -0.0, -1.25e-7],
             kcbs=[-3.0, -2.0, -1.0],
         )
-        assert boundary_csv(boundary) == per_point_csv(boundary)
-
-    def test_point_without_angles_leaves_them_empty(self):
-        file = io.StringIO()
-        write_point_csv(file, RegionPoint(-2.0, -2.9, "plus"))
-        assert file.getvalue() == "branch,phi,theta,chsh,kcbs\nplus,,,-2,-2.8999999999999999\n"
+        assert boundary_csv(boundary) == per_point_csv(boundary_columns(boundary))
 
     def test_rows_are_written_in_blocks(self, monkeypatch):
         monkeypatch.setattr(region, "_CSV_BLOCK", 3)
@@ -481,7 +483,7 @@ class TestRegionExport:
         file = Recorder()
         boundary = sample_boundary(7)
         write_boundary_csv(file, boundary)
-        assert file.getvalue() == per_point_csv(boundary)
+        assert file.getvalue() == per_point_csv(boundary_columns(boundary))
         assert [text.count("\n") for text in writes] == [1, 3, 3, 3, 3, 2]
 
 
@@ -558,11 +560,11 @@ class TestBoundaryStates:
 class TestRegionPoint:
     def test_rejects_monogamy_violation(self):
         with pytest.raises(ValueError):
-            RegionPoint(-3.0, -3.0, "plus")
+            RegionPoint(-3.0, -3.0, "plus", 0.0, 0.0)
 
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
-            RegionPoint(0.0, 0.0, "middle")
+            RegionPoint(0.0, 0.0, "middle", 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "chsh,kcbs",
@@ -577,7 +579,7 @@ class TestRegionPoint:
     )
     def test_rejects_non_finite_values(self, chsh, kcbs):
         with pytest.raises(ValueError):
-            RegionPoint(chsh, kcbs, "plus")
+            RegionPoint(chsh, kcbs, "plus", 0.0, 0.0)
 
     @pytest.mark.parametrize("theta,phi", [(math.nan, 0.5), (0.5, math.inf)])
     def test_rejects_non_finite_parameters(self, theta, phi):
@@ -615,6 +617,11 @@ class TestMembershipSweep:
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
             region_membership_sweep(0)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_slack(self, slack):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            region_membership_sweep(100, 0, slack=slack)
 
     def test_json_payload_shape(self):
         import json

@@ -158,10 +158,6 @@ class TestBehavior:
         assert set(payload) == {c.label for c in CANONICAL.contexts}
         assert all(len(v) == 8 for v in payload.values())
 
-    def test_mix_weights_validated(self, uniform_behavior):
-        with pytest.raises(ValueError):
-            uniform_behavior.mix(uniform_behavior, 1.5)
-
 
 class TestCorrelator:
     def test_uniform_pair_correlator_is_zero(self, uniform_behavior):
@@ -249,7 +245,8 @@ class TestNoDisturbance:
         assert any(v.subset == ("A1",) for v in violations)
 
     def test_mixture_of_nd_behaviors_is_nd(self, quantum_behaviors):
-        mixed = quantum_behaviors[0].mix(quantum_behaviors[1], 0.3)
+        first, second = quantum_behaviors[:2]
+        mixed = Behavior(CANONICAL, 0.3 * first.probs + 0.7 * second.probs)
         assert check_no_disturbance(mixed, 1e-10) == []
 
     def test_violation_records_carry_values(self, scenario):
@@ -297,7 +294,7 @@ class TestWitnessValues:
         tables = rng.dirichlet(np.ones(8), size=(2, 10))
         first = Behavior(CANONICAL, tables[0])
         second = Behavior(CANONICAL, tables[1])
-        mixed = first.mix(second, weight)
+        mixed = Behavior(CANONICAL, weight * first.probs + (1.0 - weight) * second.probs)
         for value in (kcbs_value, chsh_value):
             direct = value(mixed)
             combined = weight * value(first) + (1 - weight) * value(second)
