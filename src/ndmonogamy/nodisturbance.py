@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .classical import (
     CHSH_CLASSICAL_BOUND,
@@ -283,6 +282,17 @@ def expression_vector(expr: LinearExpression, scenario: Scenario = CANONICAL) ->
     return c
 
 
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported on the first call.
+
+    Only the LP route needs scipy, so importing the package, sampling the
+    region or running the Born rule never loads it.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
 class NdOptimum(NamedTuple):
     value: float
     witness: Behavior
@@ -395,6 +405,9 @@ class MonogamyReport:
     kcbs: float
     chsh_by_pivot: dict[int, float]
     violation_tol: float
+
+    def __post_init__(self) -> None:
+        require_tolerance(self.violation_tol)
 
     @property
     def sums_by_pivot(self) -> dict[int, float]:

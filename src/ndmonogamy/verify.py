@@ -180,9 +180,20 @@ def check_behavior_operator_consistency(seed: int) -> CheckResult:
 
 
 def check_region_constants() -> CheckResult:
+    # The closed forms assume a unit frame in which M has no b-c coupling
+    # (no sin 2phi term in expectation_M) and |b> is the minimising axis.
     frame = region.region_basis()
-    norm_gap = abs(frame.alpha**2 + frame.beta**2 - 1.0)
-    return _result("region-constants", norm_gap <= 1e-12, f"frame norm gap {norm_gap:.3g}")
+    m = region.bell_block()
+    worst = max(
+        abs(frame.alpha**2 + frame.beta**2 - 1.0),
+        abs(float(frame.b @ m @ frame.c)),
+        float(frame.b @ m @ frame.b - frame.c @ m @ frame.c),
+    )
+    return _result(
+        "region-constants",
+        worst <= 1e-12,
+        f"frame norm, <b|M|c> and <b|M|b> - <c|M|c> gaps, worst {worst:.3g}",
+    )
 
 
 def check_closed_form_agreement() -> CheckResult:

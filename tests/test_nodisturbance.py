@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from ndmonogamy.classical import (
 from ndmonogamy.errors import NotNoDisturbance
 from ndmonogamy.nodisturbance import (
     JointDistribution,
+    MonogamyReport,
     expression_vector,
     fine_join_c1,
     fine_join_c1_many,
@@ -198,6 +204,21 @@ class TestNdOptimum:
         for shift in range(1, 5):
             shifted = nd_optimum(kcbs_expression().relabeled(shift)).value
             assert shifted == pytest.approx(reference, abs=1e-9)
+
+    def test_solves_through_the_module_linprog(self, monkeypatch):
+        # The LP is looked up as nodisturbance.linprog at call time, which is
+        # where the benchmark tracer counts LP iterations.
+        forward = nodisturbance.linprog
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = forward(*args, **kwargs)
+            calls.append(result.nit)
+            return result
+
+        monkeypatch.setattr(nodisturbance, "linprog", recording)
+        assert nd_optimum(kcbs_expression()).value == pytest.approx(-5.0, abs=1e-9)
+        assert len(calls) == 1
 
     def test_optimum_not_beaten_by_random_feasible_sample(self):
         matrix = sample_behavior_matrix(5000, seed=11)
@@ -498,6 +519,7 @@ class TestToleranceValidation:
             lambda: monogamy_certificate_many(behavior.probs[None], tol),
             lambda: monogamy_certificate(behavior, violation_tol=tol),
             lambda: monogamy_certificate_many(behavior.probs[None], violation_tol=tol),
+            lambda: MonogamyReport(-4.0, {5: -3.0}, tol),
         )
         for call in calls:
             with pytest.raises(ValueError, match="tolerance"):
@@ -554,3 +576,44 @@ class TestStackedVerifyChecks:
         result = verify.check_fine_recovery(42)
         assert not result.passed
         assert "worst marginal gap 1e-06" in result.detail
+
+
+SCIPY_FREE_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    def scipy_modules():
+        return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+    import ndmonogamy
+    assert not scipy_modules(), "import ndmonogamy"
+    from ndmonogamy import cli, classical, nodisturbance, quantum, region
+    from ndmonogamy.scenario import Behavior, check_no_disturbance, chsh_value, kcbs_value
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["region", "--samples", "4", "--out", sys.argv[1]]) == 0
+    assert not scipy_modules(), "region"
+    for state in quantum.random_states(3, seed=5):
+        behavior = Behavior.from_json(quantum.behavior_from_state(state).to_json())
+        assert check_no_disturbance(behavior) == []
+        kcbs_value(behavior), chsh_value(behavior)
+    region.region_membership_sweep(50, seed=1)
+    assert not scipy_modules(), "Born rule"
+    print(nodisturbance.nd_optimum(classical.kcbs_expression()).value)
+    assert scipy_modules(), "nd_optimum"
+    """
+)
+
+
+def test_scipy_is_loaded_by_the_first_lp_only(tmp_path):
+    src = str(Path(nodisturbance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path / "region")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(-5.0, abs=1e-9)

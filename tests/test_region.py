@@ -222,6 +222,21 @@ class TestClosedForms:
         monkeypatch.setattr(region, "gammas", lambda: shifted)
         assert not verify.check_closed_form_agreement().passed
 
+    @pytest.mark.parametrize("angle", [1e-6, -1e-6, math.pi / 2])
+    def test_region_constants_check_catches_a_rotated_frame(self, monkeypatch, angle):
+        # Rotating b and c within their plane couples them through M (1e-6)
+        # or hands the minimising axis to c (pi/2); the norm stays exact.
+        frame = region_basis()
+        cos, sin = math.cos(angle), math.sin(angle)
+        alpha = cos * frame.alpha - sin * frame.beta
+        beta = cos * frame.beta + sin * frame.alpha
+        b = cos * frame.b + sin * frame.c
+        c = -sin * frame.b + cos * frame.c
+        rotated = region.RegionBasis(frame.a, b, c, alpha, beta)
+        assert np.allclose(b, [alpha, beta, 0.0]) and np.allclose(c, [-beta, alpha, 0.0])
+        monkeypatch.setattr(region, "region_basis", lambda: rotated)
+        assert not verify.check_region_constants().passed
+
     def test_boundary_reaches_bell_minimum(self):
         lam1 = bell_block_minimum()
         assert sample_boundary(800).chsh.min() == pytest.approx(lam1, abs=1e-3)
