@@ -23,11 +23,13 @@ import numpy as np
 from .errors import TooLarge
 from .scenario import (
     CANONICAL,
+    KCBS_TERMS,
     OUTCOME_TRIPLES,
     Behavior,
     Scenario,
     alice,
     bob,
+    chsh_terms,
 )
 
 MAX_ENUMERATION_BITS = 24
@@ -106,23 +108,12 @@ class LinearExpression:
 
 def kcbs_expression() -> LinearExpression:
     """Pentagon expression: sum of the 5 cyclic pair correlators (bound -3)."""
-    return LinearExpression(
-        tuple((1.0, (alice(i), alice(i + 1))) for i in range(1, 6)), "kcbs"
-    )
+    return LinearExpression(KCBS_TERMS, "kcbs")
 
 
 def chsh_expression(pivot: int = 5) -> LinearExpression:
     """Bell expression on A_{pivot+1}, A_{pivot-1} vs B1, B2 (bound -2)."""
-    a_plus, a_minus = alice(pivot + 1), alice(pivot - 1)
-    return LinearExpression(
-        (
-            (1.0, (a_plus, bob(1))),
-            (1.0, (a_plus, bob(2))),
-            (1.0, (a_minus, bob(1))),
-            (-1.0, (a_minus, bob(2))),
-        ),
-        f"chsh[{pivot}]",
-    )
+    return LinearExpression(chsh_terms(pivot), f"chsh[{pivot}]")
 
 
 def c1_expression(pivot: int) -> LinearExpression:

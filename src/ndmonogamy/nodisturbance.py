@@ -25,18 +25,18 @@ from .classical import (
     KCBS_CLASSICAL_BOUND,
     PIVOTS,
     LinearExpression,
-    chsh_expression,
-    kcbs_expression,
 )
 from .errors import Infeasible, NotNoDisturbance
 from .scenario import (
     CANONICAL,
+    KCBS_TERMS,
     OUTCOMES,
     Behavior,
     Scenario,
     alice,
     bob,
-    correlator_many,
+    chsh_terms,
+    expression_values,
     marginal_constraint_rows,
     nd_violations,
     require_tolerance,
@@ -441,16 +441,6 @@ class MonogamyReport:
         )
 
 
-def _expression_values(
-    probs: np.ndarray, expr: LinearExpression, scenario: Scenario
-) -> np.ndarray:
-    """``expr`` on every row, its terms added in order like ``kcbs_value``."""
-    return sum(
-        coeff * correlator_many(probs, subset, scenario=scenario)
-        for coeff, subset in expr.terms
-    )
-
-
 def monogamy_certificate_many(
     probs: np.ndarray,
     tol: float = ND_TOL,
@@ -464,11 +454,8 @@ def monogamy_certificate_many(
     """
     require_tolerance(violation_tol)
     probs = _nd_tables(probs, tol, scenario)
-    kcbs = _expression_values(probs, kcbs_expression(), scenario)
-    chsh = np.stack(
-        [_expression_values(probs, chsh_expression(i), scenario) for i in PIVOTS],
-        axis=-1,
-    )
+    kcbs = expression_values(probs, KCBS_TERMS, scenario)
+    chsh = np.stack([expression_values(probs, chsh_terms(i), scenario) for i in PIVOTS], axis=-1)
     return [
         MonogamyReport(float(k), dict(zip(PIVOTS, map(float, row))), violation_tol)
         for k, row in zip(kcbs, chsh)

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import LinearExpression
+from .classical import LinearExpression, chsh_expression, kcbs_expression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
-from .scenario import CANONICAL, OUTCOMES, Behavior, Scenario
+from .scenario import CANONICAL, OUTCOMES, Behavior, Scenario, alice, bob
 
 HERMITICITY_TOL = 1e-12
 
@@ -127,21 +127,12 @@ def kcbs_operator() -> np.ndarray:
     (multiplicity 4, on |00>,|01>,|10>,|11>) and 5-4*sqrt(5)
     (multiplicity 2, on |20>,|21>).
     """
-    a = kcbs_observables()
-    qutrit = sum(a[i] @ a[(i + 1) % 5] for i in range(5))
-    return np.kron(qutrit, np.eye(2, dtype=complex))
+    return expression_operator(kcbs_expression())
 
 
 def chsh_operator() -> np.ndarray:
     """A1 B1 + A1 B2 + A4 B1 - A4 B2 on the 6-dim space (traceless)."""
-    a1 = alice_observable(1)
-    a4 = alice_observable(4)
-    return (
-        np.kron(a1, PAULI_Z)
-        + np.kron(a1, PAULI_X)
-        + np.kron(a4, PAULI_Z)
-        - np.kron(a4, PAULI_X)
-    )
+    return expression_operator(chsh_expression())
 
 
 def expression_operator(
@@ -252,31 +243,29 @@ def block_decompose(
 
 
 @lru_cache(maxsize=None)
-def _context_projectors(scenario: Scenario = CANONICAL) -> tuple[np.ndarray, ...]:
-    """For each context, the 8 commuting projectors, outcome order matching
-    the behavior tables."""
-    rank1 = [np.outer(v, v).astype(complex) for v in kcbs_vectors()]
-    eye3 = np.eye(3, dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    all_ops = []
-    for context in scenario.contexts:
-        ids = context.members
-        i = int(ids[0][1:])
-        j = int(ids[2][1:])
-        proj_first = {+1: rank1[i - 1], -1: eye3 - rank1[i - 1]}
-        nxt = i % 5 + 1
-        proj_second = {+1: rank1[nxt - 1], -1: eye3 - rank1[nxt - 1]}
+def _context_projectors(scenario: Scenario = CANONICAL) -> np.ndarray:
+    """Read-only (n_contexts * 8, 6, 6) stack of the contexts' commuting projectors.
+
+    Row 8c + k is outcome k of context c, so the stacked expectation
+    values reshape to the behavior tables.
+    """
+    eye3, eye2 = np.eye(3, dtype=complex), np.eye(2, dtype=complex)
+    spectral = {}  # measurement id -> outcome -> projector on its own factor
+    for i, v in enumerate(kcbs_vectors(), start=1):
+        ray = np.outer(v, v).astype(complex)
+        spectral[alice(i)] = {+1: ray, -1: eye3 - ray}
+    for j in (1, 2):
         b = bob_observable(j)
-        proj_bob = {+1: (eye2 + b) / 2, -1: (eye2 - b) / 2}
-        ops = np.stack(
-            [
-                np.kron(proj_first[a] @ proj_second[a2], proj_bob[o])
-                for a, a2, o in itertools.product(OUTCOMES, repeat=3)
-            ]
-        )
-        ops.setflags(write=False)
-        all_ops.append(ops)
-    return tuple(all_ops)
+        spectral[bob(j)] = {+1: (eye2 + b) / 2, -1: (eye2 - b) / 2}
+    stack = np.stack(
+        [
+            np.kron(spectral[first][a] @ spectral[second][a2], spectral[third][o])
+            for first, second, third in (c.members for c in scenario.contexts)
+            for a, a2, o in itertools.product(OUTCOMES, repeat=3)
+        ]
+    )
+    stack.setflags(write=False)
+    return stack
 
 
 def behavior_from_state(
@@ -285,16 +274,15 @@ def behavior_from_state(
     """Born-rule behavior of a pure qutrit-qubit state.
 
     Each context's eight probabilities are expectation values of products
-    of the commuting spectral projectors.  The result always satisfies
-    no-disturbance (up to roundoff).
+    of the commuting spectral projectors, all contracted with the state
+    in one ``einsum``.  The result always satisfies no-disturbance (up to
+    roundoff).
     """
     psi = require_normalized(state)
     if psi.shape != (6,):
         raise NotNormalized(f"expected a 6-dim state, got shape {psi.shape}")
-    probs = np.empty((len(scenario.contexts), 8))
-    for c_idx, ops in enumerate(_context_projectors(scenario)):
-        probs[c_idx] = np.real(np.einsum("i,kij,j->k", psi.conj(), ops, psi))
-    return Behavior(scenario, probs)
+    probs = np.einsum("i,kij,j->k", psi.conj(), _context_projectors(scenario), psi)
+    return Behavior(scenario, np.real(probs).reshape(-1, 8))
 
 
 def random_states(

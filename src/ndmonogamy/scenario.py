@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,7 @@ OUTCOME_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 DEFAULT_TOL = 1e-12
+Terms = tuple[tuple[float, tuple[str, ...]], ...]  # (coefficient, subset) pairs
 
 
 def alice(i: int) -> str:
@@ -92,10 +93,16 @@ class Scenario:
     measurements: tuple[Measurement, ...]
     contexts: tuple[Context, ...]
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _term_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def measurement_ids(self) -> tuple[str, ...]:
         return tuple(m.id for m in self.measurements)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Context labels in scenario order."""
+        return tuple(c.label for c in self.contexts)
 
     def context_index(self, context: Context) -> int:
         return self.contexts.index(context)
@@ -209,18 +216,21 @@ class Behavior:
     validation_tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.probs):
+            raise ValueError("behavior probabilities must be real, got a complex table")
         probs = np.asarray(self.probs, dtype=float)
         expected = (len(self.scenario.contexts), 8)
         if probs.shape != expected:
             raise ValueError(f"behavior table must have shape {expected}, got {probs.shape}")
-        # one pass over every row, phrased so that NaN and infinite entries
-        # fail; failing rows go through the per-row check, which raises
-        # with the context's label
         tol = self.validation_tol
-        ok = (probs.min(axis=1) >= -tol) & (np.abs(probs.sum(axis=1) - 1.0) <= tol)
-        for row in np.flatnonzero(~ok):
-            _validate_table(probs[row], self.scenario.contexts[row].label, tol)
-        probs = np.clip(probs, 0.0, None)
+        require_tolerance(tol)
+        # one pass over the whole table, phrased so that NaN and infinite
+        # entries fail; then the per-row check raises with the label of the
+        # first failing context
+        if not (probs.min() >= -tol and np.abs(probs.sum(axis=1) - 1.0).max() <= tol):
+            for label, row in zip(self.scenario.labels, probs):
+                _validate_table(row, label, tol)
+        probs = np.maximum(probs, 0.0)  # np.clip(probs, 0.0, None) into a new array
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -233,11 +243,14 @@ class Behavior:
         scenario: Scenario = CANONICAL,
         tol: float = DEFAULT_TOL,
     ) -> "Behavior":
-        """Build from a mapping of context label to 8-entry table."""
-        missing = [c.label for c in scenario.contexts if c.label not in tables]
+        """Build from a mapping of each context label, and no other key, to its 8-entry table."""
+        labels = scenario.labels
+        missing = [label for label in labels if label not in tables]
         if missing:
             raise ValueError(f"missing context tables: {missing}")
-        probs = np.array([tables[c.label] for c in scenario.contexts], dtype=float)
+        if len(tables) != len(labels):
+            raise ValueError(f"unknown context labels: {[k for k in tables if k not in labels]}")
+        probs = np.array([tables[label] for label in labels])
         return cls(scenario, probs, validation_tol=tol)
 
     @classmethod
@@ -257,11 +270,7 @@ class Behavior:
 
     def to_json(self) -> str:
         """JSON object keyed by context label, bit-exact round trip."""
-        payload = {
-            ctx.label: list(row)
-            for ctx, row in zip(self.scenario.contexts, self.probs)
-        }
-        return json.dumps(payload)
+        return json.dumps(dict(zip(self.scenario.labels, self.probs.tolist())))
 
     @classmethod
     def from_json(cls, text: str, scenario: Scenario = CANONICAL) -> "Behavior":
@@ -343,14 +352,14 @@ def correlator_many(
     context: Context | None = None,
     scenario: Scenario = CANONICAL,
 ) -> np.ndarray:
-    """:func:`correlator` of every row of an (n, n_contexts, 8) table stack.
+    """:func:`correlator` of one (n_contexts, 8) table or every row of a stack of them.
 
     Each row's signed table entries are summed in outcome order, one
     after the other, so a row's value does not depend on the stack it
     sits in.
     """
     c_idx, signs = scenario.term(subset, context)
-    return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
+    return np.cumsum(probs[..., c_idx, :] * signs, axis=-1)[..., -1]
 
 
 def correlator(
@@ -365,9 +374,7 @@ def correlator(
     context may be requested explicitly, which matters only for behaviors
     violating no-disturbance.
     """
-    return float(
-        correlator_many(behavior.probs[None], subset, context, behavior.scenario)[0]
-    )
+    return float(correlator_many(behavior.probs, subset, context, behavior.scenario))
 
 
 class NdViolation(NamedTuple):
@@ -432,14 +439,45 @@ def check_no_disturbance(behavior: Behavior, tol: float = 1e-10) -> list[NdViola
     return nd_violations(behavior.probs, tol, behavior.scenario)
 
 
+#: the pentagon witness: the five cyclic pair correlators <A_i A_{i+1}>
+KCBS_TERMS: Terms = tuple((1.0, (alice(i), alice(i + 1))) for i in range(1, 6))
+
+
+@lru_cache(maxsize=N_CYCLE)
+def chsh_terms(pivot: int = 5) -> Terms:
+    """Terms of :func:`chsh_value` at ``pivot``: A_{pivot+-1} against B1, B2."""
+    a_plus, a_minus = alice(pivot + 1), alice(pivot - 1)
+    pairs = ((a_plus, bob(1)), (a_plus, bob(2)), (a_minus, bob(1)), (a_minus, bob(2)))
+    return tuple(zip((1.0, 1.0, 1.0, -1.0), pairs))
+
+
+def expression_values(
+    probs: np.ndarray, terms: Terms, scenario: Scenario = CANONICAL
+) -> np.ndarray:
+    """Sum of the correlator ``terms`` on one (n_contexts, 8) table or a stack of them.
+
+    ``terms`` must be hashable: its context indices, sign rows and
+    coefficients are memoised on ``scenario``.  Each term's signed entries
+    are summed in outcome order, then the weighted terms one after the
+    other, so a value equals the sequential sum of :func:`correlator` values.
+    """
+    table = scenario._term_tables.get(terms)
+    if table is None:
+        coeffs, subsets = zip(*terms)
+        contexts, signs = zip(*map(scenario.term, subsets))
+        table = np.array(contexts), np.array(signs), np.array(coeffs)
+        scenario._term_tables[terms] = table
+    contexts, signs, coeffs = table
+    correlators = np.cumsum(probs[..., contexts, :] * signs, axis=-1)[..., -1]
+    return np.cumsum(coeffs * correlators, axis=-1)[..., -1]
+
+
 def kcbs_value(behavior: Behavior) -> float:
     """The pentagon witness: sum of the five cyclic pair correlators.
 
     Noncontextual hidden-variable models obey ``kcbs_value >= -3``.
     """
-    return sum(
-        correlator(behavior, (alice(i), alice(i + 1))) for i in range(1, 6)
-    )
+    return float(expression_values(behavior.probs, KCBS_TERMS, behavior.scenario))
 
 
 def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
@@ -450,10 +488,4 @@ def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
     models obey ``chsh_value >= -2``.  The default pivot 5 selects the
     A1/A4 form.
     """
-    a_plus, a_minus = alice(pivot + 1), alice(pivot - 1)
-    return (
-        correlator(behavior, (a_plus, bob(1)))
-        + correlator(behavior, (a_plus, bob(2)))
-        + correlator(behavior, (a_minus, bob(1)))
-        - correlator(behavior, (a_minus, bob(2)))
-    )
+    return float(expression_values(behavior.probs, chsh_terms(pivot), behavior.scenario))

@@ -21,8 +21,7 @@ from ndmonogamy.classical import (
     monogamy_expression,
 )
 from ndmonogamy.errors import TooLarge
-from ndmonogamy.nodisturbance import _expression_values
-from ndmonogamy.scenario import CANONICAL, Measurement, Scenario, correlator
+from ndmonogamy.scenario import CANONICAL, Measurement, Scenario, correlator, expression_values
 
 
 def toy_scenario(n: int) -> Scenario:
@@ -95,8 +94,8 @@ class TestLinearExpression:
         for pivot in range(1, 6):
             split = c1_expression(pivot) + c2_expression(pivot)
             combined = monogamy_expression(pivot)
-            assert _expression_values(probs, split, CANONICAL) == pytest.approx(
-                _expression_values(probs, combined, CANONICAL), abs=1e-12
+            assert expression_values(probs, split.terms, CANONICAL) == pytest.approx(
+                expression_values(probs, combined.terms, CANONICAL), abs=1e-12
             )
 
     def test_relabeled_shifts_alice_only(self):

@@ -42,6 +42,7 @@ from ndmonogamy.scenario import (
     check_no_disturbance,
     chsh_value,
     correlator,
+    expression_values,
     kcbs_value,
     sign_vector,
 )
@@ -57,8 +58,8 @@ def disturbing_behavior(scenario):
 
 
 def expression_value(behavior, expr) -> float:
-    """``expr`` on one behavior through the stacked ``_expression_values``."""
-    return float(nodisturbance._expression_values(behavior.probs[None], expr, behavior.scenario)[0])
+    """``expr`` on one behavior through the stacked ``expression_values``."""
+    return float(expression_values(behavior.probs[None], expr.terms, behavior.scenario)[0])
 
 
 def bell_like_state():

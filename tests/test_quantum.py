@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -33,8 +34,10 @@ from ndmonogamy.quantum import (
 from ndmonogamy.scenario import (
     CANONICAL,
     Behavior,
+    alice,
     check_no_disturbance,
     chsh_value,
+    correlator,
     kcbs_value,
 )
 
@@ -335,6 +338,41 @@ class TestBehaviorFromState:
             assert chsh_value(behavior) == pytest.approx(
                 float(expectation(c_op, psi)), abs=1e-10
             )
+
+    def test_stacked_born_rule_matches_per_context_reference(self):
+        # the reference contracts the state with one context's 8 projectors
+        # at a time and adds each witness's correlators one after the other;
+        # the stacked contraction and the witness term tables must give the
+        # same bits, and the JSON text must be the plain per-row dump
+        per_context = quantum._context_projectors().reshape(10, 8, 6, 6)
+        for psi in random_states(2000, seed=808):
+            probs = np.empty((10, 8))
+            for c_idx, ops in enumerate(per_context):
+                probs[c_idx] = np.real(np.einsum("i,kij,j->k", psi.conj(), ops, psi))
+            reference = Behavior(CANONICAL, probs)
+            behavior = behavior_from_state(psi)
+            assert behavior.probs.tobytes() == reference.probs.tobytes()
+            assert kcbs_value(behavior) == sum(
+                correlator(reference, (alice(i), alice(i + 1))) for i in range(1, 6)
+            )
+            for pivot in range(1, 6):
+                a_plus, a_minus = alice(pivot + 1), alice(pivot - 1)
+                assert chsh_value(behavior, pivot) == (
+                    correlator(reference, (a_plus, "B1"))
+                    + correlator(reference, (a_plus, "B2"))
+                    + correlator(reference, (a_minus, "B1"))
+                    - correlator(reference, (a_minus, "B2"))
+                )
+            assert behavior.to_json() == json.dumps(
+                {c.label: list(row) for c, row in zip(CANONICAL.contexts, reference.probs)}
+            )
+
+    def test_projector_stack_is_cached_and_read_only(self):
+        stack = quantum._context_projectors()
+        assert stack.shape == (80, 6, 6)
+        assert quantum._context_projectors() is stack
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
 
 
 class TestRandomStateSweep:

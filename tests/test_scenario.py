@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -126,16 +127,45 @@ class TestBehavior:
             tables.append(probs)
         raised = 0
         for probs in tables:
-            for tol in (1e-12, 1e-7, np.nan):
+            for tol in (1e-12, 1e-7):
                 expected = outcome(per_row, probs, tol)
                 got = outcome(lambda p, t: Behavior(scenario, p, validation_tol=t).probs, probs, tol)
                 assert got == expected
                 raised += isinstance(expected, str)
-        assert 0 < raised < 3 * len(tables)
+        assert 0 < raised < 2 * len(tables)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf])
+    def test_rejects_bad_validation_tolerance(self, scenario, tol):
+        # NaN used to fail every row as a "negative or non-finite
+        # probability"; inf accepted tables whose rows sum to 8
+        for probs in (np.full((10, 8), 1 / 8), np.ones((10, 8))):
+            with pytest.raises(ValueError, match="tolerance"):
+                Behavior(scenario, probs, validation_tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            Behavior.from_tables({c.label: [1 / 8] * 8 for c in scenario.contexts}, tol=tol)
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_rejects_complex_probabilities(self, scenario, imag):
+        probs = np.full((10, 8), 1 / 8) + 1j * imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real"):
+                Behavior(scenario, probs)
+            with pytest.raises(ValueError, match="real"):
+                Behavior.from_tables(dict(zip(scenario.labels, probs.tolist())))
 
     def test_rejects_missing_context(self):
         with pytest.raises(ValueError, match="missing"):
             Behavior.from_tables({"A1,A2,B1": [1 / 8] * 8})
+
+    def test_rejects_unknown_context_labels(self, uniform_behavior):
+        tables = json.loads(uniform_behavior.to_json())
+        tables["extra"] = [1]
+        tables["A2,A1,B1"] = [1 / 8] * 8
+        with pytest.raises(ValueError, match=r"unknown context labels: \['extra', 'A2,A1,B1'\]"):
+            Behavior.from_tables(tables)
+        with pytest.raises(ValueError, match="'extra'"):
+            Behavior.from_json(json.dumps(tables))
 
     def test_tiny_negative_entries_clip_to_zero(self, scenario):
         probs = np.full((10, 8), 1 / 8)
