@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import LinearExpression, chsh_expression, kcbs_expression
+from .classical import LinearExpression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
 from .scenario import CANONICAL, OUTCOMES, Behavior, Scenario, alice, bob
 
@@ -127,12 +127,21 @@ def kcbs_operator() -> np.ndarray:
     (multiplicity 4, on |00>,|01>,|10>,|11>) and 5-4*sqrt(5)
     (multiplicity 2, on |20>,|21>).
     """
-    return expression_operator(kcbs_expression())
+    a = kcbs_observables()
+    qutrit = sum(a[i] @ a[(i + 1) % 5] for i in range(5))
+    return np.kron(qutrit, np.eye(2, dtype=complex))
 
 
 def chsh_operator() -> np.ndarray:
     """A1 B1 + A1 B2 + A4 B1 - A4 B2 on the 6-dim space (traceless)."""
-    return expression_operator(chsh_expression())
+    a1 = alice_observable(1)
+    a4 = alice_observable(4)
+    return (
+        np.kron(a1, PAULI_Z)
+        + np.kron(a1, PAULI_X)
+        + np.kron(a4, PAULI_Z)
+        - np.kron(a4, PAULI_X)
+    )
 
 
 def expression_operator(

@@ -93,7 +93,6 @@ class Scenario:
     measurements: tuple[Measurement, ...]
     contexts: tuple[Context, ...]
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _term_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def measurement_ids(self) -> tuple[str, ...]:
@@ -352,14 +351,14 @@ def correlator_many(
     context: Context | None = None,
     scenario: Scenario = CANONICAL,
 ) -> np.ndarray:
-    """:func:`correlator` of one (n_contexts, 8) table or every row of a stack of them.
+    """:func:`correlator` of every row of an (n, n_contexts, 8) table stack.
 
     Each row's signed table entries are summed in outcome order, one
     after the other, so a row's value does not depend on the stack it
     sits in.
     """
     c_idx, signs = scenario.term(subset, context)
-    return np.cumsum(probs[..., c_idx, :] * signs, axis=-1)[..., -1]
+    return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
 
 
 def correlator(
@@ -372,9 +371,11 @@ def correlator(
     The subset must be jointly measurable (contained in some context).
     By default the first containing context is used; any other containing
     context may be requested explicitly, which matters only for behaviors
-    violating no-disturbance.
+    violating no-disturbance.  The signed entries are summed in outcome
+    order, like :func:`correlator_many`.
     """
-    return float(correlator_many(behavior.probs, subset, context, behavior.scenario))
+    c_idx, signs = behavior.scenario.term(subset, context)
+    return float(np.add.accumulate(behavior.probs[c_idx] * signs)[-1])
 
 
 class NdViolation(NamedTuple):
@@ -454,22 +455,9 @@ def chsh_terms(pivot: int = 5) -> Terms:
 def expression_values(
     probs: np.ndarray, terms: Terms, scenario: Scenario = CANONICAL
 ) -> np.ndarray:
-    """Sum of the correlator ``terms`` on one (n_contexts, 8) table or a stack of them.
-
-    ``terms`` must be hashable: its context indices, sign rows and
-    coefficients are memoised on ``scenario``.  Each term's signed entries
-    are summed in outcome order, then the weighted terms one after the
-    other, so a value equals the sequential sum of :func:`correlator` values.
-    """
-    table = scenario._term_tables.get(terms)
-    if table is None:
-        coeffs, subsets = zip(*terms)
-        contexts, signs = zip(*map(scenario.term, subsets))
-        table = np.array(contexts), np.array(signs), np.array(coeffs)
-        scenario._term_tables[terms] = table
-    contexts, signs, coeffs = table
-    correlators = np.cumsum(probs[..., contexts, :] * signs, axis=-1)[..., -1]
-    return np.cumsum(coeffs * correlators, axis=-1)[..., -1]
+    """Sum of the correlator ``terms`` on every row of an (n, n_contexts, 8)
+    table stack, the terms added in order like :func:`kcbs_value` does."""
+    return sum(coeff * correlator_many(probs, subset, scenario=scenario) for coeff, subset in terms)
 
 
 def kcbs_value(behavior: Behavior) -> float:
@@ -477,7 +465,7 @@ def kcbs_value(behavior: Behavior) -> float:
 
     Noncontextual hidden-variable models obey ``kcbs_value >= -3``.
     """
-    return float(expression_values(behavior.probs, KCBS_TERMS, behavior.scenario))
+    return sum(coeff * correlator(behavior, subset) for coeff, subset in KCBS_TERMS)
 
 
 def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
@@ -488,4 +476,4 @@ def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
     models obey ``chsh_value >= -2``.  The default pivot 5 selects the
     A1/A4 form.
     """
-    return float(expression_values(behavior.probs, chsh_terms(pivot), behavior.scenario))
+    return sum(coeff * correlator(behavior, subset) for coeff, subset in chsh_terms(pivot))

@@ -37,8 +37,8 @@ from ndmonogamy.scenario import (
     alice,
     check_no_disturbance,
     chsh_value,
-    correlator,
     kcbs_value,
+    sign_vector,
 )
 
 S5 = math.sqrt(5.0)
@@ -341,30 +341,37 @@ class TestBehaviorFromState:
 
     def test_stacked_born_rule_matches_per_context_reference(self):
         # the reference contracts the state with one context's 8 projectors
-        # at a time and adds each witness's correlators one after the other;
-        # the stacked contraction and the witness term tables must give the
-        # same bits, and the JSON text must be the plain per-row dump
+        # at a time, sums each correlator's signed entries with a cumsum
+        # over its context's row and adds each witness's correlators one
+        # after the other; the stacked contraction and the witnesses must
+        # give the same bits, and the JSON text must be the plain per-row dump
         per_context = quantum._context_projectors().reshape(10, 8, 6, 6)
+
+        def corr(probs, subset):
+            context = CANONICAL.canonical_context(subset)
+            row = probs[CANONICAL.context_index(context)]
+            return float(np.cumsum(row * sign_vector(context, subset))[-1])
+
         for psi in random_states(2000, seed=808):
             probs = np.empty((10, 8))
             for c_idx, ops in enumerate(per_context):
                 probs[c_idx] = np.real(np.einsum("i,kij,j->k", psi.conj(), ops, psi))
-            reference = Behavior(CANONICAL, probs)
+            reference = Behavior(CANONICAL, probs).probs
             behavior = behavior_from_state(psi)
-            assert behavior.probs.tobytes() == reference.probs.tobytes()
+            assert behavior.probs.tobytes() == reference.tobytes()
             assert kcbs_value(behavior) == sum(
-                correlator(reference, (alice(i), alice(i + 1))) for i in range(1, 6)
+                corr(reference, (alice(i), alice(i + 1))) for i in range(1, 6)
             )
             for pivot in range(1, 6):
                 a_plus, a_minus = alice(pivot + 1), alice(pivot - 1)
                 assert chsh_value(behavior, pivot) == (
-                    correlator(reference, (a_plus, "B1"))
-                    + correlator(reference, (a_plus, "B2"))
-                    + correlator(reference, (a_minus, "B1"))
-                    - correlator(reference, (a_minus, "B2"))
+                    corr(reference, (a_plus, "B1"))
+                    + corr(reference, (a_plus, "B2"))
+                    + corr(reference, (a_minus, "B1"))
+                    - corr(reference, (a_minus, "B2"))
                 )
             assert behavior.to_json() == json.dumps(
-                {c.label: list(row) for c, row in zip(CANONICAL.contexts, reference.probs)}
+                {c.label: list(row) for c, row in zip(CANONICAL.contexts, reference)}
             )
 
     def test_projector_stack_is_cached_and_read_only(self):
