@@ -32,6 +32,7 @@ from .classical import (
 from .errors import (
     BlockStructureViolated,
     Infeasible,
+    InvalidCertificate,
     NdMonogamyError,
     NotHermitian,
     NotNoDisturbance,
@@ -44,6 +45,7 @@ from .nodisturbance import (
     JointDistribution,
     MonogamyReport,
     NdOptimum,
+    certified_nd_minimum,
     fine_join_c1,
     fine_join_c2,
     monogamy_certificate,
@@ -92,6 +94,7 @@ __all__ = [
     "Context",
     "DeterministicAssignment",
     "Infeasible",
+    "InvalidCertificate",
     "JointDistribution",
     "LinearExpression",
     "Measurement",
@@ -114,6 +117,7 @@ __all__ = [
     "build_canonical_scenario",
     "c1_expression",
     "c2_expression",
+    "certified_nd_minimum",
     "check_no_disturbance",
     "chsh_expression",
     "chsh_operator",

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, nodisturbance, quantum, region, verify
+from .errors import InvalidCertificate
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -33,7 +34,7 @@ def _bounds_rows() -> list[dict]:
             {
                 "expression": row.name,
                 "classical_min": classical.classical_bound(row.expression).minimum,
-                "nd_min": nodisturbance.nd_optimum(row.expression).value,
+                "nd_min": nodisturbance.certified_nd_minimum(row),
                 "quantum_min": float(w[0]),
             }
         )
@@ -48,7 +49,7 @@ def _check_bounds_rows(rows: list[dict]) -> list[str]:
         ref = expected[row["expression"]]
         if row["classical_min"] != ref.classical:
             problems.append(f"{row['expression']}: classical {row['classical_min']}")
-        if abs(row["nd_min"] - ref.nd) > 1e-6:
+        if row["nd_min"] != ref.nd:
             problems.append(f"{row['expression']}: nd {row['nd_min']}")
         if ref.quantum is not None and abs(row["quantum_min"] - ref.quantum) > 1e-9:
             problems.append(f"{row['expression']}: quantum {row['quantum_min']}")
@@ -69,7 +70,11 @@ def _format_bounds_text(rows: list[dict]) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    rows = _bounds_rows()
+    try:
+        rows = _bounds_rows()
+    except InvalidCertificate as exc:
+        print(f"bound check failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     text = (
         json.dumps(rows, indent=2)
         if args.format == "json"

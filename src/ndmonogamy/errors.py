@@ -31,6 +31,10 @@ class Infeasible(NdMonogamyError):
     """
 
 
+class InvalidCertificate(NdMonogamyError):
+    """A committed no-disturbance certificate does not prove its bound."""
+
+
 class NotHermitian(NdMonogamyError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 

@@ -7,13 +7,15 @@ pentagon-shaped and Bell-shaped parts of any kcbs+chsh split back to
 their classical bounds (-3 and -2), which is the monogamy relation
 ``kcbs + chsh >= -5``.  This module builds the joints, verifies them,
 and independently computes all bounds as linear programs over the
-80-dimensional behavior polytope.
+80-dimensional behavior polytope; committed exact certificates prove the
+same bounds without an LP.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -24,9 +26,10 @@ from .classical import (
     CHSH_CLASSICAL_BOUND,
     KCBS_CLASSICAL_BOUND,
     PIVOTS,
+    BoundRow,
     LinearExpression,
 )
-from .errors import Infeasible, NotNoDisturbance
+from .errors import Infeasible, InvalidCertificate, NotNoDisturbance
 from .scenario import (
     CANONICAL,
     KCBS_TERMS,
@@ -314,6 +317,147 @@ def nd_optimum(
         raise Infeasible(f"LP failed unexpectedly: {result.message}")
     witness = Behavior(scenario, result.x.reshape(-1, 8), validation_tol=1e-7)
     return NdOptimum(float(sign * result.fun), witness)
+
+
+#: One exact LP certificate per row of :data:`ndmonogamy.classical.BOUNDS`,
+#: by row name, over ``A, b = nd_equality_system()`` and
+#: ``c = expression_vector(row.expression)``.  The first map is a dual
+#: ``{row of A: y}`` with ``c - A^T y >= 0`` and ``b.y == row.nd``, which
+#: proves ``row.nd`` a lower bound.  The second is twice a primal witness,
+#: ``{column of A: n}`` with ``n >= 0``, ``A n == 2b`` and ``c.n == 2 row.nd``,
+#: so ``x = n/2`` attains the bound.  Entries left out are zero.  The duals
+#: are L1-minimal and the witnesses HiGHS vertices; any exact certificate
+#: would do.
+ND_CERTIFICATES: dict[str, tuple[dict[int, int], dict[int, int]]] = {
+    "kcbs": (
+        {0: -1, 2: -1, 4: -1, 6: -1, 8: -1},
+        {
+            2: 1, 4: 1, 11: 1, 13: 1, 18: 1, 20: 1, 27: 1, 29: 1, 34: 1, 36: 1, 43: 1,
+            45: 1, 50: 1, 52: 1, 59: 1, 61: 1, 66: 1, 68: 1, 75: 1, 77: 1,
+        },
+    ),
+    "chsh": (
+        {0: -1, 1: -1, 4: -1, 5: -1},
+        {
+            1: 1, 4: 1, 9: 1, 12: 1, 16: 1, 19: 1, 25: 1, 26: 1, 34: 1, 37: 1, 43: 1,
+            44: 1, 49: 1, 52: 1, 56: 1, 61: 1, 65: 1, 66: 1, 73: 1, 74: 1,
+        },
+    ),
+    "c1[1]": (
+        {0: -1, 2: -1, 4: -1, 38: 2, 41: 2, 69: 2, 70: 2, 86: 2, 89: 2},
+        {1: 2, 9: 2, 19: 2, 27: 2, 37: 2, 45: 2, 51: 2, 59: 2, 69: 2, 77: 2},
+    ),
+    "c1[2]": (
+        {
+            0: -1, 4: -2, 34: 2, 37: 2, 68: 1, 69: -1, 70: -1, 71: 1, 87: 2, 88: 2,
+            104: 1, 105: -1, 106: -1, 107: 1,
+        },
+        {4: 2, 13: 2, 16: 2, 25: 2, 34: 2, 43: 2, 52: 2, 61: 2, 66: 2, 75: 2},
+    ),
+    "c1[3]": (
+        {8: -3, 34: -2, 37: -2, 86: 1, 87: -1, 88: -1, 89: 1, 104: -2, 107: -2},
+        {4: 2, 13: 2, 16: 2, 25: 2, 34: 2, 43: 2, 52: 2, 61: 2, 66: 2, 75: 2},
+    ),
+    "c1[4]": (
+        {0: -3, 34: 2, 37: 2, 38: 2, 41: 2, 104: 1, 105: -1, 106: -1, 107: 1},
+        {5: 2, 13: 2, 19: 2, 27: 2, 37: 2, 45: 2, 49: 2, 57: 2, 67: 2, 75: 2},
+    ),
+    "c1[5]": (
+        {0: -2, 4: -1, 39: 2, 40: 2, 68: 1, 69: -1, 70: -1, 71: 1},
+        {4: 2, 13: 2, 18: 2, 27: 2, 36: 2, 45: 2, 50: 2, 59: 2, 70: 2, 79: 2},
+    ),
+    "c2[1]": (
+        {
+            0: -1, 1: -1, 30: 2, 33: 2, 51: 2, 52: 2, 108: -1, 109: 1, 110: 1, 111: -1,
+            112: 1, 113: -1, 114: -1, 115: 1,
+        },
+        {4: 2, 13: 2, 18: 2, 27: 2, 36: 2, 45: 2, 50: 2, 59: 2, 70: 2, 79: 2},
+    ),
+    "c2[2]": (
+        {2: -1, 3: -1, 30: 1, 31: -1, 32: -1, 33: 1, 55: -2, 56: -2, 64: 2, 67: 2},
+        {4: 2, 13: 2, 16: 2, 25: 2, 34: 2, 43: 2, 54: 2, 63: 2, 70: 2, 79: 2},
+    ),
+    "c2[3]": (
+        {
+            1: -1, 2: -1, 55: 2, 56: 2, 64: 2, 67: 2, 72: 2, 75: 2, 82: 1, 83: -1, 84: -1,
+            85: 1,
+        },
+        {4: 2, 13: 2, 18: 2, 27: 2, 36: 2, 45: 2, 50: 2, 59: 2, 70: 2, 79: 2},
+    ),
+    "c2[4]": (
+        {
+            3: -1, 4: -1, 73: 2, 74: 2, 82: 2, 85: 2, 90: 2, 93: 2, 100: 1, 101: -1,
+            102: -1, 103: 1,
+        },
+        {5: 2, 13: 2, 19: 2, 27: 2, 37: 2, 45: 2, 51: 2, 59: 2, 71: 2, 79: 2},
+    ),
+    "c2[5]": (
+        {
+            6: -1, 7: -1, 50: 1, 51: -1, 52: -1, 53: 1, 90: -1, 91: 1, 92: 1, 93: -1,
+            100: 2, 103: 2, 108: 2, 111: 2, 112: 1, 113: -1, 114: -1, 115: 1,
+        },
+        {4: 2, 13: 2, 16: 2, 25: 2, 34: 2, 43: 2, 52: 2, 61: 2, 66: 2, 75: 2},
+    ),
+    "kcbs+chsh": (
+        {
+            0: -2, 4: -1, 6: -1, 7: -1, 39: 2, 40: 2, 50: 1, 51: -1, 52: -1, 53: 1, 68: 1,
+            69: -1, 70: -1, 71: 1, 90: -1, 91: 1, 92: 1, 93: -1, 100: 2, 103: 2, 108: 2,
+            111: 2, 112: 1, 113: -1, 114: -1, 115: 1,
+        },
+        {1: 2, 9: 2, 19: 2, 27: 2, 37: 2, 45: 2, 51: 2, 59: 2, 69: 2, 77: 2},
+    ),
+}
+
+
+def _integer_vector(entries: dict[int, int], size: int, fail) -> np.ndarray:
+    """The dense int64 vector of a certificate's sparse ``{index: int}`` entries."""
+    if not (set(map(type, entries)) | set(map(type, entries.values()))) <= {int}:
+        raise fail("an index or entry is not an int")
+    if entries and not 0 <= min(entries) <= max(entries) < size:
+        raise fail(f"an index is outside 0..{size - 1}")
+    vector = np.zeros(size, dtype=np.int64)
+    vector[list(entries)] = list(entries.values())
+    return vector
+
+
+def certified_nd_minimum(row: BoundRow) -> float:
+    """``row.nd``, proven the exact no-disturbance minimum of ``row.expression``.
+
+    Checks the committed certificate of ``row`` in :data:`ND_CERTIFICATES`
+    in int64 arithmetic, with no LP and no floating-point tolerance.
+    Raises :class:`InvalidCertificate` naming the row and the first
+    condition that fails.
+    """
+
+    def fail(condition: str) -> InvalidCertificate:
+        return InvalidCertificate(f"{row.name}: no-disturbance certificate fails: {condition}")
+
+    if row.name not in ND_CERTIFICATES:
+        raise fail("no certificate")
+    A, b = nd_equality_system()
+    c = expression_vector(row.expression)
+    a_int, b_int, c_int = (v.astype(np.int64) for v in (A, b, c))
+    if not (np.array_equal(a_int, A) and np.array_equal(b_int, b)):
+        raise fail("the equality system is not integer")
+    if not np.array_equal(c_int, c):
+        raise fail("the expression vector is not integer")
+    if not (math.isfinite(row.nd) and row.nd == int(row.nd)):
+        raise fail(f"the bound {row.nd} is not an integer")
+    bound = int(row.nd)
+    dual, primal = ND_CERTIFICATES[row.name]
+    y = _integer_vector(dual, len(b_int), fail)
+    n = _integer_vector(primal, len(c_int), fail)
+    if (c_int - a_int.T @ y).min() < 0:
+        raise fail("c - A^T y has a negative entry")
+    if b_int @ y != bound:
+        raise fail(f"b.y is {b_int @ y}, not {bound}")
+    if n.min() < 0:
+        raise fail("the witness has a negative entry")
+    if not np.array_equal(a_int @ n, 2 * b_int):
+        raise fail("A n is not 2b")
+    if c_int @ n != 2 * bound:
+        raise fail(f"c.n is {c_int @ n}, not {2 * bound}")
+    return float(bound)
 
 
 # ---------------------------------------------------------------------------

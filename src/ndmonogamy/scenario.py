@@ -94,6 +94,19 @@ class Scenario:
     contexts: tuple[Context, ...]
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: every ``lru_cache`` keyed by a
+        scenario asks for it, and it recurses into every measurement and context."""
+        return hash((self.measurements, self.contexts))
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so an unpickled copy rehashes
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
     @property
     def measurement_ids(self) -> tuple[str, ...]:
         return tuple(m.id for m in self.measurements)
@@ -200,6 +213,35 @@ def _validate_table(table: np.ndarray, label: str, tol: float) -> np.ndarray:
     return np.clip(table, 0.0, None)
 
 
+def _number_type(kind: type) -> bool:
+    return kind in (float, int) or issubclass(kind, (np.floating, np.integer, complex, np.complexfloating))
+
+
+def _require_numbers(probs, labels: Sequence[str]) -> None:
+    """Reject str, bool, None and nested entries of a table stack, naming the context.
+
+    ``np.asarray(..., dtype=float)`` would parse ``"0.125"`` and cast
+    ``True``, even when mixed into a row of floats.  A numeric array passes
+    at once; any other input is checked by the types of all its entries in
+    one pass, and row by row only to name the first offending context.
+    """
+    if isinstance(probs, np.ndarray) and probs.dtype.kind in "fiuc":
+        return
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(probs)))
+    except TypeError:
+        return  # not a sequence of rows: the shape check names it
+    if all(map(_number_type, kinds)):
+        return
+    for label, row in zip(labels, probs):
+        bad = [k for k in set(map(type, row)) if not _number_type(k)]
+        if bad:
+            raise ValueError(
+                f"context {label}: entries must be numbers, got {bad[0].__name__}"
+            )
+    raise ValueError(f"entries must be numbers, got {[k.__name__ for k in kinds]}")
+
+
 @dataclass(frozen=True, eq=False)
 class Behavior:
     """Probability tables over every context of a scenario.
@@ -215,6 +257,7 @@ class Behavior:
     validation_tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
+        _require_numbers(self.probs, self.scenario.labels)
         if np.iscomplexobj(self.probs):
             raise ValueError("behavior probabilities must be real, got a complex table")
         probs = np.asarray(self.probs, dtype=float)
@@ -249,8 +292,7 @@ class Behavior:
             raise ValueError(f"missing context tables: {missing}")
         if len(tables) != len(labels):
             raise ValueError(f"unknown context labels: {[k for k in tables if k not in labels]}")
-        probs = np.array([tables[label] for label in labels])
-        return cls(scenario, probs, validation_tol=tol)
+        return cls(scenario, [tables[label] for label in labels], validation_tol=tol)
 
     @classmethod
     def uniform(cls, scenario: Scenario = CANONICAL) -> "Behavior":

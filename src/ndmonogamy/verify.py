@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, nodisturbance, quantum, region
-from .errors import BlockStructureViolated, NotHermitian
+from .errors import BlockStructureViolated, InvalidCertificate, NotHermitian
 from .scenario import check_no_disturbance, chsh_value, correlator_many, kcbs_value
 
 ND_BEHAVIOR_COUNT = 200
@@ -51,15 +51,18 @@ def check_classical_bounds() -> CheckResult:
 
 
 def check_nd_lp_bounds() -> CheckResult:
+    """Every LP minimum within 1e-6 of its bound, and every certificate exact."""
     worst = max(
         abs(nodisturbance.nd_optimum(row.expression).value - row.nd)
         for row in classical.BOUNDS
     )
-    return _result(
-        "nd-lp-bounds",
-        worst <= 1e-6,
-        f"worst LP gap {worst:.3g}",
-    )
+    detail = f"worst LP gap {worst:.3g}"
+    try:
+        for row in classical.BOUNDS:
+            nodisturbance.certified_nd_minimum(row)
+    except InvalidCertificate as exc:
+        return _result("nd-lp-bounds", False, f"{detail}, {exc}")
+    return _result("nd-lp-bounds", worst <= 1e-6, detail)
 
 
 def check_fine_recovery(seed: int) -> CheckResult:

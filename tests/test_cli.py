@@ -35,6 +35,13 @@ class TestBounds:
         assert rows["kcbs+chsh"]["nd_min"] == pytest.approx(-5.0, abs=1e-9)
         assert rows["kcbs+chsh"]["quantum_min"] == pytest.approx(-5.0, abs=1e-9)
 
+    def test_json_nd_column_is_the_exact_bounds(self, capsys):
+        code, out, _ = run_cli(["bounds", "--format", "json"], capsys)
+        assert code == 0
+        nd = {r["expression"]: r["nd_min"] for r in json.loads(out)}
+        assert nd == {row.name: row.nd for row in classical.BOUNDS}
+        assert '"nd_min": -5.0,' in out
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "bounds.json"
         code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,10 +18,13 @@ from ndmonogamy.classical import (
     kcbs_expression,
     monogamy_expression,
 )
-from ndmonogamy.errors import NotNoDisturbance
+from ndmonogamy import cli
+from ndmonogamy.errors import InvalidCertificate, NotNoDisturbance
 from ndmonogamy.nodisturbance import (
+    ND_CERTIFICATES,
     JointDistribution,
     MonogamyReport,
+    certified_nd_minimum,
     expression_vector,
     fine_join_c1,
     fine_join_c1_many,
@@ -240,6 +244,109 @@ class TestNdOptimum:
         assert rhs[: len(scenario.contexts)].tolist() == [1.0] * 10
         uniform = np.full(80, 1 / 8)
         assert np.max(np.abs(matrix @ uniform - rhs)) == 0.0
+
+
+def mutated_certificates():
+    """(row name, certificate) for one-entry changes of every committed certificate.
+
+    Each dual entry gains 1; each primal witness moves half a unit of mass
+    from one of its columns to the next column of the same context.
+    """
+    for name, (dual, primal) in ND_CERTIFICATES.items():
+        for k in dual:
+            yield name, ({**dual, k: dual[k] + 1}, primal)
+        for j in primal:
+            other = j - j % 8 + (j + 1) % 8
+            moved = {**primal, j: primal[j] - 1}
+            moved[other] = moved.get(other, 0) + 1
+            yield name, (dual, moved)
+
+
+class TestCertificates:
+    def test_every_committed_certificate_checks(self):
+        values = [certified_nd_minimum(row) for row in BOUNDS]
+        assert values == [-5.0, -4.0] + [-3.0] * 5 + [-2.0] * 5 + [-5.0]
+        assert values == [row.nd for row in BOUNDS]
+        assert list(ND_CERTIFICATES) == [row.name for row in BOUNDS]
+
+    def test_no_lp_is_solved(self, monkeypatch):
+        monkeypatch.setattr(nodisturbance, "linprog", None)
+        assert [certified_nd_minimum(row) for row in BOUNDS] == [row.nd for row in BOUNDS]
+
+    def test_every_one_entry_mutation_fails(self, monkeypatch):
+        rows = {row.name: row for row in BOUNDS}
+        count = 0
+        for name, certificate in mutated_certificates():
+            monkeypatch.setitem(ND_CERTIFICATES, name, certificate)
+            with pytest.raises(InvalidCertificate, match=rf"^{re.escape(name)}: "):
+                certified_nd_minimum(rows[name])
+            count += 1
+        monkeypatch.undo()
+        assert count == sum(len(d) + len(p) for d, p in ND_CERTIFICATES.values())
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0, 0.5])
+    def test_wrong_expected_value_fails(self, shift):
+        for row in BOUNDS:
+            with pytest.raises(InvalidCertificate, match=re.escape(row.name)):
+                certified_nd_minimum(row._replace(nd=row.nd + shift))
+
+    def test_certificate_of_another_expression_fails(self):
+        kcbs, chsh = BOUNDS[0], BOUNDS[1]
+        with pytest.raises(InvalidCertificate, match=re.escape("kcbs: no-disturbance certificate fails: c - A^T y")):
+            certified_nd_minimum(chsh._replace(name=kcbs.name))
+
+    @pytest.mark.parametrize(
+        "dual, condition",
+        [({0: 1.0}, "not an int"), ({0: True}, "not an int"), ({116: 1}, "outside"), ({-1: 1}, "outside")],
+    )
+    def test_malformed_entries_fail(self, monkeypatch, dual, condition):
+        _, primal = ND_CERTIFICATES["kcbs"]
+        monkeypatch.setitem(ND_CERTIFICATES, "kcbs", (dual, primal))
+        with pytest.raises(InvalidCertificate, match=condition):
+            certified_nd_minimum(BOUNDS[0])
+
+    def test_missing_certificate_fails(self, monkeypatch):
+        monkeypatch.delitem(ND_CERTIFICATES, "chsh")
+        with pytest.raises(InvalidCertificate, match="chsh: .*no certificate"):
+            certified_nd_minimum(BOUNDS[1])
+
+    def test_rederived_certificates_check(self, monkeypatch):
+        # LP duals are not unique across HiGHS versions, so the committed data
+        # is not compared; a fresh LP certificate must pass the same checker.
+        A_eq, b_eq = nd_equality_system()
+        for row in BOUNDS:
+            result = nodisturbance.linprog(
+                expression_vector(row.expression), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs"
+            )
+            assert result.success, row.name
+            dual = np.rint(result.eqlin.marginals).astype(int)
+            primal = np.rint(2 * result.x).astype(int)
+            certificate = (
+                {int(k): int(dual[k]) for k in np.flatnonzero(dual)},
+                {int(j): int(primal[j]) for j in np.flatnonzero(primal)},
+            )
+            monkeypatch.setitem(ND_CERTIFICATES, row.name, certificate)
+            assert certified_nd_minimum(row) == row.nd
+
+    def test_mutation_fails_bounds_and_verify(self, monkeypatch, capsys):
+        dual, primal = ND_CERTIFICATES["kcbs+chsh"]
+        k = next(iter(dual))
+        monkeypatch.setitem(ND_CERTIFICATES, "kcbs+chsh", ({**dual, k: dual[k] + 1}, primal))
+        assert cli.main(["bounds"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bound check failed: kcbs+chsh: no-disturbance certificate fails: ")
+        assert "Traceback" not in err
+        result = verify.check_nd_lp_bounds()
+        assert not result.passed
+        assert result.detail.startswith("worst LP gap ")
+        assert "kcbs+chsh: no-disturbance certificate fails" in result.detail
+
+    def test_verify_detail_on_a_passing_run(self):
+        result = verify.check_nd_lp_bounds()
+        assert result.passed
+        assert result.detail.startswith("worst LP gap ")
+        assert "," not in result.detail
 
 
 class TestSampling:
@@ -588,7 +695,7 @@ SCIPY_FREE_SCRIPT = textwrap.dedent(
 
     import ndmonogamy
     assert not scipy_modules(), "import ndmonogamy"
-    from ndmonogamy import cli, classical, nodisturbance, quantum, region
+    from ndmonogamy import cli, classical, nodisturbance, quantum, region, verify
     from ndmonogamy.scenario import Behavior, check_no_disturbance, chsh_value, kcbs_value
 
     with contextlib.redirect_stdout(io.StringIO()):
@@ -600,8 +707,15 @@ SCIPY_FREE_SCRIPT = textwrap.dedent(
         kcbs_value(behavior), chsh_value(behavior)
     region.region_membership_sweep(50, seed=1)
     assert not scipy_modules(), "Born rule"
-    print(nodisturbance.nd_optimum(classical.kcbs_expression()).value)
-    assert scipy_modules(), "nd_optimum"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["bounds"]) == 0
+        assert cli.main(["bounds", "--format", "json"]) == 0
+    assert not scipy_modules(), "bounds"
+    if sys.argv[2] == "verify":
+        assert verify.check_nd_lp_bounds().passed
+    else:
+        print(nodisturbance.nd_optimum(classical.kcbs_expression()).value)
+    assert scipy_modules(), sys.argv[2]
     """
 )
 
@@ -609,12 +723,14 @@ SCIPY_FREE_SCRIPT = textwrap.dedent(
 def test_scipy_is_loaded_by_the_first_lp_only(tmp_path):
     src = str(Path(nodisturbance.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path / "region")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) == pytest.approx(-5.0, abs=1e-9)
+    for lp_route in ("nd_optimum", "verify"):
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path / lp_route), lp_route],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if lp_route == "nd_optimum":
+            assert float(proc.stdout) == pytest.approx(-5.0, abs=1e-9)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from ndmonogamy.scenario import (
     CANONICAL,
     OUTCOME_TRIPLES,
     Behavior,
+    Scenario,
     _validate_table,
     build_canonical_scenario,
     check_no_disturbance,
@@ -64,6 +66,20 @@ class TestCanonicalScenario:
 
     def test_rebuild_matches_module_constant(self):
         assert build_canonical_scenario() == CANONICAL
+
+    def test_equal_scenarios_hash_equal(self):
+        rebuilt = build_canonical_scenario()
+        assert rebuilt is not CANONICAL
+        assert rebuilt == CANONICAL
+        assert hash(rebuilt) == hash(CANONICAL)
+        assert hash(CANONICAL) == hash((CANONICAL.measurements, CANONICAL.contexts))
+        copy = pickle.loads(pickle.dumps(CANONICAL))
+        assert copy == CANONICAL and hash(copy) == hash(CANONICAL)
+
+    def test_scenarios_with_other_contexts_differ(self):
+        fewer = Scenario(CANONICAL.measurements, CANONICAL.contexts[:-1])
+        assert fewer != CANONICAL
+        assert {fewer: 1, CANONICAL: 2}[build_canonical_scenario()] == 2
 
 
 class TestBehavior:
@@ -182,6 +198,59 @@ class TestBehavior:
         behavior = nd_behaviors[0]
         again = Behavior.from_json(behavior.to_json())
         assert np.array_equal(again.probs, behavior.probs)
+
+    def test_json_round_trip_of_born_rule_behaviors_is_bit_exact(self, quantum_behaviors):
+        for behavior in quantum_behaviors:
+            text = behavior.to_json()
+            again = Behavior.from_json(text)
+            assert again.probs.tobytes() == behavior.probs.tobytes()
+            assert again.to_json() == text
+
+    @pytest.mark.parametrize(
+        "entry, kind",
+        [("0.125", "str"), (None, "NoneType"), ([0.125], "list"), ({"p": 0.125}, "dict")],
+    )
+    def test_rejects_non_numeric_entries(self, scenario, uniform_behavior, entry, kind):
+        tables = json.loads(uniform_behavior.to_json())
+        tables["A3,A4,B2"][2] = entry
+        message = f"context A3,A4,B2: entries must be numbers, got {kind}"
+        with pytest.raises(ValueError, match=message):
+            Behavior.from_tables(tables)
+        with pytest.raises(ValueError, match=message):
+            Behavior.from_json(json.dumps(tables))
+        with pytest.raises(ValueError, match=message):
+            Behavior(scenario, list(tables.values()))
+
+    def test_rejects_every_entry_as_a_string(self, uniform_behavior):
+        tables = {k: [repr(v) for v in row] for k, row in json.loads(uniform_behavior.to_json()).items()}
+        with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
+            Behavior.from_json(json.dumps(tables))
+
+    def test_rejects_booleans_numpy_would_cast(self, scenario):
+        # a point mass with True for 1.0 and False for 0.0 is a valid
+        # behavior once cast to float, mixed into a float row or not
+        tables = json.loads(behavior_from_assignment(all_plus_assignment()).to_json())
+        mixed = dict(tables, **{"A5,A1,B2": [False] + tables["A5,A1,B2"][1:7] + [True]})
+        whole = {label: [v == 1.0 for v in row] for label, row in tables.items()}
+        assert all(type(v) is float for v in mixed["A5,A1,B2"][1:7])
+        for bad, label in ((mixed, "A5,A1,B2"), (whole, "A1,A2,B1")):
+            message = f"context {label}: entries must be numbers, got bool"
+            with pytest.raises(ValueError, match=message):
+                Behavior.from_tables(bad)
+            with pytest.raises(ValueError, match=message):
+                Behavior.from_json(json.dumps(bad))
+        with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got bool"):
+            Behavior(scenario, np.array(list(whole.values())))
+
+    def test_rejects_string_arrays(self, scenario):
+        with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
+            Behavior(scenario, np.full((10, 8), "0.125"))
+
+    def test_accepts_numeric_python_and_numpy_entries(self, scenario):
+        rows = [[1, 0, 0, 0, 0, 0, 0, 0]] * 9 + [[np.float32(0.5), np.int64(0), 0.5, 0, 0, 0, 0, 0]]
+        behavior = Behavior(scenario, rows)
+        assert behavior.probs[9].tolist() == [0.5, 0.0, 0.5, 0, 0, 0, 0, 0]
+        assert Behavior(scenario, np.array(rows, dtype=object)).probs.tobytes() == behavior.probs.tobytes()
 
     def test_json_keys_are_context_labels(self, uniform_behavior):
         payload = json.loads(uniform_behavior.to_json())
