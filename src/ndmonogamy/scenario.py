@@ -214,7 +214,7 @@ def _validate_table(table: np.ndarray, label: str, tol: float) -> np.ndarray:
 
 
 def _number_type(kind: type) -> bool:
-    return kind in (float, int) or issubclass(kind, (np.floating, np.integer, complex, np.complexfloating))
+    return kind is not bool and issubclass(kind, (int, float, complex, np.number))
 
 
 def _require_numbers(probs, labels: Sequence[str]) -> None:
@@ -234,12 +234,12 @@ def _require_numbers(probs, labels: Sequence[str]) -> None:
     if all(map(_number_type, kinds)):
         return
     for label, row in zip(labels, probs):
-        bad = [k for k in set(map(type, row)) if not _number_type(k)]
-        if bad:
-            raise ValueError(
-                f"context {label}: entries must be numbers, got {bad[0].__name__}"
-            )
-    raise ValueError(f"entries must be numbers, got {[k.__name__ for k in kinds]}")
+        for entry in row:
+            if not _number_type(type(entry)):
+                raise ValueError(
+                    f"context {label}: entries must be numbers, got {type(entry).__name__}"
+                )
+    raise ValueError(f"entries must be numbers, got {sorted(k.__name__ for k in kinds)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,9 +258,10 @@ class Behavior:
 
     def __post_init__(self) -> None:
         _require_numbers(self.probs, self.scenario.labels)
-        if np.iscomplexobj(self.probs):
+        probs = np.asarray(self.probs)
+        if np.iscomplexobj(probs):
             raise ValueError("behavior probabilities must be real, got a complex table")
-        probs = np.asarray(self.probs, dtype=float)
+        probs = probs.astype(float, copy=False)
         expected = (len(self.scenario.contexts), 8)
         if probs.shape != expected:
             raise ValueError(f"behavior table must have shape {expected}, got {probs.shape}")

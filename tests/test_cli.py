@@ -200,6 +200,18 @@ def test_bounds_table_drives_bounds_and_verify(monkeypatch, capsys):
     assert [r.name for r in results if not r.passed] == ["classical-bounds"]
 
 
+def test_wrong_nd_bound_fails_its_certificate(monkeypatch, capsys):
+    rows = list(classical.BOUNDS)
+    rows[0] = rows[0]._replace(nd=-4.0)  # kcbs, really -5
+    monkeypatch.setattr(classical, "BOUNDS", tuple(rows))
+    code, out, err = run_cli(["bounds", "--format", "json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "bound check failed: kcbs: no-disturbance certificate fails: b.y is -5, not -4\n"
+    results = verify.verify_all(samples=1000, seed=42)
+    assert [r.name for r in results if not r.passed] == ["nd-lp-bounds"]
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
