@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndmonogamy import nodisturbance, verify
+from ndmonogamy import cli, nodisturbance, verify
 from ndmonogamy.classical import (
     BOUNDS,
     c1_expression,
@@ -18,7 +18,6 @@ from ndmonogamy.classical import (
     kcbs_expression,
     monogamy_expression,
 )
-from ndmonogamy import cli
 from ndmonogamy.errors import InvalidCertificate, NotNoDisturbance
 from ndmonogamy.nodisturbance import (
     ND_CERTIFICATES,
@@ -249,12 +248,13 @@ class TestNdOptimum:
 def mutated_certificates():
     """(row name, certificate) for one-entry changes of every committed certificate.
 
-    Each dual entry gains 1; each primal witness moves half a unit of mass
-    from one of its columns to the next column of the same context.
+    Each dual entry gains or loses 1; each primal witness moves half a unit
+    of mass from one of its columns to the next column of the same context.
     """
     for name, (dual, primal) in ND_CERTIFICATES.items():
         for k in dual:
             yield name, ({**dual, k: dual[k] + 1}, primal)
+            yield name, ({**dual, k: dual[k] - 1}, primal)
         for j in primal:
             other = j - j % 8 + (j + 1) % 8
             moved = {**primal, j: primal[j] - 1}
@@ -282,7 +282,7 @@ class TestCertificates:
                 certified_nd_minimum(rows[name])
             count += 1
         monkeypatch.undo()
-        assert count == sum(len(d) + len(p) for d, p in ND_CERTIFICATES.values())
+        assert count == sum(2 * len(d) + len(p) for d, p in ND_CERTIFICATES.values())
 
     @pytest.mark.parametrize("shift", [1.0, -1.0, 0.5])
     def test_wrong_expected_value_fails(self, shift):
