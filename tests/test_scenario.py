@@ -194,13 +194,8 @@ class TestBehavior:
         with pytest.raises(ValueError):
             uniform_behavior.probs[0, 0] = 0.5
 
-    def test_json_round_trip_is_bit_exact(self, nd_behaviors):
-        behavior = nd_behaviors[0]
-        again = Behavior.from_json(behavior.to_json())
-        assert np.array_equal(again.probs, behavior.probs)
-
-    def test_json_round_trip_of_born_rule_behaviors_is_bit_exact(self, quantum_behaviors):
-        for behavior in quantum_behaviors:
+    def test_json_round_trip_is_bit_exact(self, nd_behaviors, quantum_behaviors):
+        for behavior in [nd_behaviors[0], *quantum_behaviors]:
             text = behavior.to_json()
             again = Behavior.from_json(text)
             assert again.probs.tobytes() == behavior.probs.tobytes()
