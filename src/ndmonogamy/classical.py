@@ -3,8 +3,12 @@
 A noncontextual (or local) hidden-variable model is a probability mixture
 of deterministic assignments, one fixed outcome per measurement, so the
 classical bound of any linear correlator expression is its extremum over
-all 2^n assignments.  At n = 7 this is 128 cases; enumeration is exact
-and instant, so no symmetry reduction is attempted.
+all 2^n assignments.  At n = 7 this is 128 cases; :func:`classical_bound`
+evaluates them all as one numpy array over the bit patterns 0 .. 2^n - 1,
+which is exact and instant, so no symmetry reduction is attempted.
+:func:`enumerate_assignments` and
+:meth:`LinearExpression.evaluate_assignment` give the same values one
+assignment at a time.
 
 The module also holds the bound constants and the paper's bounds table
 :data:`BOUNDS`, the one definition that ``ndmonogamy bounds``, ``verify``
@@ -217,25 +221,41 @@ def classical_bound(
 ) -> ClassicalBound:
     """Exact hidden-variable extrema of ``expr`` by full enumeration.
 
-    Ties in the argmin are broken by the first assignment found in
-    lexicographic order, so results are reproducible.
+    All 2^n assignments are evaluated as one array: assignment ``k`` gives
+    measurement ``j`` the outcome +1 exactly when bit ``n-1-j`` of ``k`` is
+    set (the order of :func:`enumerate_assignments`), so a term's product
+    is -1 exactly when an odd number of its measurements read -1.  Terms
+    are added in expression order, so every value has the bits of
+    :meth:`LinearExpression.evaluate_assignment`.  Ties in the argmin are
+    broken by the first assignment in lexicographic order, so results are
+    reproducible.
     """
-    known = set(scenario.measurement_ids)
+    ids = scenario.measurement_ids
+    known = set(ids)
     for _, subset in expr.terms:
         unknown = set(subset) - known
         if unknown:
             raise ValueError(f"expression references unknown measurements {unknown}")
-    best_min = np.inf
-    best_max = -np.inf
-    argmin: DeterministicAssignment | None = None
-    for assignment in enumerate_assignments(scenario):
-        v = expr.evaluate_assignment(assignment)
-        if v < best_min:
-            best_min, argmin = v, assignment
-        if v > best_max:
-            best_max = v
-    assert argmin is not None
-    return ClassicalBound(float(best_min), float(best_max), argmin)
+    n = len(ids)
+    if n > MAX_ENUMERATION_BITS:
+        raise TooLarge(
+            f"{n} measurements exceed the {MAX_ENUMERATION_BITS}-bit enumeration limit"
+        )
+    bit = {m: 1 << (n - 1 - j) for j, m in enumerate(ids)}
+    patterns = np.arange(1 << n, dtype=np.uint32)
+    values = np.zeros(1 << n)
+    for coeff, subset in expr.terms:
+        # a measurement repeated in a term squares to 1, so its bit cancels
+        mask = 0
+        for m in subset:
+            mask ^= bit[m]
+        minus_parity = (np.bitwise_count(patterns & mask) ^ mask.bit_count()) & 1
+        values += np.where(minus_parity, -coeff, coeff)
+    k = int(np.argmin(values))
+    outcomes = tuple(1 if k >> (n - 1 - j) & 1 else -1 for j in range(n))
+    return ClassicalBound(
+        float(values[k]), float(values.max()), DeterministicAssignment(ids, outcomes)
+    )
 
 
 def cycle_bound(n: int) -> float:

@@ -304,8 +304,36 @@ def random_states(
 
 
 def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<psi|O|psi> for one state (1-dim) or a stack of states (2-dim)."""
+    """Re <psi|O|psi> for one state, shape (6,), or a stack, shape (n, 6).
+
+    Every state must be finite with norm within 1e-12 of 1
+    (:func:`require_normalized`'s rule); otherwise :class:`NotNormalized`
+    names the first bad row.  A stack is multiplied by the operator once,
+    and each row is paired with its image through the real and imaginary
+    parts, so no conjugate copy of the stack is made.
+    """
     states = np.asarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[-1] != 6:
+        raise ValueError(f"expected shape (6,) or (n, 6), got {states.shape}")
     if states.ndim == 1:
+        require_normalized(states)
         return np.real(states.conj() @ operator @ states)
-    return np.real(np.einsum("ni,ij,nj->n", states.conj(), operator, states))
+    _require_normalized_rows(states)
+    images = states @ operator.T
+    values = np.einsum("ni,ni->n", states.real, images.real)
+    values += np.einsum("ni,ni->n", states.imag, images.imag)
+    return values
+
+
+def _require_normalized_rows(states: np.ndarray) -> None:
+    """:func:`require_normalized` for every row of a stack, in one pass.
+
+    A function of its own, so the norms are freed before the caller
+    allocates the stack's images.
+    """
+    parts = np.ascontiguousarray(states).view(np.float64)  # (n, 12): re, im, ...
+    norms = np.sqrt(np.einsum("nk,nk->n", parts, parts))
+    bad = ~(np.abs(norms - 1.0) <= 1e-12)  # NaN and inf fail too
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NotNormalized(f"state {row} has norm {norms[row]}, expected 1")

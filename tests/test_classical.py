@@ -182,6 +182,69 @@ class TestClassicalBounds:
         assert bound.minimum - 1e-12 <= value <= bound.maximum + 1e-12
 
 
+def loop_bound(expr: LinearExpression, scenario: Scenario = CANONICAL):
+    """Reference: one ``evaluate_assignment`` per enumerated assignment."""
+    best_min, best_max, argmin = math.inf, -math.inf, None
+    for assignment in enumerate_assignments(scenario):
+        value = expr.evaluate_assignment(assignment)
+        if value < best_min:
+            best_min, argmin = value, assignment
+        best_max = max(best_max, value)
+    return float(best_min), float(best_max), argmin
+
+
+class TestWholeArrayBound:
+    """``classical_bound`` against the per-assignment loop, exactly."""
+
+    @pytest.mark.parametrize("row", BOUNDS, ids=lambda row: row.name)
+    def test_bounds_rows(self, row):
+        assert tuple(classical_bound(row.expression)) == loop_bound(row.expression)
+
+    @pytest.mark.parametrize("shift", range(5))
+    def test_relabeled_kcbs(self, shift):
+        expr = kcbs_expression().relabeled(shift)
+        assert tuple(classical_bound(expr)) == loop_bound(expr)
+
+    def test_non_integer_singleton_and_repeated_terms(self):
+        expr = LinearExpression(
+            (
+                (0.3, ("A1", "A2")),
+                (-1.7, ("B1",)),
+                (2.25, ("A1", "A1")),
+                (1 / 3, ("A3", "B2")),
+                (-0.1, ("A4", "A5", "A4")),
+                (math.pi, ("A5", "B1", "B2")),
+            )
+        )
+        bound = classical_bound(expr)
+        assert tuple(bound) == loop_bound(expr)
+        assert bound.minimum != round(bound.minimum)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_toy_scenarios(self, n):
+        scenario = toy_scenario(n)
+        ids = scenario.measurement_ids
+        rng = np.random.default_rng(n)
+        terms = tuple(
+            (
+                float(rng.normal()) if k % 2 else float(rng.integers(-2, 3)),
+                tuple(rng.choice(ids, size=rng.integers(1, min(n, 3) + 1))),
+            )
+            for k in range(6)
+        )
+        expr = LinearExpression(terms)
+        assert tuple(classical_bound(expr, scenario)) == loop_bound(expr, scenario)
+
+    def test_too_large_raises_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(TooLarge):
+            classical_bound(LinearExpression(((1.0, ("X0",)),)), toy_scenario(25))
+
+
 class TestCycleBound:
     # derived by the brute-force oracle above, then frozen
     @pytest.mark.parametrize("n,expected", [(3, -1), (4, -4), (5, -3), (6, -6), (7, -5)])

@@ -393,6 +393,54 @@ class TestRandomStateSweep:
         assert chsh.min() >= lam1 - 1e-9
 
 
+class TestStackedExpectation:
+    @pytest.fixture(scope="class")
+    def states(self):
+        return random_states(1000, seed=17)
+
+    @pytest.mark.parametrize("name", ["kcbs", "chsh", "random"])
+    def test_matches_one_state_path(self, states, name):
+        if name == "random":
+            rng = np.random.default_rng(3)
+            raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            operator = require_hermitian((raw + raw.conj().T) / 2)
+        else:
+            operator = {"kcbs": kcbs_operator, "chsh": chsh_operator}[name]()
+        stacked = expectation(operator, states)
+        assert stacked.dtype == np.float64
+        assert stacked.shape == (1000,)
+        single = np.array([expectation(operator, psi) for psi in states])
+        assert np.max(np.abs(stacked - single)) <= 1e-14
+        # a strided view of the stack gives the same rows
+        assert np.array_equal(expectation(operator, states[::3]), stacked[::3])
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 6), (5,), (6, 2), ()])
+    def test_rejects_malformed_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected shape"):
+            expectation(kcbs_operator(), np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_state_naming_its_row(self, bad):
+        states = random_states(4, seed=5)
+        states[2, 1] = bad
+        with pytest.raises(NotNormalized, match="^state 2 has norm"):
+            expectation(kcbs_operator(), states)
+        with pytest.raises(NotNormalized):
+            expectation(kcbs_operator(), states[2])
+
+    def test_rejects_unnormalized_states(self):
+        with pytest.raises(NotNormalized, match="^state 0 has norm"):
+            expectation(kcbs_operator(), np.ones((2, 6)))
+        with pytest.raises(NotNormalized):
+            expectation(kcbs_operator(), np.ones(6))
+        states = random_states(3, seed=6)
+        states[1] *= 1.0 + 1e-11
+        with pytest.raises(NotNormalized, match="^state 1 has norm"):
+            expectation(kcbs_operator(), states)
+        states[1] /= 1.0 + 1e-11
+        assert expectation(kcbs_operator(), states).shape == (3,)
+
+
 class TestExpressionOperator:
     def test_kcbs_expression_reproduces_operator(self):
         assert np.max(np.abs(expression_operator(kcbs_expression()) - kcbs_operator())) < 1e-12
