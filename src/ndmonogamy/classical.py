@@ -36,7 +36,8 @@ from .scenario import (
     chsh_terms,
 )
 
-MAX_ENUMERATION_BITS = 24
+# classical_bound holds all 2^n assignments at once: about 22 MB at n = 20
+MAX_ENUMERATION_BITS = 20
 MAX_CYCLE = 20
 
 PIVOTS = (1, 2, 3, 4, 5)

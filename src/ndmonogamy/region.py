@@ -280,7 +280,9 @@ def _phi_extremes_block(
     layout.  Two operations need libm for that: ``math.atan`` (``np.arctan``
     differs in the last bit on some roots) and ``math.pow(x, 2.0)`` for
     cos^2 and sin^2 (the scalar ``np.float64 ** 2`` is libm ``pow``, while
-    ``array ** 2`` is ``x * x``).
+    ``array ** 2`` is ``x * x``).  Each is one ``map`` of the libm function
+    over a list of the inputs, read by ``np.fromiter`` with its length
+    given, so no Python frame runs per element.
     """
     g = gammas()
     sin_t, cos_t = np.sin(thetas), np.cos(thetas)
@@ -305,14 +307,16 @@ def _phi_extremes_block(
     companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
     roots = np.linalg.eigvals(companion)
     real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))
-    atans = np.fromiter(map(math.atan, roots.real[real].tolist()), float)
+    real_roots = roots.real[real].tolist()
+    atans = np.fromiter(map(math.atan, real_roots), float, len(real_roots))
     live_phis = np.zeros((len(p), 4))
     live_phis[real] = 2.0 * atans
     phis[live, 1:] = live_phis
     valid[live, 1:] = real
 
-    cos_sq = np.fromiter((math.pow(v, 2.0) for v in cos_t.tolist()), float)[:, None]
-    sin_sq = np.fromiter((math.pow(v, 2.0) for v in sin_t.tolist()), float)[:, None]
+    n = len(thetas)
+    cos_sq = np.fromiter(map(math.pow, cos_t.tolist(), repeat(2.0)), float, n)[:, None]
+    sin_sq = np.fromiter(map(math.pow, sin_t.tolist(), repeat(2.0)), float, n)[:, None]
     values = (
         g.g1 * cos_sq
         + (g.g2 + g.g3 * np.cos(2 * phis)) * sin_sq
@@ -605,22 +609,42 @@ def write_csv(file: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
         file.write("\n".join(map(",".join, block)) + "\n")
 
 
+def _distinct_csv_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(strings, at): the :func:`csv_floats` string of each distinct value of
+    a float64 column, formatted once, and where each value's string is.
+
+    ``strings[at]`` is the column's strings.  Values are told apart by
+    their bits, so 0.0 and -0.0 keep the distinct strings "0" and "-0".
+    """
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    strings = np.array(list(csv_floats(bits.view(np.float64).tolist())), dtype=object)
+    return strings, at
+
+
 def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
     """Rows 'branch,phi,theta,chsh,kcbs': the plus branch in ``plus_order``,
     then the minus branch in ``minus_order``.
 
-    Each column is formatted once; the theta, phi and kcbs strings serve
-    both branches.
+    Each distinct value of a column is formatted once, so when both arms
+    share their thetas (every even sample count) the theta and kcbs
+    strings are made for one arm only.  The theta, phi and kcbs strings
+    serve both branches.  The minus branch's chsh strings are the plus
+    strings with the leading "-" added or removed: ``.17g`` prints -x as
+    x with the sign flipped, 0.0 and -0.0 included.
     """
-    phi, theta, kcbs, plus_chsh, minus_chsh = (
-        np.array(list(csv_floats(c.tolist())), dtype=object)
-        for c in (boundary.phi, boundary.theta, boundary.kcbs, boundary.chsh, -boundary.chsh)
+    phi, theta, (plus, chsh_at), kcbs = (
+        _distinct_csv_floats(c)
+        for c in (boundary.phi, boundary.theta, boundary.chsh, boundary.kcbs)
     )
+    minus = np.array([s[1:] if s[0] == "-" else "-" + s for s in plus.tolist()], dtype=object)
     rows = chain.from_iterable(
-        zip(repeat(branch), *(c[order].tolist() for c in (phi, theta, chsh, kcbs)))
+        zip(
+            repeat(branch),
+            *(strings[at[order]].tolist() for strings, at in (phi, theta, chsh, kcbs)),
+        )
         for branch, order, chsh in (
-            ("plus", boundary.plus_order, plus_chsh),
-            ("minus", boundary.minus_order, minus_chsh),
+            ("plus", boundary.plus_order, (plus, chsh_at)),
+            ("minus", boundary.minus_order, (minus, chsh_at)),
         )
     )
     write_csv(file, BOUNDARY_HEADER, rows)

@@ -243,6 +243,9 @@ class TestWholeArrayBound:
         monkeypatch.setattr(np, "zeros", no_allocation)
         with pytest.raises(TooLarge):
             classical_bound(LinearExpression(((1.0, ("X0",)),)), toy_scenario(25))
+        # one past the limit, which matches MAX_CYCLE
+        with pytest.raises(TooLarge, match="21 measurements exceed the 20-bit"):
+            classical_bound(LinearExpression(((1.0, ("X0",)),)), toy_scenario(21))
 
 
 class TestCycleBound:

@@ -486,6 +486,50 @@ class TestRegionExport:
         )
         assert boundary_csv(boundary) == per_point_csv(boundary_columns(boundary))
 
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_writer_matches_per_point_rows(self, n):
+        # 2000: both arms on one theta grid; 2001: arms on different grids
+        boundary = sample_boundary(n)
+        assert boundary_csv(boundary) == per_point_csv(boundary_columns(boundary))
+
+    def test_signed_zeros_in_every_column_keep_their_strings(self):
+        # a dedup on float values would merge 0.0 and -0.0, which .17g
+        # prints as "0" and "-0"
+        boundary = Boundary(
+            theta=[0.0, -0.0, 0.5, -0.0, 0.0],
+            phi=[-0.0, 0.0, 0.0, 1.0, -0.0],
+            chsh=[0.0, -0.0, -0.0, 0.0, 0.25],
+            kcbs=[-0.0, 0.0, -3.0, 0.0, -0.0],
+        )
+        text = boundary_csv(boundary)
+        assert text == per_point_csv(boundary_columns(boundary))
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        for name, column in zip(COLUMNS, list(zip(*rows))[1:]):
+            assert {"0", "-0"} <= set(column), name
+
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        formatted = []
+        real_csv_floats = region.csv_floats
+
+        def counting(values):
+            values = list(values)
+            formatted.extend(values)
+            return real_csv_floats(values)
+
+        monkeypatch.setattr(region, "csv_floats", counting)
+        boundary = sample_boundary(1000)
+        assert boundary_csv(boundary) == per_point_csv(boundary_columns(boundary))
+        distinct = [
+            len(set(map(float.hex, c.tolist())))
+            for c in (boundary.phi, boundary.theta, boundary.chsh, boundary.kcbs)
+        ]
+        # both arms share the 500 grid thetas, so theta and kcbs have 500
+        # values each; phi = pi ends the lower arm and starts the upper, and
+        # chsh = g1 starts both, so those have 999.  Formatting every column
+        # of both branches would take 5000.
+        assert distinct == [999, 500, 999, 500]
+        assert len(formatted) == sum(distinct) == 2998
+
     def test_rows_are_written_in_blocks(self, monkeypatch):
         monkeypatch.setattr(region, "_CSV_BLOCK", 3)
         writes = []
