@@ -115,14 +115,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         with open(out_dir / "touching_point.csv", "w") as file:
             region.write_point_csv(file, touch)
         with open(out_dir / "nd_line.csv", "w") as file:
-            region.write_csv(
-                file,
-                "chsh,kcbs",
-                zip(
-                    region.csv_floats(line_chsh.tolist()),
-                    region.csv_floats(line_kcbs.tolist()),
-                ),
-            )
+            region.write_csv(file, "chsh,kcbs", line_chsh, line_kcbs)
     except OSError as exc:
         print(f"cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO

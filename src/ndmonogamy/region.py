@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import repeat
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -589,68 +589,197 @@ def region_membership_sweep(
 
 
 BOUNDARY_HEADER = "branch,phi,theta,chsh,kcbs"
-_CSV_BLOCK = 4096  # rows per write in write_csv
+_CSV_BLOCK = 4096  # rows per write
+
+# A number is formatted into a cell of _CELL_WORDS uint64 words, 40 bytes:
+# byte 0 holds its sign, bytes 1-5 the "0.000" that leads a number below 1,
+# byte 6 + 2i the i-th of its 17 significant digits and byte 7 + 2i a
+# decimal point after that digit.  Every other byte is NUL, and the cell
+# with its NULs removed is the number's .17g string.  Byte 39 stays NUL,
+# free for a field separator.
+_CELL_WORDS = 5
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 
 
-def csv_floats(values: Iterable[float]) -> Iterator[str]:
-    """Each value at 17 significant digits, the number format of every CSV."""
-    return map(format, values, repeat(".17g"))
+class _FormatTables(NamedTuple):
+    """Lookup tables of :func:`_csv_cells`."""
+
+    pow10: np.ndarray  # 10**k for k = 0..22, each exact in float64
+    pow10_hi: np.ndarray  # its upper 26 bits, for Dekker's product
+    ten: np.ndarray  # 10**k as int64, k = 0..16
+    lead: np.ndarray  # the word holding lead digit d at byte 6, by d
+    quads: np.ndarray  # the digit bytes of q = 0..9999; at 10000 + q with trailing zeros NUL
+    marks: np.ndarray  # sign, "0.000", point and integer zeros, by (sign, e10 + 4, point)
 
 
-def write_csv(file: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
-    """The header line, then each row's fields joined by commas.
+def _words(cell_bytes) -> np.ndarray:
+    """Rows of 8k bytes read as k native uint64 words."""
+    return np.ascontiguousarray(cell_bytes, dtype=np.uint8).view(np.uint64)
 
-    Rows are written in blocks of ``_CSV_BLOCK``, so no whole-file string
-    is ever built.
+
+@lru_cache(maxsize=None)
+def _format_tables() -> _FormatTables:
+    pow10 = np.array([float(10**k) for k in range(23)])
+    split = _SPLIT * pow10
+    q = np.arange(10000)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
+    significant = np.select([q % 10 > 0, q % 100 > 0, q % 1000 > 0, q > 0], [4, 3, 2, 1], 0)
+    quads = np.zeros((2, 10000, 8), np.uint8)
+    quads[0, :, ::2] = digits
+    quads[1, :, ::2] = np.where(np.arange(4) < significant[:, None], digits, 0)
+    lead = np.zeros((10, 8), np.uint8)
+    lead[:, 6] = np.arange(10) + ord("0")
+    sign, e10, point, at = np.ix_(range(2), range(-4, 16), range(2), range(8 * _CELL_WORDS))
+    marks = np.select(
+        [
+            (at == 0) & (sign == 1),
+            (e10 < 0) & (at == 2),
+            (e10 < 0) & (at >= 1) & (at <= 1 - e10),
+            (e10 >= 0) & (point == 1) & (at == 7 + 2 * e10),
+            (at >= 6) & (at % 2 == 0) & (at <= 6 + 2 * e10),
+        ],
+        [ord("-"), ord("."), ord("0"), ord("."), ord("0")],
+        0,
+    )
+    return _FormatTables(
+        pow10=pow10,
+        pow10_hi=split - (split - pow10),
+        ten=10 ** np.arange(17),
+        lead=_words(lead).ravel(),
+        quads=_words(quads).ravel(),
+        marks=_words(marks.reshape(-1, 8 * _CELL_WORDS)),
+    )
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray, tables: _FormatTables) -> np.ndarray:
+    """a * 10**(16 - e10) rounded to an integer, ties to even, exactly.
+
+    Dekker's product gives a * 10**k as hi + lo with no rounding error:
+    10**k is exact for k <= 22, and nothing overflows or underflows here.
+    The product is near 10**16 or above, so hi exceeds 2**53 and is an
+    even integer, and the nearest integer to hi + lo, ties to even, is
+    hi + rint(lo).
     """
+    k = 16 - e10
+    p, p_hi = tables.pow10[k], tables.pow10_hi[k]
+    p_lo = p - p_hi
+    split = _SPLIT * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    hi = a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _csv_cells(values: np.ndarray) -> np.ndarray:
+    """The cells of a 1-dim float64 array (see ``_CELL_WORDS``), one row each.
+
+    A finite x with 1e-4 <= |x| < 1e16 is in the fixed notation of
+    ``.17g``.  Its digits are N = |x| * 10**(16 - e10), rounded, for the
+    decimal exponent e10 that puts N in [10**16, 10**17).  e10 starts as
+    floor(log10|x|) and moves by one where N falls outside, because log10
+    was off by one or the rounding carried to 10**17.  The 16 digits after
+    the lead come as four words of four from a table; the last word with a
+    nonzero digit drops its trailing zeros and later words are NUL.  The
+    marks add the sign, the "0.000" of e10 < 0, the point unless every
+    digit after it is zero, and the zeros of the integer part (OR with "0"
+    keeps a digit byte as it is).  Every other value, zeros and signed
+    zeros among them, goes through ``format`` one at a time.
+    """
+    tables = _format_tables()
+    magnitude = np.abs(values)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
+    magnitude = np.where(fixed, magnitude, 1.0)
+    e10 = np.floor(np.log10(magnitude)).astype(np.int64)
+    digits = _scaled(magnitude, e10, tables)
+    while len(wrong := np.flatnonzero((digits < 10**16) | (digits >= 10**17))):
+        e10[wrong] += np.where(digits[wrong] < 10**16, -1, 1)
+        digits[wrong] = _scaled(magnitude[wrong], e10[wrong], tables)
+    lead, rest = np.divmod(digits, 10**16)
+    quads = np.empty((len(values), 4), np.int64)
+    quads[:, 0], quads[:, 1] = np.divmod(rest // 10**8, 10**4)
+    quads[:, 2], quads[:, 3] = np.divmod(rest % 10**8, 10**4)
+    stripped = np.empty(quads.shape, bool)
+    stripped[:, 3] = True
+    for k in (2, 1, 0):
+        stripped[:, k] = stripped[:, k + 1] & (quads[:, k + 1] == 0)
+    cells = np.empty((len(values), _CELL_WORDS), np.uint64)
+    cells[:, 0] = tables.lead[lead]
+    cells[:, 1:] = tables.quads[quads + 10000 * stripped]
+    point = (e10 < 0) | (rest % tables.ten[16 - np.maximum(e10, 0)] > 0)
+    cells |= tables.marks[(np.signbit(values) * 20 + e10 + 4) * 2 + point]
+    other = np.flatnonzero(~fixed)
+    if len(other):
+        text = np.array([format(x, ".17g") for x in values[other].tolist()], dtype="S40")
+        cells[other] = text.view(np.uint64).reshape(-1, _CELL_WORDS)
+    return cells
+
+
+def csv_floats(values) -> np.ndarray:
+    """Each value at 17 significant digits, the number format of every CSV.
+
+    Returns ``format(x, ".17g")`` of every entry as bytes, in an ``S24``
+    array of the shape of ``values``.  The CSV writers join the same cells
+    that this strips and splits.
+    """
+    values = np.asarray(values, dtype=float)
+    cells = _csv_cells(values.ravel())
+    cells[:, -1] |= _word("\0" * 7 + "\n")
+    lines = cells.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    return np.array(lines, dtype="S24").reshape(values.shape)
+
+
+def _word(text: str) -> np.uint64:
+    """Up to 8 ASCII characters as one NUL-padded word."""
+    return np.frombuffer(text.encode().ljust(8, b"\0"), np.uint64)[0]
+
+
+def _write_lines(
+    file: TextIO, columns: Sequence[np.ndarray], order: np.ndarray | None = None, label: str = ""
+) -> None:
+    """One line per row: ``label,`` when a label is given, then the row's
+    entry of each float column at 17 significant digits, comma-separated.
+
+    Rows go in ``order``, or as stored when it is None, in blocks of
+    ``_CSV_BLOCK``.  Each block is gathered, formatted, joined and written
+    at once, so no temporary outgrows a block.
+    """
+    ends = np.full(len(columns), _word("\0" * 7 + ","))
+    ends[-1] = _word("\0" * 7 + "\n")
+    count = len(columns[0]) if order is None else len(order)
+    for start in range(0, count, _CSV_BLOCK):
+        stop = start + _CSV_BLOCK
+        rows = slice(start, stop) if order is None else order[start:stop]
+        values = np.stack([column[rows] for column in columns], axis=1, dtype=float)
+        cells = _csv_cells(values.ravel()).reshape(len(values), len(columns), _CELL_WORDS)
+        cells[:, :, -1] |= ends
+        lines = cells.reshape(len(values), -1)
+        if label:
+            lines = np.concatenate([np.full((len(lines), 1), _word(label + ",")), lines], axis=1)
+        file.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def write_csv(file: TextIO, header: str, *columns: np.ndarray) -> None:
+    """The header line, then one line per row of the float columns."""
     file.write(header + "\n")
-    rows = iter(rows)
-    while block := list(islice(rows, _CSV_BLOCK)):
-        file.write("\n".join(map(",".join, block)) + "\n")
-
-
-def _distinct_csv_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(strings, at): the :func:`csv_floats` string of each distinct value of
-    a float64 column, formatted once, and where each value's string is.
-
-    ``strings[at]`` is the column's strings.  Values are told apart by
-    their bits, so 0.0 and -0.0 keep the distinct strings "0" and "-0".
-    """
-    bits, at = np.unique(values.view(np.int64), return_inverse=True)
-    strings = np.array(list(csv_floats(bits.view(np.float64).tolist())), dtype=object)
-    return strings, at
+    _write_lines(file, columns)
 
 
 def write_boundary_csv(file: TextIO, boundary: Boundary) -> None:
     """Rows 'branch,phi,theta,chsh,kcbs': the plus branch in ``plus_order``,
-    then the minus branch in ``minus_order``.
-
-    Each distinct value of a column is formatted once, so when both arms
-    share their thetas (every even sample count) the theta and kcbs
-    strings are made for one arm only.  The theta, phi and kcbs strings
-    serve both branches.  The minus branch's chsh strings are the plus
-    strings with the leading "-" added or removed: ``.17g`` prints -x as
-    x with the sign flipped, 0.0 and -0.0 included.
+    then the minus branch, its chsh formatted from ``-chsh``, in
+    ``minus_order``.
     """
-    phi, theta, (plus, chsh_at), kcbs = (
-        _distinct_csv_floats(c)
-        for c in (boundary.phi, boundary.theta, boundary.chsh, boundary.kcbs)
-    )
-    minus = np.array([s[1:] if s[0] == "-" else "-" + s for s in plus.tolist()], dtype=object)
-    rows = chain.from_iterable(
-        zip(
-            repeat(branch),
-            *(strings[at[order]].tolist() for strings, at in (phi, theta, chsh, kcbs)),
-        )
-        for branch, order, chsh in (
-            ("plus", boundary.plus_order, (plus, chsh_at)),
-            ("minus", boundary.minus_order, (minus, chsh_at)),
-        )
-    )
-    write_csv(file, BOUNDARY_HEADER, rows)
+    file.write(BOUNDARY_HEADER + "\n")
+    for branch, order, chsh in (
+        ("plus", boundary.plus_order, boundary.chsh),
+        ("minus", boundary.minus_order, -boundary.chsh),
+    ):
+        _write_lines(file, (boundary.phi, boundary.theta, chsh, boundary.kcbs), order, branch)
 
 
 def write_point_csv(file: TextIO, point: RegionPoint) -> None:
     """The one-row boundary CSV of a single point, such as the touching point."""
-    numbers = csv_floats((point.phi, point.theta, point.chsh, point.kcbs))
-    write_csv(file, BOUNDARY_HEADER, [(point.branch, *numbers)])
+    file.write(BOUNDARY_HEADER + "\n")
+    numbers = [np.array([x]) for x in (point.phi, point.theta, point.chsh, point.kcbs)]
+    _write_lines(file, numbers, label=point.branch)

@@ -1,8 +1,13 @@
 import io
 import math
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndmonogamy import cli, region, verify
 from ndmonogamy.classical import CHSH_ND_BOUND, MONOGAMY_BOUND
@@ -20,6 +25,7 @@ from ndmonogamy.region import (
     boundary_state,
     boundary_theta,
     closed_form_agreement_gap,
+    csv_floats,
     expectation_M,
     expectation_N,
     frame_state,
@@ -463,6 +469,79 @@ class TestBoundarySequence:
             Boundary(theta=[0.1, 0.2], phi=[1.0], chsh=[0.0, 0.0], kcbs=[-3.0, -3.0])
 
 
+def assert_formats_as_17g(values) -> None:
+    """csv_floats(values) holds format(x, ".17g") of every entry, as bytes."""
+    values = np.asarray(values, dtype=float)
+    strings = csv_floats(values)
+    assert strings.shape == values.shape
+    mismatches = [
+        (x, got, want)
+        for x, got, want in zip(
+            values.ravel().tolist(),
+            strings.ravel().tolist(),
+            (format(x, ".17g").encode() for x in values.ravel().tolist()),
+        )
+        if got != want
+    ]
+    assert mismatches[:5] == []
+
+
+def dyadic_ties(per_exponent: int, seed: int) -> np.ndarray:
+    """Values k / 2**(17 - e) with odd k and 10**e <= x < 10**(e + 1), for
+    e = -4..15.  Each has exactly 18 significant digits, the last a 5, so
+    rounding it to 17 digits is an exact tie."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for e in range(-4, 16):
+        scale = 2 ** (17 - e)
+        lo = math.ceil(Fraction(10) ** e * scale)
+        hi = min(math.ceil(Fraction(10) ** (e + 1) * scale), 2**53)
+        odd = rng.integers(lo // 2, hi // 2, per_exponent) * 2 + 1
+        values.append(np.ldexp(odd.astype(float), e - 17))
+    return np.concatenate(values)
+
+
+class TestCsvFloats:
+    def test_powers_of_ten_and_twenty_ulps_around(self):
+        powers = np.array([float(f"1e{e}") for e in range(-330, 309)])
+        bits = powers.view(np.int64)[:, None] + np.arange(-20, 21)
+        values = bits[bits >= 0].view(np.float64)
+        assert_formats_as_17g(np.concatenate([values, -values]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20260)
+        assert_formats_as_17g(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64))
+
+    def test_log_uniform_values_across_the_fixed_window(self):
+        rng = np.random.default_rng(20261)
+        values = 10.0 ** rng.uniform(-7.0, 18.0, 200000)
+        assert_formats_as_17g(values * rng.choice([-1.0, 1.0], len(values)))
+
+    def test_exact_ties_round_half_to_even(self):
+        values = dyadic_ties(2000, seed=20262)
+        for x in values[::97].tolist():
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, x
+        assert_formats_as_17g(np.concatenate([values, -values]))
+
+    def test_window_edges_zeros_subnormals_and_non_finite(self):
+        edges = np.array([1e-4, 1e16])
+        bits = edges.view(np.int64)[:, None] + np.arange(-3, 4)
+        special = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e-310, math.inf, -math.inf, math.nan]
+        values = np.concatenate([bits.view(np.float64).ravel(), special])
+        assert_formats_as_17g(np.concatenate([values, -values]))
+
+    def test_keeps_the_shape_of_its_input(self):
+        strings = csv_floats([[1.0, -0.5], [0.0, 1e-5]])
+        assert strings.dtype == np.dtype("S24")
+        assert strings.tolist() == [[b"1", b"-0.5"], [b"0", b"1.0000000000000001e-05"]]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_double(self, x):
+        assert csv_floats([x])[0] == format(x, ".17g").encode()
+
+
 class TestRegionExport:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 60, 101])
     def test_cli_files_match_per_point_build(self, n, tmp_path, capsys):
@@ -507,28 +586,25 @@ class TestRegionExport:
         for name, column in zip(COLUMNS, list(zip(*rows))[1:]):
             assert {"0", "-0"} <= set(column), name
 
-    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
-        formatted = []
-        real_csv_floats = region.csv_floats
+    def test_writer_memory_stays_at_block_size(self):
+        # formatting whole columns at once would peak near 40 MB here
+        class CharCounter:
+            count = 0
 
-        def counting(values):
-            values = list(values)
-            formatted.extend(values)
-            return real_csv_floats(values)
+            def write(self, text):
+                self.count += len(text)
+                return len(text)
 
-        monkeypatch.setattr(region, "csv_floats", counting)
-        boundary = sample_boundary(1000)
-        assert boundary_csv(boundary) == per_point_csv(boundary_columns(boundary))
-        distinct = [
-            len(set(map(float.hex, c.tolist())))
-            for c in (boundary.phi, boundary.theta, boundary.chsh, boundary.kcbs)
-        ]
-        # both arms share the 500 grid thetas, so theta and kcbs have 500
-        # values each; phi = pi ends the lower arm and starts the upper, and
-        # chsh = g1 starts both, so those have 999.  Formatting every column
-        # of both branches would take 5000.
-        assert distinct == [999, 500, 999, 500]
-        assert len(formatted) == sum(distinct) == 2998
+        boundary = sample_boundary(100000)
+        sink = CharCounter()
+        tracemalloc.start()
+        try:
+            write_boundary_csv(sink, boundary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.count == 16737057
+        assert peak < 12e6
 
     def test_rows_are_written_in_blocks(self, monkeypatch):
         monkeypatch.setattr(region, "_CSV_BLOCK", 3)
@@ -543,7 +619,8 @@ class TestRegionExport:
         boundary = sample_boundary(7)
         write_boundary_csv(file, boundary)
         assert file.getvalue() == per_point_csv(boundary_columns(boundary))
-        assert [text.count("\n") for text in writes] == [1, 3, 3, 3, 3, 2]
+        # the header, then each branch's 7 rows in blocks of at most 3
+        assert [text.count("\n") for text in writes] == [1, 3, 3, 1, 3, 3, 1]
 
 
 class TestTouchingPoint:
