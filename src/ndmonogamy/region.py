@@ -612,9 +612,9 @@ class _FormatTables(NamedTuple):
     marks: np.ndarray  # sign, "0.000", point and integer zeros, by (sign, e10 + 4, point)
 
 
-def _words(cell_bytes) -> np.ndarray:
+def _as_words(byte_rows) -> np.ndarray:
     """Rows of 8k bytes read as k native uint64 words."""
-    return np.ascontiguousarray(cell_bytes, dtype=np.uint8).view(np.uint64)
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint64)
 
 
 @lru_cache(maxsize=None)
@@ -645,9 +645,9 @@ def _format_tables() -> _FormatTables:
         pow10=pow10,
         pow10_hi=split - (split - pow10),
         ten=10 ** np.arange(17),
-        lead=_words(lead).ravel(),
-        quads=_words(quads).ravel(),
-        marks=_words(marks.reshape(-1, 8 * _CELL_WORDS)),
+        lead=_as_words(lead).ravel(),
+        quads=_as_words(quads).ravel(),
+        marks=_as_words(marks.reshape(-1, 8 * _CELL_WORDS)),
     )
 
 
@@ -724,14 +724,19 @@ def csv_floats(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     cells = _csv_cells(values.ravel())
-    cells[:, -1] |= _word("\0" * 7 + "\n")
+    cells[:, -1] |= _cell_end("\n")
     lines = cells.tobytes().translate(None, b"\0").split(b"\n")[:-1]
     return np.array(lines, dtype="S24").reshape(values.shape)
 
 
-def _word(text: str) -> np.uint64:
+def _ascii_word(text: str) -> np.uint64:
     """Up to 8 ASCII characters as one NUL-padded word."""
     return np.frombuffer(text.encode().ljust(8, b"\0"), np.uint64)[0]
+
+
+def _cell_end(char: str) -> np.uint64:
+    """The word that puts ``char`` in byte 39, the free last byte of a cell."""
+    return _ascii_word("\0" * 7 + char)
 
 
 def _write_lines(
@@ -744,8 +749,8 @@ def _write_lines(
     ``_CSV_BLOCK``.  Each block is gathered, formatted, joined and written
     at once, so no temporary outgrows a block.
     """
-    ends = np.full(len(columns), _word("\0" * 7 + ","))
-    ends[-1] = _word("\0" * 7 + "\n")
+    ends = np.full(len(columns), _cell_end(","))
+    ends[-1] = _cell_end("\n")
     count = len(columns[0]) if order is None else len(order)
     for start in range(0, count, _CSV_BLOCK):
         stop = start + _CSV_BLOCK
@@ -755,7 +760,8 @@ def _write_lines(
         cells[:, :, -1] |= ends
         lines = cells.reshape(len(values), -1)
         if label:
-            lines = np.concatenate([np.full((len(lines), 1), _word(label + ",")), lines], axis=1)
+            prefix = np.full((len(lines), 1), _ascii_word(label + ","))
+            lines = np.concatenate([prefix, lines], axis=1)
         file.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
 
