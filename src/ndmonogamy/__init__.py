@@ -7,7 +7,8 @@ Library layout:
 - :mod:`ndmonogamy.classical` - deterministic assignments and exhaustive
   hidden-variable bounds.
 - :mod:`ndmonogamy.nodisturbance` - joint-distribution constructions,
-  LP bounds over the behavior polytope, monogamy certificates.
+  exact no-disturbance bound certificates, monogamy certificates, and
+  the LP over the behavior polytope (``nd_optimum``, which needs scipy).
 - :mod:`ndmonogamy.quantum` - qutrit-qubit operators, spectra, block
   structure, Born-rule behaviors.
 - :mod:`ndmonogamy.region` - the quantum (chsh, kcbs) region, its

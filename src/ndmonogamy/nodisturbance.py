@@ -5,10 +5,10 @@ into explicit joint distributions over larger measurement sets by
 conditional product formulas.  The existence of those joints forces the
 pentagon-shaped and Bell-shaped parts of any kcbs+chsh split back to
 their classical bounds (-3 and -2), which is the monogamy relation
-``kcbs + chsh >= -5``.  This module builds the joints, verifies them,
-and independently computes all bounds as linear programs over the
-80-dimensional behavior polytope; committed exact certificates prove the
-same bounds without an LP.
+``kcbs + chsh >= -5``.  This module builds the joints and verifies them.
+Committed exact certificates prove every no-disturbance bound with no LP;
+:func:`nd_optimum`, the LP over the 80-dimensional behavior polytope that
+found them, is the one function here that needs scipy.
 """
 
 from __future__ import annotations
@@ -287,8 +287,8 @@ def expression_vector(expr: LinearExpression, scenario: Scenario = CANONICAL) ->
 def linprog(*args, **kwargs):
     """:func:`scipy.optimize.linprog`, imported on the first call.
 
-    Only the LP route needs scipy, so importing the package, sampling the
-    region or running the Born rule never loads it.
+    Only :func:`nd_optimum` needs scipy (``pip install scipy``), so no
+    command, and no other function of the package, loads it.
     """
     from scipy.optimize import linprog
 
@@ -305,7 +305,11 @@ def nd_optimum(
     sense: str = "min",
     scenario: Scenario = CANONICAL,
 ) -> NdOptimum:
-    """Exact LP optimum of ``expr`` over the no-disturbance polytope."""
+    """HiGHS's float optimum of ``expr`` over the no-disturbance polytope.
+
+    Needs scipy.  It can miss the last bit (-4.999999999999999 for
+    kcbs+chsh); :func:`certified_nd_minimum` gives the exact bound.
+    """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     A_eq, b_eq = nd_equality_system(scenario)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndmonogamy import cli, nodisturbance, verify
+from ndmonogamy import classical, cli, nodisturbance, verify
 from ndmonogamy.classical import (
     BOUNDS,
     c1_expression,
@@ -339,14 +339,37 @@ class TestCertificates:
         assert "Traceback" not in err
         result = verify.check_nd_lp_bounds()
         assert not result.passed
-        assert result.detail.startswith("worst LP gap ")
-        assert "kcbs+chsh: no-disturbance certificate fails" in result.detail
+        # the certificate route fails alone; the lower bounds still agree
+        assert result.detail.startswith("kcbs+chsh: no-disturbance certificate fails: ")
+        assert "lower bound" not in result.detail
 
     def test_verify_detail_on_a_passing_run(self):
         result = verify.check_nd_lp_bounds()
         assert result.passed
-        assert result.detail.startswith("worst LP gap ")
-        assert "," not in result.detail
+        assert result.detail == "13 certificates exact and lower bounds equal"
+
+    @pytest.mark.parametrize(
+        "name, nd, bound",
+        [
+            ("kcbs", -4.0, -5.0),  # the algebraic bound
+            ("c1[1]", -4.0, -3.0),  # enumeration
+            ("c1[1]", -5.0, -3.0),  # equals -sum|coeff|, so no branch may be chosen by value
+            ("kcbs+chsh", -4.5, -5.0),  # the split
+        ],
+    )
+    def test_lower_bound_route_fails_on_its_own(self, monkeypatch, name, nd, bound):
+        monkeypatch.setattr(nodisturbance, "certified_nd_minimum", lambda row: row.nd)
+        rows = tuple(row._replace(nd=nd) if row.name == name else row for row in BOUNDS)
+        monkeypatch.setattr(classical, "BOUNDS", rows)
+        result = verify.check_nd_lp_bounds()
+        assert not result.passed
+        assert result.detail == f"lower bound mismatches {{{name!r}: {bound!r}}}"
+
+    def test_split_that_is_not_the_sum_fails(self, monkeypatch):
+        monkeypatch.setattr(classical, "monogamy_expression", lambda: classical.kcbs_expression())
+        result = verify.check_nd_lp_bounds()
+        assert not result.passed
+        assert result.detail == "c1[5] + c2[5] is not kcbs+chsh"
 
 
 class TestSampling:
@@ -695,7 +718,7 @@ SCIPY_FREE_SCRIPT = textwrap.dedent(
 
     import ndmonogamy
     assert not scipy_modules(), "import ndmonogamy"
-    from ndmonogamy import cli, classical, nodisturbance, quantum, region, verify
+    from ndmonogamy import cli, classical, nodisturbance, quantum, region
     from ndmonogamy.scenario import Behavior, check_no_disturbance, chsh_value, kcbs_value
 
     with contextlib.redirect_stdout(io.StringIO()):
@@ -711,11 +734,11 @@ SCIPY_FREE_SCRIPT = textwrap.dedent(
         assert cli.main(["bounds"]) == 0
         assert cli.main(["bounds", "--format", "json"]) == 0
     assert not scipy_modules(), "bounds"
-    if sys.argv[2] == "verify":
-        assert verify.check_nd_lp_bounds().passed
-    else:
-        print(nodisturbance.nd_optimum(classical.kcbs_expression()).value)
-    assert scipy_modules(), sys.argv[2]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--samples", "1000"]) == 0
+    assert not scipy_modules(), "verify"
+    print(nodisturbance.nd_optimum(classical.kcbs_expression()).value)
+    assert scipy_modules(), "nd_optimum"
     """
 )
 
@@ -723,14 +746,12 @@ SCIPY_FREE_SCRIPT = textwrap.dedent(
 def test_scipy_is_loaded_by_the_first_lp_only(tmp_path):
     src = str(Path(nodisturbance.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for lp_route in ("nd_optimum", "verify"):
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path / lp_route), lp_route],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        if lp_route == "nd_optimum":
-            assert float(proc.stdout) == pytest.approx(-5.0, abs=1e-9)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path / "region")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(-5.0, abs=1e-9)
