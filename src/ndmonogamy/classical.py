@@ -30,14 +30,12 @@ from .scenario import (
     KCBS_TERMS,
     OUTCOME_TRIPLES,
     Behavior,
-    Scenario,
     alice,
     bob,
     chsh_terms,
+    number_type,
 )
 
-# classical_bound holds all 2^n assignments at once: about 22 MB at n = 20
-MAX_ENUMERATION_BITS = 20
 MAX_CYCLE = 20
 
 PIVOTS = (1, 2, 3, 4, 5)
@@ -79,7 +77,9 @@ class DeterministicAssignment:
 class LinearExpression:
     """A linear combination of outcome-product correlators.
 
-    ``terms`` is a sequence of (coefficient, measurement-id subset).
+    ``terms`` is a sequence of (coefficient, measurement-id subset): a
+    finite real coefficient (not bool, str or complex) and a nonempty
+    tuple of measurement-id strings.
     """
 
     terms: tuple[tuple[float, tuple[str, ...]], ...]
@@ -87,8 +87,13 @@ class LinearExpression:
 
     def __post_init__(self) -> None:
         for coeff, subset in self.terms:
+            if not (isinstance(subset, tuple) and all(isinstance(m, str) for m in subset)):
+                raise ValueError(f"a subset must be a tuple of measurement ids, got {subset!r}")
             if not subset:
                 raise ValueError("each term needs a nonempty subset")
+            kind = type(coeff)
+            if not number_type(kind) or issubclass(kind, (complex, np.complexfloating)):
+                raise ValueError(f"a coefficient must be a real number, got {kind.__name__}")
             if not np.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff}")
 
@@ -194,19 +199,12 @@ BOUNDS: tuple[BoundRow, ...] = (
 )
 
 
-def enumerate_assignments(
-    scenario: Scenario = CANONICAL,
-) -> Iterator[DeterministicAssignment]:
-    """All 2^n deterministic assignments, lexicographic, -1 before +1.
+def enumerate_assignments() -> Iterator[DeterministicAssignment]:
+    """All 128 deterministic assignments, lexicographic, -1 before +1.
 
     The first measurement in scenario order is most significant.
     """
-    ids = scenario.measurement_ids
-    if len(ids) > MAX_ENUMERATION_BITS:
-        raise TooLarge(
-            f"{len(ids)} measurements exceed the {MAX_ENUMERATION_BITS}-bit "
-            "enumeration limit"
-        )
+    ids = CANONICAL.measurement_ids
     for outcomes in itertools.product((-1, +1), repeat=len(ids)):
         yield DeterministicAssignment(ids, outcomes)
 
@@ -217,9 +215,7 @@ class ClassicalBound(NamedTuple):
     argmin: DeterministicAssignment
 
 
-def classical_bound(
-    expr: LinearExpression, scenario: Scenario = CANONICAL
-) -> ClassicalBound:
+def classical_bound(expr: LinearExpression) -> ClassicalBound:
     """Exact hidden-variable extrema of ``expr`` by full enumeration.
 
     All 2^n assignments are evaluated as one array: assignment ``k`` gives
@@ -231,17 +227,13 @@ def classical_bound(
     broken by the first assignment in lexicographic order, so results are
     reproducible.
     """
-    ids = scenario.measurement_ids
+    ids = CANONICAL.measurement_ids
     known = set(ids)
     for _, subset in expr.terms:
         unknown = set(subset) - known
         if unknown:
             raise ValueError(f"expression references unknown measurements {unknown}")
     n = len(ids)
-    if n > MAX_ENUMERATION_BITS:
-        raise TooLarge(
-            f"{n} measurements exceed the {MAX_ENUMERATION_BITS}-bit enumeration limit"
-        )
     bit = {m: 1 << (n - 1 - j) for j, m in enumerate(ids)}
     patterns = np.arange(1 << n, dtype=np.uint32)
     values = np.zeros(1 << n)
@@ -276,12 +268,10 @@ def cycle_bound(n: int) -> float:
     return float((n - 2 * disagreements).min())
 
 
-def behavior_from_assignment(
-    assignment: DeterministicAssignment, scenario: Scenario = CANONICAL
-) -> Behavior:
+def behavior_from_assignment(assignment: DeterministicAssignment) -> Behavior:
     """The deterministic behavior: each context table is a point mass."""
-    probs = np.zeros((len(scenario.contexts), 8))
-    for c_idx, context in enumerate(scenario.contexts):
+    probs = np.zeros((len(CANONICAL.contexts), 8))
+    for c_idx, context in enumerate(CANONICAL.contexts):
         triple = tuple(assignment.value(m) for m in context.members)
         probs[c_idx, OUTCOME_TRIPLES.index(triple)] = 1.0
-    return Behavior(scenario, probs)
+    return Behavior(probs)

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--samples", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=region.POINTWISE_SLACK)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the JSON summary to a file")
     p_verify.add_argument(

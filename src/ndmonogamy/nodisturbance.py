@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -34,7 +35,6 @@ from .scenario import (
     KCBS_TERMS,
     OUTCOMES,
     Behavior,
-    Scenario,
     alice,
     bob,
     chsh_terms,
@@ -131,8 +131,8 @@ def joint_correlator_many(
     return np.cumsum(marginals * signs, axis=1)[:, -1]
 
 
-def _nd_tables(probs: np.ndarray, tol: float, scenario: Scenario) -> np.ndarray:
-    """``probs`` as an (n, n_contexts, 8) array, every row no-disturbance at ``tol``.
+def _nd_tables(probs: np.ndarray, tol: float) -> np.ndarray:
+    """``probs`` as an (n, 10, 8) array, every row no-disturbance at ``tol``.
 
     One matrix product with the marginal-agreement rows checks the whole
     stack; the first offending row raises :class:`NotNoDisturbance`
@@ -140,10 +140,10 @@ def _nd_tables(probs: np.ndarray, tol: float, scenario: Scenario) -> np.ndarray:
     """
     require_tolerance(tol)
     probs = np.asarray(probs, dtype=float)
-    shape = (len(scenario.contexts), 8)
+    shape = (len(CANONICAL.contexts), 8)
     if probs.ndim != 3 or probs.shape[1:] != shape:
         raise ValueError(f"need an (n, {shape[0]}, 8) table stack, got {probs.shape}")
-    matrix, _ = marginal_constraint_rows(scenario)
+    matrix, _ = marginal_constraint_rows()
     gaps = np.abs(probs.reshape(-1, matrix.shape[1]) @ matrix.T).max(axis=1)
     bad = np.flatnonzero(~(gaps <= tol))
     if bad.size:
@@ -152,17 +152,15 @@ def _nd_tables(probs: np.ndarray, tol: float, scenario: Scenario) -> np.ndarray:
         raise NotNoDisturbance(
             f"behavior {where}violates no-disturbance (worst marginal gap "
             f"{gaps[k]:.3e} at tolerance {tol:.1e})",
-            nd_violations(probs[k], tol, scenario),
+            nd_violations(probs[k], tol),
         )
     return probs
 
 
-def _context_arrays(
-    probs: np.ndarray, scenario: Scenario, members: tuple[str, str, str]
-) -> np.ndarray:
+def _context_arrays(probs: np.ndarray, members: tuple[str, str, str]) -> np.ndarray:
     """Stacked tables of the context containing ``members``, axes in ``members`` order."""
-    context = scenario.canonical_context(members)
-    tables = probs[:, scenario.context_index(context)].reshape(-1, 2, 2, 2)
+    context = CANONICAL.canonical_context(members)
+    tables = probs[:, CANONICAL.context_index(context)].reshape(-1, 2, 2, 2)
     return np.transpose(tables, [0] + [1 + context.position(m) for m in members])
 
 
@@ -174,19 +172,19 @@ def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def fine_join_c1_many(
-    probs: np.ndarray, pivot: int, tol: float = ND_TOL, scenario: Scenario = CANONICAL
+    probs: np.ndarray, pivot: int, tol: float = ND_TOL
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`fine_join_c1` of every row of an (n, n_contexts, 8) table stack.
+    """:func:`fine_join_c1` of every row of an (n, 10, 8) table stack.
 
     Returns the joint's variables and the (n, 32) stack of joint tables.
     Raises :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``tol``.
     """
-    probs = _nd_tables(probs, tol, scenario)
+    probs = _nd_tables(probs, tol)
     i = pivot
-    t_a = _context_arrays(probs, scenario, (alice(i + 1), alice(i + 2), bob(1)))
-    t_b = _context_arrays(probs, scenario, (alice(i + 2), alice(i - 2), bob(1)))
-    t_c = _context_arrays(probs, scenario, (alice(i - 2), alice(i - 1), bob(1)))
+    t_a = _context_arrays(probs, (alice(i + 1), alice(i + 2), bob(1)))
+    t_b = _context_arrays(probs, (alice(i + 2), alice(i - 2), bob(1)))
+    t_c = _context_arrays(probs, (alice(i - 2), alice(i - 1), bob(1)))
     den_a = t_b.sum(axis=2)  # p(a_{i+2}, b1)
     den_b = t_c.sum(axis=2)  # p(a_{i-2}, b1)
     # joint[n, a+1, a+2, a-1, a-2, b1]
@@ -207,23 +205,23 @@ def fine_join_c1(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
     vanishes are zero (their numerators vanish too) and the remaining
     entries still sum to one, so no renormalization is applied.
     """
-    variables, joints = fine_join_c1_many(behavior.probs[None], pivot, tol, behavior.scenario)
+    variables, joints = fine_join_c1_many(behavior.probs[None], pivot, tol)
     return JointDistribution(variables, joints[0])
 
 
 def fine_join_c2_many(
-    probs: np.ndarray, pivot: int, tol: float = ND_TOL, scenario: Scenario = CANONICAL
+    probs: np.ndarray, pivot: int, tol: float = ND_TOL
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`fine_join_c2` of every row of an (n, n_contexts, 8) table stack.
+    """:func:`fine_join_c2` of every row of an (n, 10, 8) table stack.
 
     Returns the joint's variables and the (n, 16) stack of joint tables.
     Raises :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``tol``.
     """
-    probs = _nd_tables(probs, tol, scenario)
+    probs = _nd_tables(probs, tol)
     i = pivot
-    t_prev = _context_arrays(probs, scenario, (alice(i - 1), alice(i), bob(2)))
-    t_next = _context_arrays(probs, scenario, (alice(i), alice(i + 1), bob(2)))
+    t_prev = _context_arrays(probs, (alice(i - 1), alice(i), bob(2)))
+    t_next = _context_arrays(probs, (alice(i), alice(i + 1), bob(2)))
     den = t_next.sum(axis=2)  # p(a_i, b2)
     # joint[n, a-1, a_i, a+1, b2]
     num = np.einsum("nmib,nipb->nmipb", t_prev, t_next)
@@ -240,7 +238,7 @@ def fine_join_c2(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
     (A_{i+1}, B2) recovers p(a_{i-1}, a_i); over (A_{i-1}, B2) recovers
     p(a_i, a_{i+1}).  Same zero-denominator rule as the pentagon joint.
     """
-    variables, joints = fine_join_c2_many(behavior.probs[None], pivot, tol, behavior.scenario)
+    variables, joints = fine_join_c2_many(behavior.probs[None], pivot, tol)
     return JointDistribution(variables, joints[0])
 
 
@@ -250,36 +248,36 @@ def fine_join_c2(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
 
 
 @lru_cache(maxsize=None)
-def nd_equality_system(scenario: Scenario = CANONICAL) -> tuple[np.ndarray, np.ndarray]:
+def nd_equality_system() -> tuple[np.ndarray, np.ndarray]:
     """Equality constraints A x = b of the no-disturbance polytope.
 
-    Variables are the stacked context tables (n_contexts * 8).  Rows:
+    Variables are the stacked context tables (10 * 8).  Rows:
     one normalization per context, then agreement of every shared
     marginal between consecutive containing contexts.  Some rows are
     redundant (singleton ties follow from pair ties); the LP solver's
     presolve handles that, and the explicit form mirrors the definition.
     """
-    n = len(scenario.contexts) * 8
-    normalization = np.zeros((len(scenario.contexts), n))
-    for c_idx in range(len(scenario.contexts)):
+    n_contexts = len(CANONICAL.contexts)
+    normalization = np.zeros((n_contexts, n_contexts * 8))
+    for c_idx in range(n_contexts):
         normalization[c_idx, 8 * c_idx : 8 * c_idx + 8] = 1.0
-    marginal_rows, _ = marginal_constraint_rows(scenario)
+    marginal_rows, _ = marginal_constraint_rows()
     matrix = np.vstack([normalization, marginal_rows])
-    rhs = np.concatenate([np.ones(len(scenario.contexts)), np.zeros(len(marginal_rows))])
+    rhs = np.concatenate([np.ones(n_contexts), np.zeros(len(marginal_rows))])
     matrix.setflags(write=False)
     rhs.setflags(write=False)
     return matrix, rhs
 
 
-def expression_vector(expr: LinearExpression, scenario: Scenario = CANONICAL) -> np.ndarray:
+def expression_vector(expr: LinearExpression) -> np.ndarray:
     """Vector c with c @ x = expression value on the stacked tables x.
 
     Each term is evaluated in its first containing context; on the
     no-disturbance polytope the choice does not matter.
     """
-    c = np.zeros(len(scenario.contexts) * 8)
+    c = np.zeros(len(CANONICAL.contexts) * 8)
     for coeff, subset in expr.terms:
-        c_idx, signs = scenario.term(subset)
+        c_idx, signs = CANONICAL.term(subset)
         c[8 * c_idx : 8 * c_idx + 8] += coeff * signs
     return c
 
@@ -300,11 +298,7 @@ class NdOptimum(NamedTuple):
     witness: Behavior
 
 
-def nd_optimum(
-    expr: LinearExpression,
-    sense: str = "min",
-    scenario: Scenario = CANONICAL,
-) -> NdOptimum:
+def nd_optimum(expr: LinearExpression, sense: str = "min") -> NdOptimum:
     """HiGHS's float optimum of ``expr`` over the no-disturbance polytope.
 
     Needs scipy.  It can miss the last bit (-4.999999999999999 for
@@ -312,13 +306,13 @@ def nd_optimum(
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    A_eq, b_eq = nd_equality_system(scenario)
-    c = expression_vector(expr, scenario)
+    A_eq, b_eq = nd_equality_system()
+    c = expression_vector(expr)
     sign = 1.0 if sense == "min" else -1.0
     result = linprog(sign * c, A_eq=A_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
     if not result.success:
         raise Infeasible(f"LP failed unexpectedly: {result.message}")
-    witness = Behavior(scenario, result.x.reshape(-1, 8), validation_tol=1e-7)
+    witness = Behavior(result.x.reshape(-1, 8), validation_tol=1e-7)
     return NdOptimum(float(sign * result.fun), witness)
 
 
@@ -468,14 +462,14 @@ def certified_nd_minimum(row: BoundRow) -> float:
 
 
 @lru_cache(maxsize=None)
-def _projector(scenario: Scenario = CANONICAL) -> tuple[np.ndarray, np.ndarray]:
+def _projector() -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis Q of the constraint row space and a feasible point."""
-    A_eq, _ = nd_equality_system(scenario)
+    A_eq, _ = nd_equality_system()
     _, singulars, vt = np.linalg.svd(A_eq, full_matrices=False)
     rank = int((singulars > singulars[0] * 1e-12).sum())
     q = np.ascontiguousarray(vt[:rank].T)
     q.setflags(write=False)
-    uniform = np.full(len(scenario.contexts) * 8, 1 / 8)
+    uniform = np.full(len(CANONICAL.contexts) * 8, 1 / 8)
     uniform.setflags(write=False)
     return q, uniform
 
@@ -483,7 +477,6 @@ def _projector(scenario: Scenario = CANONICAL) -> tuple[np.ndarray, np.ndarray]:
 def sample_behavior_matrix(
     count: int,
     seed: int | np.random.Generator = 0,
-    scenario: Scenario = CANONICAL,
     method: str = "reject",
 ) -> np.ndarray:
     """``count`` random no-disturbance behaviors, stacked as rows.
@@ -503,8 +496,8 @@ def sample_behavior_matrix(
     if count < 0:
         raise ValueError(f"cannot sample a negative number of behaviors, got {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q, uniform = _projector(scenario)
-    n_ctx = len(scenario.contexts)
+    q, uniform = _projector()
+    n_ctx = len(CANONICAL.contexts)
     chunks = [np.empty((0, 8 * n_ctx))]
     total = 0
     while total < count:
@@ -530,13 +523,11 @@ def sample_behavior_matrix(
 
 
 def sample_behaviors(
-    count: int,
-    seed: int | np.random.Generator = 0,
-    scenario: Scenario = CANONICAL,
+    count: int, seed: int | np.random.Generator = 0
 ) -> list[Behavior]:
     """Random no-disturbance behaviors as :class:`Behavior` objects."""
-    rows = sample_behavior_matrix(count, seed, scenario)
-    return [Behavior(scenario, row.reshape(-1, 8)) for row in rows]
+    rows = sample_behavior_matrix(count, seed)
+    return [Behavior(row.reshape(-1, 8)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +537,11 @@ def sample_behaviors(
 
 @dataclass(frozen=True)
 class MonogamyReport:
-    """kcbs and per-pivot chsh values of a no-disturbance behavior."""
+    """kcbs and per-pivot chsh values of a no-disturbance behavior.
+
+    Every value must be finite: a NaN compares false against both
+    classical bounds, so it would read as no violation.
+    """
 
     kcbs: float
     chsh_by_pivot: dict[int, float]
@@ -554,6 +549,11 @@ class MonogamyReport:
 
     def __post_init__(self) -> None:
         require_tolerance(self.violation_tol)
+        if not math.isfinite(self.kcbs):
+            raise ValueError(f"kcbs must be finite, got {self.kcbs}")
+        for pivot, value in self.chsh_by_pivot.items():
+            if not math.isfinite(value):
+                raise ValueError(f"chsh_by_pivot[{pivot}] must be finite, got {value}")
 
     @property
     def sums_by_pivot(self) -> dict[int, float]:
@@ -591,17 +591,16 @@ def monogamy_certificate_many(
     probs: np.ndarray,
     tol: float = ND_TOL,
     violation_tol: float = 1e-9,
-    scenario: Scenario = CANONICAL,
 ) -> list[MonogamyReport]:
-    """:func:`monogamy_certificate` of every row of an (n, n_contexts, 8) table stack.
+    """:func:`monogamy_certificate` of every row of an (n, 10, 8) table stack.
 
     Raises :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``tol``.
     """
     require_tolerance(violation_tol)
-    probs = _nd_tables(probs, tol, scenario)
-    kcbs = expression_values(probs, KCBS_TERMS, scenario)
-    chsh = np.stack([expression_values(probs, chsh_terms(i), scenario) for i in PIVOTS], axis=-1)
+    probs = _nd_tables(probs, tol)
+    kcbs = expression_values(probs, KCBS_TERMS)
+    chsh = np.stack([expression_values(probs, chsh_terms(i)) for i in PIVOTS], axis=-1)
     return [
         MonogamyReport(float(k), dict(zip(PIVOTS, map(float, row))), violation_tol)
         for k, row in zip(kcbs, chsh)
@@ -616,6 +615,4 @@ def monogamy_certificate(
     For any behavior satisfying no-disturbance at ``tol``, at most one of
     the two inequalities can be violated (beyond ``violation_tol``).
     """
-    return monogamy_certificate_many(
-        behavior.probs[None], tol, violation_tol, behavior.scenario
-    )[0]
+    return monogamy_certificate_many(behavior.probs[None], tol, violation_tol)[0]

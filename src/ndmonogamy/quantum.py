@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import LinearExpression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
-from .scenario import CANONICAL, OUTCOMES, Behavior, Scenario, alice, bob
+from .scenario import CANONICAL, OUTCOMES, Behavior, alice, bob
 
 HERMITICITY_TOL = 1e-12
 
@@ -144,9 +144,7 @@ def chsh_operator() -> np.ndarray:
     )
 
 
-def expression_operator(
-    expr: LinearExpression, scenario: Scenario = CANONICAL
-) -> np.ndarray:
+def expression_operator(expr: LinearExpression) -> np.ndarray:
     """The 6-dim observable whose expectation equals the expression value.
 
     Every term's subset must be jointly measurable, so the per-term
@@ -154,7 +152,7 @@ def expression_operator(
     """
     total = np.zeros((6, 6), dtype=complex)
     for coeff, subset in expr.terms:
-        scenario.canonical_context(subset)  # raises SubsetNotMeasurable
+        CANONICAL.canonical_context(subset)  # raises SubsetNotMeasurable
         op = np.eye(6, dtype=complex)
         for m in subset:
             op = op @ observable_6d(m)
@@ -252,8 +250,8 @@ def block_decompose(
 
 
 @lru_cache(maxsize=None)
-def _context_projectors(scenario: Scenario = CANONICAL) -> np.ndarray:
-    """Read-only (n_contexts * 8, 6, 6) stack of the contexts' commuting projectors.
+def _context_projectors() -> np.ndarray:
+    """Read-only (10 * 8, 6, 6) stack of the contexts' commuting projectors.
 
     Row 8c + k is outcome k of context c, so the stacked expectation
     values reshape to the behavior tables.
@@ -269,7 +267,7 @@ def _context_projectors(scenario: Scenario = CANONICAL) -> np.ndarray:
     stack = np.stack(
         [
             np.kron(spectral[first][a] @ spectral[second][a2], spectral[third][o])
-            for first, second, third in (c.members for c in scenario.contexts)
+            for first, second, third in (c.members for c in CANONICAL.contexts)
             for a, a2, o in itertools.product(OUTCOMES, repeat=3)
         ]
     )
@@ -277,9 +275,7 @@ def _context_projectors(scenario: Scenario = CANONICAL) -> np.ndarray:
     return stack
 
 
-def behavior_from_state(
-    state: np.ndarray, scenario: Scenario = CANONICAL
-) -> Behavior:
+def behavior_from_state(state: np.ndarray) -> Behavior:
     """Born-rule behavior of a pure qutrit-qubit state.
 
     Each context's eight probabilities are expectation values of products
@@ -290,8 +286,8 @@ def behavior_from_state(
     psi = require_normalized(state)
     if psi.shape != (6,):
         raise NotNormalized(f"expected a 6-dim state, got shape {psi.shape}")
-    probs = np.einsum("i,kij,j->k", psi.conj(), _context_projectors(scenario), psi)
-    return Behavior(scenario, np.real(probs).reshape(-1, 8))
+    probs = np.einsum("i,kij,j->k", psi.conj(), _context_projectors(), psi)
+    return Behavior(np.real(probs).reshape(-1, 8))
 
 
 def random_states(

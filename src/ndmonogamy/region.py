@@ -58,6 +58,8 @@ from .quantum import (
 )
 from .scenario import require_tolerance
 
+#: tolerance granted to the pointwise monogamy bounds: boundary points, the
+#: random sweeps of ``verify`` and the default of ``verify --tol``
 POINTWISE_SLACK = 1e-9
 _EXTREMES_BLOCK = 4096  # thetas per stacked root solve in _phi_extremes_many
 

@@ -4,6 +4,9 @@ Alice holds five dichotomic measurements A1..A5, cyclically compatible
 (A_i with A_{i+1}, indices mod 5).  Bob holds two mutually incompatible
 dichotomic measurements B1, B2, each compatible with every A_i.  The
 maximal measurement contexts are the ten triples {A_i, A_{i+1}, B_j}.
+The package models this one scenario, built once as :data:`CANONICAL`:
+no function takes a scenario argument, and every ``Behavior`` holds the
+tables of its ten contexts.
 
 A ``Behavior`` assigns a probability distribution over the eight outcome
 triples of every context.  Pair and singleton marginals are always derived
@@ -93,19 +96,6 @@ class Scenario:
     measurements: tuple[Measurement, ...]
     contexts: tuple[Context, ...]
     _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash, computed once: every ``lru_cache`` keyed by a
-        scenario asks for it, and it recurses into every measurement and context."""
-        return hash((self.measurements, self.contexts))
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes, so an unpickled copy rehashes
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @property
     def measurement_ids(self) -> tuple[str, ...]:
@@ -213,7 +203,9 @@ def _validate_table(table: np.ndarray, label: str, tol: float) -> np.ndarray:
     return np.clip(table, 0.0, None)
 
 
-def _number_type(kind: type) -> bool:
+def number_type(kind: type) -> bool:
+    """Whether ``kind`` is a numeric type: int, float, complex or a numpy
+    number, but not bool, str or a container."""
     return kind is not bool and issubclass(kind, (int, float, complex, np.number))
 
 
@@ -231,11 +223,11 @@ def _require_numbers(probs, labels: Sequence[str]) -> None:
         kinds = set(map(type, itertools.chain.from_iterable(probs)))
     except TypeError:
         return  # not a sequence of rows: the shape check names it
-    if all(map(_number_type, kinds)):
+    if all(map(number_type, kinds)):
         return
     for label, row in zip(labels, probs):
         for entry in row:
-            if not _number_type(type(entry)):
+            if not number_type(type(entry)):
                 raise ValueError(
                     f"context {label}: entries must be numbers, got {type(entry).__name__}"
                 )
@@ -244,25 +236,24 @@ def _require_numbers(probs, labels: Sequence[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Probability tables over every context of a scenario.
+    """Probability tables over every context of :data:`CANONICAL`.
 
-    ``probs`` has shape (n_contexts, 8), rows in scenario context order,
+    ``probs`` has shape (10, 8), rows in scenario context order,
     columns in the lexicographic outcome order of ``OUTCOME_TRIPLES``.
     The array is read-only after construction; negative entries within
     the validation tolerance are clipped to exactly zero.
     """
 
-    scenario: Scenario
     probs: np.ndarray
     validation_tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        _require_numbers(self.probs, self.scenario.labels)
+        _require_numbers(self.probs, CANONICAL.labels)
         probs = np.asarray(self.probs)
         if np.iscomplexobj(probs):
             raise ValueError("behavior probabilities must be real, got a complex table")
         probs = probs.astype(float, copy=False)
-        expected = (len(self.scenario.contexts), 8)
+        expected = (len(CANONICAL.contexts), 8)
         if probs.shape != expected:
             raise ValueError(f"behavior table must have shape {expected}, got {probs.shape}")
         tol = self.validation_tol
@@ -271,7 +262,7 @@ class Behavior:
         # entries fail; then the per-row check raises with the label of the
         # first failing context
         if not (probs.min() >= -tol and np.abs(probs.sum(axis=1) - 1.0).max() <= tol):
-            for label, row in zip(self.scenario.labels, probs):
+            for label, row in zip(CANONICAL.labels, probs):
                 _validate_table(row, label, tol)
         probs = np.maximum(probs, 0.0)  # np.clip(probs, 0.0, None) into a new array
         probs.setflags(write=False)
@@ -281,28 +272,25 @@ class Behavior:
 
     @classmethod
     def from_tables(
-        cls,
-        tables: Mapping[str, Sequence[float]],
-        scenario: Scenario = CANONICAL,
-        tol: float = DEFAULT_TOL,
+        cls, tables: Mapping[str, Sequence[float]], tol: float = DEFAULT_TOL
     ) -> "Behavior":
         """Build from a mapping of each context label, and no other key, to its 8-entry table."""
-        labels = scenario.labels
+        labels = CANONICAL.labels
         missing = [label for label in labels if label not in tables]
         if missing:
             raise ValueError(f"missing context tables: {missing}")
         if len(tables) != len(labels):
             raise ValueError(f"unknown context labels: {[k for k in tables if k not in labels]}")
-        return cls(scenario, [tables[label] for label in labels], validation_tol=tol)
+        return cls([tables[label] for label in labels], validation_tol=tol)
 
     @classmethod
-    def uniform(cls, scenario: Scenario = CANONICAL) -> "Behavior":
-        return cls(scenario, np.full((len(scenario.contexts), 8), 1 / 8))
+    def uniform(cls) -> "Behavior":
+        return cls(np.full((len(CANONICAL.contexts), 8), 1 / 8))
 
     # -- access ------------------------------------------------------------
 
     def table(self, context: Context) -> np.ndarray:
-        return self.probs[self.scenario.context_index(context)]
+        return self.probs[CANONICAL.context_index(context)]
 
     def marginal(self, context: Context, assignment: Mapping[str, int]) -> float:
         """Probability of ``assignment`` (id -> outcome) within one context."""
@@ -312,11 +300,11 @@ class Behavior:
 
     def to_json(self) -> str:
         """JSON object keyed by context label, bit-exact round trip."""
-        return json.dumps(dict(zip(self.scenario.labels, self.probs.tolist())))
+        return json.dumps(dict(zip(CANONICAL.labels, self.probs.tolist())))
 
     @classmethod
-    def from_json(cls, text: str, scenario: Scenario = CANONICAL) -> "Behavior":
-        return cls.from_tables(json.loads(text), scenario)
+    def from_json(cls, text: str) -> "Behavior":
+        return cls.from_tables(json.loads(text))
 
 
 def _table_marginal(
@@ -360,25 +348,23 @@ class MarginalRowInfo(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def marginal_constraint_rows(
-    scenario: Scenario,
-) -> tuple[np.ndarray, tuple[MarginalRowInfo, ...]]:
+def marginal_constraint_rows() -> tuple[np.ndarray, tuple[MarginalRowInfo, ...]]:
     """Matrix R with R @ behavior.probs.ravel() = marginal disagreements.
 
     One row per shared subset, outcome assignment and consecutive pair of
     containing contexts; all rows vanish exactly on no-disturbance
     behaviors.
     """
-    n = len(scenario.contexts) * 8
+    n = len(CANONICAL.contexts) * 8
     rows: list[np.ndarray] = []
     infos: list[MarginalRowInfo] = []
-    for subset, contexts in scenario.marginal_requirements():
+    for subset, contexts in CANONICAL.marginal_requirements():
         for values in itertools.product(OUTCOMES, repeat=len(subset)):
             assignment = dict(zip(subset, values))
             for ctx_a, ctx_b in zip(contexts, contexts[1:]):
                 row = np.zeros(n)
-                ia = 8 * scenario.context_index(ctx_a)
-                ib = 8 * scenario.context_index(ctx_b)
+                ia = 8 * CANONICAL.context_index(ctx_a)
+                ib = 8 * CANONICAL.context_index(ctx_b)
                 row[ia : ia + 8] = indicator_vector(ctx_a, assignment)
                 row[ib : ib + 8] -= indicator_vector(ctx_b, assignment)
                 rows.append(row)
@@ -389,18 +375,15 @@ def marginal_constraint_rows(
 
 
 def correlator_many(
-    probs: np.ndarray,
-    subset: Sequence[str],
-    context: Context | None = None,
-    scenario: Scenario = CANONICAL,
+    probs: np.ndarray, subset: Sequence[str], context: Context | None = None
 ) -> np.ndarray:
-    """:func:`correlator` of every row of an (n, n_contexts, 8) table stack.
+    """:func:`correlator` of every row of an (n, 10, 8) table stack.
 
     Each row's signed table entries are summed in outcome order, one
     after the other, so a row's value does not depend on the stack it
     sits in.
     """
-    c_idx, signs = scenario.term(subset, context)
+    c_idx, signs = CANONICAL.term(subset, context)
     return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
 
 
@@ -417,7 +400,7 @@ def correlator(
     violating no-disturbance.  The signed entries are summed in outcome
     order, like :func:`correlator_many`.
     """
-    c_idx, signs = behavior.scenario.term(subset, context)
+    c_idx, signs = CANONICAL.term(subset, context)
     return float(np.add.accumulate(behavior.probs[c_idx] * signs)[-1])
 
 
@@ -442,12 +425,10 @@ def require_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
-def nd_violations(
-    probs: np.ndarray, tol: float = 1e-10, scenario: Scenario = CANONICAL
-) -> list[NdViolation]:
-    """All marginal disagreements beyond ``tol`` of one (n_contexts, 8) table array."""
+def nd_violations(probs: np.ndarray, tol: float = 1e-10) -> list[NdViolation]:
+    """All marginal disagreements beyond ``tol`` of one (10, 8) table array."""
     require_tolerance(tol)
-    matrix, infos = marginal_constraint_rows(scenario)
+    matrix, infos = marginal_constraint_rows()
     residuals = matrix @ probs.ravel()
     violations: list[NdViolation] = []
     for k in np.flatnonzero(np.abs(residuals) > tol):
@@ -460,10 +441,10 @@ def nd_violations(
                 info.context_b.label,
                 info.outcomes,
                 _table_marginal(
-                    probs[scenario.context_index(info.context_a)], info.context_a, assignment
+                    probs[CANONICAL.context_index(info.context_a)], info.context_a, assignment
                 ),
                 _table_marginal(
-                    probs[scenario.context_index(info.context_b)], info.context_b, assignment
+                    probs[CANONICAL.context_index(info.context_b)], info.context_b, assignment
                 ),
             )
         )
@@ -480,7 +461,7 @@ def check_no_disturbance(behavior: Behavior, tol: float = 1e-10) -> list[NdViola
     violations are returned as data, never raised.  A negative or
     non-finite ``tol`` raises ``ValueError``.
     """
-    return nd_violations(behavior.probs, tol, behavior.scenario)
+    return nd_violations(behavior.probs, tol)
 
 
 #: the pentagon witness: the five cyclic pair correlators <A_i A_{i+1}>
@@ -495,12 +476,10 @@ def chsh_terms(pivot: int = 5) -> Terms:
     return tuple(zip((1.0, 1.0, 1.0, -1.0), pairs))
 
 
-def expression_values(
-    probs: np.ndarray, terms: Terms, scenario: Scenario = CANONICAL
-) -> np.ndarray:
-    """Sum of the correlator ``terms`` on every row of an (n, n_contexts, 8)
+def expression_values(probs: np.ndarray, terms: Terms) -> np.ndarray:
+    """Sum of the correlator ``terms`` on every row of an (n, 10, 8)
     table stack, the terms added in order like :func:`kcbs_value` does."""
-    return sum(coeff * correlator_many(probs, subset, scenario=scenario) for coeff, subset in terms)
+    return sum(coeff * correlator_many(probs, subset) for coeff, subset in terms)
 
 
 def kcbs_value(behavior: Behavior) -> float:

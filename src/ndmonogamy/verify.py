@@ -124,7 +124,7 @@ def check_fine_recovery(seed: int) -> CheckResult:
     )
 
 
-def check_nd_monogamy(seed: int, slack: float = 1e-9) -> CheckResult:
+def check_nd_monogamy(seed: int, slack: float = region.POINTWISE_SLACK) -> CheckResult:
     probs = nodisturbance.sample_behavior_matrix(ND_BEHAVIOR_COUNT, seed + 1)
     reports = nodisturbance.monogamy_certificate_many(probs.reshape(-1, 10, 8))
     worst = min(min(report.sums_by_pivot.values()) for report in reports)
@@ -291,7 +291,9 @@ def check_boundary_states() -> CheckResult:
     )
 
 
-def check_region_membership(samples: int, seed: int, slack: float = 1e-9) -> CheckResult:
+def check_region_membership(
+    samples: int, seed: int, slack: float = region.POINTWISE_SLACK
+) -> CheckResult:
     report = region.region_membership_sweep(samples, seed, slack)
     two_sided = (
         report.kcbs_only_violation_count >= 1
@@ -310,7 +312,7 @@ def verify_all(
     samples: int = 100_000,
     seed: int = 42,
     chsh_matrix: np.ndarray | None = None,
-    slack: float = 1e-9,
+    slack: float = region.POINTWISE_SLACK,
 ) -> list[CheckResult]:
     """Run the full suite.
 

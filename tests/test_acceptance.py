@@ -25,13 +25,13 @@ from ndmonogamy.classical import (
 from ndmonogamy.nodisturbance import (
     PIVOTS,
     expression_vector,
-    fine_join_c1,
-    fine_join_c2,
+    fine_join_c1_many,
+    fine_join_c2_many,
     nd_optimum,
     sample_behavior_matrix,
     sample_behaviors,
 )
-from ndmonogamy.scenario import OUTCOMES
+from ndmonogamy.scenario import CANONICAL, OUTCOMES
 
 S5 = math.sqrt(5.0)
 
@@ -98,32 +98,53 @@ def test_criterion_02_nd_lp_bounds_with_random_oracle():
     )
 
 
+def pair_marginals(variables, joints, pair):
+    """(n, 4) marginals of stacked joint tables over ``pair``, in ``pair`` order."""
+    tables = joints.reshape((len(joints),) + (2,) * len(variables))
+    axes = [1 + variables.index(m) for m in pair]
+    others = tuple(k for k in range(1, tables.ndim) if k not in axes)
+    summed = tables.sum(axis=others)
+    if axes[0] > axes[1]:
+        summed = summed.transpose(0, 2, 1)
+    return summed.reshape(len(joints), 4)
+
+
 def test_criterion_03_fine_construction_recovery():
     behaviors = sample_behaviors(1000, seed=2024)
+    probs = np.stack([behavior.probs for behavior in behaviors])
+    pair_values = list(itertools.product(OUTCOMES, repeat=2))
+    direct = {}
+
+    def reference(pair):
+        """``Behavior.marginal`` of every behavior over ``pair``, in its first context."""
+        if pair not in direct:
+            context = CANONICAL.canonical_context(pair)
+            direct[pair] = np.array(
+                [
+                    [behavior.marginal(context, dict(zip(pair, values))) for values in pair_values]
+                    for behavior in behaviors
+                ]
+            )
+        return direct[pair]
+
     worst_marginal = 0.0
     worst_identity = 0.0
-    pair_values = list(itertools.product(OUTCOMES, repeat=2))
-    for behavior in behaviors:
-        scenario = behavior.scenario
-        for pivot in PIVOTS:
-            joint1 = fine_join_c1(behavior, pivot)
-            joint2 = fine_join_c2(behavior, pivot)
-            for joint, expr in ((joint1, c1_expression(pivot)), (joint2, c2_expression(pivot))):
-                for _, subset in expr.terms:
-                    recovered = joint.marginal(subset).probs
-                    context = scenario.canonical_context(subset)
-                    for k, values in enumerate(pair_values):
-                        direct = behavior.marginal(context, dict(zip(subset, values)))
-                        worst_marginal = max(worst_marginal, abs(recovered[k] - direct))
-            # marginalization identities of the Bell-shaped joint
-            prev_pair = (classical.alice(pivot - 1), classical.alice(pivot))
-            next_pair = (classical.alice(pivot), classical.alice(pivot + 1))
-            for pair in (prev_pair, next_pair):
-                recovered = joint2.marginal(pair).probs
-                context = scenario.canonical_context(pair)
-                for k, values in enumerate(pair_values):
-                    direct = behavior.marginal(context, dict(zip(pair, values)))
-                    worst_identity = max(worst_identity, abs(recovered[k] - direct))
+    for pivot in PIVOTS:
+        joint1 = fine_join_c1_many(probs, pivot)
+        joint2 = fine_join_c2_many(probs, pivot)
+        for (variables, joints), expr in (
+            (joint1, c1_expression(pivot)),
+            (joint2, c2_expression(pivot)),
+        ):
+            for _, subset in expr.terms:
+                gaps = np.abs(pair_marginals(variables, joints, subset) - reference(subset))
+                worst_marginal = max(worst_marginal, float(gaps.max()))
+        # marginalization identities of the Bell-shaped joint
+        prev_pair = (classical.alice(pivot - 1), classical.alice(pivot))
+        next_pair = (classical.alice(pivot), classical.alice(pivot + 1))
+        for pair in (prev_pair, next_pair):
+            gaps = np.abs(pair_marginals(*joint2, pair) - reference(pair))
+            worst_identity = max(worst_identity, float(gaps.max()))
     report(
         3,
         worst_marginal <= 1e-10 and worst_identity <= 1e-10,

@@ -39,6 +39,7 @@ from ndmonogamy.nodisturbance import (
 )
 from ndmonogamy.quantum import behavior_from_state
 from ndmonogamy.scenario import (
+    CANONICAL,
     Behavior,
     alice,
     bob,
@@ -62,7 +63,7 @@ def disturbing_behavior(scenario):
 
 def expression_value(behavior, expr) -> float:
     """``expr`` on one behavior through the stacked ``expression_values``."""
-    return float(expression_values(behavior.probs[None], expr.terms, behavior.scenario)[0])
+    return float(expression_values(behavior.probs[None], expr.terms)[0])
 
 
 def bell_like_state():
@@ -112,7 +113,7 @@ class TestFineJoinC1:
         for subset in [("A2", "A3"), ("A2", "B1")]:
             marginal = joint.marginal(subset)
             for k, values in enumerate(itertools.product((-1, 1), repeat=2)):
-                context = behavior.scenario.canonical_context(subset)
+                context = CANONICAL.canonical_context(subset)
                 direct = behavior.marginal(context, dict(zip(subset, values)))
                 assert marginal.probs[k] == pytest.approx(direct, abs=1e-10)
 
@@ -149,7 +150,7 @@ class TestFineJoinC2:
             next_pair = (alice(pivot), alice(pivot + 1))
             for pair in (prev_pair, next_pair):
                 recovered = joint.marginal(pair)
-                context = behavior.scenario.canonical_context(pair)
+                context = CANONICAL.canonical_context(pair)
                 for k, values in enumerate(itertools.product((-1, 1), repeat=2)):
                     direct = behavior.marginal(context, dict(zip(pair, values)))
                     assert recovered.probs[k] == pytest.approx(direct, abs=1e-10)
@@ -237,7 +238,7 @@ class TestNdOptimum:
         assert np.array_equal(again.probs, witness.probs)
 
     def test_equality_system_shape(self, scenario):
-        matrix, rhs = nd_equality_system(scenario)
+        matrix, rhs = nd_equality_system()
         assert matrix.shape[1] == 80
         assert matrix.shape[0] == rhs.shape[0]
         assert rhs[: len(scenario.contexts)].tolist() == [1.0] * 10
@@ -383,7 +384,7 @@ class TestSampling:
         assert np.array_equal(first, second)
 
     def test_shrink_method_feasible(self, scenario):
-        matrix, rhs = nd_equality_system(scenario)
+        matrix, rhs = nd_equality_system()
         rows = sample_behavior_matrix(500, seed=3, method="shrink")
         assert rows.min() >= 0.0
         assert np.max(np.abs(rows @ matrix.T - rhs)) < 1e-12
@@ -442,6 +443,14 @@ class TestMonogamyCertificate:
         with pytest.raises(NotNoDisturbance):
             monogamy_certificate(disturbing_behavior(scenario))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_report_rejects_non_finite_values(self, bad):
+        # a NaN would read as no violation of either bound
+        with pytest.raises(ValueError, match="kcbs must be finite"):
+            MonogamyReport(bad, {5: -3.0}, 1e-9)
+        with pytest.raises(ValueError, match=r"chsh_by_pivot\[5\] must be finite"):
+            MonogamyReport(-4.0, {1: -1.0, 5: bad}, 1e-9)
+
     def test_report_json(self, uniform_behavior):
         import json
 
@@ -475,7 +484,7 @@ class TestFineRecoveryProperty:
 
 
 def _reference_context_array(behavior, members):
-    context = behavior.scenario.canonical_context(members)
+    context = CANONICAL.canonical_context(members)
     table = behavior.table(context).reshape(2, 2, 2)
     return np.transpose(table, [context.position(m) for m in members])
 
@@ -524,7 +533,7 @@ def reference_joint_correlator(variables, probs, subset):
 
 
 def reference_correlator(behavior, subset):
-    context = behavior.scenario.canonical_context(subset)
+    context = CANONICAL.canonical_context(subset)
     return _sequential_dot(sign_vector(context, subset), behavior.table(context))
 
 

@@ -298,7 +298,7 @@ class TestBehaviorFromState:
         probs = np.mean(
             [behavior_from_state(e).probs for e in np.eye(6, dtype=complex)], axis=0
         )
-        behavior = Behavior(CANONICAL, probs)
+        behavior = Behavior(probs)
         observables = kcbs_observables()
         from ndmonogamy.scenario import correlator
 
@@ -356,7 +356,7 @@ class TestBehaviorFromState:
             probs = np.empty((10, 8))
             for c_idx, ops in enumerate(per_context):
                 probs[c_idx] = np.real(np.einsum("i,kij,j->k", psi.conj(), ops, psi))
-            reference = Behavior(CANONICAL, probs).probs
+            reference = Behavior(probs).probs
             behavior = behavior_from_state(psi)
             assert behavior.probs.tobytes() == reference.tobytes()
             assert kcbs_value(behavior) == sum(

@@ -92,20 +92,20 @@ class TestBehavior:
         probs[0, 0] = -0.01
         probs[0, 1] = 0.26
         with pytest.raises(ValueError, match="negative"):
-            Behavior(scenario, probs)
+            Behavior(probs)
 
     def test_rejects_bad_normalization(self, scenario):
         probs = np.full((10, 8), 1 / 8)
         probs[3, 0] = 0.5
         with pytest.raises(ValueError, match="sum"):
-            Behavior(scenario, probs)
+            Behavior(probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probability(self, scenario, bad):
         probs = np.full((10, 8), 1 / 8)
         probs[2, 5] = bad
         with pytest.raises(ValueError, match=str(bad)):
-            Behavior(scenario, probs)
+            Behavior(probs)
 
     def test_whole_table_check_matches_per_row_check(self, scenario):
         # the reference validates one context row at a time; the whole-array
@@ -145,7 +145,7 @@ class TestBehavior:
         for probs in tables:
             for tol in (1e-12, 1e-7):
                 expected = outcome(per_row, probs, tol)
-                got = outcome(lambda p, t: Behavior(scenario, p, validation_tol=t).probs, probs, tol)
+                got = outcome(lambda p, t: Behavior(p, validation_tol=t).probs, probs, tol)
                 assert got == expected
                 raised += isinstance(expected, str)
         assert 0 < raised < 2 * len(tables)
@@ -156,7 +156,7 @@ class TestBehavior:
         # probability"; inf accepted tables whose rows sum to 8
         for probs in (np.full((10, 8), 1 / 8), np.ones((10, 8))):
             with pytest.raises(ValueError, match="tolerance"):
-                Behavior(scenario, probs, validation_tol=tol)
+                Behavior(probs, validation_tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
             Behavior.from_tables({c.label: [1 / 8] * 8 for c in scenario.contexts}, tol=tol)
 
@@ -166,7 +166,7 @@ class TestBehavior:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="real"):
-                Behavior(scenario, probs)
+                Behavior(probs)
             with pytest.raises(ValueError, match="real"):
                 Behavior.from_tables(dict(zip(scenario.labels, probs.tolist())))
 
@@ -187,7 +187,7 @@ class TestBehavior:
         probs = np.full((10, 8), 1 / 8)
         probs[0, 0] = -1e-14
         probs[0, 1] = 2 / 8 + 1e-14
-        behavior = Behavior(scenario, probs)
+        behavior = Behavior(probs)
         assert behavior.probs[0, 0] == 0.0
 
     def test_tables_are_read_only(self, uniform_behavior):
@@ -214,7 +214,7 @@ class TestBehavior:
         with pytest.raises(ValueError, match=message):
             Behavior.from_json(json.dumps(tables))
         with pytest.raises(ValueError, match=message):
-            Behavior(scenario, list(tables.values()))
+            Behavior(list(tables.values()))
 
     def test_rejects_every_entry_as_a_string(self, uniform_behavior):
         tables = {k: [repr(v) for v in row] for k, row in json.loads(uniform_behavior.to_json()).items()}
@@ -235,17 +235,17 @@ class TestBehavior:
             with pytest.raises(ValueError, match=message):
                 Behavior.from_json(json.dumps(bad))
         with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got bool"):
-            Behavior(scenario, np.array(list(whole.values())))
+            Behavior(np.array(list(whole.values())))
 
     def test_rejects_string_arrays(self, scenario):
         with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
-            Behavior(scenario, np.full((10, 8), "0.125"))
+            Behavior(np.full((10, 8), "0.125"))
 
     def test_accepts_numeric_python_and_numpy_entries(self, scenario):
         rows = [[1, 0, 0, 0, 0, 0, 0, 0]] * 9 + [[np.float32(0.5), np.int64(0), 0.5, 0, 0, 0, 0, 0]]
-        behavior = Behavior(scenario, rows)
+        behavior = Behavior(rows)
         assert behavior.probs[9].tolist() == [0.5, 0.0, 0.5, 0, 0, 0, 0, 0]
-        assert Behavior(scenario, np.array(rows, dtype=object)).probs.tobytes() == behavior.probs.tobytes()
+        assert Behavior(np.array(rows, dtype=object)).probs.tobytes() == behavior.probs.tobytes()
 
     def test_json_keys_are_context_labels(self, uniform_behavior):
         payload = json.loads(uniform_behavior.to_json())
@@ -340,7 +340,7 @@ class TestNoDisturbance:
 
     def test_mixture_of_nd_behaviors_is_nd(self, quantum_behaviors):
         first, second = quantum_behaviors[:2]
-        mixed = Behavior(CANONICAL, 0.3 * first.probs + 0.7 * second.probs)
+        mixed = Behavior(0.3 * first.probs + 0.7 * second.probs)
         assert check_no_disturbance(mixed, 1e-10) == []
 
     def test_violation_records_carry_values(self, scenario):
@@ -386,9 +386,9 @@ class TestWitnessValues:
     def test_witnesses_linear_in_mixtures(self, weight):
         rng = np.random.default_rng(7)
         tables = rng.dirichlet(np.ones(8), size=(2, 10))
-        first = Behavior(CANONICAL, tables[0])
-        second = Behavior(CANONICAL, tables[1])
-        mixed = Behavior(CANONICAL, weight * first.probs + (1.0 - weight) * second.probs)
+        first = Behavior(tables[0])
+        second = Behavior(tables[1])
+        mixed = Behavior(weight * first.probs + (1.0 - weight) * second.probs)
         for value in (kcbs_value, chsh_value):
             direct = value(mixed)
             combined = weight * value(first) + (1 - weight) * value(second)
