@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`ndmonogamy.scenario` - measurements, contexts, behaviors,
-  correlators, the no-disturbance check.
+- :mod:`ndmonogamy.scenario` - the scenario's measurement and context
+  tables, behaviors, correlators, the no-disturbance check.
 - :mod:`ndmonogamy.classical` - deterministic assignments and exhaustive
   hidden-variable bounds.
 - :mod:`ndmonogamy.nodisturbance` - joint-distribution constructions,
@@ -25,7 +25,6 @@ from .classical import (
     c2_expression,
     chsh_expression,
     classical_bound,
-    cycle_bound,
     enumerate_assignments,
     kcbs_expression,
     monogamy_expression,
@@ -40,7 +39,6 @@ from .errors import (
     NotNormalized,
     SingularParameter,
     SubsetNotMeasurable,
-    TooLarge,
 )
 from .nodisturbance import (
     JointDistribution,
@@ -77,9 +75,6 @@ from .region import (
 from .scenario import (
     Behavior,
     Context,
-    Measurement,
-    Scenario,
-    build_canonical_scenario,
     check_no_disturbance,
     chsh_value,
     correlator,
@@ -98,7 +93,6 @@ __all__ = [
     "InvalidCertificate",
     "JointDistribution",
     "LinearExpression",
-    "Measurement",
     "MonogamyReport",
     "NdMonogamyError",
     "NdOptimum",
@@ -106,16 +100,13 @@ __all__ = [
     "NotNoDisturbance",
     "NotNormalized",
     "RegionPoint",
-    "Scenario",
     "SingularParameter",
     "SubsetNotMeasurable",
-    "TooLarge",
     "behavior_from_assignment",
     "behavior_from_state",
     "block_decompose",
     "boundary_state",
     "boundary_theta",
-    "build_canonical_scenario",
     "c1_expression",
     "c2_expression",
     "certified_nd_minimum",
@@ -125,7 +116,6 @@ __all__ = [
     "chsh_value",
     "classical_bound",
     "correlator",
-    "cycle_bound",
     "eigensystem",
     "enumerate_assignments",
     "expectation_M",

@@ -24,10 +24,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import TooLarge
 from .scenario import (
-    CANONICAL,
+    CONTEXTS,
     KCBS_TERMS,
+    MEASUREMENT_IDS,
     OUTCOME_TRIPLES,
     Behavior,
     alice,
@@ -35,8 +35,6 @@ from .scenario import (
     chsh_terms,
     number_type,
 )
-
-MAX_CYCLE = 20
 
 PIVOTS = (1, 2, 3, 4, 5)
 SQRT5 = math.sqrt(5.0)
@@ -52,7 +50,7 @@ KCBS_QUANTUM_DEGENERATE = -5.0 + 2.0 * SQRT5
 
 @dataclass(frozen=True)
 class DeterministicAssignment:
-    """One outcome (-1 or +1) for every measurement of a scenario."""
+    """One outcome (-1 or +1) for every measurement in ``ids``."""
 
     ids: tuple[str, ...]
     outcomes: tuple[int, ...]
@@ -77,7 +75,7 @@ class DeterministicAssignment:
 class LinearExpression:
     """A linear combination of outcome-product correlators.
 
-    ``terms`` is a sequence of (coefficient, measurement-id subset): a
+    ``terms`` is a tuple of (coefficient, measurement-id subset) tuples: a
     finite real coefficient (not bool, str or complex) and a nonempty
     tuple of measurement-id strings.
     """
@@ -86,6 +84,10 @@ class LinearExpression:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.terms, tuple) and all(isinstance(t, tuple) for t in self.terms)):
+            raise ValueError(
+                f"terms must be a tuple of (coefficient, subset) tuples, got {self.terms!r}"
+            )
         for coeff, subset in self.terms:
             if not (isinstance(subset, tuple) and all(isinstance(m, str) for m in subset)):
                 raise ValueError(f"a subset must be a tuple of measurement ids, got {subset!r}")
@@ -202,9 +204,9 @@ BOUNDS: tuple[BoundRow, ...] = (
 def enumerate_assignments() -> Iterator[DeterministicAssignment]:
     """All 128 deterministic assignments, lexicographic, -1 before +1.
 
-    The first measurement in scenario order is most significant.
+    The first measurement of :data:`MEASUREMENT_IDS` is most significant.
     """
-    ids = CANONICAL.measurement_ids
+    ids = MEASUREMENT_IDS
     for outcomes in itertools.product((-1, +1), repeat=len(ids)):
         yield DeterministicAssignment(ids, outcomes)
 
@@ -227,7 +229,7 @@ def classical_bound(expr: LinearExpression) -> ClassicalBound:
     broken by the first assignment in lexicographic order, so results are
     reproducible.
     """
-    ids = CANONICAL.measurement_ids
+    ids = MEASUREMENT_IDS
     known = set(ids)
     for _, subset in expr.terms:
         unknown = set(subset) - known
@@ -251,27 +253,10 @@ def classical_bound(expr: LinearExpression) -> ClassicalBound:
     )
 
 
-def cycle_bound(n: int) -> float:
-    """Hidden-variable minimum of the n-cycle expression sum <X_i X_{i+1}>.
-
-    Computed by enumerating all 2^n sign assignments (bit tricks keep
-    n = 20 fast).  Equals -(n-2) for odd n and -n for even n.
-    """
-    if n < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
-    if n > MAX_CYCLE:
-        raise TooLarge(f"cycle length {n} exceeds the enumeration limit {MAX_CYCLE}")
-    states = np.arange(1 << n, dtype=np.uint32)
-    rotated = ((states >> 1) | (states << (n - 1))) & np.uint32((1 << n) - 1)
-    # x_i * x_{i+1} = 1 - 2*(bit_i XOR bit_{i+1}); sum over the cycle
-    disagreements = np.bitwise_count(states ^ rotated).astype(np.int64)
-    return float((n - 2 * disagreements).min())
-
-
 def behavior_from_assignment(assignment: DeterministicAssignment) -> Behavior:
     """The deterministic behavior: each context table is a point mass."""
-    probs = np.zeros((len(CANONICAL.contexts), 8))
-    for c_idx, context in enumerate(CANONICAL.contexts):
+    probs = np.zeros((len(CONTEXTS), 8))
+    for c_idx, context in enumerate(CONTEXTS):
         triple = tuple(assignment.value(m) for m in context.members)
         probs[c_idx, OUTCOME_TRIPLES.index(triple)] = 1.0
     return Behavior(probs)

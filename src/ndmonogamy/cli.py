@@ -132,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chsh_matrix = quantum.chsh_operator()
         chsh_matrix[0, 1] += args.perturb_chsh  # cross-block entry, test hook
         chsh_matrix[1, 0] += args.perturb_chsh
-    results = verify.verify_all(args.samples, args.seed, chsh_matrix, slack=args.tol)
+    results = verify.verify_all(args.samples, args.seed, chsh_matrix)
     summary = verify.summary_json(results, args.samples, args.seed)
     if args.format == "json":
         print(summary)
@@ -178,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--samples", type=int, default=100_000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol", type=float, default=region.POINTWISE_SLACK)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the JSON summary to a file")
     p_verify.add_argument(
@@ -195,10 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         print("--samples must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    tol = getattr(args, "tol", 1.0)
-    if not (tol > 0 and math.isfinite(tol)):
-        print("--tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     if not math.isfinite(getattr(args, "perturb_chsh", 0.0)):
         print("--perturb-chsh must be finite", file=sys.stderr)

@@ -9,10 +9,6 @@ class SubsetNotMeasurable(NdMonogamyError):
     """A correlator was requested for measurements that share no context."""
 
 
-class TooLarge(NdMonogamyError):
-    """An exhaustive enumeration was requested beyond the supported size."""
-
-
 class NotNoDisturbance(NdMonogamyError):
     """A behavior violates the no-disturbance marginal constraints.
 

@@ -31,20 +31,24 @@ from .classical import (
 )
 from .errors import Infeasible, InvalidCertificate, NotNoDisturbance
 from .scenario import (
-    CANONICAL,
+    CONTEXTS,
     KCBS_TERMS,
+    ND_TOL,
     OUTCOMES,
     Behavior,
     alice,
     bob,
+    canonical_context,
     chsh_terms,
     expression_values,
     marginal_constraint_rows,
     nd_violations,
-    require_tolerance,
+    term,
 )
 
-ND_TOL = 1e-10
+#: margin below a classical bound that a :class:`MonogamyReport` flags as a
+#: violation; separate from the slack granted to the monogamy bound itself
+VIOLATION_TOL = 1e-9
 _SAMPLE_BATCH = 200_000  # most raw rows drawn per pass of sample_behavior_matrix
 
 
@@ -131,36 +135,35 @@ def joint_correlator_many(
     return np.cumsum(marginals * signs, axis=1)[:, -1]
 
 
-def _nd_tables(probs: np.ndarray, tol: float) -> np.ndarray:
-    """``probs`` as an (n, 10, 8) array, every row no-disturbance at ``tol``.
+def _nd_tables(probs: np.ndarray) -> np.ndarray:
+    """``probs`` as an (n, 10, 8) array, every row no-disturbance at ``ND_TOL``.
 
     One matrix product with the marginal-agreement rows checks the whole
     stack; the first offending row raises :class:`NotNoDisturbance`
     carrying its violation records.
     """
-    require_tolerance(tol)
     probs = np.asarray(probs, dtype=float)
-    shape = (len(CANONICAL.contexts), 8)
+    shape = (len(CONTEXTS), 8)
     if probs.ndim != 3 or probs.shape[1:] != shape:
         raise ValueError(f"need an (n, {shape[0]}, 8) table stack, got {probs.shape}")
     matrix, _ = marginal_constraint_rows()
     gaps = np.abs(probs.reshape(-1, matrix.shape[1]) @ matrix.T).max(axis=1)
-    bad = np.flatnonzero(~(gaps <= tol))
+    bad = np.flatnonzero(~(gaps <= ND_TOL))
     if bad.size:
         k = int(bad[0])
         where = f"row {k} " if len(probs) > 1 else ""
         raise NotNoDisturbance(
             f"behavior {where}violates no-disturbance (worst marginal gap "
-            f"{gaps[k]:.3e} at tolerance {tol:.1e})",
-            nd_violations(probs[k], tol),
+            f"{gaps[k]:.3e} at tolerance {ND_TOL:.1e})",
+            nd_violations(probs[k]),
         )
     return probs
 
 
 def _context_arrays(probs: np.ndarray, members: tuple[str, str, str]) -> np.ndarray:
     """Stacked tables of the context containing ``members``, axes in ``members`` order."""
-    context = CANONICAL.canonical_context(members)
-    tables = probs[:, CANONICAL.context_index(context)].reshape(-1, 2, 2, 2)
+    context = canonical_context(members)
+    tables = probs[:, CONTEXTS.index(context)].reshape(-1, 2, 2, 2)
     return np.transpose(tables, [0] + [1 + context.position(m) for m in members])
 
 
@@ -171,16 +174,14 @@ def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def fine_join_c1_many(
-    probs: np.ndarray, pivot: int, tol: float = ND_TOL
-) -> tuple[tuple[str, ...], np.ndarray]:
+def fine_join_c1_many(probs: np.ndarray, pivot: int) -> tuple[tuple[str, ...], np.ndarray]:
     """:func:`fine_join_c1` of every row of an (n, 10, 8) table stack.
 
     Returns the joint's variables and the (n, 32) stack of joint tables.
     Raises :class:`NotNoDisturbance` for the first row that violates
-    no-disturbance at ``tol``.
+    no-disturbance at ``ND_TOL``.
     """
-    probs = _nd_tables(probs, tol)
+    probs = _nd_tables(probs)
     i = pivot
     t_a = _context_arrays(probs, (alice(i + 1), alice(i + 2), bob(1)))
     t_b = _context_arrays(probs, (alice(i + 2), alice(i - 2), bob(1)))
@@ -195,7 +196,7 @@ def fine_join_c1_many(
     return variables, _joint_rows(joint.reshape(len(probs), 32))
 
 
-def fine_join_c1(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDistribution:
+def fine_join_c1(behavior: Behavior, pivot: int) -> JointDistribution:
     """Joint over (A_{i+1}, A_{i+2}, A_{i-1}, A_{i-2}, B1) for i = pivot.
 
     Conditional product of the three measured B1-context tables around
@@ -205,20 +206,18 @@ def fine_join_c1(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
     vanishes are zero (their numerators vanish too) and the remaining
     entries still sum to one, so no renormalization is applied.
     """
-    variables, joints = fine_join_c1_many(behavior.probs[None], pivot, tol)
+    variables, joints = fine_join_c1_many(behavior.probs[None], pivot)
     return JointDistribution(variables, joints[0])
 
 
-def fine_join_c2_many(
-    probs: np.ndarray, pivot: int, tol: float = ND_TOL
-) -> tuple[tuple[str, ...], np.ndarray]:
+def fine_join_c2_many(probs: np.ndarray, pivot: int) -> tuple[tuple[str, ...], np.ndarray]:
     """:func:`fine_join_c2` of every row of an (n, 10, 8) table stack.
 
     Returns the joint's variables and the (n, 16) stack of joint tables.
     Raises :class:`NotNoDisturbance` for the first row that violates
-    no-disturbance at ``tol``.
+    no-disturbance at ``ND_TOL``.
     """
-    probs = _nd_tables(probs, tol)
+    probs = _nd_tables(probs)
     i = pivot
     t_prev = _context_arrays(probs, (alice(i - 1), alice(i), bob(2)))
     t_next = _context_arrays(probs, (alice(i), alice(i + 1), bob(2)))
@@ -230,7 +229,7 @@ def fine_join_c2_many(
     return variables, _joint_rows(joint.reshape(len(probs), 16))
 
 
-def fine_join_c2(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDistribution:
+def fine_join_c2(behavior: Behavior, pivot: int) -> JointDistribution:
     """Joint over (A_{i-1}, A_i, A_{i+1}, B2) for i = pivot.
 
     Conditional product of the two measured B2-context tables that share
@@ -238,7 +237,7 @@ def fine_join_c2(behavior: Behavior, pivot: int, tol: float = ND_TOL) -> JointDi
     (A_{i+1}, B2) recovers p(a_{i-1}, a_i); over (A_{i-1}, B2) recovers
     p(a_i, a_{i+1}).  Same zero-denominator rule as the pentagon joint.
     """
-    variables, joints = fine_join_c2_many(behavior.probs[None], pivot, tol)
+    variables, joints = fine_join_c2_many(behavior.probs[None], pivot)
     return JointDistribution(variables, joints[0])
 
 
@@ -257,7 +256,7 @@ def nd_equality_system() -> tuple[np.ndarray, np.ndarray]:
     redundant (singleton ties follow from pair ties); the LP solver's
     presolve handles that, and the explicit form mirrors the definition.
     """
-    n_contexts = len(CANONICAL.contexts)
+    n_contexts = len(CONTEXTS)
     normalization = np.zeros((n_contexts, n_contexts * 8))
     for c_idx in range(n_contexts):
         normalization[c_idx, 8 * c_idx : 8 * c_idx + 8] = 1.0
@@ -275,9 +274,9 @@ def expression_vector(expr: LinearExpression) -> np.ndarray:
     Each term is evaluated in its first containing context; on the
     no-disturbance polytope the choice does not matter.
     """
-    c = np.zeros(len(CANONICAL.contexts) * 8)
+    c = np.zeros(len(CONTEXTS) * 8)
     for coeff, subset in expr.terms:
-        c_idx, signs = CANONICAL.term(subset)
+        c_idx, signs = term(subset)
         c[8 * c_idx : 8 * c_idx + 8] += coeff * signs
     return c
 
@@ -469,7 +468,7 @@ def _projector() -> tuple[np.ndarray, np.ndarray]:
     rank = int((singulars > singulars[0] * 1e-12).sum())
     q = np.ascontiguousarray(vt[:rank].T)
     q.setflags(write=False)
-    uniform = np.full(len(CANONICAL.contexts) * 8, 1 / 8)
+    uniform = np.full(len(CONTEXTS) * 8, 1 / 8)
     uniform.setflags(write=False)
     return q, uniform
 
@@ -497,7 +496,7 @@ def sample_behavior_matrix(
         raise ValueError(f"cannot sample a negative number of behaviors, got {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     q, uniform = _projector()
-    n_ctx = len(CANONICAL.contexts)
+    n_ctx = len(CONTEXTS)
     chunks = [np.empty((0, 8 * n_ctx))]
     total = 0
     while total < count:
@@ -539,16 +538,21 @@ def sample_behaviors(
 class MonogamyReport:
     """kcbs and per-pivot chsh values of a no-disturbance behavior.
 
-    Every value must be finite: a NaN compares false against both
-    classical bounds, so it would read as no violation.
+    ``chsh_by_pivot`` is nonempty and keyed by pivots of ``PIVOTS``, and
+    every value must be finite: a NaN compares false against both
+    classical bounds, so it would read as no violation.  A value more
+    than :data:`VIOLATION_TOL` below its classical bound is a violation.
     """
 
     kcbs: float
     chsh_by_pivot: dict[int, float]
-    violation_tol: float
 
     def __post_init__(self) -> None:
-        require_tolerance(self.violation_tol)
+        if not self.chsh_by_pivot:
+            raise ValueError("chsh_by_pivot needs at least one pivot")
+        unknown = [pivot for pivot in self.chsh_by_pivot if pivot not in PIVOTS]
+        if unknown:
+            raise ValueError(f"chsh_by_pivot has pivots {unknown} outside {PIVOTS}")
         if not math.isfinite(self.kcbs):
             raise ValueError(f"kcbs must be finite, got {self.kcbs}")
         for pivot, value in self.chsh_by_pivot.items():
@@ -561,12 +565,12 @@ class MonogamyReport:
 
     @property
     def kcbs_violated(self) -> bool:
-        return self.kcbs < KCBS_CLASSICAL_BOUND - self.violation_tol
+        return self.kcbs < KCBS_CLASSICAL_BOUND - VIOLATION_TOL
 
     @property
     def chsh_violated(self) -> bool:
         return any(
-            v < CHSH_CLASSICAL_BOUND - self.violation_tol
+            v < CHSH_CLASSICAL_BOUND - VIOLATION_TOL
             for v in self.chsh_by_pivot.values()
         )
 
@@ -587,32 +591,25 @@ class MonogamyReport:
         )
 
 
-def monogamy_certificate_many(
-    probs: np.ndarray,
-    tol: float = ND_TOL,
-    violation_tol: float = 1e-9,
-) -> list[MonogamyReport]:
+def monogamy_certificate_many(probs: np.ndarray) -> list[MonogamyReport]:
     """:func:`monogamy_certificate` of every row of an (n, 10, 8) table stack.
 
     Raises :class:`NotNoDisturbance` for the first row that violates
-    no-disturbance at ``tol``.
+    no-disturbance at ``ND_TOL``.
     """
-    require_tolerance(violation_tol)
-    probs = _nd_tables(probs, tol)
+    probs = _nd_tables(probs)
     kcbs = expression_values(probs, KCBS_TERMS)
     chsh = np.stack([expression_values(probs, chsh_terms(i)) for i in PIVOTS], axis=-1)
     return [
-        MonogamyReport(float(k), dict(zip(PIVOTS, map(float, row))), violation_tol)
+        MonogamyReport(float(k), dict(zip(PIVOTS, map(float, row))))
         for k, row in zip(kcbs, chsh)
     ]
 
 
-def monogamy_certificate(
-    behavior: Behavior, tol: float = ND_TOL, violation_tol: float = 1e-9
-) -> MonogamyReport:
+def monogamy_certificate(behavior: Behavior) -> MonogamyReport:
     """kcbs, chsh for every pivot, their sums, and the tradeoff flag.
 
-    For any behavior satisfying no-disturbance at ``tol``, at most one of
-    the two inequalities can be violated (beyond ``violation_tol``).
+    For any behavior satisfying no-disturbance at ``ND_TOL``, at most one
+    of the two inequalities can be violated (beyond ``VIOLATION_TOL``).
     """
-    return monogamy_certificate_many(behavior.probs[None], tol, violation_tol)[0]
+    return monogamy_certificate_many(behavior.probs[None])[0]

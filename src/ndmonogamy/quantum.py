@@ -22,11 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import LinearExpression
+from .classical import LinearExpression, chsh_expression, kcbs_expression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
-from .scenario import CANONICAL, OUTCOMES, Behavior, alice, bob
+from .scenario import CONTEXTS, OUTCOMES, Behavior, alice, bob, canonical_context
 
 HERMITICITY_TOL = 1e-12
+#: largest distance of a state's norm from 1
+NORM_TOL = 1e-12
+#: largest cross-block entry that :func:`block_decompose` accepts
+BLOCK_CROSS_TOL = 1e-10
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,18 +40,18 @@ PLUS_BLOCK = (1, 2, 5)    # |01>, |10>, |21>
 MINUS_BLOCK = (0, 3, 4)   # |00>, |11>, |20>
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     gap = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if not gap <= tol:  # NaN fails too
+    if not gap <= HERMITICITY_TOL:  # NaN fails too
         raise NotHermitian(f"matrix deviates from Hermiticity by {gap:.3e}")
     return matrix
 
 
-def require_normalized(ket: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def require_normalized(ket: np.ndarray) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
     norm = float(np.linalg.norm(ket))
-    if not abs(norm - 1.0) <= tol:  # NaN and inf fail too
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
         raise NotNormalized(f"state has norm {norm}, expected 1")
     return ket
 
@@ -121,27 +125,22 @@ def observable_6d(measurement_id: str) -> np.ndarray:
 
 
 def kcbs_operator() -> np.ndarray:
-    """Sum of the five products A_i A_{i+1}, lifted to the 6-dim space.
+    """Sum of the five products A_i A_{i+1} on the 6-dim space, a new array.
 
+    The operator of :func:`ndmonogamy.classical.kcbs_expression`.
     Diagonal in the computational basis with eigenvalues -5+2*sqrt(5)
     (multiplicity 4, on |00>,|01>,|10>,|11>) and 5-4*sqrt(5)
     (multiplicity 2, on |20>,|21>).
     """
-    a = kcbs_observables()
-    qutrit = sum(a[i] @ a[(i + 1) % 5] for i in range(5))
-    return np.kron(qutrit, np.eye(2, dtype=complex))
+    return expression_operator(kcbs_expression())
 
 
 def chsh_operator() -> np.ndarray:
-    """A1 B1 + A1 B2 + A4 B1 - A4 B2 on the 6-dim space (traceless)."""
-    a1 = alice_observable(1)
-    a4 = alice_observable(4)
-    return (
-        np.kron(a1, PAULI_Z)
-        + np.kron(a1, PAULI_X)
-        + np.kron(a4, PAULI_Z)
-        - np.kron(a4, PAULI_X)
-    )
+    """A1 B1 + A1 B2 + A4 B1 - A4 B2 on the 6-dim space (traceless), a new array.
+
+    The operator of :func:`ndmonogamy.classical.chsh_expression`.
+    """
+    return expression_operator(chsh_expression())
 
 
 def expression_operator(expr: LinearExpression) -> np.ndarray:
@@ -152,7 +151,7 @@ def expression_operator(expr: LinearExpression) -> np.ndarray:
     """
     total = np.zeros((6, 6), dtype=complex)
     for coeff, subset in expr.terms:
-        CANONICAL.canonical_context(subset)  # raises SubsetNotMeasurable
+        canonical_context(subset)  # raises SubsetNotMeasurable
         op = np.eye(6, dtype=complex)
         for m in subset:
             op = op @ observable_6d(m)
@@ -222,9 +221,7 @@ class BlockDecomposition(NamedTuple):
     basis_minus: np.ndarray
 
 
-def block_decompose(
-    chsh: np.ndarray, cross_tol: float = 1e-10
-) -> BlockDecomposition:
+def block_decompose(chsh: np.ndarray) -> BlockDecomposition:
     """Split the Bell operator into its two odd/even invariant blocks."""
     chsh = require_hermitian(chsh)
     basis_plus = np.zeros((6, 3), dtype=complex)
@@ -236,9 +233,9 @@ def block_decompose(
         basis_minus[idx, k] = signs[k]
     cross = basis_plus.conj().T @ chsh @ basis_minus
     worst = float(np.max(np.abs(cross)))
-    if not worst <= cross_tol:  # NaN fails too
+    if not worst <= BLOCK_CROSS_TOL:  # NaN fails too
         raise BlockStructureViolated(
-            f"cross-block entries reach {worst:.3e} (tolerance {cross_tol:.1e})"
+            f"cross-block entries reach {worst:.3e} (tolerance {BLOCK_CROSS_TOL:.1e})"
         )
     m = basis_plus.conj().T @ chsh @ basis_plus
     return BlockDecomposition(m, basis_plus, basis_minus)
@@ -267,7 +264,7 @@ def _context_projectors() -> np.ndarray:
     stack = np.stack(
         [
             np.kron(spectral[first][a] @ spectral[second][a2], spectral[third][o])
-            for first, second, third in (c.members for c in CANONICAL.contexts)
+            for first, second, third in (c.members for c in CONTEXTS)
             for a, a2, o in itertools.product(OUTCOMES, repeat=3)
         ]
     )
@@ -302,7 +299,7 @@ def random_states(
 def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Re <psi|O|psi> for one state, shape (6,), or a stack, shape (n, 6).
 
-    Every state must be finite with norm within 1e-12 of 1
+    Every state must be finite with norm within :data:`NORM_TOL` of 1
     (:func:`require_normalized`'s rule); otherwise :class:`NotNormalized`
     names the first bad row.  A stack is multiplied by the operator once,
     and each row is paired with its image through the real and imaginary
@@ -329,7 +326,7 @@ def _require_normalized_rows(states: np.ndarray) -> None:
     """
     parts = np.ascontiguousarray(states).view(np.float64)  # (n, 12): re, im, ...
     norms = np.sqrt(np.einsum("nk,nk->n", parts, parts))
-    bad = ~(np.abs(norms - 1.0) <= 1e-12)  # NaN and inf fail too
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN and inf fail too
     if bad.any():
         row = int(np.argmax(bad))
         raise NotNormalized(f"state {row} has norm {norms[row]}, expected 1")

@@ -56,11 +56,14 @@ from .quantum import (
     kcbs_operator,
     random_states,
 )
-from .scenario import require_tolerance
 
-#: tolerance granted to the pointwise monogamy bounds: boundary points, the
-#: random sweeps of ``verify`` and the default of ``verify --tol``
+#: tolerance granted to the pointwise monogamy bounds: boundary points and
+#: the random sweeps of ``verify``
 POINTWISE_SLACK = 1e-9
+#: distance from a multiple of pi/2 within which the boundary formula is singular
+SINGULAR_PHI_TOL = 1e-9
+#: half-width of the central difference in :func:`stationarity_residual`
+RESIDUAL_STEP = 1e-6
 _EXTREMES_BLOCK = 4096  # thetas per stacked root solve in _phi_extremes_many
 
 BRANCHES = ("plus", "minus")
@@ -213,13 +216,13 @@ def closed_form_agreement_gap(n_theta: int, n_phi: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_not_singular(phi: float, tol: float = 1e-9) -> None:
+def _check_not_singular(phi: float) -> None:
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     nearest = round(phi / (math.pi / 2)) * (math.pi / 2)
-    if abs(phi - nearest) < tol:
+    if abs(phi - nearest) < SINGULAR_PHI_TOL:
         raise SingularParameter(
-            f"phi={phi} is within {tol} of a multiple of pi/2 where the "
+            f"phi={phi} is within {SINGULAR_PHI_TOL} of a multiple of pi/2 where the "
             "boundary formula is singular; approach by limit instead"
         )
 
@@ -241,9 +244,10 @@ def boundary_theta(phi: float) -> float:
     return theta if theta >= 0.0 else theta + math.pi
 
 
-def stationarity_residual(phi: float, step: float = 1e-6) -> float:
+def stationarity_residual(phi: float) -> float:
     """Central-difference d<M>/dphi at (boundary_theta(phi), phi)."""
     theta = boundary_theta(phi)
+    step = RESIDUAL_STEP
     return (expectation_M(theta, phi + step) - expectation_M(theta, phi - step)) / (
         2.0 * step
     )
@@ -539,19 +543,16 @@ class SweepReport:
         return json.dumps(payload)
 
 
-def region_membership_sweep(
-    samples: int, seed: int = 0, slack: float = POINTWISE_SLACK
-) -> SweepReport:
+def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     """Check random pure states against the three region bounds.
 
     Every state must satisfy chsh + kcbs >= -5, kcbs >= 5 - 4 sqrt(5) and
-    chsh >= min eig of the Bell block, all within ``slack``; the report
+    chsh >= min eig of the Bell block, all within ``POINTWISE_SLACK``; the report
     also counts states violating exactly one of the two classical bounds
     (the two-sided tradeoff).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
-    require_tolerance(slack)
     states = random_states(samples, seed)
     kcbs = expectation(kcbs_operator(), states)
     chsh = expectation(chsh_operator(), states)
@@ -573,9 +574,9 @@ def region_membership_sweep(
         min_sum=float(total.min()),
         max_kcbs=float(kcbs.max()),
         max_chsh=float(chsh.max()),
-        monogamy_violations=offenders(total < MONOGAMY_BOUND - slack),
-        kcbs_floor_violations=offenders(kcbs < KCBS_QUANTUM_MIN - slack),
-        chsh_floor_violations=offenders(chsh < chsh_floor - slack),
+        monogamy_violations=offenders(total < MONOGAMY_BOUND - POINTWISE_SLACK),
+        kcbs_floor_violations=offenders(kcbs < KCBS_QUANTUM_MIN - POINTWISE_SLACK),
+        chsh_floor_violations=offenders(chsh < chsh_floor - POINTWISE_SLACK),
         kcbs_only_violation_count=int(
             np.sum((kcbs < KCBS_CLASSICAL_BOUND) & (chsh > CHSH_CLASSICAL_BOUND))
         ),

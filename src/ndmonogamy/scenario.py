@@ -4,9 +4,10 @@ Alice holds five dichotomic measurements A1..A5, cyclically compatible
 (A_i with A_{i+1}, indices mod 5).  Bob holds two mutually incompatible
 dichotomic measurements B1, B2, each compatible with every A_i.  The
 maximal measurement contexts are the ten triples {A_i, A_{i+1}, B_j}.
-The package models this one scenario, built once as :data:`CANONICAL`:
-no function takes a scenario argument, and every ``Behavior`` holds the
-tables of its ten contexts.
+The package models this one scenario as module data,
+:data:`MEASUREMENT_IDS`, :data:`CONTEXTS` and :data:`LABELS`: no function
+takes a scenario argument, and every ``Behavior`` holds the tables of the
+ten contexts.
 
 A ``Behavior`` assigns a probability distribution over the eight outcome
 triples of every context.  Pair and singleton marginals are always derived
@@ -27,7 +28,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,9 @@ OUTCOME_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 DEFAULT_TOL = 1e-12
+#: marginal gap that still counts as no-disturbance: the default of
+#: :func:`check_no_disturbance`, and the tolerance of the joint constructions
+ND_TOL = 1e-10
 Terms = tuple[tuple[float, tuple[str, ...]], ...]  # (coefficient, subset) pairs
 
 
@@ -55,14 +59,6 @@ def bob(j: int) -> str:
     if j not in (1, 2):
         raise ValueError(f"Bob has measurements 1 and 2, got {j}")
     return f"B{j}"
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """A dichotomic measurement with outcomes -1 and +1."""
-
-    id: str
-    outcomes: tuple[int, int] = OUTCOMES
 
 
 @dataclass(frozen=True)
@@ -82,110 +78,51 @@ class Context:
         return set(subset) <= set(self.members)
 
 
-class MarginalRequirement(NamedTuple):
-    """A subset of measurements whose marginal several contexts must share."""
-
-    subset: tuple[str, ...]
-    contexts: tuple[Context, ...]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """The compatibility structure: measurements plus maximal contexts."""
-
-    measurements: tuple[Measurement, ...]
-    contexts: tuple[Context, ...]
-    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def measurement_ids(self) -> tuple[str, ...]:
-        return tuple(m.id for m in self.measurements)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        """Context labels in scenario order."""
-        return tuple(c.label for c in self.contexts)
-
-    def context_index(self, context: Context) -> int:
-        return self.contexts.index(context)
-
-    def contexts_containing(self, subset: Iterable[str]) -> tuple[Context, ...]:
-        subset = tuple(subset)
-        return tuple(c for c in self.contexts if c.contains(subset))
-
-    def canonical_context(self, subset: Iterable[str]) -> Context:
-        """First context (in scenario order) containing ``subset``."""
-        containing = self.contexts_containing(subset)
-        if not containing:
-            raise SubsetNotMeasurable(
-                f"measurements {tuple(subset)} share no context"
-            )
-        return containing[0]
-
-    def term(
-        self, subset: Iterable[str], context: Context | None = None
-    ) -> tuple[int, np.ndarray]:
-        """(context index, read-only sign vector) of the correlator of ``subset``.
-
-        The context is ``context`` when given, else the canonical one.
-        Memoised per subset and context; a context that does not contain
-        ``subset`` raises :class:`SubsetNotMeasurable` on every call.
-        """
-        subset = tuple(subset)
-        key = (subset, context)
-        found = self._terms.get(key)
-        if found is None:
-            if context is None:
-                context = self.canonical_context(subset)
-            elif not context.contains(subset):
-                raise SubsetNotMeasurable(
-                    f"{subset} not contained in context {context.label}"
-                )
-            signs = sign_vector(context, subset)
-            signs.setflags(write=False)
-            found = self._terms[key] = (self.context_index(context), signs)
-        return found
-
-    def marginal_requirements(self) -> tuple[MarginalRequirement, ...]:
-        """All proper subsets of contexts that appear in several contexts.
-
-        These are exactly the marginals the no-disturbance principle ties
-        together: every shared pair and every singleton.
-        """
-        seen: dict[tuple[str, ...], tuple[Context, ...]] = {}
-        for context in self.contexts:
-            for size in (1, 2):
-                for sub in itertools.combinations(context.members, size):
-                    key = tuple(sorted(sub))
-                    if key in seen:
-                        continue
-                    containing = self.contexts_containing(key)
-                    if len(containing) > 1:
-                        seen[key] = containing
-        return tuple(MarginalRequirement(s, cs) for s, cs in seen.items())
+#: the seven measurements, in assignment order: A1..A5, then B1, B2
+MEASUREMENT_IDS: tuple[str, ...] = (
+    *(alice(i) for i in range(1, N_CYCLE + 1)),
+    bob(1),
+    bob(2),
+)
+#: the ten maximal contexts {A_i, A_{i+1}, B_j}, i in 1..5, j in 1..2, in
+#: the row order of every behavior table
+CONTEXTS: tuple[Context, ...] = tuple(
+    Context((alice(i), alice(i + 1), bob(j)))
+    for i in range(1, N_CYCLE + 1)
+    for j in (1, 2)
+)
+#: context labels, in :data:`CONTEXTS` order
+LABELS: tuple[str, ...] = tuple(c.label for c in CONTEXTS)
 
 
-def build_canonical_scenario() -> Scenario:
-    """The 7-measurement, 10-context scenario.
+def canonical_context(subset: Iterable[str]) -> Context:
+    """First context (in :data:`CONTEXTS` order) containing ``subset``."""
+    subset = tuple(subset)
+    for context in CONTEXTS:
+        if context.contains(subset):
+            return context
+    raise SubsetNotMeasurable(f"measurements {subset} share no context")
 
-    A_i is compatible with A_{i+1} (cyclically); B1 and B2 are each
-    compatible with every A_i but not with each other, so the maximal
-    contexts are {A_i, A_{i+1}, B_j} for i in 1..5 and j in 1..2.
+
+def term(subset: Iterable[str], context: Context | None = None) -> tuple[int, np.ndarray]:
+    """(context index, read-only sign vector) of the correlator of ``subset``.
+
+    The context is ``context`` when given, else the canonical one.
+    Memoised per subset and context; a context that does not contain
+    ``subset`` raises :class:`SubsetNotMeasurable` on every call.
     """
-    measurements = tuple(
-        Measurement(name)
-        for name in [alice(i) for i in range(1, 6)] + [bob(1), bob(2)]
-    )
-    contexts = tuple(
-        Context((alice(i), alice(i + 1), bob(j)))
-        for i in range(1, 6)
-        for j in (1, 2)
-    )
-    return Scenario(measurements, contexts)
+    return _term(tuple(subset), context)
 
 
-#: module-level canonical scenario; immutable, safe to share
-CANONICAL = build_canonical_scenario()
+@lru_cache(maxsize=None)
+def _term(subset: tuple[str, ...], context: Context | None) -> tuple[int, np.ndarray]:
+    if context is None:
+        context = canonical_context(subset)
+    elif not context.contains(subset):
+        raise SubsetNotMeasurable(f"{subset} not contained in context {context.label}")
+    signs = sign_vector(context, subset)
+    signs.setflags(write=False)
+    return CONTEXTS.index(context), signs
 
 
 def _validate_table(table: np.ndarray, label: str, tol: float) -> np.ndarray:
@@ -236,9 +173,9 @@ def _require_numbers(probs, labels: Sequence[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Probability tables over every context of :data:`CANONICAL`.
+    """Probability tables over every context of :data:`CONTEXTS`.
 
-    ``probs`` has shape (10, 8), rows in scenario context order,
+    ``probs`` has shape (10, 8), rows in :data:`CONTEXTS` order,
     columns in the lexicographic outcome order of ``OUTCOME_TRIPLES``.
     The array is read-only after construction; negative entries within
     the validation tolerance are clipped to exactly zero.
@@ -248,12 +185,12 @@ class Behavior:
     validation_tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        _require_numbers(self.probs, CANONICAL.labels)
+        _require_numbers(self.probs, LABELS)
         probs = np.asarray(self.probs)
         if np.iscomplexobj(probs):
             raise ValueError("behavior probabilities must be real, got a complex table")
         probs = probs.astype(float, copy=False)
-        expected = (len(CANONICAL.contexts), 8)
+        expected = (len(CONTEXTS), 8)
         if probs.shape != expected:
             raise ValueError(f"behavior table must have shape {expected}, got {probs.shape}")
         tol = self.validation_tol
@@ -262,7 +199,7 @@ class Behavior:
         # entries fail; then the per-row check raises with the label of the
         # first failing context
         if not (probs.min() >= -tol and np.abs(probs.sum(axis=1) - 1.0).max() <= tol):
-            for label, row in zip(CANONICAL.labels, probs):
+            for label, row in zip(LABELS, probs):
                 _validate_table(row, label, tol)
         probs = np.maximum(probs, 0.0)  # np.clip(probs, 0.0, None) into a new array
         probs.setflags(write=False)
@@ -271,26 +208,23 @@ class Behavior:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_tables(
-        cls, tables: Mapping[str, Sequence[float]], tol: float = DEFAULT_TOL
-    ) -> "Behavior":
+    def from_tables(cls, tables: Mapping[str, Sequence[float]]) -> "Behavior":
         """Build from a mapping of each context label, and no other key, to its 8-entry table."""
-        labels = CANONICAL.labels
-        missing = [label for label in labels if label not in tables]
+        missing = [label for label in LABELS if label not in tables]
         if missing:
             raise ValueError(f"missing context tables: {missing}")
-        if len(tables) != len(labels):
-            raise ValueError(f"unknown context labels: {[k for k in tables if k not in labels]}")
-        return cls([tables[label] for label in labels], validation_tol=tol)
+        if len(tables) != len(LABELS):
+            raise ValueError(f"unknown context labels: {[k for k in tables if k not in LABELS]}")
+        return cls([tables[label] for label in LABELS])
 
     @classmethod
     def uniform(cls) -> "Behavior":
-        return cls(np.full((len(CANONICAL.contexts), 8), 1 / 8))
+        return cls(np.full((len(CONTEXTS), 8), 1 / 8))
 
     # -- access ------------------------------------------------------------
 
     def table(self, context: Context) -> np.ndarray:
-        return self.probs[CANONICAL.context_index(context)]
+        return self.probs[CONTEXTS.index(context)]
 
     def marginal(self, context: Context, assignment: Mapping[str, int]) -> float:
         """Probability of ``assignment`` (id -> outcome) within one context."""
@@ -300,7 +234,7 @@ class Behavior:
 
     def to_json(self) -> str:
         """JSON object keyed by context label, bit-exact round trip."""
-        return json.dumps(dict(zip(CANONICAL.labels, self.probs.tolist())))
+        return json.dumps(dict(zip(LABELS, self.probs.tolist())))
 
     @classmethod
     def from_json(cls, text: str) -> "Behavior":
@@ -351,20 +285,27 @@ class MarginalRowInfo(NamedTuple):
 def marginal_constraint_rows() -> tuple[np.ndarray, tuple[MarginalRowInfo, ...]]:
     """Matrix R with R @ behavior.probs.ravel() = marginal disagreements.
 
-    One row per shared subset, outcome assignment and consecutive pair of
-    containing contexts; all rows vanish exactly on no-disturbance
-    behaviors.
+    The no-disturbance principle ties together the marginals of every
+    pair and every singleton that lies in several contexts.  One row per
+    such subset, outcome assignment and consecutive pair of containing
+    contexts; all rows vanish exactly on no-disturbance behaviors.
     """
-    n = len(CANONICAL.contexts) * 8
+    containing: dict[tuple[str, ...], tuple[Context, ...]] = {}
+    for context in CONTEXTS:
+        for size in (1, 2):
+            for sub in itertools.combinations(context.members, size):
+                key = tuple(sorted(sub))
+                if key not in containing:
+                    containing[key] = tuple(c for c in CONTEXTS if c.contains(key))
     rows: list[np.ndarray] = []
     infos: list[MarginalRowInfo] = []
-    for subset, contexts in CANONICAL.marginal_requirements():
+    for subset, contexts in containing.items():
         for values in itertools.product(OUTCOMES, repeat=len(subset)):
             assignment = dict(zip(subset, values))
             for ctx_a, ctx_b in zip(contexts, contexts[1:]):
-                row = np.zeros(n)
-                ia = 8 * CANONICAL.context_index(ctx_a)
-                ib = 8 * CANONICAL.context_index(ctx_b)
+                row = np.zeros(len(CONTEXTS) * 8)
+                ia = 8 * CONTEXTS.index(ctx_a)
+                ib = 8 * CONTEXTS.index(ctx_b)
                 row[ia : ia + 8] = indicator_vector(ctx_a, assignment)
                 row[ib : ib + 8] -= indicator_vector(ctx_b, assignment)
                 rows.append(row)
@@ -383,7 +324,7 @@ def correlator_many(
     after the other, so a row's value does not depend on the stack it
     sits in.
     """
-    c_idx, signs = CANONICAL.term(subset, context)
+    c_idx, signs = term(subset, context)
     return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
 
 
@@ -400,7 +341,7 @@ def correlator(
     violating no-disturbance.  The signed entries are summed in outcome
     order, like :func:`correlator_many`.
     """
-    c_idx, signs = CANONICAL.term(subset, context)
+    c_idx, signs = term(subset, context)
     return float(np.add.accumulate(behavior.probs[c_idx] * signs)[-1])
 
 
@@ -425,7 +366,7 @@ def require_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
-def nd_violations(probs: np.ndarray, tol: float = 1e-10) -> list[NdViolation]:
+def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
     """All marginal disagreements beyond ``tol`` of one (10, 8) table array."""
     require_tolerance(tol)
     matrix, infos = marginal_constraint_rows()
@@ -441,17 +382,17 @@ def nd_violations(probs: np.ndarray, tol: float = 1e-10) -> list[NdViolation]:
                 info.context_b.label,
                 info.outcomes,
                 _table_marginal(
-                    probs[CANONICAL.context_index(info.context_a)], info.context_a, assignment
+                    probs[CONTEXTS.index(info.context_a)], info.context_a, assignment
                 ),
                 _table_marginal(
-                    probs[CANONICAL.context_index(info.context_b)], info.context_b, assignment
+                    probs[CONTEXTS.index(info.context_b)], info.context_b, assignment
                 ),
             )
         )
     return violations
 
 
-def check_no_disturbance(behavior: Behavior, tol: float = 1e-10) -> list[NdViolation]:
+def check_no_disturbance(behavior: Behavior, tol: float = ND_TOL) -> list[NdViolation]:
     """All marginal disagreements of ``behavior`` beyond ``tol``.
 
     Covers every shared pair marginal, p(a_i, a_{i+1}) across j in {1,2}

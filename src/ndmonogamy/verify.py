@@ -124,12 +124,12 @@ def check_fine_recovery(seed: int) -> CheckResult:
     )
 
 
-def check_nd_monogamy(seed: int, slack: float = region.POINTWISE_SLACK) -> CheckResult:
+def check_nd_monogamy(seed: int) -> CheckResult:
     probs = nodisturbance.sample_behavior_matrix(ND_BEHAVIOR_COUNT, seed + 1)
     reports = nodisturbance.monogamy_certificate_many(probs.reshape(-1, 10, 8))
     worst = min(min(report.sums_by_pivot.values()) for report in reports)
     flags_ok = all(report.at_most_one_violated for report in reports)
-    passed = flags_ok and worst >= classical.MONOGAMY_BOUND - slack
+    passed = flags_ok and worst >= classical.MONOGAMY_BOUND - region.POINTWISE_SLACK
     return _result(
         "nd-monogamy-sweep",
         passed,
@@ -207,7 +207,7 @@ def check_behavior_operator_consistency(seed: int) -> CheckResult:
             abs(kcbs_value(behavior) - quantum.expectation(k_op, psi)),
             abs(chsh_value(behavior) - quantum.expectation(c_op, psi)),
         )
-        violations = check_no_disturbance(behavior, 1e-10)
+        violations = check_no_disturbance(behavior)
         if violations:
             worst_nd = max(worst_nd, max(v.magnitude for v in violations))
     passed = worst_gap <= 1e-10 and worst_nd == 0.0
@@ -291,10 +291,8 @@ def check_boundary_states() -> CheckResult:
     )
 
 
-def check_region_membership(
-    samples: int, seed: int, slack: float = region.POINTWISE_SLACK
-) -> CheckResult:
-    report = region.region_membership_sweep(samples, seed, slack)
+def check_region_membership(samples: int, seed: int) -> CheckResult:
+    report = region.region_membership_sweep(samples, seed)
     two_sided = (
         report.kcbs_only_violation_count >= 1
         and report.chsh_only_violation_count >= 1
@@ -312,19 +310,18 @@ def verify_all(
     samples: int = 100_000,
     seed: int = 42,
     chsh_matrix: np.ndarray | None = None,
-    slack: float = region.POINTWISE_SLACK,
 ) -> list[CheckResult]:
     """Run the full suite.
 
     ``chsh_matrix`` overrides the Bell operator in the block-structure
-    check (fault-injection hook for testing); ``slack`` is the tolerance
-    granted to the pointwise monogamy bounds in the random sweeps.
+    check (fault-injection hook for testing).  The random sweeps grant
+    the pointwise monogamy bounds ``region.POINTWISE_SLACK``.
     """
     return [
         check_classical_bounds(),
         check_nd_lp_bounds(),
         check_fine_recovery(seed),
-        check_nd_monogamy(seed, slack),
+        check_nd_monogamy(seed),
         check_kcbs_spectrum(),
         check_chsh_block_structure(chsh_matrix),
         check_bell_block_eigensystem(),
@@ -334,7 +331,7 @@ def verify_all(
         check_boundary_stationarity(),
         check_touching_point(),
         check_boundary_states(),
-        check_region_membership(samples, seed, slack),
+        check_region_membership(samples, seed),
     ]
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from ndmonogamy import nodisturbance, quantum
-from ndmonogamy.scenario import CANONICAL, Behavior
-
-
-@pytest.fixture(scope="session")
-def scenario():
-    return CANONICAL
+from ndmonogamy.scenario import Behavior
 
 
 @pytest.fixture(scope="session")

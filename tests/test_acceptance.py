@@ -31,7 +31,7 @@ from ndmonogamy.nodisturbance import (
     sample_behavior_matrix,
     sample_behaviors,
 )
-from ndmonogamy.scenario import CANONICAL, OUTCOMES
+from ndmonogamy.scenario import OUTCOMES, canonical_context
 
 S5 = math.sqrt(5.0)
 
@@ -118,7 +118,7 @@ def test_criterion_03_fine_construction_recovery():
     def reference(pair):
         """``Behavior.marginal`` of every behavior over ``pair``, in its first context."""
         if pair not in direct:
-            context = CANONICAL.canonical_context(pair)
+            context = canonical_context(pair)
             direct[pair] = np.array(
                 [
                     [behavior.marginal(context, dict(zip(pair, values))) for values in pair_values]

@@ -16,17 +16,20 @@ from ndmonogamy.classical import (
     c2_expression,
     chsh_expression,
     classical_bound,
-    cycle_bound,
     enumerate_assignments,
     kcbs_expression,
     monogamy_expression,
 )
-from ndmonogamy.errors import TooLarge
-from ndmonogamy.scenario import Measurement, Scenario, correlator, expression_values
+from ndmonogamy.scenario import (
+    MEASUREMENT_IDS,
+    canonical_context,
+    correlator,
+    expression_values,
+)
 
 
-def toy_scenario(n: int) -> Scenario:
-    return Scenario(tuple(Measurement(f"X{k}") for k in range(n)), ())
+def toy_ids(n: int) -> tuple[str, ...]:
+    return tuple(f"X{k}" for k in range(n))
 
 
 def brute_force_cycle_minimum(n: int) -> int:
@@ -88,6 +91,19 @@ class TestLinearExpression:
     def test_rejects_subset_not_a_tuple_of_ids(self, subset):
         with pytest.raises(ValueError, match="tuple of measurement ids"):
             LinearExpression(((1.0, subset),))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(1.0, ("A1", "A2"))],
+            ([1.0, ("A1", "A2")],),
+            ((1.0, ("A1", "A2")), [-1.0, ("B1",)]),
+        ],
+    )
+    def test_rejects_terms_not_a_tuple_of_tuples(self, terms):
+        # a list would break + with another expression and hash()
+        with pytest.raises(ValueError, match=r"tuple of \(coefficient, subset\) tuples"):
+            LinearExpression(terms)
 
     def test_accepts_real_coefficients(self):
         terms = ((1, ("A1",)), (np.int64(2), ("A2",)), (np.float32(0.5), ("B1",)), (-1.5, ("B2",)))
@@ -232,10 +248,9 @@ class TestWholeArrayBound:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_toy_scenarios(self, n, monkeypatch):
         # the bit indexing at widths other than 7: both functions read the
-        # measurements of the module's one scenario
-        scenario = toy_scenario(n)
-        monkeypatch.setattr(classical, "CANONICAL", scenario)
-        ids = scenario.measurement_ids
+        # module's MEASUREMENT_IDS
+        ids = toy_ids(n)
+        monkeypatch.setattr(classical, "MEASUREMENT_IDS", ids)
         rng = np.random.default_rng(n)
         terms = tuple(
             (
@@ -248,35 +263,40 @@ class TestWholeArrayBound:
         assert tuple(classical_bound(expr)) == loop_bound(expr)
 
 
+def cycle_minimum(monkeypatch, n: int) -> float:
+    """classical_bound of the n-cycle sum <X_k X_{k+1}> over n toy measurements."""
+    ids = toy_ids(n)
+    monkeypatch.setattr(classical, "MEASUREMENT_IDS", ids)
+    expr = LinearExpression(tuple((1.0, (ids[k], ids[(k + 1) % n])) for k in range(n)))
+    return classical_bound(expr).minimum
+
+
 class TestCycleBound:
+    """The whole-array kernel on n-cycles, against their closed form."""
+
     # derived by the brute-force oracle above, then frozen
     @pytest.mark.parametrize("n,expected", [(3, -1), (4, -4), (5, -3), (6, -6), (7, -5)])
-    def test_small_cycles_match_brute_force(self, n, expected):
+    def test_small_cycles_match_brute_force(self, n, expected, monkeypatch):
         assert brute_force_cycle_minimum(n) == expected
-        assert cycle_bound(n) == expected
+        assert cycle_minimum(monkeypatch, n) == expected
 
     @pytest.mark.parametrize("n", range(3, 15))
-    def test_parity_closed_form(self, n):
+    def test_parity_closed_form(self, n, monkeypatch):
         expected = -(n - 2) if n % 2 else -n
-        assert cycle_bound(n) == expected
+        assert cycle_minimum(monkeypatch, n) == expected
 
-    def test_limits(self):
-        with pytest.raises(TooLarge):
-            cycle_bound(21)
-        with pytest.raises(ValueError):
-            cycle_bound(2)
-
-    def test_largest_supported(self):
-        assert cycle_bound(20) == -20.0
+    def test_largest_supported(self, monkeypatch):
+        # 2^20 assignments in one array
+        assert cycle_minimum(monkeypatch, 20) == -20.0
 
 
 class TestAssignmentBehavior:
-    def test_point_mass_tables(self, scenario):
+    def test_point_mass_tables(self):
         assignment = DeterministicAssignment(
-            scenario.measurement_ids, (1, -1, 1, -1, 1, -1, 1)
+            MEASUREMENT_IDS, (1, -1, 1, -1, 1, -1, 1)
         )
         behavior = behavior_from_assignment(assignment)
-        context = scenario.canonical_context(("A1", "A2", "B1"))
+        context = canonical_context(("A1", "A2", "B1"))
         assert behavior.marginal(context, {"A1": 1, "A2": -1, "B1": -1}) == 1.0
         assert correlator(behavior, ("A1", "A2")) == -1.0
 

@@ -39,24 +39,26 @@ from ndmonogamy.nodisturbance import (
 )
 from ndmonogamy.quantum import behavior_from_state
 from ndmonogamy.scenario import (
-    CANONICAL,
+    CONTEXTS,
     Behavior,
     alice,
     bob,
+    canonical_context,
     check_no_disturbance,
     chsh_value,
     correlator,
     expression_values,
     kcbs_value,
+    nd_violations,
     sign_vector,
 )
 
 PIVOTS = (1, 2, 3, 4, 5)
 
 
-def disturbing_behavior(scenario):
+def disturbing_behavior():
     """Sum over a_{i-1} and a_{i+1} of the B2 tables pin different p(a_i, b2)."""
-    tables = {c.label: [1 / 8] * 8 for c in scenario.contexts}
+    tables = {c.label: [1 / 8] * 8 for c in CONTEXTS}
     tables["A1,A2,B1"] = [0, 0, 0, 0, 0, 0, 0, 1.0]
     return Behavior.from_tables(tables)
 
@@ -113,7 +115,7 @@ class TestFineJoinC1:
         for subset in [("A2", "A3"), ("A2", "B1")]:
             marginal = joint.marginal(subset)
             for k, values in enumerate(itertools.product((-1, 1), repeat=2)):
-                context = CANONICAL.canonical_context(subset)
+                context = canonical_context(subset)
                 direct = behavior.marginal(context, dict(zip(subset, values)))
                 assert marginal.probs[k] == pytest.approx(direct, abs=1e-10)
 
@@ -128,9 +130,9 @@ class TestFineJoinC1:
                 direct = expression_value(behavior, c1_expression(pivot))
                 assert from_joint == pytest.approx(direct, abs=1e-10)
 
-    def test_rejects_disturbing_behavior(self, scenario):
+    def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance):
-            fine_join_c1(disturbing_behavior(scenario), 1)
+            fine_join_c1(disturbing_behavior(), 1)
 
 
 class TestFineJoinC2:
@@ -150,14 +152,14 @@ class TestFineJoinC2:
             next_pair = (alice(pivot), alice(pivot + 1))
             for pair in (prev_pair, next_pair):
                 recovered = joint.marginal(pair)
-                context = CANONICAL.canonical_context(pair)
+                context = canonical_context(pair)
                 for k, values in enumerate(itertools.product((-1, 1), repeat=2)):
                     direct = behavior.marginal(context, dict(zip(pair, values)))
                     assert recovered.probs[k] == pytest.approx(direct, abs=1e-10)
 
-    def test_rejects_disturbing_behavior(self, scenario):
+    def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance) as excinfo:
-            fine_join_c2(disturbing_behavior(scenario), 1)
+            fine_join_c2(disturbing_behavior(), 1)
         assert excinfo.value.violations
 
     def test_zero_denominators_handled_on_lp_witness(self):
@@ -237,11 +239,11 @@ class TestNdOptimum:
         again = Behavior.from_json(witness.to_json())
         assert np.array_equal(again.probs, witness.probs)
 
-    def test_equality_system_shape(self, scenario):
+    def test_equality_system_shape(self):
         matrix, rhs = nd_equality_system()
         assert matrix.shape[1] == 80
         assert matrix.shape[0] == rhs.shape[0]
-        assert rhs[: len(scenario.contexts)].tolist() == [1.0] * 10
+        assert rhs[: len(CONTEXTS)].tolist() == [1.0] * 10
         uniform = np.full(80, 1 / 8)
         assert np.max(np.abs(matrix @ uniform - rhs)) == 0.0
 
@@ -383,7 +385,7 @@ class TestSampling:
         second = sample_behavior_matrix(50, seed=21)
         assert np.array_equal(first, second)
 
-    def test_shrink_method_feasible(self, scenario):
+    def test_shrink_method_feasible(self):
         matrix, rhs = nd_equality_system()
         rows = sample_behavior_matrix(500, seed=3, method="shrink")
         assert rows.min() >= 0.0
@@ -439,17 +441,23 @@ class TestMonogamyCertificate:
         assert best == pytest.approx(-5.0, abs=2e-2)
         assert best == pytest.approx(-5.0, abs=1e-6)
 
-    def test_rejects_disturbing_behavior(self, scenario):
+    def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance):
-            monogamy_certificate(disturbing_behavior(scenario))
+            monogamy_certificate(disturbing_behavior())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_report_rejects_non_finite_values(self, bad):
         # a NaN would read as no violation of either bound
         with pytest.raises(ValueError, match="kcbs must be finite"):
-            MonogamyReport(bad, {5: -3.0}, 1e-9)
+            MonogamyReport(bad, {5: -3.0})
         with pytest.raises(ValueError, match=r"chsh_by_pivot\[5\] must be finite"):
-            MonogamyReport(-4.0, {1: -1.0, 5: bad}, 1e-9)
+            MonogamyReport(-4.0, {1: -1.0, 5: bad})
+
+    @pytest.mark.parametrize("chsh_by_pivot", [{}, {0: -3.0}, {6: -3.0}, {5: -3.0, 9: -3.0}])
+    def test_report_rejects_empty_or_unknown_pivots(self, chsh_by_pivot):
+        # with no CHSH value, or one at no pivot, the tradeoff flag checks nothing
+        with pytest.raises(ValueError, match="pivot"):
+            MonogamyReport(-4.0, chsh_by_pivot)
 
     def test_report_json(self, uniform_behavior):
         import json
@@ -484,7 +492,7 @@ class TestFineRecoveryProperty:
 
 
 def _reference_context_array(behavior, members):
-    context = CANONICAL.canonical_context(members)
+    context = canonical_context(members)
     table = behavior.table(context).reshape(2, 2, 2)
     return np.transpose(table, [context.position(m) for m in members])
 
@@ -533,7 +541,7 @@ def reference_joint_correlator(variables, probs, subset):
 
 
 def reference_correlator(behavior, subset):
-    context = CANONICAL.canonical_context(subset)
+    context = canonical_context(subset)
     return _sequential_dot(sign_vector(context, subset), behavior.table(context))
 
 
@@ -616,8 +624,8 @@ class TestStackedFineJoins:
         with pytest.raises(ValueError, match="sum to"):
             fine_join_c2_many(unnormalized, 1)
 
-    def test_disturbing_row_names_its_index(self, scenario, uniform_behavior):
-        probs = np.stack([uniform_behavior.probs, disturbing_behavior(scenario).probs])
+    def test_disturbing_row_names_its_index(self, uniform_behavior):
+        probs = np.stack([uniform_behavior.probs, disturbing_behavior().probs])
         for call in (
             lambda: fine_join_c1_many(probs, 1),
             lambda: fine_join_c2_many(probs, 1),
@@ -631,14 +639,13 @@ class TestStackedFineJoins:
 class TestStackedCertificates:
     def test_agree_with_scalar_witnesses(self, sweep_behaviors):
         probs = np.stack([b.probs for b in sweep_behaviors])
-        reports = monogamy_certificate_many(probs, violation_tol=1e-7)
+        reports = monogamy_certificate_many(probs)
         assert len(reports) == len(sweep_behaviors)
         for behavior, report in zip(sweep_behaviors, reports):
             # the terms are added in the witnesses' own order, so they agree exactly
             assert report.kcbs == kcbs_value(behavior)
             assert report.chsh_by_pivot == {i: chsh_value(behavior, i) for i in PIVOTS}
-            assert report.violation_tol == 1e-7
-            assert report == monogamy_certificate(behavior, violation_tol=1e-7)
+            assert report == monogamy_certificate(behavior)
 
     def test_one_row_stack(self, nd_behaviors):
         (report,) = monogamy_certificate_many(nd_behaviors[4].probs[None])
@@ -647,19 +654,11 @@ class TestStackedCertificates:
 
 class TestToleranceValidation:
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
-    def test_rejects_bad_tolerance(self, scenario, tol):
-        behavior = disturbing_behavior(scenario)
+    def test_rejects_bad_tolerance(self, tol):
+        behavior = disturbing_behavior()
         calls = (
             lambda: check_no_disturbance(behavior, tol),
-            lambda: fine_join_c1(behavior, 1, tol),
-            lambda: fine_join_c2(behavior, 1, tol),
-            lambda: monogamy_certificate(behavior, tol),
-            lambda: fine_join_c1_many(behavior.probs[None], 1, tol),
-            lambda: fine_join_c2_many(behavior.probs[None], 1, tol),
-            lambda: monogamy_certificate_many(behavior.probs[None], tol),
-            lambda: monogamy_certificate(behavior, violation_tol=tol),
-            lambda: monogamy_certificate_many(behavior.probs[None], violation_tol=tol),
-            lambda: MonogamyReport(-4.0, {5: -3.0}, tol),
+            lambda: nd_violations(behavior.probs, tol),
         )
         for call in calls:
             with pytest.raises(ValueError, match="tolerance"):
@@ -667,7 +666,7 @@ class TestToleranceValidation:
 
     def test_zero_tolerance_is_allowed(self, uniform_behavior):
         assert check_no_disturbance(uniform_behavior, 0.0) == []
-        assert monogamy_certificate(uniform_behavior, 0.0).kcbs == 0.0
+        assert nd_violations(uniform_behavior.probs, 0.0) == []
 
 
 class TestEmptySample:

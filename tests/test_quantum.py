@@ -32,9 +32,10 @@ from ndmonogamy.quantum import (
     require_normalized,
 )
 from ndmonogamy.scenario import (
-    CANONICAL,
+    CONTEXTS,
     Behavior,
     alice,
+    canonical_context,
     check_no_disturbance,
     chsh_value,
     kcbs_value,
@@ -348,8 +349,8 @@ class TestBehaviorFromState:
         per_context = quantum._context_projectors().reshape(10, 8, 6, 6)
 
         def corr(probs, subset):
-            context = CANONICAL.canonical_context(subset)
-            row = probs[CANONICAL.context_index(context)]
+            context = canonical_context(subset)
+            row = probs[CONTEXTS.index(context)]
             return float(np.cumsum(row * sign_vector(context, subset))[-1])
 
         for psi in random_states(2000, seed=808):
@@ -371,7 +372,7 @@ class TestBehaviorFromState:
                     - corr(reference, (a_minus, "B2"))
                 )
             assert behavior.to_json() == json.dumps(
-                {c.label: list(row) for c, row in zip(CANONICAL.contexts, reference)}
+                {c.label: list(row) for c, row in zip(CONTEXTS, reference)}
             )
 
     def test_projector_stack_is_cached_and_read_only(self):
@@ -442,11 +443,26 @@ class TestStackedExpectation:
 
 
 class TestExpressionOperator:
+    # references: the witness operators written out from the observables
     def test_kcbs_expression_reproduces_operator(self):
-        assert np.max(np.abs(expression_operator(kcbs_expression()) - kcbs_operator())) < 1e-12
+        a = [alice_observable(i) for i in range(1, 6)]
+        qutrit = sum(a[i] @ a[(i + 1) % 5] for i in range(5))
+        reference = np.kron(qutrit, np.eye(2, dtype=complex))
+        assert np.max(np.abs(expression_operator(kcbs_expression()) - reference)) < 1e-12
+        assert np.max(np.abs(kcbs_operator() - reference)) < 1e-12
 
     def test_chsh_expression_reproduces_operator(self):
-        assert np.max(np.abs(expression_operator(chsh_expression()) - chsh_operator())) < 1e-12
+        a1, a4 = alice_observable(1), alice_observable(4)
+        z, x = bob_observable(1), bob_observable(2)
+        reference = np.kron(a1, z) + np.kron(a1, x) + np.kron(a4, z) - np.kron(a4, x)
+        assert np.max(np.abs(expression_operator(chsh_expression()) - reference)) < 1e-12
+        assert np.max(np.abs(chsh_operator() - reference)) < 1e-12
+
+    def test_witness_operators_are_new_writable_arrays(self):
+        for build in (kcbs_operator, chsh_operator):
+            first = build()
+            first[0, 1] += 1.0
+            assert build()[0, 1] == first[0, 1] - 1.0
 
     def test_unmeasurable_expression_rejected(self):
         from ndmonogamy.classical import LinearExpression

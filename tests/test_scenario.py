@@ -1,6 +1,5 @@
 import itertools
 import json
-import pickle
 import warnings
 
 import numpy as np
@@ -18,68 +17,64 @@ from ndmonogamy.classical import (
 from ndmonogamy.errors import SubsetNotMeasurable
 from ndmonogamy.quantum import alice_observable, behavior_from_state
 from ndmonogamy.scenario import (
-    CANONICAL,
+    CONTEXTS,
+    LABELS,
+    MEASUREMENT_IDS,
     OUTCOME_TRIPLES,
+    OUTCOMES,
     Behavior,
-    Scenario,
+    Context,
     _validate_table,
-    build_canonical_scenario,
+    canonical_context,
     check_no_disturbance,
     chsh_value,
     correlator,
     correlator_many,
     kcbs_value,
     sign_vector,
+    term,
 )
 
 
 def all_plus_assignment():
-    ids = CANONICAL.measurement_ids
+    ids = MEASUREMENT_IDS
     return DeterministicAssignment(ids, (1,) * len(ids))
 
 
 class TestCanonicalScenario:
-    def test_seven_measurements(self, scenario):
-        assert len(scenario.measurements) == 7
-        assert scenario.measurement_ids == ("A1", "A2", "A3", "A4", "A5", "B1", "B2")
+    def test_seven_measurements(self):
+        assert MEASUREMENT_IDS == ("A1", "A2", "A3", "A4", "A5", "B1", "B2")
 
-    def test_outcomes_are_plus_minus_one(self, scenario):
-        assert all(m.outcomes == (-1, 1) for m in scenario.measurements)
+    def test_outcomes_are_plus_minus_one(self):
+        assert OUTCOMES == (-1, 1)
+        assert OUTCOME_TRIPLES == tuple(itertools.product((-1, 1), repeat=3))
 
-    def test_ten_contexts(self, scenario):
-        assert len(scenario.contexts) == 10
-        labels = {c.label for c in scenario.contexts}
+    def test_ten_contexts(self):
+        assert len(CONTEXTS) == 10
+        labels = {c.label for c in CONTEXTS}
         assert "A1,A2,B1" in labels
         assert "A5,A1,B2" in labels
+        assert LABELS == tuple(c.label for c in CONTEXTS)
 
-    def test_contexts_are_cyclic_pairs_with_one_bob_setting(self, scenario):
-        for context in scenario.contexts:
+    def test_contexts_are_cyclic_pairs_with_one_bob_setting(self):
+        for context in CONTEXTS:
             first, second, third = context.members
             i = int(first[1])
             assert second == f"A{i % 5 + 1}"
             assert third in ("B1", "B2")
 
-    def test_bobs_settings_share_no_context(self, scenario):
-        assert scenario.contexts_containing(("B1", "B2")) == ()
+    def test_bobs_settings_share_no_context(self):
+        assert not any(c.contains(("B1", "B2")) for c in CONTEXTS)
         with pytest.raises(SubsetNotMeasurable):
-            scenario.canonical_context(("B1", "B2"))
+            canonical_context(("B1", "B2"))
 
     def test_rebuild_matches_module_constant(self):
-        assert build_canonical_scenario() == CANONICAL
-
-    def test_equal_scenarios_hash_equal(self):
-        rebuilt = build_canonical_scenario()
-        assert rebuilt is not CANONICAL
-        assert rebuilt == CANONICAL
-        assert hash(rebuilt) == hash(CANONICAL)
-        assert hash(CANONICAL) == hash((CANONICAL.measurements, CANONICAL.contexts))
-        copy = pickle.loads(pickle.dumps(CANONICAL))
-        assert copy == CANONICAL and hash(copy) == hash(CANONICAL)
-
-    def test_scenarios_with_other_contexts_differ(self):
-        fewer = Scenario(CANONICAL.measurements, CANONICAL.contexts[:-1])
-        assert fewer != CANONICAL
-        assert {fewer: 1, CANONICAL: 2}[build_canonical_scenario()] == 2
+        # the paper's contexts {A_i, A_{i+1}, B_j}, written out by hand
+        rebuilt = tuple(
+            Context((f"A{i}", f"A{i % 5 + 1}", f"B{j}")) for i in range(1, 6) for j in (1, 2)
+        )
+        assert CONTEXTS == rebuilt
+        assert {m for c in CONTEXTS for m in c.members} == set(MEASUREMENT_IDS)
 
 
 class TestBehavior:
@@ -87,27 +82,27 @@ class TestBehavior:
         assert uniform_behavior.probs.shape == (10, 8)
         assert np.all(uniform_behavior.probs == 1 / 8)
 
-    def test_rejects_negative_probability(self, scenario):
+    def test_rejects_negative_probability(self):
         probs = np.full((10, 8), 1 / 8)
         probs[0, 0] = -0.01
         probs[0, 1] = 0.26
         with pytest.raises(ValueError, match="negative"):
             Behavior(probs)
 
-    def test_rejects_bad_normalization(self, scenario):
+    def test_rejects_bad_normalization(self):
         probs = np.full((10, 8), 1 / 8)
         probs[3, 0] = 0.5
         with pytest.raises(ValueError, match="sum"):
             Behavior(probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_probability(self, scenario, bad):
+    def test_rejects_non_finite_probability(self, bad):
         probs = np.full((10, 8), 1 / 8)
         probs[2, 5] = bad
         with pytest.raises(ValueError, match=str(bad)):
             Behavior(probs)
 
-    def test_whole_table_check_matches_per_row_check(self, scenario):
+    def test_whole_table_check_matches_per_row_check(self):
         # the reference validates one context row at a time; the whole-array
         # check must accept the same tables, raise the same first message and
         # clip to the same bits
@@ -117,7 +112,7 @@ class TestBehavior:
             return np.array(
                 [
                     _validate_table(row, ctx.label, tol)
-                    for ctx, row in zip(scenario.contexts, probs)
+                    for ctx, row in zip(CONTEXTS, probs)
                 ]
             )
 
@@ -151,24 +146,22 @@ class TestBehavior:
         assert 0 < raised < 2 * len(tables)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf])
-    def test_rejects_bad_validation_tolerance(self, scenario, tol):
+    def test_rejects_bad_validation_tolerance(self, tol):
         # NaN used to fail every row as a "negative or non-finite
         # probability"; inf accepted tables whose rows sum to 8
         for probs in (np.full((10, 8), 1 / 8), np.ones((10, 8))):
             with pytest.raises(ValueError, match="tolerance"):
                 Behavior(probs, validation_tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            Behavior.from_tables({c.label: [1 / 8] * 8 for c in scenario.contexts}, tol=tol)
 
     @pytest.mark.parametrize("imag", [0.0, 1e-3])
-    def test_rejects_complex_probabilities(self, scenario, imag):
+    def test_rejects_complex_probabilities(self, imag):
         probs = np.full((10, 8), 1 / 8) + 1j * imag
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="real"):
                 Behavior(probs)
             with pytest.raises(ValueError, match="real"):
-                Behavior.from_tables(dict(zip(scenario.labels, probs.tolist())))
+                Behavior.from_tables(dict(zip(LABELS, probs.tolist())))
 
     def test_rejects_missing_context(self):
         with pytest.raises(ValueError, match="missing"):
@@ -183,7 +176,7 @@ class TestBehavior:
         with pytest.raises(ValueError, match="'extra'"):
             Behavior.from_json(json.dumps(tables))
 
-    def test_tiny_negative_entries_clip_to_zero(self, scenario):
+    def test_tiny_negative_entries_clip_to_zero(self):
         probs = np.full((10, 8), 1 / 8)
         probs[0, 0] = -1e-14
         probs[0, 1] = 2 / 8 + 1e-14
@@ -205,7 +198,7 @@ class TestBehavior:
         "entry, kind",
         [("0.125", "str"), (None, "NoneType"), ([0.125], "list"), ({"p": 0.125}, "dict")],
     )
-    def test_rejects_non_numeric_entries(self, scenario, uniform_behavior, entry, kind):
+    def test_rejects_non_numeric_entries(self, uniform_behavior, entry, kind):
         tables = json.loads(uniform_behavior.to_json())
         tables["A3,A4,B2"][2] = entry
         message = f"context A3,A4,B2: entries must be numbers, got {kind}"
@@ -221,7 +214,7 @@ class TestBehavior:
         with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
             Behavior.from_json(json.dumps(tables))
 
-    def test_rejects_booleans_numpy_would_cast(self, scenario):
+    def test_rejects_booleans_numpy_would_cast(self):
         # a point mass with True for 1.0 and False for 0.0 is a valid
         # behavior once cast to float, mixed into a float row or not
         tables = json.loads(behavior_from_assignment(all_plus_assignment()).to_json())
@@ -237,11 +230,11 @@ class TestBehavior:
         with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got bool"):
             Behavior(np.array(list(whole.values())))
 
-    def test_rejects_string_arrays(self, scenario):
+    def test_rejects_string_arrays(self):
         with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
             Behavior(np.full((10, 8), "0.125"))
 
-    def test_accepts_numeric_python_and_numpy_entries(self, scenario):
+    def test_accepts_numeric_python_and_numpy_entries(self):
         rows = [[1, 0, 0, 0, 0, 0, 0, 0]] * 9 + [[np.float32(0.5), np.int64(0), 0.5, 0, 0, 0, 0, 0]]
         behavior = Behavior(rows)
         assert behavior.probs[9].tolist() == [0.5, 0.0, 0.5, 0, 0, 0, 0, 0]
@@ -249,7 +242,7 @@ class TestBehavior:
 
     def test_json_keys_are_context_labels(self, uniform_behavior):
         payload = json.loads(uniform_behavior.to_json())
-        assert set(payload) == {c.label for c in CANONICAL.contexts}
+        assert set(payload) == {c.label for c in CONTEXTS}
         assert all(len(v) == 8 for v in payload.values())
 
 
@@ -267,23 +260,23 @@ class TestCorrelator:
             with pytest.raises(SubsetNotMeasurable):
                 correlator(uniform_behavior, subset)
 
-    def test_explicit_context_must_contain_subset(self, uniform_behavior, scenario):
-        other = scenario.canonical_context(("A3", "A4"))
+    def test_explicit_context_must_contain_subset(self, uniform_behavior):
+        other = canonical_context(("A3", "A4"))
         for _ in range(2):  # also once the canonical lookup is memoised
             with pytest.raises(SubsetNotMeasurable):
                 correlator(uniform_behavior, ("A1", "A2"), context=other)
             assert correlator(uniform_behavior, ("A1", "A2")) == 0.0
 
-    def test_cached_sign_vectors_are_read_only(self, scenario):
+    def test_cached_sign_vectors_are_read_only(self):
         for subset, context in [
             (("A1", "A2"), None),
-            (("A2", "B1"), scenario.contexts[2]),
+            (("A2", "B1"), CONTEXTS[2]),
             (("A1", "A2", "B1"), None),
         ]:
-            c_idx, signs = scenario.term(subset, context)
-            assert scenario.term(list(subset), context)[1] is signs
-            expected = context or scenario.canonical_context(subset)
-            assert c_idx == scenario.context_index(expected)
+            c_idx, signs = term(subset, context)
+            assert term(list(subset), context)[1] is signs
+            expected = context or canonical_context(subset)
+            assert c_idx == CONTEXTS.index(expected)
             assert np.array_equal(signs, sign_vector(expected, subset))
             with pytest.raises(ValueError):
                 signs[0] = 0.0
@@ -292,7 +285,7 @@ class TestCorrelator:
         behaviors = nd_behaviors + quantum_behaviors
         probs = np.stack([b.probs for b in behaviors])
         for subset in [("A1", "A2"), ("A4", "B2"), ("A5", "A1", "B1"), ("B1",)]:
-            context = CANONICAL.canonical_context(subset)
+            context = canonical_context(subset)
             signs = sign_vector(context, subset)
             # reference: the signed entries added one after the other
             expected = [float(sum(signs * b.table(context))) for b in behaviors]
@@ -308,11 +301,11 @@ class TestCorrelator:
             expected, abs=1e-12
         )
 
-    def test_nd_behavior_pair_correlator_context_independent(self, nd_behaviors, scenario):
+    def test_nd_behavior_pair_correlator_context_independent(self, nd_behaviors):
         for behavior in nd_behaviors[:10]:
             for i in range(1, 6):
                 pair = (f"A{i}", f"A{i % 5 + 1}")
-                ctx_j1, ctx_j2 = scenario.contexts_containing(pair)
+                ctx_j1, ctx_j2 = [c for c in CONTEXTS if c.contains(pair)]
                 v1 = correlator(behavior, pair, context=ctx_j1)
                 v2 = correlator(behavior, pair, context=ctx_j2)
                 assert v1 == pytest.approx(v2, abs=1e-12)
@@ -328,9 +321,9 @@ class TestNoDisturbance:
         for behavior in quantum_behaviors:
             assert check_no_disturbance(behavior, 1e-10) == []
 
-    def test_constructed_counterexample_reports_singleton_gap(self, scenario):
+    def test_constructed_counterexample_reports_singleton_gap(self):
         # context A1,A2,B1 pins a1 = +1; context A5,A1,B1 pins a1 = -1
-        tables = {c.label: [1 / 8] * 8 for c in scenario.contexts}
+        tables = {c.label: [1 / 8] * 8 for c in CONTEXTS}
         tables["A1,A2,B1"] = [0, 0, 0, 0, 0, 0, 0, 1.0]
         tables["A5,A1,B1"] = [1.0, 0, 0, 0, 0, 0, 0, 0]
         behavior = Behavior.from_tables(tables)
@@ -343,8 +336,8 @@ class TestNoDisturbance:
         mixed = Behavior(0.3 * first.probs + 0.7 * second.probs)
         assert check_no_disturbance(mixed, 1e-10) == []
 
-    def test_violation_records_carry_values(self, scenario):
-        tables = {c.label: [1 / 8] * 8 for c in scenario.contexts}
+    def test_violation_records_carry_values(self):
+        tables = {c.label: [1 / 8] * 8 for c in CONTEXTS}
         tables["A1,A2,B1"] = [0, 0, 0, 0, 0, 0, 0, 1.0]
         behavior = Behavior.from_tables(tables)
         violations = check_no_disturbance(behavior, 1e-10)
