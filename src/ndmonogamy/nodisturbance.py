@@ -35,6 +35,7 @@ from .scenario import (
     KCBS_TERMS,
     ND_TOL,
     OUTCOMES,
+    PROB_TOL,
     Behavior,
     alice,
     bob,
@@ -92,17 +93,17 @@ class JointDistribution:
 def _joint_rows(probs: np.ndarray) -> np.ndarray:
     """Stacked joint tables, each checked like a :class:`JointDistribution`.
 
-    Every row must be nonnegative and sum to 1 within 1e-12; entries
-    within the tolerance below zero are clipped to exactly zero.
+    Every row must be nonnegative and sum to 1 within ``PROB_TOL``;
+    entries within the tolerance below zero are clipped to exactly zero.
     """
     # phrased so that NaN and infinite entries fail the comparisons
-    bad = np.flatnonzero(~(probs.min(axis=1) >= -1e-12))
+    bad = np.flatnonzero(~(probs.min(axis=1) >= -PROB_TOL))
     if bad.size:
         raise ValueError(
             f"negative or non-finite joint probability {probs[bad[0]].min()}"
         )
     sums = probs.sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PROB_TOL))
     if bad.size:
         raise ValueError(f"joint probabilities sum to {sums[bad[0]]}, not 1")
     return np.clip(probs, 0.0, None)
@@ -487,8 +488,8 @@ def sample_behavior_matrix(
     behavior just enough to reach the polytope (its outputs often sit on
     polytope faces, and nothing is discarded, which makes it the cheap
     choice for very large feasibility sweeps).  Either way the returned
-    rows are exact members of the polytope: entries in [-1e-12, 0) are
-    clipped to zero and each context row renormalized.
+    rows are exact members of the polytope: entries in [-PROB_TOL, 0)
+    are clipped to zero and each context row renormalized.
     """
     if method not in ("reject", "shrink"):
         raise ValueError(f"method must be 'reject' or 'shrink', got {method!r}")
@@ -506,7 +507,7 @@ def sample_behavior_matrix(
         raw -= (raw @ q) @ q.T
         raw += uniform
         if method == "reject":
-            keep = raw[np.min(raw, axis=1) >= -1e-12]
+            keep = raw[np.min(raw, axis=1) >= -PROB_TOL]
         else:
             # largest t with uniform + t*(row - uniform) nonnegative, t <= 1
             drop = uniform - raw

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 #: largest cross-block entry that :func:`block_decompose` accepts
 BLOCK_CROSS_TOL = 1e-10
+_STATE_BLOCK = 8192  # states per block of random_state_blocks
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -287,13 +288,39 @@ def behavior_from_state(state: np.ndarray) -> Behavior:
     return Behavior(np.real(probs).reshape(-1, 8))
 
 
+def random_state_blocks(
+    count: int, seed: int | np.random.Generator = 0
+) -> Iterator[np.ndarray]:
+    """:func:`random_states` drawn and yielded in blocks of rows, in order.
+
+    The generator draws every real part first and then every imaginary
+    part, so the ``(count, 6)`` real parts are drawn at once (48 bytes a
+    state) and each block draws only its own imaginary parts.  Blocks
+    hold ``_STATE_BLOCK`` states; a 1-row tail joins the block before it,
+    since a 1-row product takes another BLAS path whose last bits can
+    differ from the same row in a stack.  ``count = 0`` yields one empty
+    block.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    real = rng.normal(size=(count, 6))
+    starts = list(range(0, max(count, 1), _STATE_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [count]):
+        raw = real[start:stop] + 1j * rng.normal(size=(stop - start, 6))
+        yield raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
 def random_states(
     count: int, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
-    """Haar-like random pure states: normalized complex Gaussian rows."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    raw = rng.normal(size=(count, 6)) + 1j * rng.normal(size=(count, 6))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    """Haar-like random pure states: normalized complex Gaussian rows.
+
+    The concatenation of the blocks of :func:`random_state_blocks`, which
+    is the one definition of the distribution and of the generator's
+    draws.
+    """
+    return np.concatenate(list(random_state_blocks(count, seed)))
 
 
 def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:

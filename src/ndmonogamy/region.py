@@ -54,7 +54,7 @@ from .quantum import (
     eigensystem,
     expectation,
     kcbs_operator,
-    random_states,
+    random_state_blocks,
 )
 
 #: tolerance granted to the pointwise monogamy bounds: boundary points and
@@ -65,6 +65,7 @@ SINGULAR_PHI_TOL = 1e-9
 #: half-width of the central difference in :func:`stationarity_residual`
 RESIDUAL_STEP = 1e-6
 _EXTREMES_BLOCK = 4096  # thetas per stacked root solve in _phi_extremes_many
+_OFFENDERS_KEPT = 100  # offenders of each kind that a SweepReport lists
 
 BRANCHES = ("plus", "minus")
 
@@ -549,40 +550,53 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     Every state must satisfy chsh + kcbs >= -5, kcbs >= 5 - 4 sqrt(5) and
     chsh >= min eig of the Bell block, all within ``POINTWISE_SLACK``; the report
     also counts states violating exactly one of the two classical bounds
-    (the two-sided tradeoff).
+    (the two-sided tradeoff).  The states of ``random_states(samples, seed)``
+    are drawn and checked in blocks (:func:`random_state_blocks`), and only
+    the report's extrema, first offenders and counts are kept, so the
+    sweep holds 48 bytes a state of drawn real parts plus one block.
     """
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
-    states = random_states(samples, seed)
-    kcbs = expectation(kcbs_operator(), states)
-    chsh = expectation(chsh_operator(), states)
-    total = kcbs + chsh
+    kcbs_op, chsh_op = kcbs_operator(), chsh_operator()
     chsh_floor = bell_block_minimum()
-
-    def offenders(mask: np.ndarray) -> list[dict]:
-        idx = np.flatnonzero(mask)[:100]
-        return [
-            {"index": int(i), "kcbs": float(kcbs[i]), "chsh": float(chsh[i])}
-            for i in idx
-        ]
-
+    lows, highs = [], []  # per block: (kcbs, chsh, sum) minima, (kcbs, chsh) maxima
+    found: tuple[list[dict], ...] = ([], [], [])  # monogamy, kcbs floor, chsh floor
+    kcbs_only = chsh_only = 0
+    start = 0
+    for states in random_state_blocks(samples, seed):
+        kcbs = expectation(kcbs_op, states)
+        chsh = expectation(chsh_op, states)
+        total = kcbs + chsh
+        lows.append((kcbs.min(), chsh.min(), total.min()))
+        highs.append((kcbs.max(), chsh.max()))
+        masks = (
+            total < MONOGAMY_BOUND - POINTWISE_SLACK,
+            kcbs < KCBS_QUANTUM_MIN - POINTWISE_SLACK,
+            chsh < chsh_floor - POINTWISE_SLACK,
+        )
+        for offenders, mask in zip(found, masks):
+            for i in np.flatnonzero(mask)[: _OFFENDERS_KEPT - len(offenders)]:
+                offenders.append(
+                    {"index": start + int(i), "kcbs": float(kcbs[i]), "chsh": float(chsh[i])}
+                )
+        kcbs_only += int(np.sum((kcbs < KCBS_CLASSICAL_BOUND) & (chsh > CHSH_CLASSICAL_BOUND)))
+        chsh_only += int(np.sum((chsh < CHSH_CLASSICAL_BOUND) & (kcbs > KCBS_CLASSICAL_BOUND)))
+        start += len(states)
+    min_kcbs, min_chsh, min_sum = (float(v) for v in np.min(lows, axis=0))
+    max_kcbs, max_chsh = (float(v) for v in np.max(highs, axis=0))
     return SweepReport(
         samples=samples,
         seed=seed,
-        min_kcbs=float(kcbs.min()),
-        min_chsh=float(chsh.min()),
-        min_sum=float(total.min()),
-        max_kcbs=float(kcbs.max()),
-        max_chsh=float(chsh.max()),
-        monogamy_violations=offenders(total < MONOGAMY_BOUND - POINTWISE_SLACK),
-        kcbs_floor_violations=offenders(kcbs < KCBS_QUANTUM_MIN - POINTWISE_SLACK),
-        chsh_floor_violations=offenders(chsh < chsh_floor - POINTWISE_SLACK),
-        kcbs_only_violation_count=int(
-            np.sum((kcbs < KCBS_CLASSICAL_BOUND) & (chsh > CHSH_CLASSICAL_BOUND))
-        ),
-        chsh_only_violation_count=int(
-            np.sum((chsh < CHSH_CLASSICAL_BOUND) & (kcbs > KCBS_CLASSICAL_BOUND))
-        ),
+        min_kcbs=min_kcbs,
+        min_chsh=min_chsh,
+        min_sum=min_sum,
+        max_kcbs=max_kcbs,
+        max_chsh=max_chsh,
+        monogamy_violations=found[0],
+        kcbs_floor_violations=found[1],
+        chsh_floor_violations=found[2],
+        kcbs_only_violation_count=kcbs_only,
+        chsh_only_violation_count=chsh_only,
     )
 
 

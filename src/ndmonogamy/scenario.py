@@ -42,7 +42,9 @@ OUTCOME_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.product(OUTCOMES, repeat=3)
 )
 
-DEFAULT_TOL = 1e-12
+#: how far a probability may fall below 0, and a table's sum miss 1: the default
+#: of ``Behavior.validation_tol`` and the check of every joint table and sample
+PROB_TOL = 1e-12
 #: marginal gap that still counts as no-disturbance: the default of
 #: :func:`check_no_disturbance`, and the tolerance of the joint constructions
 ND_TOL = 1e-10
@@ -182,7 +184,7 @@ class Behavior:
     """
 
     probs: np.ndarray
-    validation_tol: float = field(default=DEFAULT_TOL, compare=False)
+    validation_tol: float = field(default=PROB_TOL, compare=False)
 
     def __post_init__(self) -> None:
         _require_numbers(self.probs, LABELS)

@@ -26,6 +26,16 @@ STATE_SPOT_CHECKS = 25
 BOUNDARY_PHI_SAMPLES = 100
 GRID = 100
 
+# Pass thresholds: each check's worst gap must be at most one of these.
+#: entries that are exact in exact arithmetic, a few roundings from their value
+ROUNDOFF_TOL = 1e-12
+#: two independent routes to the same number: closed form against matrix,
+#: eigensolver against characteristic polynomial, behavior against operator
+AGREEMENT_TOL = 1e-10
+#: routes through the boundary formula: a central difference of step
+#: ``region.RESIDUAL_STEP``, or boundary states built from ``boundary_theta``
+BOUNDARY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -118,7 +128,7 @@ def check_fine_recovery(seed: int) -> CheckResult:
                 worst = max(worst, float(gaps.max()))
     return _result(
         "fine-marginal-recovery",
-        worst <= 1e-10,
+        worst <= AGREEMENT_TOL,
         f"{ND_BEHAVIOR_COUNT} behaviors x {len(nodisturbance.PIVOTS)} pivots, "
         f"worst marginal gap {worst:.3g}",
     )
@@ -145,7 +155,7 @@ def check_kcbs_spectrum() -> CheckResult:
         [classical.KCBS_QUANTUM_MIN] * 2 + [classical.KCBS_QUANTUM_DEGENERATE] * 4
     )
     gap = float(np.max(np.abs(w - expected)))
-    passed = off <= 1e-12 and gap <= 1e-10
+    passed = off <= ROUNDOFF_TOL and gap <= AGREEMENT_TOL
     return _result(
         "kcbs-spectrum",
         passed,
@@ -162,7 +172,7 @@ def check_chsh_block_structure(chsh_matrix: np.ndarray | None = None) -> CheckRe
     minus = decomposition.basis_minus.conj().T @ op @ decomposition.basis_minus
     mirror_gap = float(np.max(np.abs(decomposition.m + minus)))
     corner_gap = abs(decomposition.m[0, 0].real - (1.0 - 1.0 / classical.SQRT5))
-    passed = mirror_gap <= 1e-10 and corner_gap <= 1e-10
+    passed = mirror_gap <= AGREEMENT_TOL and corner_gap <= AGREEMENT_TOL
     return _result(
         "chsh-block-structure",
         passed,
@@ -181,10 +191,10 @@ def check_bell_block_eigensystem() -> CheckResult:
     )
     lam2_gap = abs(w[2] - 2.0)
     passed = (
-        gap_oracle <= 1e-10
-        and residual <= 1e-10
-        and reconstruction <= 1e-10
-        and lam2_gap <= 1e-10
+        gap_oracle <= AGREEMENT_TOL
+        and residual <= AGREEMENT_TOL
+        and reconstruction <= AGREEMENT_TOL
+        and lam2_gap <= AGREEMENT_TOL
     )
     return _result(
         "bell-block-eigensystem",
@@ -210,7 +220,7 @@ def check_behavior_operator_consistency(seed: int) -> CheckResult:
         violations = check_no_disturbance(behavior)
         if violations:
             worst_nd = max(worst_nd, max(v.magnitude for v in violations))
-    passed = worst_gap <= 1e-10 and worst_nd == 0.0
+    passed = worst_gap <= AGREEMENT_TOL and worst_nd == 0.0
     return _result(
         "behavior-operator-consistency",
         passed,
@@ -230,7 +240,7 @@ def check_region_constants() -> CheckResult:
     )
     return _result(
         "region-constants",
-        worst <= 1e-12,
+        worst <= ROUNDOFF_TOL,
         f"frame norm, <b|M|c> and <b|M|b> - <c|M|c> gaps, worst {worst:.3g}",
     )
 
@@ -239,7 +249,7 @@ def check_closed_form_agreement() -> CheckResult:
     worst = region.closed_form_agreement_gap(GRID, GRID)
     return _result(
         "closed-form-agreement",
-        worst <= 1e-10,
+        worst <= AGREEMENT_TOL,
         f"{GRID}x{GRID} grid, worst gap {worst:.3g}",
     )
 
@@ -251,7 +261,7 @@ def check_boundary_stationarity() -> CheckResult:
     worst = max(abs(region.stationarity_residual(p)) for p in phis)
     return _result(
         "boundary-stationarity",
-        worst <= 1e-8,
+        worst <= BOUNDARY_TOL,
         f"{len(phis)} phi samples, worst d<M>/dphi {worst:.3g}",
     )
 
@@ -263,7 +273,7 @@ def check_touching_point() -> CheckResult:
     low, low_phi, _, _ = (float(c[0]) for c in region._phi_extremes_many([point.theta]))
     phi_gap = abs((low_phi - point.phi + math.pi) % (2 * math.pi) - math.pi)
     arm_gap = max(abs(low - point.chsh), phi_gap)
-    passed = eig_gap <= 1e-10 and arm_gap <= 1e-10
+    passed = eig_gap <= AGREEMENT_TOL and arm_gap <= AGREEMENT_TOL
     return _result(
         "touching-point",
         passed,
@@ -286,7 +296,7 @@ def check_boundary_states() -> CheckResult:
             )
     return _result(
         "boundary-states",
-        worst <= 1e-8,
+        worst <= BOUNDARY_TOL,
         f"end-to-end boundary gap {worst:.3g}",
     )
 

@@ -27,6 +27,7 @@ from ndmonogamy.quantum import (
     kcbs_observables,
     kcbs_operator,
     kcbs_vectors,
+    random_state_blocks,
     random_states,
     require_hermitian,
     require_normalized,
@@ -45,6 +46,15 @@ from ndmonogamy.scenario import (
 S5 = math.sqrt(5.0)
 KCBS_MIN = 5.0 - 4.0 * S5          # about -3.9443
 KCBS_DEGENERATE = -5.0 + 2.0 * S5  # about -0.5279
+BLOCK = quantum._STATE_BLOCK
+#: around one and two blocks, and the default ``verify --samples``
+STATE_COUNTS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 100_000]
+
+
+def one_shot_states(count: int, rng: np.random.Generator) -> np.ndarray:
+    """The reference draw: every real part, then every imaginary part, at once."""
+    raw = rng.normal(size=(count, 6)) + 1j * rng.normal(size=(count, 6))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 class TestKcbsVectors:
@@ -392,6 +402,42 @@ class TestRandomStateSweep:
         assert (kcbs + chsh).min() >= -5.0 - 1e-9
         assert kcbs.min() >= KCBS_MIN - 1e-9
         assert chsh.min() >= lam1 - 1e-9
+
+
+class TestRandomStateBlocks:
+    @pytest.mark.parametrize("count", STATE_COUNTS)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_bit_identical_to_one_shot_draw(self, count, seed):
+        got = random_states(count, seed)
+        want = one_shot_states(count, np.random.default_rng(seed))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, BLOCK + 1, 2 * BLOCK + 1])
+    def test_generator_seed_ends_in_the_one_shot_state(self, count):
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        assert random_states(count, rng).tobytes() == one_shot_states(count, reference).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.normal() == reference.normal()
+
+    def test_no_states(self):
+        states = random_states(0)
+        assert states.shape == (0, 6) and states.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "count,sizes",
+        [
+            (0, [0]),
+            (1, [1]),
+            (2, [2]),
+            (BLOCK, [BLOCK]),
+            (BLOCK + 1, [BLOCK + 1]),  # never a 1-row tail
+            (BLOCK + 2, [BLOCK, 2]),
+            (2 * BLOCK + 1, [BLOCK, BLOCK + 1]),
+        ],
+    )
+    def test_block_sizes(self, count, sizes):
+        assert [len(block) for block in random_state_blocks(count, 1)] == sizes
 
 
 class TestStackedExpectation:

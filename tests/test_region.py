@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 from ndmonogamy import cli, region, verify
 from ndmonogamy.classical import CHSH_ND_BOUND, MONOGAMY_BOUND
 from ndmonogamy.errors import SingularParameter
-from ndmonogamy.quantum import behavior_from_state, eigensystem
+from ndmonogamy import quantum
+from ndmonogamy.quantum import (
+    behavior_from_state,
+    chsh_operator,
+    eigensystem,
+    expectation,
+    kcbs_operator,
+    random_state_blocks,
+    random_states,
+)
 from ndmonogamy.region import (
     KCBS_QUANTUM_DEGENERATE,
     KCBS_QUANTUM_MIN,
@@ -41,6 +50,42 @@ from ndmonogamy.region import (
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
 QUARTER = math.pi / 2
+BLOCK = quantum._STATE_BLOCK
+
+
+def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
+    """The reference for the blocked sweep: every state and value at once.
+
+    Reads the bounds from ``region`` at call time, so a test can move them.
+    """
+    states = random_states(samples, seed)
+    kcbs = expectation(kcbs_operator(), states)
+    chsh = expectation(chsh_operator(), states)
+    total = kcbs + chsh
+
+    def offenders(mask: np.ndarray) -> list[dict]:
+        return [
+            {"index": int(i), "kcbs": float(kcbs[i]), "chsh": float(chsh[i])}
+            for i in np.flatnonzero(mask)[:100]
+        ]
+
+    slack = region.POINTWISE_SLACK
+    kcbs_violated = kcbs < region.KCBS_CLASSICAL_BOUND
+    chsh_violated = chsh < region.CHSH_CLASSICAL_BOUND
+    return region.SweepReport(
+        samples=samples,
+        seed=seed,
+        min_kcbs=float(kcbs.min()),
+        min_chsh=float(chsh.min()),
+        min_sum=float(total.min()),
+        max_kcbs=float(kcbs.max()),
+        max_chsh=float(chsh.max()),
+        monogamy_violations=offenders(total < region.MONOGAMY_BOUND - slack),
+        kcbs_floor_violations=offenders(kcbs < region.KCBS_QUANTUM_MIN - slack),
+        chsh_floor_violations=offenders(chsh < region.bell_block_minimum() - slack),
+        kcbs_only_violation_count=int(np.sum(kcbs_violated & (chsh > region.CHSH_CLASSICAL_BOUND))),
+        chsh_only_violation_count=int(np.sum(chsh_violated & (kcbs > region.KCBS_CLASSICAL_BOUND))),
+    )
 
 
 def per_theta_phi_extremes(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -749,6 +794,54 @@ class TestMembershipSweep:
         e00[0] = 1.0
         behavior = behavior_from_state(e00)
         assert kcbs_value(behavior) == pytest.approx(KCBS_QUANTUM_DEGENERATE, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "samples", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 100_000]
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_blocks_match_the_whole_stack(self, samples, seed):
+        got = region_membership_sweep(samples, seed).to_json()
+        assert got == whole_stack_sweep(samples, seed).to_json()
+
+    @pytest.mark.parametrize("samples", [BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_block_values_match_the_whole_stack(self, samples, seed):
+        # a report hides a last-bit change of one value, so compare every
+        # value; a 1-row block changes some at these seeds
+        for operator in (kcbs_operator(), chsh_operator()):
+            blocks = random_state_blocks(samples, seed)
+            blocked = [expectation(operator, states) for states in blocks]
+            whole = expectation(operator, random_states(samples, seed))
+            assert np.concatenate(blocked).tobytes() == whole.tobytes()
+
+    def test_offenders_keep_their_global_indices(self, monkeypatch):
+        # bounds moved inside the region, so offenders spread over many
+        # blocks and the first 100 of each kind span block boundaries
+        monkeypatch.setattr(quantum, "_STATE_BLOCK", 64)
+        monkeypatch.setattr(region, "MONOGAMY_BOUND", -2.0)
+        monkeypatch.setattr(region, "KCBS_QUANTUM_MIN", -1.5)
+        monkeypatch.setattr(region, "bell_block_minimum", lambda: -1.0)
+        report = region_membership_sweep(5001, seed=7)
+        assert report.to_json() == whole_stack_sweep(5001, seed=7).to_json()
+        kinds = (
+            report.monogamy_violations,
+            report.kcbs_floor_violations,
+            report.chsh_floor_violations,
+        )
+        for offenders in kinds:
+            assert len(offenders) == 100
+            assert offenders[-1]["index"] > 64
+
+    def test_memory_stays_at_block_size(self):
+        # the whole-stack sweep peaked at 21.6 MB here: 216 bytes a state
+        region_membership_sweep(2, seed=42)  # fill the operator caches
+        tracemalloc.start()
+        try:
+            region_membership_sweep(100_000, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
