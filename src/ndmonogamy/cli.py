@@ -29,7 +29,9 @@ TABLE_DIGITS = 12
 def _bounds_rows() -> list[dict]:
     rows = []
     for row in classical.BOUNDS:
-        w, _ = quantum.eigensystem(quantum.expression_operator(row.expression))
+        # eigh, not eigensystem, whose phase fix works on vectors unused here,
+        # and not eigvalsh, whose LAPACK path moves the last bits of 12 minima
+        w = np.linalg.eigh(quantum.expression_operator(row.expression)).eigenvalues
         rows.append(
             {
                 "expression": row.name,

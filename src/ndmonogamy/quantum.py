@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,8 @@ MINUS_BLOCK = (0, 3, 4)   # |00>, |11>, |20>
 
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
-    gap = float(np.max(np.abs(matrix - matrix.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        gap = float(np.max(np.abs(matrix - matrix.conj().T)))
     if not gap <= HERMITICITY_TOL:  # NaN fails too
         raise NotHermitian(f"matrix deviates from Hermiticity by {gap:.3e}")
     return matrix
@@ -115,14 +117,35 @@ def bob_observable(j: int) -> np.ndarray:
     raise ValueError(f"Bob has observables 1 and 2, got {j}")
 
 
+class _ObservableTable(dict):
+    """Observables by measurement id; an unknown id is a ValueError."""
+
+    def __missing__(self, measurement_id):
+        raise ValueError(f"unknown measurement id {measurement_id!r}")
+
+
+@lru_cache(maxsize=None)
+def observables_6d() -> Mapping[str, np.ndarray]:
+    """Every measurement's observable on the qutrit (x) qubit space, by id.
+
+    Keyed by :data:`~ndmonogamy.scenario.MEASUREMENT_IDS`: A_i (x) 1 for
+    Alice, 1 (x) B_j for Bob; any other id raises ``ValueError``.
+    Cached: every call returns the same read-only mapping of read-only
+    matrices.
+    """
+    eye3, eye2 = np.eye(3, dtype=complex), np.eye(2, dtype=complex)
+    table = _ObservableTable(
+        {alice(i): np.kron(a, eye2) for i, a in enumerate(kcbs_observables(), start=1)}
+    )
+    table.update({bob(j): np.kron(eye3, bob_observable(j)) for j in (1, 2)})
+    for matrix in table.values():
+        matrix.setflags(write=False)
+    return MappingProxyType(table)
+
+
 def observable_6d(measurement_id: str) -> np.ndarray:
-    """A measurement's observable on the full qutrit (x) qubit space."""
-    kind, index = measurement_id[0], int(measurement_id[1:])
-    if kind == "A":
-        return np.kron(alice_observable(index), np.eye(2, dtype=complex))
-    if kind == "B":
-        return np.kron(np.eye(3, dtype=complex), bob_observable(index))
-    raise ValueError(f"unknown measurement id {measurement_id!r}")
+    """A measurement's observable on the full qutrit (x) qubit space, a new array."""
+    return observables_6d()[measurement_id].copy()
 
 
 def kcbs_operator() -> np.ndarray:
@@ -150,12 +173,13 @@ def expression_operator(expr: LinearExpression) -> np.ndarray:
     Every term's subset must be jointly measurable, so the per-term
     operator products commute and the result is Hermitian.
     """
+    observables = observables_6d()
     total = np.zeros((6, 6), dtype=complex)
     for coeff, subset in expr.terms:
         canonical_context(subset)  # raises SubsetNotMeasurable
         op = np.eye(6, dtype=complex)
         for m in subset:
-            op = op @ observable_6d(m)
+            op = op @ observables[m]
         total += coeff * op
     return require_hermitian(total)
 
@@ -300,6 +324,11 @@ def random_state_blocks(
     since a 1-row product takes another BLAS path whose last bits can
     differ from the same row in a stack.  ``count = 0`` yields one empty
     block.
+
+    Each block is written in place: both parts go into one complex array
+    through its float64 view, which is then multiplied by the reciprocal
+    of its row norms.  That is how numpy divides a complex by a real, so
+    the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     real = rng.normal(size=(count, 6))
@@ -307,8 +336,12 @@ def random_state_blocks(
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [count]):
-        raw = real[start:stop] + 1j * rng.normal(size=(stop - start, 6))
-        yield raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        block = np.empty((stop - start, 6), dtype=complex)
+        parts = block.view(np.float64)  # (rows, 12): re, im, re, im, ...
+        parts[:, 0::2] = real[start:stop]
+        parts[:, 1::2] = rng.normal(size=(stop - start, 6))
+        block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)
+        yield block
 
 
 def random_states(
@@ -326,23 +359,45 @@ def random_states(
 def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Re <psi|O|psi> for one state, shape (6,), or a stack, shape (n, 6).
 
-    Every state must be finite with norm within :data:`NORM_TOL` of 1
+    ``operator`` is one operator, shape (6, 6), or a stack, shape
+    (m, 6, 6); a stack gives one row of values per operator, shape (m,)
+    or (m, n), each row bit-identical to a call with that operator alone.
+    Every operator must be finite and Hermitian within
+    :data:`HERMITICITY_TOL` (:func:`require_hermitian`'s rule); otherwise
+    :class:`NotHermitian` names the first bad one.  Every state must be
+    finite with norm within :data:`NORM_TOL` of 1
     (:func:`require_normalized`'s rule); otherwise :class:`NotNormalized`
-    names the first bad row.  A stack is multiplied by the operator once,
-    and each row is paired with its image through the real and imaginary
-    parts, so no conjugate copy of the stack is made.
+    names the first bad row.  The norms are checked once per call.  A
+    stack of states is multiplied by each operator once, and each row is
+    paired with its image through the real and imaginary parts, so no
+    conjugate copy of the stack is made.
     """
+    operators = np.asarray(operator, dtype=complex)
+    if operators.ndim not in (2, 3) or operators.shape[-2:] != (6, 6):
+        raise ValueError(
+            f"expected an operator of shape (6, 6) or (m, 6, 6), got {operators.shape}"
+        )
+    stack = operators.reshape(-1, 6, 6)
+    for k, op in enumerate(stack):
+        try:
+            require_hermitian(op)
+        except NotHermitian as exc:
+            name = "operator" if operators.ndim == 2 else f"operator {k}"
+            raise NotHermitian(f"{name}: {exc}") from None
     states = np.asarray(states, dtype=complex)
     if states.ndim not in (1, 2) or states.shape[-1] != 6:
         raise ValueError(f"expected shape (6,) or (n, 6), got {states.shape}")
     if states.ndim == 1:
         require_normalized(states)
-        return np.real(states.conj() @ operator @ states)
-    _require_normalized_rows(states)
-    images = states @ operator.T
-    values = np.einsum("ni,ni->n", states.real, images.real)
-    values += np.einsum("ni,ni->n", states.imag, images.imag)
-    return values
+        values = np.array([np.real(states.conj() @ op @ states) for op in stack])
+    else:
+        _require_normalized_rows(states)
+        values = np.empty((len(stack), len(states)))
+        for op, row in zip(stack, values):
+            images = states @ op.T
+            np.einsum("ni,ni->n", states.real, images.real, out=row)
+            row += np.einsum("ni,ni->n", states.imag, images.imag)
+    return values[0] if operators.ndim == 2 else values
 
 
 def _require_normalized_rows(states: np.ndarray) -> None:

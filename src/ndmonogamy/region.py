@@ -350,6 +350,28 @@ def _check_points(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> No
         raise ValueError(f"point ({float(chsh[k])}, {float(kcbs[k])}) breaks chsh+kcbs >= -5")
 
 
+def _check_rows(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None:
+    """:func:`_check_points` on the plus point (chsh, kcbs) and the minus
+    point (-chsh, kcbs) of every row, in (row, branch) order.
+
+    The columns are tested as they are, with no 2n-long copies; the first
+    bad row's two points then go to :func:`_check_points`, which raises
+    for the first of them.  kcbs - chsh has the bits of -chsh + kcbs.
+    """
+    finite = np.isfinite(chsh)
+    for column in (kcbs, *angles):
+        finite &= np.isfinite(column)
+    if finite.all():
+        bad = chsh + kcbs < MONOGAMY_BOUND - POINTWISE_SLACK
+        bad |= kcbs - chsh < MONOGAMY_BOUND - POINTWISE_SLACK
+    else:
+        bad = ~finite
+    if bad.any():
+        r = int(np.argmax(bad))
+        row = (np.repeat(c[r], 2) for c in (kcbs, *angles))
+        _check_points(np.array([chsh[r], -chsh[r]]), *row)
+
+
 @dataclass(frozen=True)
 class RegionPoint:
     """One (chsh, kcbs) pair with the block and parameters producing it."""
@@ -392,11 +414,7 @@ class Boundary:
         theta, phi, chsh, kcbs = columns
         if theta.ndim != 1 or any(c.shape != theta.shape for c in columns):
             raise ValueError("boundary columns must be 1-dim and of equal length")
-        # every point in (row, branch) order, so a row's plus point comes first
-        _check_points(
-            np.stack([chsh, -chsh], axis=1).ravel(),
-            *(np.repeat(c, 2) for c in (kcbs, theta, phi)),
-        )
+        _check_rows(chsh, kcbs, theta, phi)
         orders = np.lexsort((chsh, kcbs)), np.lexsort((-chsh, kcbs))
         names += ("plus_order", "minus_order")
         for name, value in zip(names, (*columns, *orders)):
@@ -557,15 +575,14 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     """
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
-    kcbs_op, chsh_op = kcbs_operator(), chsh_operator()
+    operators = np.stack([kcbs_operator(), chsh_operator()])
     chsh_floor = bell_block_minimum()
     lows, highs = [], []  # per block: (kcbs, chsh, sum) minima, (kcbs, chsh) maxima
     found: tuple[list[dict], ...] = ([], [], [])  # monogamy, kcbs floor, chsh floor
     kcbs_only = chsh_only = 0
     start = 0
     for states in random_state_blocks(samples, seed):
-        kcbs = expectation(kcbs_op, states)
-        chsh = expectation(chsh_op, states)
+        kcbs, chsh = expectation(operators, states)
         total = kcbs + chsh
         lows.append((kcbs.min(), chsh.min(), total.min()))
         highs.append((kcbs.max(), chsh.max()))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ndmonogamy import classical, verify
+from ndmonogamy import classical, quantum, verify
 from ndmonogamy.cli import main
 
 
@@ -34,6 +34,13 @@ class TestBounds:
         assert rows["chsh"]["nd_min"] == pytest.approx(-4.0, abs=1e-9)
         assert rows["kcbs+chsh"]["nd_min"] == pytest.approx(-5.0, abs=1e-9)
         assert rows["kcbs+chsh"]["quantum_min"] == pytest.approx(-5.0, abs=1e-9)
+
+    def test_json_quantum_column_is_the_eigensystem_minimum(self, capsys):
+        code, out, _ = run_cli(["bounds", "--format", "json"], capsys)
+        assert code == 0
+        for row, bound in zip(json.loads(out), classical.BOUNDS):
+            w, _ = quantum.eigensystem(quantum.expression_operator(bound.expression))
+            assert repr(row["quantum_min"]) == repr(float(w[0])), row["expression"]
 
     def test_json_nd_column_is_the_exact_bounds(self, capsys):
         code, out, _ = run_cli(["bounds", "--format", "json"], capsys)

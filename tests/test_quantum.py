@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ndmonogamy import quantum, verify
-from ndmonogamy.classical import chsh_expression, kcbs_expression
+from ndmonogamy.classical import BOUNDS, chsh_expression, kcbs_expression
 from ndmonogamy.errors import (
     BlockStructureViolated,
     NotHermitian,
@@ -27,6 +27,8 @@ from ndmonogamy.quantum import (
     kcbs_observables,
     kcbs_operator,
     kcbs_vectors,
+    observable_6d,
+    observables_6d,
     random_state_blocks,
     random_states,
     require_hermitian,
@@ -34,6 +36,7 @@ from ndmonogamy.quantum import (
 )
 from ndmonogamy.scenario import (
     CONTEXTS,
+    MEASUREMENT_IDS,
     Behavior,
     alice,
     canonical_context,
@@ -461,6 +464,57 @@ class TestStackedExpectation:
         # a strided view of the stack gives the same rows
         assert np.array_equal(expectation(operator, states[::3]), stacked[::3])
 
+    @pytest.mark.parametrize("which", ["stack", "strided", "one row", "one state"])
+    def test_operator_stack_rows_match_single_operator_calls(self, states, which):
+        rng = np.random.default_rng(4)
+        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        operators = [kcbs_operator(), chsh_operator(), (raw + raw.conj().T) / 2]
+        picked = {
+            "stack": states,
+            "strided": states[1::3],
+            "one row": states[4:5],
+            "one state": states[4],
+        }[which]
+        stacked = expectation(np.stack(operators), picked)
+        assert stacked.shape == (3, *picked.shape[:-1])
+        for operator, row in zip(operators, stacked):
+            assert row.tobytes() == np.asarray(expectation(operator, picked)).tobytes()
+
+    def test_one_operator_stack_keeps_its_axis(self, states):
+        assert expectation(kcbs_operator()[None], states).shape == (1, 1000)
+        assert expectation(kcbs_operator()[None], states[0]).shape == (1,)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6,), (6, 5), (2, 6, 5), (1, 2, 6, 6), ()])
+    def test_rejects_malformed_operators(self, shape):
+        with pytest.raises(ValueError, match=r"operator of shape \(6, 6\) or \(m, 6, 6\)"):
+            expectation(np.zeros(shape, dtype=complex), random_states(2, seed=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_operator(self, bad):
+        operator = kcbs_operator()
+        operator[2, 2] = bad
+        for states in (random_states(3, seed=2), random_states(1, seed=2)[0]):
+            with pytest.raises(NotHermitian, match="^operator: "):
+                expectation(operator, states)
+
+    def test_rejects_non_hermitian_operator(self):
+        operator = kcbs_operator()
+        operator[0, 1] += 1e-9
+        with pytest.raises(NotHermitian, match="^operator: .* by 1.000e-09"):
+            expectation(operator, random_states(3, seed=2))
+        operator[0, 1] -= 1e-9 - 1e-13  # within HERMITICITY_TOL
+        assert expectation(operator, random_states(3, seed=2)).shape == (3,)
+
+    def test_stack_names_the_bad_operator(self):
+        bad = chsh_operator()
+        bad[1, 4] = 1j
+        with pytest.raises(NotHermitian, match="^operator 1: "):
+            expectation(np.stack([kcbs_operator(), bad]), random_states(3, seed=2))
+        bad[1, 4] = np.nan
+        stack = np.stack([kcbs_operator(), kcbs_operator(), bad])
+        with pytest.raises(NotHermitian, match="^operator 2: "):
+            expectation(stack, random_states(3, seed=2)[0])
+
     @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 6), (5,), (6, 2), ()])
     def test_rejects_malformed_shapes(self, shape):
         with pytest.raises(ValueError, match="expected shape"):
@@ -510,6 +564,22 @@ class TestExpressionOperator:
             first[0, 1] += 1.0
             assert build()[0, 1] == first[0, 1] - 1.0
 
+    @pytest.mark.parametrize("bound", BOUNDS, ids=lambda b: b.name)
+    def test_bytes_equal_a_per_term_kron_reference(self, bound):
+        # the construction from single-factor observables, one np.kron per factor
+        def factor(m):
+            if m[0] == "A":
+                return np.kron(alice_observable(int(m[1:])), np.eye(2, dtype=complex))
+            return np.kron(np.eye(3, dtype=complex), bob_observable(int(m[1:])))
+
+        reference = np.zeros((6, 6), dtype=complex)
+        for coeff, subset in bound.expression.terms:
+            op = np.eye(6, dtype=complex)
+            for m in subset:
+                op = op @ factor(m)
+            reference += coeff * op
+        assert expression_operator(bound.expression).tobytes() == reference.tobytes()
+
     def test_unmeasurable_expression_rejected(self):
         from ndmonogamy.classical import LinearExpression
 
@@ -525,3 +595,32 @@ class TestExpressionOperator:
 
 def test_alice_observable_wraps_modulo_five():
     assert np.array_equal(alice_observable(6), alice_observable(1))
+
+
+class TestObservableTable:
+    def test_cached_read_only_table_of_the_seven_ids(self):
+        table = observables_6d()
+        assert table is observables_6d()
+        assert tuple(table) == MEASUREMENT_IDS
+        with pytest.raises(TypeError):
+            table["A1"] = np.eye(6, dtype=complex)
+        for matrix in table.values():
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize("measurement_id", MEASUREMENT_IDS)
+    def test_observable_6d_returns_a_new_writable_copy(self, measurement_id):
+        first, second = observable_6d(measurement_id), observable_6d(measurement_id)
+        assert first.tobytes() == observables_6d()[measurement_id].tobytes()
+        assert not np.shares_memory(first, observables_6d()[measurement_id])
+        first[0, 0] += 1.0
+        assert second[0, 0] == first[0, 0] - 1.0
+
+    @pytest.mark.parametrize(
+        "measurement_id", ["A0", "A6", "A12", "A", "Ax", "B0", "B3", "C1", ""]
+    )
+    def test_unknown_id_rejected(self, measurement_id):
+        with pytest.raises(ValueError, match=f"unknown measurement id {measurement_id!r}"):
+            observable_6d(measurement_id)
+        with pytest.raises(ValueError, match=f"unknown measurement id {measurement_id!r}"):
+            observables_6d()[measurement_id]

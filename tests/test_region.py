@@ -509,6 +509,22 @@ class TestBoundarySequence:
         with pytest.raises(ValueError, match="non-finite"):
             Boundary(**columns)
 
+    def test_non_finite_point_is_named_before_an_earlier_point_below(self):
+        with pytest.raises(ValueError, match=r"point \(0\.5, inf\) has a non-finite entry"):
+            Boundary(theta=[0.1, 0.2], phi=[1.0, 1.0], chsh=[7.0, 0.5], kcbs=[-3.0, math.inf])
+
+    def test_check_memory_stays_at_column_size(self):
+        # the (row, branch)-ordered check built 2n-long copies of every
+        # column: sample_boundary(100000) peaked at 22.0 MB for a 4.8 MB result
+        sample_boundary(100)  # fill the caches
+        tracemalloc.start()
+        try:
+            sample_boundary(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="equal length"):
             Boundary(theta=[0.1, 0.2], phi=[1.0], chsh=[0.0, 0.0], kcbs=[-3.0, -3.0])
