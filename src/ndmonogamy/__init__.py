@@ -6,9 +6,10 @@ Library layout:
   tables, behaviors, correlators, the no-disturbance check.
 - :mod:`ndmonogamy.classical` - deterministic assignments and exhaustive
   hidden-variable bounds.
-- :mod:`ndmonogamy.nodisturbance` - joint-distribution constructions,
-  exact no-disturbance bound certificates, monogamy certificates, and
-  the LP over the behavior polytope (``nd_optimum``, which needs scipy).
+- :mod:`ndmonogamy.nodisturbance` - joint-distribution constructions and
+  monogamy certificates on (n, 10, 8) stacks of behavior tables, exact
+  no-disturbance bound certificates, and the LP over the behavior
+  polytope (``nd_optimum``, which needs scipy).
 - :mod:`ndmonogamy.quantum` - qutrit-qubit operators, spectra, block
   structure, Born-rule behaviors.
 - :mod:`ndmonogamy.region` - the quantum (chsh, kcbs) region, its

@@ -5,7 +5,8 @@ into explicit joint distributions over larger measurement sets by
 conditional product formulas.  The existence of those joints forces the
 pentagon-shaped and Bell-shaped parts of any kcbs+chsh split back to
 their classical bounds (-3 and -2), which is the monogamy relation
-``kcbs + chsh >= -5``.  This module builds the joints and verifies them.
+``kcbs + chsh >= -5``.  This module builds the joints and verifies them,
+one row per behavior of an (n, 10, 8) stack of context tables.
 Committed exact certificates prove every no-disturbance bound with no LP;
 :func:`nd_optimum`, the LP over the 80-dimensional behavior polytope that
 found them, is the one function here that needs scipy.
@@ -14,7 +15,6 @@ found them, is the one function here that needs scipy.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,42 +60,66 @@ _SAMPLE_BATCH = 200_000  # most raw rows drawn per pass of sample_behavior_matri
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """A distribution over +-1 outcome tuples of several measurements.
+    """A stack of distributions over +-1 outcome tuples of several measurements.
 
-    Indexing is lexicographic with -1 before +1 and the first variable
-    most significant, matching the context-table convention.
+    ``probs`` is an (n, 2**k) array with one joint table over the k
+    distinct ``variables`` per row.  Indexing is lexicographic with -1
+    before +1 and the first variable most significant, matching the
+    context-table convention.  Every row must be nonnegative and sum to 1
+    within ``PROB_TOL``; entries within the tolerance below zero are
+    clipped to exactly zero.
     """
 
     variables: tuple[str, ...]
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        variables = tuple(self.variables)
+        if len(set(variables)) < len(variables):
+            raise ValueError(f"joint variables {variables} repeat a name")
         probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (2 ** len(self.variables),):
+        if probs.ndim != 2 or probs.shape[1] != 2 ** len(variables):
             raise ValueError(
-                f"need {2 ** len(self.variables)} probabilities for "
-                f"{len(self.variables)} variables, got {probs.shape}"
+                f"need an (n, {2 ** len(variables)}) probability stack for "
+                f"{len(variables)} variables, got {probs.shape}"
             )
-        probs = _joint_rows(probs[None])[0]
+        probs = _joint_rows(probs)
         probs.setflags(write=False)
+        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", probs)
 
     def marginal(self, subset: Sequence[str]) -> "JointDistribution":
-        """Marginal distribution over ``subset`` (in ``subset`` order)."""
-        marginals = _joint_marginals(self.variables, self.probs[None], subset)
-        return JointDistribution(tuple(subset), marginals[0])
+        """Marginals of every row over ``subset`` (in ``subset`` order)."""
+        return JointDistribution(tuple(subset), self._marginals(subset))
 
-    def correlator(self, subset: Sequence[str]) -> float:
-        """Mean product of the outcomes of ``subset`` under this joint."""
-        return float(joint_correlator_many(self.variables, self.probs[None], subset)[0])
+    def correlator(self, subset: Sequence[str]) -> np.ndarray:
+        """Mean product of the outcomes of ``subset``, one value per row.
+
+        Each row's marginal over ``subset`` is summed with its outcome
+        signs one entry after the other, in outcome order.
+        """
+        signs = np.array(
+            [float(np.prod(t)) for t in itertools.product(OUTCOMES, repeat=len(subset))]
+        )
+        marginals = self._marginals(subset)
+        return np.cumsum(marginals * signs, axis=1)[:, -1]
+
+    def _marginals(self, subset: Sequence[str]) -> np.ndarray:
+        """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order."""
+        for m in subset:
+            if m not in self.variables:
+                raise ValueError(f"{m!r} is not a variable of {self.variables}")
+        if len(set(subset)) < len(subset):
+            raise ValueError(f"subset {tuple(subset)} repeats a variable")
+        positions = [self.variables.index(m) for m in subset]
+        drop = tuple(1 + k for k in range(len(self.variables)) if k not in positions)
+        summed = self.probs.reshape((-1,) + (2,) * len(self.variables)).sum(axis=drop)
+        order = [0] + [1 + k for k in np.argsort(np.argsort(positions))]
+        return np.transpose(summed, order).reshape(len(self.probs), 2 ** len(subset))
 
 
 def _joint_rows(probs: np.ndarray) -> np.ndarray:
-    """Stacked joint tables, each checked like a :class:`JointDistribution`.
-
-    Every row must be nonnegative and sum to 1 within ``PROB_TOL``;
-    entries within the tolerance below zero are clipped to exactly zero.
-    """
+    """``probs`` with every row checked as a joint table, tiny negatives clipped."""
     # phrased so that NaN and infinite entries fail the comparisons
     bad = np.flatnonzero(~(probs.min(axis=1) >= -PROB_TOL))
     if bad.size:
@@ -107,33 +131,6 @@ def _joint_rows(probs: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"joint probabilities sum to {sums[bad[0]]}, not 1")
     return np.clip(probs, 0.0, None)
-
-
-def _joint_marginals(
-    variables: Sequence[str], joints: np.ndarray, subset: Sequence[str]
-) -> np.ndarray:
-    """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order."""
-    positions = [variables.index(m) for m in subset]
-    drop = tuple(1 + k for k in range(len(variables)) if k not in positions)
-    summed = joints.reshape((-1,) + (2,) * len(variables)).sum(axis=drop)
-    order = [0] + [1 + k for k in np.argsort(np.argsort(positions))]
-    return np.transpose(summed, order).reshape(len(joints), 2 ** len(subset))
-
-
-def joint_correlator_many(
-    variables: Sequence[str], joints: np.ndarray, subset: Sequence[str]
-) -> np.ndarray:
-    """:meth:`JointDistribution.correlator` of every row of ``joints``.
-
-    ``joints`` is an (n, 2**len(variables)) stack of joint tables over
-    ``variables``.  Each row's marginal over ``subset`` is summed with
-    its outcome signs one entry after the other, in outcome order.
-    """
-    signs = np.array(
-        [float(np.prod(t)) for t in itertools.product(OUTCOMES, repeat=len(subset))]
-    )
-    marginals = _joint_marginals(variables, joints, subset)
-    return np.cumsum(marginals * signs, axis=1)[:, -1]
 
 
 def _nd_tables(probs: np.ndarray) -> np.ndarray:
@@ -175,11 +172,16 @@ def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def fine_join_c1_many(probs: np.ndarray, pivot: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`fine_join_c1` of every row of an (n, 10, 8) table stack.
+def fine_join_c1(probs: np.ndarray, pivot: int) -> JointDistribution:
+    """Joints over (A_{i+1}, A_{i+2}, A_{i-1}, A_{i-2}, B1), i = pivot, of an (n, 10, 8) stack.
 
-    Returns the joint's variables and the (n, 32) stack of joint tables.
-    Raises :class:`NotNoDisturbance` for the first row that violates
+    Conditional product of the three measured B1-context tables around
+    the pentagon, divided by the two linking pair marginals.  Requires
+    no-disturbance; recovers every pair marginal of the pentagon-shaped
+    split expression exactly.  Entries whose denominator marginal
+    vanishes are zero (their numerators vanish too) and the remaining
+    entries still sum to one, so no renormalization is applied.  Raises
+    :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``ND_TOL``.
     """
     probs = _nd_tables(probs)
@@ -194,29 +196,17 @@ def fine_join_c1_many(probs: np.ndarray, pivot: int) -> tuple[tuple[str, ...], n
     den = np.einsum("nqb,nsb->nqsb", den_a, den_b)
     joint = _safe_divide(num, den[:, None, :, None, :, :])
     variables = (alice(i + 1), alice(i + 2), alice(i - 1), alice(i - 2), bob(1))
-    return variables, _joint_rows(joint.reshape(len(probs), 32))
+    return JointDistribution(variables, joint.reshape(len(probs), 32))
 
 
-def fine_join_c1(behavior: Behavior, pivot: int) -> JointDistribution:
-    """Joint over (A_{i+1}, A_{i+2}, A_{i-1}, A_{i-2}, B1) for i = pivot.
+def fine_join_c2(probs: np.ndarray, pivot: int) -> JointDistribution:
+    """Joints over (A_{i-1}, A_i, A_{i+1}, B2), i = pivot, of an (n, 10, 8) stack.
 
-    Conditional product of the three measured B1-context tables around
-    the pentagon, divided by the two linking pair marginals.  Requires
-    no-disturbance; recovers every pair marginal of the pentagon-shaped
-    split expression exactly.  Entries whose denominator marginal
-    vanishes are zero (their numerators vanish too) and the remaining
-    entries still sum to one, so no renormalization is applied.
-    """
-    variables, joints = fine_join_c1_many(behavior.probs[None], pivot)
-    return JointDistribution(variables, joints[0])
-
-
-def fine_join_c2_many(probs: np.ndarray, pivot: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`fine_join_c2` of every row of an (n, 10, 8) table stack.
-
-    Returns the joint's variables and the (n, 16) stack of joint tables.
-    Raises :class:`NotNoDisturbance` for the first row that violates
-    no-disturbance at ``ND_TOL``.
+    Conditional product of the two measured B2-context tables that share
+    A_i, divided by the pair marginal p(a_i, b2).  Marginalizing over
+    (A_{i+1}, B2) recovers p(a_{i-1}, a_i); over (A_{i-1}, B2) recovers
+    p(a_i, a_{i+1}).  Same zero-denominator rule and error as
+    :func:`fine_join_c1`.
     """
     probs = _nd_tables(probs)
     i = pivot
@@ -227,19 +217,7 @@ def fine_join_c2_many(probs: np.ndarray, pivot: int) -> tuple[tuple[str, ...], n
     num = np.einsum("nmib,nipb->nmipb", t_prev, t_next)
     joint = _safe_divide(num, den[:, None, :, None, :])
     variables = (alice(i - 1), alice(i), alice(i + 1), bob(2))
-    return variables, _joint_rows(joint.reshape(len(probs), 16))
-
-
-def fine_join_c2(behavior: Behavior, pivot: int) -> JointDistribution:
-    """Joint over (A_{i-1}, A_i, A_{i+1}, B2) for i = pivot.
-
-    Conditional product of the two measured B2-context tables that share
-    A_i, divided by the pair marginal p(a_i, b2).  Marginalizing over
-    (A_{i+1}, B2) recovers p(a_{i-1}, a_i); over (A_{i-1}, B2) recovers
-    p(a_i, a_{i+1}).  Same zero-denominator rule as the pentagon joint.
-    """
-    variables, joints = fine_join_c2_many(behavior.probs[None], pivot)
-    return JointDistribution(variables, joints[0])
+    return JointDistribution(variables, joint.reshape(len(probs), 16))
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +557,13 @@ class MonogamyReport:
     def at_most_one_violated(self) -> bool:
         return not (self.kcbs_violated and self.chsh_violated)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kcbs": self.kcbs,
-                "chsh_by_pivot": {str(i): v for i, v in self.chsh_by_pivot.items()},
-                "sums_by_pivot": {str(i): v for i, v in self.sums_by_pivot.items()},
-                "kcbs_violated": self.kcbs_violated,
-                "chsh_violated": self.chsh_violated,
-                "at_most_one_violated": self.at_most_one_violated,
-            }
-        )
 
+def monogamy_certificate(probs: np.ndarray) -> list[MonogamyReport]:
+    """kcbs, chsh for every pivot, their sums and the tradeoff flag, per row.
 
-def monogamy_certificate_many(probs: np.ndarray) -> list[MonogamyReport]:
-    """:func:`monogamy_certificate` of every row of an (n, 10, 8) table stack.
-
+    One :class:`MonogamyReport` per row of an (n, 10, 8) table stack.
+    For any behavior satisfying no-disturbance at ``ND_TOL``, at most one
+    of the two inequalities can be violated (beyond ``VIOLATION_TOL``).
     Raises :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``ND_TOL``.
     """
@@ -605,12 +574,3 @@ def monogamy_certificate_many(probs: np.ndarray) -> list[MonogamyReport]:
         MonogamyReport(float(k), dict(zip(PIVOTS, map(float, row))))
         for k, row in zip(kcbs, chsh)
     ]
-
-
-def monogamy_certificate(behavior: Behavior) -> MonogamyReport:
-    """kcbs, chsh for every pivot, their sums, and the tradeoff flag.
-
-    For any behavior satisfying no-disturbance at ``ND_TOL``, at most one
-    of the two inequalities can be violated (beyond ``VIOLATION_TOL``).
-    """
-    return monogamy_certificate_many(behavior.probs[None])[0]

@@ -216,9 +216,10 @@ def eigvals_characteristic_3x3(matrix: np.ndarray) -> np.ndarray:
     Trigonometric solution of the characteristic polynomial; independent
     of :func:`eigensystem`, used as a cross-check oracle.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.shape != (3, 3) or np.max(np.abs(a - a.T)) > 1e-10:
+    a = np.asarray(matrix)
+    if a.shape != (3, 3) or np.any(np.imag(a) != 0):
         raise NotHermitian("characteristic oracle needs a real symmetric 3x3")
+    a = require_hermitian(a).real  # rejects non-finite entries too
     shift = np.trace(a) / 3.0
     b = a - shift * np.eye(3)
     p2 = float(np.sum(b * b)) / 6.0

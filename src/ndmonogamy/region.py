@@ -29,7 +29,6 @@ as anchors.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -536,30 +535,6 @@ class SweepReport:
             or self.kcbs_floor_violations
             or self.chsh_floor_violations
         )
-
-    def to_json(self) -> str:
-        payload = {
-            "samples": self.samples,
-            "seed": self.seed,
-            "extrema": {
-                "min_kcbs": self.min_kcbs,
-                "min_chsh": self.min_chsh,
-                "min_sum": self.min_sum,
-                "max_kcbs": self.max_kcbs,
-                "max_chsh": self.max_chsh,
-            },
-            "violations": {
-                "monogamy": self.monogamy_violations,
-                "kcbs_floor": self.kcbs_floor_violations,
-                "chsh_floor": self.chsh_floor_violations,
-            },
-            "tradeoff_witnesses": {
-                "kcbs_only": self.kcbs_only_violation_count,
-                "chsh_only": self.chsh_only_violation_count,
-            },
-            "clean": self.clean,
-        }
-        return json.dumps(payload)
 
 
 def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:

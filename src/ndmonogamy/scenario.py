@@ -212,6 +212,8 @@ class Behavior:
     @classmethod
     def from_tables(cls, tables: Mapping[str, Sequence[float]]) -> "Behavior":
         """Build from a mapping of each context label, and no other key, to its 8-entry table."""
+        if not isinstance(tables, Mapping):
+            raise ValueError(f"context tables must be a mapping, got {type(tables).__name__}")
         missing = [label for label in LABELS if label not in tables]
         if missing:
             raise ValueError(f"missing context tables: {missing}")

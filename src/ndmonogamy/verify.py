@@ -116,15 +116,12 @@ def check_fine_recovery(seed: int) -> CheckResult:
     worst = 0.0
     for pivot in nodisturbance.PIVOTS:
         for join, expr in (
-            (nodisturbance.fine_join_c1_many, classical.c1_expression(pivot)),
-            (nodisturbance.fine_join_c2_many, classical.c2_expression(pivot)),
+            (nodisturbance.fine_join_c1, classical.c1_expression(pivot)),
+            (nodisturbance.fine_join_c2, classical.c2_expression(pivot)),
         ):
-            variables, joints = join(probs, pivot)
+            joint = join(probs, pivot)
             for _, subset in expr.terms:
-                gaps = np.abs(
-                    nodisturbance.joint_correlator_many(variables, joints, subset)
-                    - correlator_many(probs, subset)
-                )
+                gaps = np.abs(joint.correlator(subset) - correlator_many(probs, subset))
                 worst = max(worst, float(gaps.max()))
     return _result(
         "fine-marginal-recovery",
@@ -136,7 +133,7 @@ def check_fine_recovery(seed: int) -> CheckResult:
 
 def check_nd_monogamy(seed: int) -> CheckResult:
     probs = nodisturbance.sample_behavior_matrix(ND_BEHAVIOR_COUNT, seed + 1)
-    reports = nodisturbance.monogamy_certificate_many(probs.reshape(-1, 10, 8))
+    reports = nodisturbance.monogamy_certificate(probs.reshape(-1, 10, 8))
     worst = min(min(report.sums_by_pivot.values()) for report in reports)
     flags_ok = all(report.at_most_one_violated for report in reports)
     passed = flags_ok and worst >= classical.MONOGAMY_BOUND - region.POINTWISE_SLACK

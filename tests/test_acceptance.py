@@ -25,8 +25,8 @@ from ndmonogamy.classical import (
 from ndmonogamy.nodisturbance import (
     PIVOTS,
     expression_vector,
-    fine_join_c1_many,
-    fine_join_c2_many,
+    fine_join_c1,
+    fine_join_c2,
     nd_optimum,
     sample_behavior_matrix,
     sample_behaviors,
@@ -130,20 +130,21 @@ def test_criterion_03_fine_construction_recovery():
     worst_marginal = 0.0
     worst_identity = 0.0
     for pivot in PIVOTS:
-        joint1 = fine_join_c1_many(probs, pivot)
-        joint2 = fine_join_c2_many(probs, pivot)
-        for (variables, joints), expr in (
+        joint1 = fine_join_c1(probs, pivot)
+        joint2 = fine_join_c2(probs, pivot)
+        for joint, expr in (
             (joint1, c1_expression(pivot)),
             (joint2, c2_expression(pivot)),
         ):
             for _, subset in expr.terms:
-                gaps = np.abs(pair_marginals(variables, joints, subset) - reference(subset))
+                marginals = pair_marginals(joint.variables, joint.probs, subset)
+                gaps = np.abs(marginals - reference(subset))
                 worst_marginal = max(worst_marginal, float(gaps.max()))
         # marginalization identities of the Bell-shaped joint
         prev_pair = (classical.alice(pivot - 1), classical.alice(pivot))
         next_pair = (classical.alice(pivot), classical.alice(pivot + 1))
         for pair in (prev_pair, next_pair):
-            gaps = np.abs(pair_marginals(*joint2, pair) - reference(pair))
+            gaps = np.abs(pair_marginals(joint2.variables, joint2.probs, pair) - reference(pair))
             worst_identity = max(worst_identity, float(gaps.max()))
     report(
         3,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import re
@@ -26,12 +27,8 @@ from ndmonogamy.nodisturbance import (
     certified_nd_minimum,
     expression_vector,
     fine_join_c1,
-    fine_join_c1_many,
     fine_join_c2,
-    fine_join_c2_many,
-    joint_correlator_many,
     monogamy_certificate,
-    monogamy_certificate_many,
     nd_equality_system,
     nd_optimum,
     sample_behavior_matrix,
@@ -78,53 +75,80 @@ def bell_like_state():
 class TestJointDistribution:
     def test_validates_shape_and_mass(self):
         with pytest.raises(ValueError):
-            JointDistribution(("X", "Y"), np.ones(3))
+            JointDistribution(("X", "Y"), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="stack"):
+            JointDistribution(("X", "Y"), np.full(4, 0.25))  # one table, not a stack
         with pytest.raises(ValueError):
-            JointDistribution(("X",), np.array([0.7, 0.7]))
+            JointDistribution(("X",), np.array([[0.7, 0.7]]))
         with pytest.raises(ValueError):
-            JointDistribution(("X",), np.array([-0.5, 1.5]))
+            JointDistribution(("X",), np.array([[0.5, 0.5], [-0.5, 1.5]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probability(self, bad):
         with pytest.raises(ValueError):
-            JointDistribution(("X", "Y"), np.array([0.25, 0.25, 0.5, bad]))
+            JointDistribution(("X", "Y"), np.array([[0.25, 0.25, 0.5, bad]]))
 
     def test_marginal_orders_variables_as_requested(self):
         probs = np.arange(8, dtype=float)
         probs /= probs.sum()
-        joint = JointDistribution(("X", "Y", "Z"), probs)
+        joint = JointDistribution(("X", "Y", "Z"), probs[None])
         forward = joint.marginal(("X", "Z"))
         swapped = joint.marginal(("Z", "X"))
-        assert forward.probs[1] == swapped.probs[2]  # (x=-1,z=+1) vs (z=+1,x=-1)
+        assert forward.probs[0, 1] == swapped.probs[0, 2]  # (x=-1,z=+1) vs (z=+1,x=-1)
 
     def test_correlator_of_uniform_vanishes(self):
-        joint = JointDistribution(("X", "Y"), np.full(4, 0.25))
-        assert joint.correlator(("X", "Y")) == 0.0
+        joint = JointDistribution(("X", "Y"), np.full((3, 4), 0.25))
+        np.testing.assert_array_equal(joint.correlator(("X", "Y")), np.zeros(3))
+
+    def test_rejects_repeated_variables(self):
+        # with a repeated name, correlator(("A1",)) would read 0.0
+        with pytest.raises(ValueError, match="repeat"):
+            JointDistribution(("A1", "A1"), np.full((1, 4), 0.25))
+
+    def test_rejects_unknown_subset_variable(self):
+        joint = JointDistribution(("X", "Y"), np.full((2, 4), 0.25))
+        for call in (joint.marginal, joint.correlator):
+            with pytest.raises(ValueError, match="'Z' is not a variable"):
+                call(("X", "Z"))
+            with pytest.raises(ValueError, match="repeats"):
+                call(("X", "X"))
+
+    @pytest.mark.parametrize("subset", [("X",), ("Z", "X"), ("Y", "Z"), ("Z", "Y", "X")])
+    def test_marginal_then_correlator_equals_reference(self, subset):
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(8), size=7)
+        joint = JointDistribution(("X", "Y", "Z"), probs)
+        marginal = joint.marginal(subset)
+        assert marginal.variables == subset
+        assert marginal.probs.shape == (7, 2 ** len(subset))
+        got = marginal.correlator(subset)
+        expected = [reference_joint_correlator(joint.variables, row, subset) for row in probs]
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 class TestFineJoinC1:
     def test_uniform_behavior_gives_uniform_joint(self, uniform_behavior):
-        joint = fine_join_c1(uniform_behavior, 1)
-        assert joint.probs.shape == (32,)
+        joint = fine_join_c1(uniform_behavior.probs[None], 1)
+        assert joint.probs.shape == (1, 32)
         assert np.allclose(joint.probs, 1 / 32, atol=1e-15)
         assert joint.variables == ("A2", "A3", "A5", "A4", "B1")
 
     def test_bell_state_marginals_recovered(self):
         behavior = behavior_from_state(bell_like_state())
-        joint = fine_join_c1(behavior, 1)
+        joint = fine_join_c1(behavior.probs[None], 1)
         for subset in [("A2", "A3"), ("A2", "B1")]:
             marginal = joint.marginal(subset)
             for k, values in enumerate(itertools.product((-1, 1), repeat=2)):
                 context = canonical_context(subset)
                 direct = behavior.marginal(context, dict(zip(subset, values)))
-                assert marginal.probs[k] == pytest.approx(direct, abs=1e-10)
+                assert marginal.probs[0, k] == pytest.approx(direct, abs=1e-10)
 
     def test_expression_value_matches_behavior_path(self, nd_behaviors):
         for behavior in nd_behaviors[:10]:
             for pivot in PIVOTS:
-                joint = fine_join_c1(behavior, pivot)
+                joint = fine_join_c1(behavior.probs[None], pivot)
                 from_joint = sum(
-                    coeff * joint.correlator(subset)
+                    coeff * joint.correlator(subset)[0]
                     for coeff, subset in c1_expression(pivot).terms
                 )
                 direct = expression_value(behavior, c1_expression(pivot))
@@ -132,13 +156,13 @@ class TestFineJoinC1:
 
     def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance):
-            fine_join_c1(disturbing_behavior(), 1)
+            fine_join_c1(disturbing_behavior().probs[None], 1)
 
 
 class TestFineJoinC2:
     def test_uniform_behavior_gives_uniform_joint(self, uniform_behavior):
-        joint = fine_join_c2(uniform_behavior, 1)
-        assert joint.probs.shape == (16,)
+        joint = fine_join_c2(uniform_behavior.probs[None], 1)
+        assert joint.probs.shape == (1, 16)
         assert np.allclose(joint.probs, 1 / 16, atol=1e-15)
         assert joint.variables == ("A5", "A1", "A2", "B2")
 
@@ -147,7 +171,7 @@ class TestFineJoinC2:
         # dropping (a_{i+1}, b2) leaves p(a_{i-1}, a_i); dropping
         # (a_{i-1}, b2) leaves p(a_i, a_{i+1})
         for behavior in nd_behaviors[:10]:
-            joint = fine_join_c2(behavior, pivot)
+            joint = fine_join_c2(behavior.probs[None], pivot)
             prev_pair = (alice(pivot - 1), alice(pivot))
             next_pair = (alice(pivot), alice(pivot + 1))
             for pair in (prev_pair, next_pair):
@@ -155,23 +179,23 @@ class TestFineJoinC2:
                 context = canonical_context(pair)
                 for k, values in enumerate(itertools.product((-1, 1), repeat=2)):
                     direct = behavior.marginal(context, dict(zip(pair, values)))
-                    assert recovered.probs[k] == pytest.approx(direct, abs=1e-10)
+                    assert recovered.probs[0, k] == pytest.approx(direct, abs=1e-10)
 
     def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance) as excinfo:
-            fine_join_c2(disturbing_behavior(), 1)
+            fine_join_c2(disturbing_behavior().probs[None], 1)
         assert excinfo.value.violations
 
     def test_zero_denominators_handled_on_lp_witness(self):
         # the kcbs LP witness has many exact zeros in its tables
         witness = nd_optimum(kcbs_expression()).witness
         for pivot in PIVOTS:
-            joint1 = fine_join_c1(witness, pivot)
-            joint2 = fine_join_c2(witness, pivot)
+            joint1 = fine_join_c1(witness.probs[None], pivot)
+            joint2 = fine_join_c2(witness.probs[None], pivot)
             assert joint1.probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert joint2.probs.sum() == pytest.approx(1.0, abs=1e-9)
             for coeff, subset in c1_expression(pivot).terms:
-                assert joint1.correlator(subset) == pytest.approx(
+                assert joint1.correlator(subset)[0] == pytest.approx(
                     correlator(witness, subset), abs=1e-8
                 )
 
@@ -404,14 +428,14 @@ class TestSampling:
 
 class TestMonogamyCertificate:
     def test_uniform_behavior(self, uniform_behavior):
-        report = monogamy_certificate(uniform_behavior)
+        (report,) = monogamy_certificate(uniform_behavior.probs[None])
         assert report.kcbs == 0.0
         assert all(v == 0.0 for v in report.chsh_by_pivot.values())
         assert report.at_most_one_violated
 
     def test_kcbs_witness_forces_nonnegative_chsh(self):
         witness = nd_optimum(kcbs_expression()).witness
-        report = monogamy_certificate(witness)
+        (report,) = monogamy_certificate(witness.probs[None])
         assert report.kcbs == pytest.approx(-5.0, abs=1e-8)
         for pivot in PIVOTS:
             assert report.chsh_by_pivot[pivot] >= -1e-8
@@ -420,14 +444,14 @@ class TestMonogamyCertificate:
 
     def test_chsh_witness_forces_unviolated_kcbs(self):
         witness = nd_optimum(chsh_expression()).witness
-        report = monogamy_certificate(witness)
+        (report,) = monogamy_certificate(witness.probs[None])
         assert min(report.chsh_by_pivot.values()) == pytest.approx(-4.0, abs=1e-8)
         assert report.kcbs >= -1.0 - 1e-8  # kcbs + chsh >= -5 with chsh = -4
         assert report.at_most_one_violated
 
     def test_every_sampled_behavior_obeys_monogamy(self, nd_behaviors):
         for behavior in nd_behaviors:
-            report = monogamy_certificate(behavior)
+            (report,) = monogamy_certificate(behavior.probs[None])
             assert report.at_most_one_violated
             assert min(report.sums_by_pivot.values()) >= -5.0 - 1e-9
 
@@ -436,14 +460,14 @@ class TestMonogamyCertificate:
 
         point = touching_point()
         behavior = behavior_from_state(boundary_state(point.phi, "plus"))
-        report = monogamy_certificate(behavior)
+        (report,) = monogamy_certificate(behavior.probs[None])
         best = min(report.sums_by_pivot.values())
         assert best == pytest.approx(-5.0, abs=2e-2)
         assert best == pytest.approx(-5.0, abs=1e-6)
 
     def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance):
-            monogamy_certificate(disturbing_behavior())
+            monogamy_certificate(disturbing_behavior().probs[None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_report_rejects_non_finite_values(self, bad):
@@ -459,28 +483,21 @@ class TestMonogamyCertificate:
         with pytest.raises(ValueError, match="pivot"):
             MonogamyReport(-4.0, chsh_by_pivot)
 
-    def test_report_json(self, uniform_behavior):
-        import json
-
-        payload = json.loads(monogamy_certificate(uniform_behavior).to_json())
-        assert payload["at_most_one_violated"] is True
-        assert set(payload["chsh_by_pivot"]) == {"1", "2", "3", "4", "5"}
-
 
 class TestFineRecoveryProperty:
     def test_pairwise_marginal_recovery_on_sample(self, nd_behaviors):
         worst = 0.0
         for behavior in nd_behaviors:
             for pivot in PIVOTS:
-                joint1 = fine_join_c1(behavior, pivot)
-                joint2 = fine_join_c2(behavior, pivot)
+                joint1 = fine_join_c1(behavior.probs[None], pivot)
+                joint2 = fine_join_c2(behavior.probs[None], pivot)
                 for joint, expr in (
                     (joint1, c1_expression(pivot)),
                     (joint2, c2_expression(pivot)),
                 ):
                     for _, subset in expr.terms:
                         gap = abs(
-                            joint.correlator(subset) - correlator(behavior, subset)
+                            joint.correlator(subset)[0] - correlator(behavior, subset)
                         )
                         worst = max(worst, gap)
         assert worst <= 1e-10
@@ -576,80 +593,95 @@ class TestStackedFineJoins:
     @pytest.mark.parametrize("pivot", PIVOTS)
     def test_stacked_joints_equal_scalar_construction(self, sweep_behaviors, pivot):
         probs = np.stack([b.probs for b in sweep_behaviors])
-        for many, reference in (
-            (fine_join_c1_many, reference_fine_join_c1),
-            (fine_join_c2_many, reference_fine_join_c2),
+        for join, reference in (
+            (fine_join_c1, reference_fine_join_c1),
+            (fine_join_c2, reference_fine_join_c2),
         ):
-            variables, joints = many(probs, pivot)
+            joint = join(probs, pivot)
             expected = [reference(b, pivot) for b in sweep_behaviors]
-            assert variables == expected[0][0]
-            np.testing.assert_array_equal(joints, np.stack([j for _, j in expected]))
+            assert joint.variables == expected[0][0]
+            np.testing.assert_array_equal(joint.probs, np.stack([j for _, j in expected]))
 
     @pytest.mark.parametrize("pivot", PIVOTS)
     def test_stacked_joint_correlators_equal_scalar_ones(self, sweep_behaviors, pivot):
         probs = np.stack([b.probs for b in sweep_behaviors])
-        for many, expr in (
-            (fine_join_c1_many, c1_expression(pivot)),
-            (fine_join_c2_many, c2_expression(pivot)),
+        for join, expr in (
+            (fine_join_c1, c1_expression(pivot)),
+            (fine_join_c2, c2_expression(pivot)),
         ):
-            variables, joints = many(probs, pivot)
-            for subset in [s for _, s in expr.terms] + [variables[:3]]:
+            joint = join(probs, pivot)
+            for subset in [s for _, s in expr.terms] + [joint.variables[:3]]:
                 expected = [
-                    reference_joint_correlator(variables, row, subset) for row in joints
+                    reference_joint_correlator(joint.variables, row, subset)
+                    for row in joint.probs
                 ]
-                stacked = joint_correlator_many(variables, joints, subset)
-                np.testing.assert_array_equal(stacked, expected)
+                np.testing.assert_array_equal(joint.correlator(subset), expected)
 
     def test_one_row_stack_is_the_single_behavior_joint(self, nd_behaviors):
         behavior = nd_behaviors[0]
-        for many, single in ((fine_join_c1_many, fine_join_c1), (fine_join_c2_many, fine_join_c2)):
-            variables, joints = many(behavior.probs[None], 3)
-            joint = single(behavior, 3)
-            assert joints.shape == (1, joint.probs.size)
-            np.testing.assert_array_equal(joints[0], joint.probs)
-            assert variables == joint.variables
+        for join, reference, expr, size in (
+            (fine_join_c1, reference_fine_join_c1, c1_expression(3), 32),
+            (fine_join_c2, reference_fine_join_c2, c2_expression(3), 16),
+        ):
+            joint = join(behavior.probs[None], 3)
+            variables, expected = reference(behavior, 3)
+            assert joint.probs.shape == (1, size)
+            assert joint.probs[0].tobytes() == expected.tobytes()
+            assert joint.variables == variables
+            for _, subset in expr.terms:
+                want = reference_joint_correlator(variables, expected, subset)
+                assert joint.correlator(subset).tobytes() == np.array([want]).tobytes()
 
     def test_empty_stack(self):
         empty = np.empty((0, 10, 8))
-        for many, size in ((fine_join_c1_many, 32), (fine_join_c2_many, 16)):
-            variables, joints = many(empty, 2)
-            assert joints.shape == (0, size)
-            assert joint_correlator_many(variables, joints, variables[:2]).shape == (0,)
-        assert monogamy_certificate_many(empty) == []
+        for join, size in ((fine_join_c1, 32), (fine_join_c2, 16)):
+            joint = join(empty, 2)
+            assert joint.probs.shape == (0, size)
+            assert joint.correlator(joint.variables[:2]).shape == (0,)
+            assert joint.marginal(joint.variables[:2]).probs.shape == (0, 4)
+        assert monogamy_certificate(empty) == []
 
     def test_rejects_malformed_stack(self, uniform_behavior):
         with pytest.raises(ValueError, match="table stack"):
-            fine_join_c1_many(uniform_behavior.probs, 1)
+            fine_join_c1(uniform_behavior.probs, 1)
         unnormalized = np.full((2, 10, 8), 1 / 4)
         with pytest.raises(ValueError, match="sum to"):
-            fine_join_c2_many(unnormalized, 1)
+            fine_join_c2(unnormalized, 1)
 
     def test_disturbing_row_names_its_index(self, uniform_behavior):
         probs = np.stack([uniform_behavior.probs, disturbing_behavior().probs])
         for call in (
-            lambda: fine_join_c1_many(probs, 1),
-            lambda: fine_join_c2_many(probs, 1),
-            lambda: monogamy_certificate_many(probs),
+            lambda: fine_join_c1(probs, 1),
+            lambda: fine_join_c2(probs, 1),
+            lambda: monogamy_certificate(probs),
         ):
             with pytest.raises(NotNoDisturbance, match="row 1") as excinfo:
                 call()
             assert excinfo.value.violations
 
 
+def report_fields(report):
+    """Every field of a report, floats by ``repr``, so -0.0 differs from 0.0."""
+    return repr(dataclasses.astuple(report))
+
+
+def reference_report(behavior):
+    """The report of one behavior from the one-behavior witness values."""
+    return MonogamyReport(kcbs_value(behavior), {i: chsh_value(behavior, i) for i in PIVOTS})
+
+
 class TestStackedCertificates:
     def test_agree_with_scalar_witnesses(self, sweep_behaviors):
         probs = np.stack([b.probs for b in sweep_behaviors])
-        reports = monogamy_certificate_many(probs)
+        reports = monogamy_certificate(probs)
         assert len(reports) == len(sweep_behaviors)
         for behavior, report in zip(sweep_behaviors, reports):
             # the terms are added in the witnesses' own order, so they agree exactly
-            assert report.kcbs == kcbs_value(behavior)
-            assert report.chsh_by_pivot == {i: chsh_value(behavior, i) for i in PIVOTS}
-            assert report == monogamy_certificate(behavior)
+            assert report_fields(report) == report_fields(reference_report(behavior))
 
     def test_one_row_stack(self, nd_behaviors):
-        (report,) = monogamy_certificate_many(nd_behaviors[4].probs[None])
-        assert report == monogamy_certificate(nd_behaviors[4])
+        (report,) = monogamy_certificate(nd_behaviors[4].probs[None])
+        assert report_fields(report) == report_fields(reference_report(nd_behaviors[4]))
 
 
 class TestToleranceValidation:
@@ -703,15 +735,17 @@ class TestStackedVerifyChecks:
         assert result.detail == f"min kcbs+chsh over sample {worst:.12g}"
 
     def test_fine_recovery_can_fail(self, monkeypatch):
-        stacked = nodisturbance.fine_join_c1_many
+        stacked = nodisturbance.fine_join_c1
 
-        def perturbed(probs, pivot, *args, **kwargs):
-            variables, joints = stacked(probs, pivot, *args, **kwargs)
-            joints = joints.copy()
-            joints[17, 5] += 1e-6
-            return variables, joints
+        def perturbed(probs, pivot):
+            joint = stacked(probs, pivot)
+            joints = joint.probs.copy()
+            # entries 4 and 5 differ only in B1: every B1 correlator moves by 1e-6
+            joints[17, 5] += 5e-7
+            joints[17, 4] -= 5e-7
+            return JointDistribution(joint.variables, joints)
 
-        monkeypatch.setattr(nodisturbance, "fine_join_c1_many", perturbed)
+        monkeypatch.setattr(nodisturbance, "fine_join_c1", perturbed)
         result = verify.check_fine_recovery(42)
         assert not result.passed
         assert "worst marginal gap 1e-06" in result.detail

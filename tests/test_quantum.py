@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ndmonogamy import quantum, verify
+from ndmonogamy import quantum, region, verify
 from ndmonogamy.classical import BOUNDS, chsh_expression, kcbs_expression
 from ndmonogamy.errors import (
     BlockStructureViolated,
@@ -280,6 +281,41 @@ class TestEigensystem:
     def test_characteristic_oracle_rejects_asymmetric(self):
         with pytest.raises(NotHermitian):
             eigvals_characteristic_3x3(np.arange(9.0).reshape(3, 3))
+
+    def test_characteristic_oracle_asymmetry_tolerance(self):
+        # the rule is require_hermitian's: at most 1e-12 from symmetric
+        m = region.bell_block().copy()
+        m[0, 1] += 1e-11
+        with pytest.raises(NotHermitian):
+            eigvals_characteristic_3x3(m)
+        m[0, 1] -= 1e-11 - 1e-13
+        assert eigvals_characteristic_3x3(m).shape == (3,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_characteristic_oracle_rejects_non_finite(self, bad):
+        # the cubic formula would give NaN eigenvalues, not an error
+        for where in ((0, 0), (0, 2)):
+            m = region.bell_block().copy()
+            m[where] = m[where[::-1]] = bad
+            with pytest.raises(NotHermitian):
+                eigvals_characteristic_3x3(m)
+
+    def test_characteristic_oracle_rejects_complex_entries(self):
+        # a cast to float would drop the imaginary part with only a ComplexWarning
+        m = region.bell_block().astype(complex)
+        m[0, 1] += 1e-3j
+        m[1, 0] -= 1e-3j  # Hermitian, but not real
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian):
+                eigvals_characteristic_3x3(m)
+            m[0, 1] = complex(m[0, 1].real, np.nan)
+            with pytest.raises(NotHermitian):
+                eigvals_characteristic_3x3(m)
+            real = region.bell_block().astype(complex)
+            assert eigvals_characteristic_3x3(real).tobytes() == (
+                eigvals_characteristic_3x3(region.bell_block()).tobytes()
+            )
 
     def test_phase_convention_largest_component_positive(self):
         rng = np.random.default_rng(12)

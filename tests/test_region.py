@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -51,6 +52,11 @@ from ndmonogamy.scenario import chsh_value, kcbs_value
 
 QUARTER = math.pi / 2
 BLOCK = quantum._STATE_BLOCK
+
+
+def report_fields(report: region.SweepReport) -> str:
+    """Every field of a report, floats by ``repr``, so -0.0 differs from 0.0."""
+    return repr(dataclasses.astuple(report))
 
 
 def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
@@ -793,9 +799,9 @@ class TestMembershipSweep:
         assert report.min_sum >= -5.0 - 1e-9
 
     def test_seed_reproducibility(self):
-        first = region_membership_sweep(2000, seed=9).to_json()
-        second = region_membership_sweep(2000, seed=9).to_json()
-        assert first == second
+        first = region_membership_sweep(2000, seed=9)
+        second = region_membership_sweep(2000, seed=9)
+        assert report_fields(first) == report_fields(second)
 
     def test_level_two_product_state(self):
         # |2> (x) |0> maximally violates the pentagon bound but stays local
@@ -816,8 +822,8 @@ class TestMembershipSweep:
     )
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_blocks_match_the_whole_stack(self, samples, seed):
-        got = region_membership_sweep(samples, seed).to_json()
-        assert got == whole_stack_sweep(samples, seed).to_json()
+        got = region_membership_sweep(samples, seed)
+        assert report_fields(got) == report_fields(whole_stack_sweep(samples, seed))
 
     @pytest.mark.parametrize("samples", [BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1])
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -838,7 +844,7 @@ class TestMembershipSweep:
         monkeypatch.setattr(region, "KCBS_QUANTUM_MIN", -1.5)
         monkeypatch.setattr(region, "bell_block_minimum", lambda: -1.0)
         report = region_membership_sweep(5001, seed=7)
-        assert report.to_json() == whole_stack_sweep(5001, seed=7).to_json()
+        assert report_fields(report) == report_fields(whole_stack_sweep(5001, seed=7))
         kinds = (
             report.monogamy_violations,
             report.kcbs_floor_violations,
@@ -862,14 +868,3 @@ class TestMembershipSweep:
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
             region_membership_sweep(0)
-
-    def test_json_payload_shape(self):
-        import json
-
-        payload = json.loads(region_membership_sweep(500, seed=5).to_json())
-        assert payload["clean"] is True
-        assert payload["violations"] == {
-            "monogamy": [],
-            "kcbs_floor": [],
-            "chsh_floor": [],
-        }

@@ -176,6 +176,18 @@ class TestBehavior:
         with pytest.raises(ValueError, match="'extra'"):
             Behavior.from_json(json.dumps(tables))
 
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("null", "NoneType"), ("5", "int"), ("[[0.125]]", "list"), ('"A1,A2,B1 A1,A2,B2"', "str")],
+    )
+    def test_rejects_json_that_is_not_an_object(self, text, kind):
+        # a string would be searched by substring; null or a number raise TypeError
+        message = f"context tables must be a mapping, got {kind}"
+        with pytest.raises(ValueError, match=message):
+            Behavior.from_json(text)
+        with pytest.raises(ValueError, match=message):
+            Behavior.from_tables(json.loads(text))
+
     def test_tiny_negative_entries_clip_to_zero(self):
         probs = np.full((10, 8), 1 / 8)
         probs[0, 0] = -1e-14
