@@ -34,6 +34,7 @@ from .scenario import (
     bob,
     chsh_terms,
     number_type,
+    wrap_pivot,
 )
 
 PIVOTS = (1, 2, 3, 4, 5)
@@ -132,9 +133,10 @@ def c1_expression(pivot: int) -> LinearExpression:
     """Pentagon-shaped part of the split of kcbs+chsh around ``pivot``.
 
     Runs around the 5-cycle (B1, A_{pivot+1}, A_{pivot+2}, A_{pivot-2},
-    A_{pivot-1}); classical and no-disturbance bound -3.
+    A_{pivot-1}); classical and no-disturbance bound -3.  Pivots wrap
+    mod 5; a bool or a non-integer raises ``ValueError``.
     """
-    i = pivot
+    i = wrap_pivot(pivot)
     return LinearExpression(
         (
             (1.0, (alice(i + 1), bob(1))),
@@ -152,8 +154,9 @@ def c2_expression(pivot: int) -> LinearExpression:
 
     Classical and no-disturbance bound -2.  Together with
     :func:`c1_expression` it sums to kcbs + chsh for the same pivot.
+    Pivots wrap mod 5; a bool or a non-integer raises ``ValueError``.
     """
-    i = pivot
+    i = wrap_pivot(pivot)
     return LinearExpression(
         (
             (1.0, (alice(i + 1), alice(i))),

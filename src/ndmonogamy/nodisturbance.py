@@ -50,7 +50,10 @@ from .scenario import (
 #: margin below a classical bound that a :class:`MonogamyReport` flags as a
 #: violation; separate from the slack granted to the monogamy bound itself
 VIOLATION_TOL = 1e-9
-_SAMPLE_BATCH = 200_000  # most raw rows drawn per pass of sample_behavior_matrix
+#: raw rows that sample_behavior_matrix draws, projects and accepts per pass.  A
+#: row's bits do not depend on it: OpenBLAS projects a row alike in every product
+#: of 16 rows or more, while 2- and 3-row products can differ in the last bits
+_SAMPLE_BATCH = 512
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +101,8 @@ class JointDistribution:
         Each row's marginal over ``subset`` is summed with its outcome
         signs one entry after the other, in outcome order.
         """
-        signs = np.array(
-            [float(np.prod(t)) for t in itertools.product(OUTCOMES, repeat=len(subset))]
-        )
         marginals = self._marginals(subset)
-        return np.cumsum(marginals * signs, axis=1)[:, -1]
+        return np.cumsum(marginals * _product_signs(len(subset)), axis=1)[:, -1]
 
     def _marginals(self, subset: Sequence[str]) -> np.ndarray:
         """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order."""
@@ -116,6 +116,14 @@ class JointDistribution:
         summed = self.probs.reshape((-1,) + (2,) * len(self.variables)).sum(axis=drop)
         order = [0] + [1 + k for k in np.argsort(np.argsort(positions))]
         return np.transpose(summed, order).reshape(len(self.probs), 2 ** len(subset))
+
+
+@lru_cache(maxsize=None)
+def _product_signs(size: int) -> np.ndarray:
+    """Read-only products of the outcomes of every +-1 ``size``-tuple, in table order."""
+    signs = np.array([float(math.prod(t)) for t in itertools.product(OUTCOMES, repeat=size)])
+    signs.setflags(write=False)
+    return signs
 
 
 def _joint_rows(probs: np.ndarray) -> np.ndarray:
@@ -138,7 +146,8 @@ def _nd_tables(probs: np.ndarray) -> np.ndarray:
 
     One matrix product with the marginal-agreement rows checks the whole
     stack; the first offending row raises :class:`NotNoDisturbance`
-    carrying its violation records.
+    carrying its violation records, or ``ValueError`` naming it when it
+    holds a NaN or infinite entry.
     """
     probs = np.asarray(probs, dtype=float)
     shape = (len(CONTEXTS), 8)
@@ -149,6 +158,8 @@ def _nd_tables(probs: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~(gaps <= ND_TOL))
     if bad.size:
         k = int(bad[0])
+        if not np.isfinite(probs[k]).all():
+            raise ValueError(f"behavior row {k} has a NaN or infinite probability")
         where = f"row {k} " if len(probs) > 1 else ""
         raise NotNoDisturbance(
             f"behavior {where}violates no-disturbance (worst marginal gap "
@@ -468,6 +479,10 @@ def sample_behavior_matrix(
     choice for very large feasibility sweeps).  Either way the returned
     rows are exact members of the polytope: entries in [-PROB_TOL, 0)
     are clipped to zero and each context row renormalized.
+
+    Rows are drawn in whole chunks of ``_SAMPLE_BATCH`` until ``count``
+    are accepted, so a passed ``Generator`` is left after the last chunk,
+    not after the last returned row.
     """
     if method not in ("reject", "shrink"):
         raise ValueError(f"method must be 'reject' or 'shrink', got {method!r}")
@@ -476,11 +491,11 @@ def sample_behavior_matrix(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     q, uniform = _projector()
     n_ctx = len(CONTEXTS)
+    alpha = np.ones(8)
     chunks = [np.empty((0, 8 * n_ctx))]
     total = 0
     while total < count:
-        size = min(_SAMPLE_BATCH, max(1000, 16 * (count - total)))
-        raw = rng.dirichlet(np.ones(8), size=(size, n_ctx)).reshape(size, 8 * n_ctx)
+        raw = rng.dirichlet(alpha, size=(_SAMPLE_BATCH, n_ctx)).reshape(-1, 8 * n_ctx)
         raw -= uniform
         raw -= (raw @ q) @ q.T
         raw += uniform

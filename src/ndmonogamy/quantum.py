@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -53,7 +54,9 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
 
 def require_normalized(ket: np.ndarray) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
-    norm = float(np.linalg.norm(ket))
+    flat = ket.ravel()
+    # the sum np.linalg.norm forms for a complex array, without its dispatch
+    norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
         raise NotNormalized(f"state has norm {norm}, expected 1")
     return ket
@@ -332,7 +335,7 @@ def random_state_blocks(
     the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    real = rng.normal(size=(count, 6))
+    real = rng.standard_normal((count, 6))
     starts = list(range(0, max(count, 1), _STATE_BLOCK))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
@@ -340,7 +343,7 @@ def random_state_blocks(
         block = np.empty((stop - start, 6), dtype=complex)
         parts = block.view(np.float64)  # (rows, 12): re, im, re, im, ...
         parts[:, 0::2] = real[start:stop]
-        parts[:, 1::2] = rng.normal(size=(stop - start, 6))
+        parts[:, 1::2] = rng.standard_normal((stop - start, 6))
         block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)
         yield block
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -187,10 +188,12 @@ class Behavior:
     validation_tol: float = field(default=PROB_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        _require_numbers(self.probs, LABELS)
-        probs = np.asarray(self.probs)
-        if np.iscomplexobj(probs):
-            raise ValueError("behavior probabilities must be real, got a complex table")
+        probs = self.probs
+        if not (isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu"):
+            _require_numbers(probs, LABELS)
+            probs = np.asarray(probs)
+            if np.iscomplexobj(probs):
+                raise ValueError("behavior probabilities must be real, got a complex table")
         probs = probs.astype(float, copy=False)
         expected = (len(CONTEXTS), 8)
         if probs.shape != expected:
@@ -371,10 +374,23 @@ def require_tolerance(tol: float) -> None:
 
 
 def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
-    """All marginal disagreements beyond ``tol`` of one (10, 8) table array."""
+    """All marginal disagreements beyond ``tol`` of one (10, 8) table array.
+
+    Any other shape, and a table with a NaN or infinite entry, raise
+    ``ValueError``.
+    """
     require_tolerance(tol)
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (len(CONTEXTS), 8):
+        raise ValueError(f"need a ({len(CONTEXTS)}, 8) table array, got {probs.shape}")
     matrix, infos = marginal_constraint_rows()
     residuals = matrix @ probs.ravel()
+    # every entry has a nonzero coefficient in some row, so a NaN or
+    # infinite entry makes the worst residual NaN or infinite too
+    if np.abs(residuals).max() <= tol:
+        return []
+    if not np.isfinite(probs).all():
+        raise ValueError("no-disturbance needs finite probabilities, got NaN or infinity")
     violations: list[NdViolation] = []
     for k in np.flatnonzero(np.abs(residuals) > tol):
         info = infos[k]
@@ -404,7 +420,8 @@ def check_no_disturbance(behavior: Behavior, tol: float = ND_TOL) -> list[NdViol
     every singleton marginal across all containing contexts.  An empty
     list means the behavior satisfies no-disturbance at this tolerance;
     violations are returned as data, never raised.  A negative or
-    non-finite ``tol`` raises ``ValueError``.
+    non-finite ``tol`` raises ``ValueError``.  One matrix-vector product
+    gives every residual; the list is built only when the worst exceeds ``tol``.
     """
     return nd_violations(behavior.probs, tol)
 
@@ -413,18 +430,77 @@ def check_no_disturbance(behavior: Behavior, tol: float = ND_TOL) -> list[NdViol
 KCBS_TERMS: Terms = tuple((1.0, (alice(i), alice(i + 1))) for i in range(1, 6))
 
 
-@lru_cache(maxsize=N_CYCLE)
+def wrap_pivot(pivot: int) -> int:
+    """``pivot`` taken mod 5 into 1..5.
+
+    A bool, or anything that is not an integer, raises ``ValueError``
+    naming it: ``True`` would otherwise act as pivot 1, and ``2.5`` name
+    the measurement ``A3.5``.
+    """
+    if type(pivot) is not int and (
+        isinstance(pivot, bool) or not isinstance(pivot, numbers.Integral)
+    ):
+        raise ValueError(f"pivot must be an integer, got {pivot!r}")
+    return (int(pivot) - 1) % N_CYCLE + 1
+
+
 def chsh_terms(pivot: int = 5) -> Terms:
     """Terms of :func:`chsh_value` at ``pivot``: A_{pivot+-1} against B1, B2."""
+    return _chsh_terms(wrap_pivot(pivot))
+
+
+@lru_cache(maxsize=N_CYCLE)
+def _chsh_terms(pivot: int) -> Terms:
     a_plus, a_minus = alice(pivot + 1), alice(pivot - 1)
     pairs = ((a_plus, bob(1)), (a_plus, bob(2)), (a_minus, bob(1)), (a_minus, bob(2)))
     return tuple(zip((1.0, 1.0, 1.0, -1.0), pairs))
 
 
+class _TermPlan(NamedTuple):
+    """Read-only arrays that evaluate a sum of correlator terms with one gather."""
+
+    contexts: np.ndarray  # (t,) context index of each term
+    signs: np.ndarray  # (t, 8) outcome signs of each term in its context
+    coeffs: np.ndarray  # (t,) coefficients
+
+
+@lru_cache(maxsize=None)
+def _term_plan(terms: Terms) -> _TermPlan:
+    """The plan of ``terms``, each in its canonical context."""
+    entries = [term(subset) for _, subset in terms]
+    plan = _TermPlan(
+        np.array([c_idx for c_idx, _ in entries], dtype=np.intp),
+        np.array([signs for _, signs in entries]).reshape(-1, 8),
+        np.array([float(coeff) for coeff, _ in terms]),
+    )
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+@lru_cache(maxsize=N_CYCLE)
+def _chsh_plan(pivot: int) -> _TermPlan:
+    return _term_plan(_chsh_terms(pivot))
+
+
+def _plan_values(probs: np.ndarray, plan: _TermPlan) -> np.ndarray:
+    """The planned sum on tables of shape (..., 10, 8), one value per table.
+
+    Each correlator sums its signed table entries in outcome order, as
+    :func:`correlator` does; the weighted correlators are then added in
+    term order starting from 0, as ``sum`` does, so a table's value does
+    not depend on the stack it sits in and -0.0 never survives.
+    """
+    signed = probs[..., plan.contexts, :] * plan.signs
+    weighted = np.zeros(signed.shape[:-2] + (len(plan.coeffs) + 1,))
+    np.multiply(np.add.accumulate(signed, axis=-1)[..., -1], plan.coeffs, out=weighted[..., 1:])
+    return np.add.accumulate(weighted, axis=-1)[..., -1]
+
+
 def expression_values(probs: np.ndarray, terms: Terms) -> np.ndarray:
     """Sum of the correlator ``terms`` on every row of an (n, 10, 8)
-    table stack, the terms added in order like :func:`kcbs_value` does."""
-    return sum(coeff * correlator_many(probs, subset) for coeff, subset in terms)
+    table stack, through the same :func:`_plan_values` as :func:`kcbs_value`."""
+    return _plan_values(probs, _term_plan(tuple(terms)))
 
 
 def kcbs_value(behavior: Behavior) -> float:
@@ -432,7 +508,7 @@ def kcbs_value(behavior: Behavior) -> float:
 
     Noncontextual hidden-variable models obey ``kcbs_value >= -3``.
     """
-    return sum(coeff * correlator(behavior, subset) for coeff, subset in KCBS_TERMS)
+    return float(_plan_values(behavior.probs, _term_plan(KCBS_TERMS)))
 
 
 def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
@@ -441,6 +517,7 @@ def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
     Uses A_{pivot+1} and A_{pivot-1} (an incompatible pair) against B1, B2:
     ``<A+ B1> + <A+ B2> + <A- B1> - <A- B2>``.  Local hidden-variable
     models obey ``chsh_value >= -2``.  The default pivot 5 selects the
-    A1/A4 form.
+    A1/A4 form; pivots wrap mod 5, and :func:`wrap_pivot` rejects a bool
+    or a non-integer.
     """
-    return sum(coeff * correlator(behavior, subset) for coeff, subset in chsh_terms(pivot))
+    return float(_plan_values(behavior.probs, _chsh_plan(wrap_pivot(pivot))))

@@ -37,7 +37,11 @@ from ndmonogamy.nodisturbance import (
 from ndmonogamy.quantum import behavior_from_state
 from ndmonogamy.scenario import (
     CONTEXTS,
+    ND_TOL,
+    PROB_TOL,
     Behavior,
+    NdViolation,
+    _table_marginal,
     alice,
     bob,
     canonical_context,
@@ -46,6 +50,7 @@ from ndmonogamy.scenario import (
     correlator,
     expression_values,
     kcbs_value,
+    marginal_constraint_rows,
     nd_violations,
     sign_vector,
 )
@@ -426,6 +431,52 @@ class TestSampling:
             assert behavior.probs.shape == (10, 8)
 
 
+def one_shot_sample_matrix(count, seed, method):
+    """The sampler drawing ``max(1000, 16 * rows still needed)`` rows per pass,
+    at most 200 000: the reference that the chunked draws must reproduce."""
+    rng = np.random.default_rng(seed)
+    q, uniform = nodisturbance._projector()
+    chunks = [np.empty((0, 80))]
+    total = 0
+    while total < count:
+        size = min(200_000, max(1000, 16 * (count - total)))
+        raw = rng.dirichlet(np.ones(8), size=(size, 10)).reshape(size, 80)
+        raw -= uniform
+        raw -= (raw @ q) @ q.T
+        raw += uniform
+        if method == "reject":
+            keep = raw[np.min(raw, axis=1) >= -PROB_TOL]
+        else:
+            drop = uniform - raw
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(drop > 0.0, uniform / drop, np.inf)
+            t = np.minimum(ratios.min(axis=1), 1.0)
+            keep = uniform + t[:, None] * (raw - uniform)
+        tables = np.clip(keep, 0.0, None).reshape(-1, 10, 8)
+        tables /= tables.sum(axis=2, keepdims=True)
+        chunks.append(tables.reshape(-1, 80))
+        total += len(chunks[-1])
+    return np.concatenate(chunks)[:count]
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize("method", ["reject", "shrink"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_bytes_equal_the_one_shot_draw(self, method, seed):
+        for count in (0, 1, 15, 16, 17, 200, 511, 512, 513, 5000):
+            got = sample_behavior_matrix(count, seed, method)
+            want = one_shot_sample_matrix(count, seed, method)
+            assert got.shape == want.shape == (count, 80)
+            assert got.tobytes() == want.tobytes(), (count, seed, method)
+
+    def test_draws_whole_chunks(self):
+        rng = np.random.default_rng(4)
+        sample_behavior_matrix(3, rng, "shrink")
+        reference = np.random.default_rng(4)
+        reference.dirichlet(np.ones(8), size=(nodisturbance._SAMPLE_BATCH, 10))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestMonogamyCertificate:
     def test_uniform_behavior(self, uniform_behavior):
         (report,) = monogamy_certificate(uniform_behavior.probs[None])
@@ -699,6 +750,76 @@ class TestToleranceValidation:
     def test_zero_tolerance_is_allowed(self, uniform_behavior):
         assert check_no_disturbance(uniform_behavior, 0.0) == []
         assert nd_violations(uniform_behavior.probs, 0.0) == []
+
+
+def full_scan_violations(probs, tol):
+    """Every residual beyond ``tol`` as a record, with no early exit: the reference scan."""
+    matrix, infos = marginal_constraint_rows()
+    residuals = matrix @ probs.ravel()
+    violations = []
+    for k in np.flatnonzero(np.abs(residuals) > tol):
+        info = infos[k]
+        assignment = dict(zip(info.subset, info.outcomes))
+        a, b = info.context_a, info.context_b
+        violations.append(
+            NdViolation(
+                info.subset,
+                a.label,
+                b.label,
+                info.outcomes,
+                _table_marginal(probs[CONTEXTS.index(a)], a, assignment),
+                _table_marginal(probs[CONTEXTS.index(b)], b, assignment),
+            )
+        )
+    return violations
+
+
+class TestNdViolations:
+    def test_early_exit_returns_the_full_scan(self, quantum_behaviors):
+        disturbing = disturbing_behavior()
+        matrix, _ = marginal_constraint_rows()
+        worst = float(np.abs(matrix @ disturbing.probs.ravel()).max())
+        cases = [(b, ND_TOL) for b in quantum_behaviors] + [
+            (Behavior.uniform(), 0.0),
+            (disturbing, ND_TOL),
+            (disturbing, worst),
+            (disturbing, np.nextafter(worst, 0.0)),
+        ]
+        for behavior, tol in cases:
+            want = full_scan_violations(behavior.probs, tol)
+            assert repr(check_no_disturbance(behavior, tol)) == repr(want)
+        assert full_scan_violations(disturbing.probs, ND_TOL)
+        assert full_scan_violations(disturbing.probs, worst) == []
+        assert full_scan_violations(disturbing.probs, np.nextafter(worst, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_rejects_non_finite_table(self, bad):
+        probs = Behavior.uniform().probs.copy()
+        probs[3, 5] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            nd_violations(probs)
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            nd_violations(probs, 1e300)
+
+    @pytest.mark.parametrize("shape", [(80,), (10, 7), (1, 10, 8)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            nd_violations(np.full(shape, 1 / 8))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda probs: fine_join_c1(probs, 5),
+            lambda probs: fine_join_c2(probs, 2),
+            monogamy_certificate,
+        ],
+    )
+    def test_stack_with_a_nan_row_names_it(self, call):
+        probs = sample_behavior_matrix(6, seed=3).reshape(-1, 10, 8)
+        probs[4, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="^behavior row 4 has a NaN"):
+            call(probs)
 
 
 class TestEmptySample:

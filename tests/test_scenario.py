@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndmonogamy.classical import (
+    BOUNDS,
     DeterministicAssignment,
     behavior_from_assignment,
+    c1_expression,
+    c2_expression,
     chsh_expression,
     classical_bound,
     kcbs_expression,
 )
 from ndmonogamy.errors import SubsetNotMeasurable
-from ndmonogamy.quantum import alice_observable, behavior_from_state
+from ndmonogamy.nodisturbance import ND_CERTIFICATES
+from ndmonogamy.quantum import alice_observable, behavior_from_state, random_states
 from ndmonogamy.scenario import (
     CONTEXTS,
+    KCBS_TERMS,
     LABELS,
     MEASUREMENT_IDS,
     OUTCOME_TRIPLES,
@@ -27,9 +34,11 @@ from ndmonogamy.scenario import (
     _validate_table,
     canonical_context,
     check_no_disturbance,
+    chsh_terms,
     chsh_value,
     correlator,
     correlator_many,
+    expression_values,
     kcbs_value,
     sign_vector,
     term,
@@ -404,6 +413,89 @@ class TestWitnessValues:
         assert chsh_value(behavior, 5) == pytest.approx(
             chsh_value(behavior, 10), abs=1e-14
         )
+
+    @pytest.mark.parametrize(
+        "pivot", [True, False, np.bool_(True), 2.5, 3.0, np.float64(5.0), "5", None]
+    )
+    def test_rejects_bool_and_non_integer_pivots(self, nd_behaviors, pivot):
+        behavior = nd_behaviors[1]
+        calls = (
+            lambda: chsh_terms(pivot),
+            lambda: chsh_value(behavior, pivot),
+            lambda: chsh_expression(pivot),
+            lambda: c1_expression(pivot),
+            lambda: c2_expression(pivot),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"got {pivot!r}")):
+                call()
+
+    def test_numpy_integer_pivot_wraps(self, nd_behaviors):
+        behavior = nd_behaviors[1]
+        assert chsh_value(behavior, np.int64(10)) == chsh_value(behavior, 5)
+        assert chsh_terms(np.int32(-4)) == chsh_terms(1)
+
+
+def reference_value(behavior, terms):
+    """One ``correlator`` per term, added by ``sum``: the per-term reference."""
+    return sum(coeff * correlator(behavior, subset) for coeff, subset in terms)
+
+
+@lru_cache(maxsize=None)
+def witness_behaviors():
+    """The 13 certificate witnesses ``x = n/2``, polytope faces with exact
+    zeros (some terms are -0.0), then the Born behaviors of 2000 states."""
+    behaviors = []
+    for _, primal in ND_CERTIFICATES.values():
+        x = np.zeros(len(CONTEXTS) * 8)
+        x[list(primal)] = [n / 2 for n in primal.values()]
+        behaviors.append(Behavior(x.reshape(-1, 8)))
+    behaviors.append(Behavior.uniform())  # every pair correlator is +0.0
+    behaviors += [behavior_from_state(psi) for psi in random_states(2000, seed=17)]
+    return behaviors
+
+
+#: each BOUNDS row's terms, and the negated kcbs terms, whose weighted terms
+#: are all -0.0 on the uniform behavior, so only a sum from 0 reads 0.0
+EXPRESSION_TERMS = [(row.name, row.expression.terms) for row in BOUNDS] + [
+    ("-kcbs", tuple((-1.0, subset) for _, subset in KCBS_TERMS))
+]
+
+
+class TestTermPlan:
+    """The witnesses' one-gather plan has the bits of one ``correlator`` per term.
+
+    Compared by ``repr``, so -0.0 and 0.0 differ.
+    """
+
+    def test_kcbs_value_is_the_per_term_sum(self):
+        for behavior in witness_behaviors():
+            assert repr(kcbs_value(behavior)) == repr(reference_value(behavior, KCBS_TERMS))
+
+    @pytest.mark.parametrize("pivot", [1, 2, 3, 4, 5, 10])
+    def test_chsh_value_is_the_per_term_sum(self, pivot):
+        for behavior in witness_behaviors():
+            want = reference_value(behavior, chsh_terms(pivot))
+            assert repr(chsh_value(behavior, pivot)) == repr(want)
+
+    @pytest.mark.parametrize("name,terms", EXPRESSION_TERMS, ids=[n for n, _ in EXPRESSION_TERMS])
+    def test_expression_values_is_the_per_term_sum(self, name, terms):
+        behaviors = witness_behaviors()
+        values = expression_values(np.stack([b.probs for b in behaviors]), terms)
+        assert values.shape == (len(behaviors),)
+        for behavior, value in zip(behaviors, values.tolist()):
+            assert repr(value) == repr(reference_value(behavior, terms))
+        if name == "-kcbs":
+            assert repr(float(expression_values(Behavior.uniform().probs[None], terms)[0])) == "0.0"
+
+    def test_certificate_witnesses_hold_negative_zero_terms(self):
+        terms = [
+            coeff * correlator(behavior, subset)
+            for behavior in witness_behaviors()[: len(ND_CERTIFICATES)]
+            for row in BOUNDS
+            for coeff, subset in row.expression.terms
+        ]
+        assert "-0.0" in map(repr, terms)
 
 
 def test_outcome_triples_are_lexicographic():
