@@ -50,9 +50,10 @@ from .scenario import (
 #: margin below a classical bound that a :class:`MonogamyReport` flags as a
 #: violation; separate from the slack granted to the monogamy bound itself
 VIOLATION_TOL = 1e-9
-#: raw rows that sample_behavior_matrix draws, projects and accepts per pass.  A
-#: row's bits do not depend on it: OpenBLAS projects a row alike in every product
-#: of 16 rows or more, while 2- and 3-row products can differ in the last bits
+#: raw rows that sample_behavior_matrix draws, projects and accepts per pass.  On
+#: the OpenBLAS it was tested with (0.3.31), a row's projection has the same bits
+#: in every product of 16 rows or more, while 2- and 3-row products can differ in
+#: the last bits; CI's witness_bytes.py comparison with the base commit guards it
 _SAMPLE_BATCH = 512
 
 

@@ -17,7 +17,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -54,9 +53,7 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
 
 def require_normalized(ket: np.ndarray) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
-    flat = ket.ravel()
-    # the sum np.linalg.norm forms for a complex array, without its dispatch
-    norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    norm = float(np.linalg.norm(ket))
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
         raise NotNormalized(f"state has norm {norm}, expected 1")
     return ket

@@ -188,12 +188,10 @@ class Behavior:
     validation_tol: float = field(default=PROB_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        probs = self.probs
-        if not (isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu"):
-            _require_numbers(probs, LABELS)
-            probs = np.asarray(probs)
-            if np.iscomplexobj(probs):
-                raise ValueError("behavior probabilities must be real, got a complex table")
+        _require_numbers(self.probs, LABELS)
+        probs = np.asarray(self.probs)
+        if np.iscomplexobj(probs):
+            raise ValueError("behavior probabilities must be real, got a complex table")
         probs = probs.astype(float, copy=False)
         expected = (len(CONTEXTS), 8)
         if probs.shape != expected:
@@ -456,51 +454,10 @@ def _chsh_terms(pivot: int) -> Terms:
     return tuple(zip((1.0, 1.0, 1.0, -1.0), pairs))
 
 
-class _TermPlan(NamedTuple):
-    """Read-only arrays that evaluate a sum of correlator terms with one gather."""
-
-    contexts: np.ndarray  # (t,) context index of each term
-    signs: np.ndarray  # (t, 8) outcome signs of each term in its context
-    coeffs: np.ndarray  # (t,) coefficients
-
-
-@lru_cache(maxsize=None)
-def _term_plan(terms: Terms) -> _TermPlan:
-    """The plan of ``terms``, each in its canonical context."""
-    entries = [term(subset) for _, subset in terms]
-    plan = _TermPlan(
-        np.array([c_idx for c_idx, _ in entries], dtype=np.intp),
-        np.array([signs for _, signs in entries]).reshape(-1, 8),
-        np.array([float(coeff) for coeff, _ in terms]),
-    )
-    for array in plan:
-        array.setflags(write=False)
-    return plan
-
-
-@lru_cache(maxsize=N_CYCLE)
-def _chsh_plan(pivot: int) -> _TermPlan:
-    return _term_plan(_chsh_terms(pivot))
-
-
-def _plan_values(probs: np.ndarray, plan: _TermPlan) -> np.ndarray:
-    """The planned sum on tables of shape (..., 10, 8), one value per table.
-
-    Each correlator sums its signed table entries in outcome order, as
-    :func:`correlator` does; the weighted correlators are then added in
-    term order starting from 0, as ``sum`` does, so a table's value does
-    not depend on the stack it sits in and -0.0 never survives.
-    """
-    signed = probs[..., plan.contexts, :] * plan.signs
-    weighted = np.zeros(signed.shape[:-2] + (len(plan.coeffs) + 1,))
-    np.multiply(np.add.accumulate(signed, axis=-1)[..., -1], plan.coeffs, out=weighted[..., 1:])
-    return np.add.accumulate(weighted, axis=-1)[..., -1]
-
-
 def expression_values(probs: np.ndarray, terms: Terms) -> np.ndarray:
     """Sum of the correlator ``terms`` on every row of an (n, 10, 8)
-    table stack, through the same :func:`_plan_values` as :func:`kcbs_value`."""
-    return _plan_values(probs, _term_plan(tuple(terms)))
+    table stack, the terms added in order like :func:`kcbs_value` does."""
+    return sum(coeff * correlator_many(probs, subset) for coeff, subset in terms)
 
 
 def kcbs_value(behavior: Behavior) -> float:
@@ -508,7 +465,7 @@ def kcbs_value(behavior: Behavior) -> float:
 
     Noncontextual hidden-variable models obey ``kcbs_value >= -3``.
     """
-    return float(_plan_values(behavior.probs, _term_plan(KCBS_TERMS)))
+    return sum(coeff * correlator(behavior, subset) for coeff, subset in KCBS_TERMS)
 
 
 def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
@@ -520,4 +477,4 @@ def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
     A1/A4 form; pivots wrap mod 5, and :func:`wrap_pivot` rejects a bool
     or a non-integer.
     """
-    return float(_plan_values(behavior.probs, _chsh_plan(wrap_pivot(pivot))))
+    return sum(coeff * correlator(behavior, subset) for coeff, subset in chsh_terms(pivot))

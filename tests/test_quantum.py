@@ -377,24 +377,6 @@ class TestBehaviorFromState:
         with pytest.raises(NotNormalized):
             behavior_from_state(np.array([1.0, 0.0], dtype=complex))
 
-    def test_norm_test_is_numpys_norm(self):
-        # kets scaled within a few NORM_TOL of unit norm: accepted exactly when
-        # np.linalg.norm is within the tolerance, and rejected naming that norm
-        states = random_states(400, seed=6)
-        scales = 1.0 + quantum.NORM_TOL * np.linspace(-3.0, 3.0, len(states))
-        outcomes = {True: 0, False: 0}
-        for psi in states * scales[:, None]:
-            norm = float(np.linalg.norm(psi))
-            if abs(norm - 1.0) <= quantum.NORM_TOL:
-                outcomes[True] += 1
-                assert require_normalized(psi).tobytes() == psi.tobytes()
-            else:
-                outcomes[False] += 1
-                for call in (require_normalized, behavior_from_state):
-                    with pytest.raises(NotNormalized, match=f"^state has norm {norm}, "):
-                        call(psi)
-        assert min(outcomes.values()) > 100
-
     def test_behavior_and_operator_paths_agree(self):
         k_op = kcbs_operator()
         c_op = chsh_operator()

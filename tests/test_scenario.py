@@ -437,8 +437,18 @@ class TestWitnessValues:
 
 
 def reference_value(behavior, terms):
-    """One ``correlator`` per term, added by ``sum``: the per-term reference."""
-    return sum(coeff * correlator(behavior, subset) for coeff, subset in terms)
+    """The per-term reference in Python floats: each correlator's signed
+    entries added one after the other in outcome order, then the weighted
+    correlators added in term order from 0, as ``sum`` does."""
+    total = 0
+    for coeff, subset in terms:
+        c_idx, signs = term(subset)
+        products = [p * s for p, s in zip(behavior.probs[c_idx].tolist(), signs.tolist())]
+        value = products[0]
+        for product in products[1:]:
+            value += product
+        total += coeff * value
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -462,8 +472,9 @@ EXPRESSION_TERMS = [(row.name, row.expression.terms) for row in BOUNDS] + [
 ]
 
 
-class TestTermPlan:
-    """The witnesses' one-gather plan has the bits of one ``correlator`` per term.
+class TestWitnessBits:
+    """The witnesses, one behavior or a stack, have the bits of one
+    ``correlator`` per term added by ``sum``.
 
     Compared by ``repr``, so -0.0 and 0.0 differ.
     """
