@@ -33,7 +33,7 @@ from .scenario import (
     alice,
     bob,
     chsh_terms,
-    number_type,
+    real_number_type,
     wrap_pivot,
 )
 
@@ -95,7 +95,7 @@ class LinearExpression:
             if not subset:
                 raise ValueError("each term needs a nonempty subset")
             kind = type(coeff)
-            if not number_type(kind) or issubclass(kind, (complex, np.complexfloating)):
+            if not real_number_type(kind):
                 raise ValueError(f"a coefficient must be a real number, got {kind.__name__}")
             if not np.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff}")

@@ -6,7 +6,8 @@ conditional product formulas.  The existence of those joints forces the
 pentagon-shaped and Bell-shaped parts of any kcbs+chsh split back to
 their classical bounds (-3 and -2), which is the monogamy relation
 ``kcbs + chsh >= -5``.  This module builds the joints and verifies them,
-one row per behavior of an (n, 10, 8) stack of context tables.
+one row per behavior of an (n, 10, 8) stack of context tables; the stack
+and every joint obey the one table rule, ``scenario.probability_tables``.
 Committed exact certificates prove every no-disturbance bound with no LP;
 :func:`nd_optimum`, the LP over the 80-dimensional behavior polytope that
 found them, is the one function here that needs scipy.
@@ -33,6 +34,7 @@ from .errors import Infeasible, InvalidCertificate, NotNoDisturbance
 from .scenario import (
     CONTEXTS,
     KCBS_TERMS,
+    LABELS,
     ND_TOL,
     OUTCOMES,
     PROB_TOL,
@@ -44,6 +46,7 @@ from .scenario import (
     expression_values,
     marginal_constraint_rows,
     nd_violations,
+    probability_tables,
     term,
 )
 
@@ -69,9 +72,8 @@ class JointDistribution:
     ``probs`` is an (n, 2**k) array with one joint table over the k
     distinct ``variables`` per row.  Indexing is lexicographic with -1
     before +1 and the first variable most significant, matching the
-    context-table convention.  Every row must be nonnegative and sum to 1
-    within ``PROB_TOL``; entries within the tolerance below zero are
-    clipped to exactly zero.
+    context-table convention.  Every row is checked as a probability table
+    by :func:`~ndmonogamy.scenario.probability_tables` at ``PROB_TOL``.
     """
 
     variables: tuple[str, ...]
@@ -81,13 +83,9 @@ class JointDistribution:
         variables = tuple(self.variables)
         if len(set(variables)) < len(variables):
             raise ValueError(f"joint variables {variables} repeat a name")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2 or probs.shape[1] != 2 ** len(variables):
-            raise ValueError(
-                f"need an (n, {2 ** len(variables)}) probability stack for "
-                f"{len(variables)} variables, got {probs.shape}"
-            )
-        probs = _joint_rows(probs)
+        probs = probability_tables(
+            self.probs, (None, 2 ** len(variables)), PROB_TOL, "joint stack", "joint row {}".format
+        )
         probs.setflags(write=False)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", probs)
@@ -127,40 +125,27 @@ def _product_signs(size: int) -> np.ndarray:
     return signs
 
 
-def _joint_rows(probs: np.ndarray) -> np.ndarray:
-    """``probs`` with every row checked as a joint table, tiny negatives clipped."""
-    # phrased so that NaN and infinite entries fail the comparisons
-    bad = np.flatnonzero(~(probs.min(axis=1) >= -PROB_TOL))
-    if bad.size:
-        raise ValueError(
-            f"negative or non-finite joint probability {probs[bad[0]].min()}"
-        )
-    sums = probs.sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PROB_TOL))
-    if bad.size:
-        raise ValueError(f"joint probabilities sum to {sums[bad[0]]}, not 1")
-    return np.clip(probs, 0.0, None)
+def _behavior_row_name(k: int) -> str:
+    row, context = divmod(k, len(CONTEXTS))
+    return f"behavior row {row}, context {LABELS[context]}"
 
 
 def _nd_tables(probs: np.ndarray) -> np.ndarray:
     """``probs`` as an (n, 10, 8) array, every row no-disturbance at ``ND_TOL``.
 
-    One matrix product with the marginal-agreement rows checks the whole
-    stack; the first offending row raises :class:`NotNoDisturbance`
-    carrying its violation records, or ``ValueError`` naming it when it
-    holds a NaN or infinite entry.
+    :func:`probability_tables` checks every table at ``PROB_TOL``; then one
+    matrix product with the marginal-agreement rows checks the whole stack,
+    and the first offending row raises :class:`NotNoDisturbance` carrying
+    its violation records.
     """
-    probs = np.asarray(probs, dtype=float)
-    shape = (len(CONTEXTS), 8)
-    if probs.ndim != 3 or probs.shape[1:] != shape:
-        raise ValueError(f"need an (n, {shape[0]}, 8) table stack, got {probs.shape}")
+    probs = probability_tables(
+        probs, (None, len(CONTEXTS), 8), PROB_TOL, "behavior table stack", _behavior_row_name
+    )
     matrix, _ = marginal_constraint_rows()
     gaps = np.abs(probs.reshape(-1, matrix.shape[1]) @ matrix.T).max(axis=1)
     bad = np.flatnonzero(~(gaps <= ND_TOL))
     if bad.size:
         k = int(bad[0])
-        if not np.isfinite(probs[k]).all():
-            raise ValueError(f"behavior row {k} has a NaN or infinite probability")
         where = f"row {k} " if len(probs) > 1 else ""
         raise NotNoDisturbance(
             f"behavior {where}violates no-disturbance (worst marginal gap "

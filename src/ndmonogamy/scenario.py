@@ -10,10 +10,11 @@ takes a scenario argument, and every ``Behavior`` holds the tables of the
 ten contexts.
 
 A ``Behavior`` assigns a probability distribution over the eight outcome
-triples of every context.  Pair and singleton marginals are always derived
-from the context tables, never stored, so a behavior cannot contradict
-itself about its own marginals; whether marginals agree *across* contexts
-is exactly the no-disturbance question answered by
+triples of every context, as checked by :func:`probability_tables`, the
+package's one rule for a probability table.  Pair and singleton marginals
+are always derived from the context tables, never stored, so a behavior
+cannot contradict itself about its own marginals; whether marginals agree
+*across* contexts is exactly the no-disturbance question answered by
 :func:`check_no_disturbance`.
 
 Outcome indexing convention: outcomes are -1/+1, tables are indexed
@@ -30,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,50 +129,73 @@ def _term(subset: tuple[str, ...], context: Context | None) -> tuple[int, np.nda
     return CONTEXTS.index(context), signs
 
 
-def _validate_table(table: np.ndarray, label: str, tol: float) -> np.ndarray:
-    table = np.asarray(table, dtype=float)
-    if table.shape != (8,):
-        raise ValueError(f"context {label}: expected 8 probabilities, got {table.shape}")
-    # phrased so that NaN and infinite entries fail the comparisons
-    if not table.min() >= -tol:
-        raise ValueError(
-            f"context {label}: negative or non-finite probability {table.min()}"
-        )
-    total = float(table.sum())
-    if not abs(total - 1.0) <= tol:
-        raise ValueError(f"context {label}: probabilities sum to {total}, not 1")
-    return np.clip(table, 0.0, None)
+def real_number_type(kind: type) -> bool:
+    """Whether ``kind`` is int, float or a real numpy number, and not bool."""
+    return kind is not bool and issubclass(kind, (int, float, np.integer, np.floating))
 
 
-def number_type(kind: type) -> bool:
-    """Whether ``kind`` is a numeric type: int, float, complex or a numpy
-    number, but not bool, str or a container."""
-    return kind is not bool and issubclass(kind, (int, float, complex, np.number))
+def _require_real_entries(probs, ndim: int, name: Callable[[int], str]) -> None:
+    """Reject str, bool, None, complex and nested entries of an ``ndim``-deep
+    nest of tables, naming the first offending table by ``name(k)``.
 
-
-def _require_numbers(probs, labels: Sequence[str]) -> None:
-    """Reject str, bool, None and nested entries of a table stack, naming the context.
-
-    ``np.asarray(..., dtype=float)`` would parse ``"0.125"`` and cast
-    ``True``, even when mixed into a row of floats.  A numeric array passes
-    at once; any other input is checked by the types of all its entries in
-    one pass, and row by row only to name the first offending context.
+    ``np.asarray(..., dtype=float)`` would parse ``"0.125"``, cast ``True``
+    and, with only a warning, drop an imaginary part, even when mixed into
+    a row of floats.  A real numeric array passes at once; any other input
+    is checked by the types of all its entries in one pass, and table by
+    table only to name the first offending one.
     """
-    if isinstance(probs, np.ndarray) and probs.dtype.kind in "fiuc":
+    if isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu":
         return
     try:
-        kinds = set(map(type, itertools.chain.from_iterable(probs)))
+        tables = probs
+        for _ in range(ndim - 2):
+            tables = list(itertools.chain.from_iterable(tables))
+        kinds = set(map(type, itertools.chain.from_iterable(tables)))
     except TypeError:
-        return  # not a sequence of rows: the shape check names it
-    if all(map(number_type, kinds)):
+        return  # not a nest of rows: the shape check names it
+    if all(map(real_number_type, kinds)):
         return
-    for label, row in zip(labels, probs):
-        for entry in row:
-            if not number_type(type(entry)):
-                raise ValueError(
-                    f"context {label}: entries must be numbers, got {type(entry).__name__}"
-                )
+    for k, table in enumerate(tables):
+        for entry in table:
+            kind = type(entry)
+            if not real_number_type(kind):
+                need = "real" if issubclass(kind, (complex, np.complexfloating)) else "numbers"
+                raise ValueError(f"{name(k)}: entries must be {need}, got {kind.__name__}")
     raise ValueError(f"entries must be numbers, got {sorted(k.__name__ for k in kinds)}")
+
+
+def probability_tables(
+    probs, shape: tuple[int | None, ...], tol: float, what: str, name: Callable[[int], str]
+) -> np.ndarray:
+    """``probs`` as a new float array of probability tables, tiny negatives clipped to 0.
+
+    The one rule for every table of the package.  ``shape`` is the
+    expected shape, its first length ``None`` when any will do; tables run
+    along its last axis.  Entries must be real numbers (not str, bool,
+    None or complex), and each table finite, nonnegative within ``tol``
+    and summing to 1 within ``tol``.  ``ValueError`` names ``what`` for a
+    wrong shape, else the first failing table by ``name(k)``, k its index.
+    """
+    _require_real_entries(probs, len(shape), name)
+    probs = np.asarray(probs).astype(float, copy=False)
+    if probs.shape[1:] != shape[1:] or shape[0] not in (None, probs.shape[0]):
+        expected = str(shape).replace("None", "n")
+        raise ValueError(f"{what} must have shape {expected}, got {probs.shape}")
+    require_tolerance(tol)
+    # one pass over the whole array, phrased so that NaN and infinite entries
+    # fail; then table by table only to name the first failing one
+    if probs.size and not (probs.min() >= -tol and np.abs(probs.sum(axis=-1) - 1.0).max() <= tol):
+        for k, table in enumerate(probs.reshape(-1, shape[-1])):
+            if not table.min() >= -tol:
+                raise ValueError(f"{name(k)}: negative or non-finite probability {table.min()}")
+            total = float(table.sum())
+            if not abs(total - 1.0) <= tol:
+                raise ValueError(f"{name(k)}: probabilities sum to {total}, not 1")
+    return np.maximum(probs, 0.0)  # np.clip(probs, 0.0, None) into a new array
+
+
+def _context_name(k: int) -> str:
+    return f"context {LABELS[k]}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,23 +212,9 @@ class Behavior:
     validation_tol: float = field(default=PROB_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        _require_numbers(self.probs, LABELS)
-        probs = np.asarray(self.probs)
-        if np.iscomplexobj(probs):
-            raise ValueError("behavior probabilities must be real, got a complex table")
-        probs = probs.astype(float, copy=False)
-        expected = (len(CONTEXTS), 8)
-        if probs.shape != expected:
-            raise ValueError(f"behavior table must have shape {expected}, got {probs.shape}")
-        tol = self.validation_tol
-        require_tolerance(tol)
-        # one pass over the whole table, phrased so that NaN and infinite
-        # entries fail; then the per-row check raises with the label of the
-        # first failing context
-        if not (probs.min() >= -tol and np.abs(probs.sum(axis=1) - 1.0).max() <= tol):
-            for label, row in zip(LABELS, probs):
-                _validate_table(row, label, tol)
-        probs = np.maximum(probs, 0.0)  # np.clip(probs, 0.0, None) into a new array
+        probs = probability_tables(
+            self.probs, (len(CONTEXTS), 8), self.validation_tol, "behavior table", _context_name
+        )
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -374,21 +384,21 @@ def require_tolerance(tol: float) -> None:
 def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
     """All marginal disagreements beyond ``tol`` of one (10, 8) table array.
 
-    Any other shape, and a table with a NaN or infinite entry, raise
-    ``ValueError``.
+    Any other shape, an entry that is not a real number, and a NaN or
+    infinite entry raise ``ValueError``.
     """
     require_tolerance(tol)
+    _require_real_entries(probs, 2, _context_name)
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(CONTEXTS), 8):
         raise ValueError(f"need a ({len(CONTEXTS)}, 8) table array, got {probs.shape}")
-    matrix, infos = marginal_constraint_rows()
-    residuals = matrix @ probs.ravel()
-    # every entry has a nonzero coefficient in some row, so a NaN or
-    # infinite entry makes the worst residual NaN or infinite too
-    if np.abs(residuals).max() <= tol:
-        return []
+    # before the product, in which 0 * inf would warn
     if not np.isfinite(probs).all():
         raise ValueError("no-disturbance needs finite probabilities, got NaN or infinity")
+    matrix, infos = marginal_constraint_rows()
+    residuals = matrix @ probs.ravel()
+    if np.abs(residuals).max() <= tol:
+        return []
     violations: list[NdViolation] = []
     for k in np.flatnonzero(np.abs(residuals) > tol):
         info = infos[k]

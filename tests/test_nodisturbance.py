@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from ndmonogamy.nodisturbance import (
 from ndmonogamy.quantum import behavior_from_state
 from ndmonogamy.scenario import (
     CONTEXTS,
+    MEASUREMENT_IDS,
     ND_TOL,
     PROB_TOL,
     Behavior,
@@ -92,6 +94,26 @@ class TestJointDistribution:
     def test_rejects_non_finite_probability(self, bad):
         with pytest.raises(ValueError):
             JointDistribution(("X", "Y"), np.array([[0.25, 0.25, 0.5, bad]]))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            # numpy would parse the strings, cast the bools and, with only a
+            # ComplexWarning, drop the imaginary part
+            ([["0.5", "0.5"]], "entries must be numbers, got str"),
+            ([[True, False]], "entries must be numbers, got bool"),
+            ([[0.5 + 0j, 0.5]], "entries must be real, got complex"),
+            ([[0.5, 0.5], [0.25, 0.75 + 0j]], "entries must be real, got complex"),
+            (np.array([[0.5, 0.5]]) + 0j, "entries must be real, got complex128"),
+        ],
+        ids=["strings", "bools", "complex", "complex-in-row-1", "complex-array"],
+    )
+    def test_rejects_entries_that_are_not_real_numbers(self, probs, message):
+        row = len(probs) - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^joint row {row}: {message}$"):
+                JointDistribution(("X",), probs)
 
     def test_marginal_orders_variables_as_requested(self):
         probs = np.arange(8, dtype=float)
@@ -774,6 +796,29 @@ def full_scan_violations(probs, tol):
     return violations
 
 
+STACKED_CALLS = [
+    lambda probs: fine_join_c1(probs, 5),
+    lambda probs: fine_join_c2(probs, 2),
+    monogamy_certificate,
+]
+STACKED_IDS = ["fine_join_c1", "fine_join_c2", "certificate"]
+
+
+def overshot_witness():
+    """u + 1.5 (w - u), u the uniform tables and w the kcbs+chsh certificate's witness."""
+    witness = np.zeros(80)
+    for column, twice in ND_CERTIFICATES["kcbs+chsh"][1].items():
+        witness[column] = twice / 2
+    uniform = Behavior.uniform().probs
+    return uniform + 1.5 * (witness.reshape(10, 8) - uniform)
+
+
+def point_mass_as_bools():
+    """The tables of the all-plus deterministic behavior, True for 1.0 and False for 0.0."""
+    assignment = classical.DeterministicAssignment(MEASUREMENT_IDS, (1,) * len(MEASUREMENT_IDS))
+    return classical.behavior_from_assignment(assignment).probs == 1.0
+
+
 class TestNdViolations:
     def test_early_exit_returns_the_full_scan(self, quantum_behaviors):
         disturbing = disturbing_behavior()
@@ -793,14 +838,31 @@ class TestNdViolations:
         assert full_scan_violations(disturbing.probs, np.nextafter(worst, 0.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_rejects_non_finite_table(self, bad):
         probs = Behavior.uniform().probs.copy()
         probs[3, 5] = bad
-        with pytest.raises(ValueError, match="NaN or infinity"):
-            nd_violations(probs)
-        with pytest.raises(ValueError, match="NaN or infinity"):
-            nd_violations(probs, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                nd_violations(probs)
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                nd_violations(probs, 1e300)
+
+    @pytest.mark.parametrize(
+        "table, kind",
+        [
+            ([["0.125"] * 8] * 10, "str"),
+            ([[True] + [False] * 7] * 10, "bool"),
+            (np.full((10, 8), "0.125"), "str"),
+            (np.eye(8, dtype=bool)[[0] * 10], "bool"),
+        ],
+        ids=["string-list", "bool-list", "string-array", "bool-array"],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, table, kind):
+        # numpy would parse "0.125" and cast True; both used to return []
+        message = f"^context A1,A2,B1: entries must be numbers, got {kind}"
+        with pytest.raises(ValueError, match=message):
+            nd_violations(table)
 
     @pytest.mark.parametrize("shape", [(80,), (10, 7), (1, 10, 8)])
     def test_rejects_other_shapes(self, shape):
@@ -818,8 +880,45 @@ class TestNdViolations:
     def test_stack_with_a_nan_row_names_it(self, call):
         probs = sample_behavior_matrix(6, seed=3).reshape(-1, 10, 8)
         probs[4, 2, 3] = np.nan
-        with pytest.raises(ValueError, match="^behavior row 4 has a NaN"):
+        message = "^behavior row 4, context A2,A3,B1: negative or non-finite probability nan$"
+        with pytest.raises(ValueError, match=message):
             call(probs)
+
+    @pytest.mark.parametrize("call", STACKED_CALLS, ids=STACKED_IDS)
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            # every marginal agrees, but the row leaves the simplex: the
+            # certificate used to report kcbs -4.5 and chsh[5] -3.0
+            (overshot_witness(), "negative or non-finite probability -0.0625"),
+            # every marginal agrees, but each table sums to 2: the
+            # certificate used to report all zeros
+            (2 * Behavior.uniform().probs, "probabilities sum to 2.0, not 1"),
+            (np.full((10, 8), "0.125"), "entries must be numbers, got str"),
+            (point_mass_as_bools(), "entries must be numbers, got bool"),
+        ],
+        ids=["overshot-witness", "twice-uniform", "strings", "bools"],
+    )
+    def test_stack_that_is_not_probabilities_names_the_row(self, call, bad_row, message):
+        rows = sample_behavior_matrix(4, seed=3).reshape(-1, 10, 8).tolist()
+        rows[2] = bad_row.tolist()
+        stacks = [rows, np.array(rows)] if bad_row.dtype.kind == "f" else [rows]
+        pattern = f"^behavior row 2, context A1,A2,B1: {re.escape(message)}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stack in stacks:
+                with pytest.raises(ValueError, match=pattern):
+                    call(stack)
+
+    @pytest.mark.parametrize("call", STACKED_CALLS, ids=STACKED_IDS)
+    def test_nested_list_stack_gives_the_array_bits(self, call):
+        probs = sample_behavior_matrix(20, seed=4, method="shrink").reshape(-1, 10, 8)
+        assert (probs == 0.0).any()
+        from_array, from_list = call(probs), call(probs.tolist())
+        if isinstance(from_array, JointDistribution):
+            assert from_list.probs.tobytes() == from_array.probs.tobytes()
+        else:
+            assert list(map(report_fields, from_list)) == list(map(report_fields, from_array))
 
 
 class TestEmptySample:

@@ -20,7 +20,7 @@ from ndmonogamy.classical import (
     kcbs_expression,
 )
 from ndmonogamy.errors import SubsetNotMeasurable
-from ndmonogamy.nodisturbance import ND_CERTIFICATES
+from ndmonogamy.nodisturbance import ND_CERTIFICATES, JointDistribution, _behavior_row_name
 from ndmonogamy.quantum import alice_observable, behavior_from_state, random_states
 from ndmonogamy.scenario import (
     CONTEXTS,
@@ -29,9 +29,9 @@ from ndmonogamy.scenario import (
     MEASUREMENT_IDS,
     OUTCOME_TRIPLES,
     OUTCOMES,
+    PROB_TOL,
     Behavior,
     Context,
-    _validate_table,
     canonical_context,
     check_no_disturbance,
     chsh_terms,
@@ -40,9 +40,24 @@ from ndmonogamy.scenario import (
     correlator_many,
     expression_values,
     kcbs_value,
+    probability_tables,
     sign_vector,
     term,
 )
+
+
+def _validate_table(table: np.ndarray, name: str, tol: float) -> np.ndarray:
+    """The per-table reference of :func:`probability_tables`: one 8-entry table."""
+    table = np.asarray(table, dtype=float)
+    if table.shape != (8,):
+        raise ValueError(f"{name}: expected 8 probabilities, got {table.shape}")
+    # phrased so that NaN and infinite entries fail the comparisons
+    if not table.min() >= -tol:
+        raise ValueError(f"{name}: negative or non-finite probability {table.min()}")
+    total = float(table.sum())
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"{name}: probabilities sum to {total}, not 1")
+    return np.clip(table, 0.0, None)
 
 
 def all_plus_assignment():
@@ -111,19 +126,39 @@ class TestBehavior:
         with pytest.raises(ValueError, match=str(bad)):
             Behavior(probs)
 
-    def test_whole_table_check_matches_per_row_check(self):
-        # the reference validates one context row at a time; the whole-array
-        # check must accept the same tables, raise the same first message and
-        # clip to the same bits
+    @pytest.mark.parametrize(
+        "build, name, tols",
+        [
+            (
+                lambda p, tol: Behavior(p, validation_tol=tol).probs,
+                lambda k: f"context {LABELS[k]}",
+                (1e-12, 1e-7),
+            ),
+            # a (10, 8) table is a 10-row stack of joints over 3 variables
+            (
+                lambda p, tol: JointDistribution(("X", "Y", "Z"), p).probs,
+                lambda k: f"joint row {k}",
+                (PROB_TOL,),
+            ),
+            # the rule as the stacked joins and certificate apply it, on a 1-row stack
+            (
+                lambda p, tol: probability_tables(
+                    p[None], (None, 10, 8), tol, "behavior table stack", _behavior_row_name
+                ),
+                lambda k: f"behavior row 0, context {LABELS[k]}",
+                (PROB_TOL,),
+            ),
+        ],
+        ids=["behavior", "joint", "stack"],
+    )
+    def test_whole_table_check_matches_per_row_check(self, build, name, tols):
+        # the reference validates one table at a time; the whole-array check
+        # must accept the same tables, raise the same first message and clip
+        # to the same bits
         rng = np.random.default_rng(5)
 
         def per_row(probs, tol):
-            return np.array(
-                [
-                    _validate_table(row, ctx.label, tol)
-                    for ctx, row in zip(CONTEXTS, probs)
-                ]
-            )
+            return np.array([_validate_table(row, name(k), tol) for k, row in enumerate(probs)])
 
         def outcome(build, probs, tol):
             try:
@@ -147,12 +182,11 @@ class TestBehavior:
             tables.append(probs)
         raised = 0
         for probs in tables:
-            for tol in (1e-12, 1e-7):
+            for tol in tols:
                 expected = outcome(per_row, probs, tol)
-                got = outcome(lambda p, t: Behavior(p, validation_tol=t).probs, probs, tol)
-                assert got == expected
+                assert outcome(build, probs, tol) == expected
                 raised += isinstance(expected, str)
-        assert 0 < raised < 2 * len(tables)
+        assert 0 < raised < len(tols) * len(tables)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf])
     def test_rejects_bad_validation_tolerance(self, tol):
