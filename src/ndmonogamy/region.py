@@ -265,7 +265,10 @@ def _phi_extremes_many(
     pi.  The roots of each block of thetas come from one stacked
     eigenvalue solve of the companion matrices (ones on the subdiagonal,
     first row -p[1:]/p[0]).  Blocks of ``_EXTREMES_BLOCK`` thetas keep
-    the temporaries, and so the peak memory, small.
+    the temporaries, and so the peak memory, small.  Inside a block the
+    candidates are laid out as (5, n) rows, one row per candidate and one
+    column per theta (see :func:`_phi_extremes_block`); the four results
+    are 1-dim, one entry per theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     blocks = [
@@ -281,6 +284,14 @@ def _phi_extremes_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One block of :func:`_phi_extremes_many`.
 
+    The n thetas of the block are columns.  The coefficients of the
+    quartic, the five phi candidates (phi = pi in row 0, then the four
+    root slots, 2 atan(root) where the root is real) and their ``valid``
+    mask are (5, n) arrays, and so are the candidates' values.  The
+    minimum, the maximum and the tie-breaking phis reduce over axis 0, row
+    by contiguous row.  Only the companion matrices are (m, 4, 4), one per
+    live column, as ``np.linalg.eigvals`` needs them.
+
     Every value equals, bit for bit, ``expectation_M(theta, phi)`` at the
     same theta and phi, so the boundary files do not depend on the block
     layout.  Two operations need libm for that: ``math.atan`` (``np.arctan``
@@ -291,48 +302,48 @@ def _phi_extremes_block(
     given, so no Python frame runs per element.
     """
     g = gammas()
+    n = len(thetas)
     sin_t, cos_t = np.sin(thetas), np.cos(thetas)
     a = g.g3 * sin_t * sin_t
     b = g.g4 * sin_t * cos_t
     c = g.g5 * sin_t * cos_t
-    coeffs = np.stack(
-        [-c, 8.0 * a - 2.0 * b, np.zeros_like(a), -(8.0 * a + 2.0 * b), c], axis=1
-    )
-    live = np.max(np.abs(coeffs), axis=1) > 1e-15
-    # column 0 is phi = pi on every row; where the polynomial vanishes the
-    # expectation is constant in phi and column 1 adds phi = 0
-    phis = np.zeros((len(thetas), 5))
-    valid = np.zeros((len(thetas), 5), dtype=bool)
-    phis[:, 0] = math.pi
-    valid[:, 0] = True
-    valid[~live, 1] = True
-    # the leading coefficient -g5 sin cos is nonzero on every live row
-    p = coeffs[live]
-    companion = np.zeros((len(p), 4, 4))
-    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    coeffs = np.stack([-c, 8.0 * a - 2.0 * b, np.zeros_like(a), -(8.0 * a + 2.0 * b), c])
+    live = np.abs(coeffs).max(axis=0) > 1e-15
+    # row 0 is phi = pi in every column; where the polynomial vanishes the
+    # expectation is constant in phi and row 1 adds phi = 0
+    phis = np.zeros((5, n))
+    valid = np.zeros((5, n), dtype=bool)
+    phis[0] = math.pi
+    valid[0] = True
+    valid[1] = ~live
+    # the leading coefficient -g5 sin cos is nonzero on every live column
+    p = coeffs[:, live]
+    companion = np.zeros((p.shape[1], 4, 4))
+    companion[:, 0, :] = (-p[1:] / p[0]).T
     companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
-    roots = np.linalg.eigvals(companion)
+    roots = np.linalg.eigvals(companion).T
     real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))
     real_roots = roots.real[real].tolist()
     atans = np.fromiter(map(math.atan, real_roots), float, len(real_roots))
-    live_phis = np.zeros((len(p), 4))
+    live_phis = np.zeros(real.shape)
     live_phis[real] = 2.0 * atans
-    phis[live, 1:] = live_phis
-    valid[live, 1:] = real
+    phis[1:, live] = live_phis
+    valid[1:, live] = real
 
-    n = len(thetas)
-    cos_sq = np.fromiter(map(math.pow, cos_t.tolist(), repeat(2.0)), float, n)[:, None]
-    sin_sq = np.fromiter(map(math.pow, sin_t.tolist(), repeat(2.0)), float, n)[:, None]
+    cos_sq = np.fromiter(map(math.pow, cos_t.tolist(), repeat(2.0)), float, n)
+    sin_sq = np.fromiter(map(math.pow, sin_t.tolist(), repeat(2.0)), float, n)
     values = (
         g.g1 * cos_sq
         + (g.g2 + g.g3 * np.cos(2 * phis)) * sin_sq
-        + (cos_t * sin_t)[:, None] * (g.g4 * np.cos(phis) + g.g5 * np.sin(phis))
+        + (cos_t * sin_t) * (g.g4 * np.cos(phis) + g.g5 * np.sin(phis))
     )
-    wrapped = np.mod(phis, 2 * math.pi)
-    lo = np.where(valid, values, np.inf).min(axis=1)
-    lo_phi = np.where(valid & (values == lo[:, None]), wrapped, np.inf).min(axis=1)
-    hi = np.where(valid, values, -np.inf).max(axis=1)
-    hi_phi = np.where(valid & (values == hi[:, None]), wrapped, -np.inf).max(axis=1)
+    # np.mod(phis, 2 pi) for phis in [-pi, pi], several times faster: + 0.0
+    # turns -0.0 into the 0.0 that np.mod gives
+    wrapped = np.where(phis < 0.0, phis + 2 * math.pi, phis + 0.0)
+    lo = np.where(valid, values, np.inf).min(axis=0)
+    lo_phi = np.where(valid & (values == lo), wrapped, np.inf).min(axis=0)
+    hi = np.where(valid, values, -np.inf).max(axis=0)
+    hi_phi = np.where(valid & (values == hi), wrapped, -np.inf).max(axis=0)
     return lo, lo_phi, hi, hi_phi
 
 
@@ -690,6 +701,10 @@ def _csv_cells(values: np.ndarray) -> np.ndarray:
     was off by one or the rounding carried to 10**17.  The 16 digits after
     the lead come as four words of four from a table; the last word with a
     nonzero digit drops its trailing zeros and later words are NUL.  The
+    four-digit numbers are one (4, n) array, a contiguous row per word
+    position: each row is split off the digits by floor division, and the
+    table offset of the dropped zeros is added row by row from the last.
+    Only the gather into the (n, 5) cells transposes them.  The
     marks add the sign, the "0.000" of e10 < 0, the point unless every
     digit after it is zero, and the zeros of the integer part (OR with "0"
     keeps a digit byte as it is).  Every other value, zeros and signed
@@ -704,19 +719,26 @@ def _csv_cells(values: np.ndarray) -> np.ndarray:
     while len(wrong := np.flatnonzero((digits < 10**16) | (digits >= 10**17))):
         e10[wrong] += np.where(digits[wrong] < 10**16, -1, 1)
         digits[wrong] = _scaled(magnitude[wrong], e10[wrong], tables)
-    lead, rest = np.divmod(digits, 10**16)
-    quads = np.empty((len(values), 4), np.int64)
-    quads[:, 0], quads[:, 1] = np.divmod(rest // 10**8, 10**4)
-    quads[:, 2], quads[:, 3] = np.divmod(rest % 10**8, 10**4)
-    stripped = np.empty(quads.shape, bool)
-    stripped[:, 3] = True
+    # word k holds digits // 10**(12 - 4k) less 10**4 times the digits above
+    # it; floor division by a scalar is several times faster than np.divmod
+    lead = above = digits // 10**16
+    quads = np.empty((4, len(values)), np.int64)
+    for k, scale in enumerate((10**12, 10**8, 10**4, 1)):
+        upto = digits // scale if scale > 1 else digits
+        np.subtract(upto, above * 10**4, out=quads[k])
+        above = upto
+    # the last word, and every word before a stripped all-zero one, takes
+    # the table's trailing-zeros-as-NUL half
+    quads[3] += 10000
     for k in (2, 1, 0):
-        stripped[:, k] = stripped[:, k + 1] & (quads[:, k + 1] == 0)
+        np.add(quads[k], 10000, out=quads[k], where=quads[k + 1] == 10000)
     cells = np.empty((len(values), _CELL_WORDS), np.uint64)
     cells[:, 0] = tables.lead[lead]
-    cells[:, 1:] = tables.quads[quads + 10000 * stripped]
-    point = (e10 < 0) | (rest % tables.ten[16 - np.maximum(e10, 0)] > 0)
-    cells |= tables.marks[(np.signbit(values) * 20 + e10 + 4) * 2 + point]
+    cells[:, 1:] = tables.quads[quads.T]
+    # 10**16 is a multiple of every divisor here, so the lead digit drops out
+    point = (e10 < 0) | (digits % tables.ten[16 - np.maximum(e10, 0)] > 0)
+    # take, not [], gathers whole rows of a 2-dim table several times faster
+    cells |= tables.marks.take((np.signbit(values) * 20 + e10 + 4) * 2 + point, axis=0)
     other = np.flatnonzero(~fixed)
     if len(other):
         text = np.array([format(x, ".17g") for x in values[other].tolist()], dtype="S40")

@@ -29,9 +29,10 @@ import itertools
 import json
 import math
 import numbers
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,22 +135,37 @@ def real_number_type(kind: type) -> bool:
     return kind is not bool and issubclass(kind, (int, float, np.integer, np.floating))
 
 
-def _require_real_entries(probs, ndim: int, name: Callable[[int], str]) -> None:
+def _require_rows(level: list, what: str) -> None:
+    """Reject a member of ``level`` that is iterable but not a list, tuple,
+    array or other sequence: a generator, an iterator, a set or a mapping.
+
+    Such a member would be used up by the entry-type pass, or read by numpy
+    as one object, and fail later with a ``TypeError``.
+    """
+    for kind in set(map(type, level)) - {list, tuple}:
+        if issubclass(kind, Iterable) and not issubclass(kind, (Sequence, np.ndarray)):
+            raise ValueError(f"{what} must be nested lists, tuples or arrays, got {kind.__name__}")
+
+
+def _require_real_entries(probs, ndim: int, what: str, name: Callable[[int], str]) -> None:
     """Reject str, bool, None, complex and nested entries of an ``ndim``-deep
     nest of tables, naming the first offending table by ``name(k)``.
 
     ``np.asarray(..., dtype=float)`` would parse ``"0.125"``, cast ``True``
     and, with only a warning, drop an imaginary part, even when mixed into
     a row of floats.  A real numeric array passes at once; any other input
-    is checked by the types of all its entries in one pass, and table by
-    table only to name the first offending one.
+    must nest sequences (:func:`_require_rows` names ``what`` otherwise)
+    and is checked by the types of all its entries in one pass, and table
+    by table only to name the first offending one.
     """
     if isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu":
         return
+    tables = [probs]
     try:
-        tables = probs
-        for _ in range(ndim - 2):
+        for _ in range(ndim - 1):
+            _require_rows(tables, what)
             tables = list(itertools.chain.from_iterable(tables))
+        _require_rows(tables, what)
         kinds = set(map(type, itertools.chain.from_iterable(tables)))
     except TypeError:
         return  # not a nest of rows: the shape check names it
@@ -172,11 +188,13 @@ def probability_tables(
     The one rule for every table of the package.  ``shape`` is the
     expected shape, its first length ``None`` when any will do; tables run
     along its last axis.  Entries must be real numbers (not str, bool,
-    None or complex), and each table finite, nonnegative within ``tol``
-    and summing to 1 within ``tol``.  ``ValueError`` names ``what`` for a
-    wrong shape, else the first failing table by ``name(k)``, k its index.
+    None or complex) in nested lists, tuples or arrays (not generators,
+    iterators, sets or mappings), and each table finite, nonnegative
+    within ``tol`` and summing to 1 within ``tol``.  ``ValueError`` names
+    ``what`` for a wrong shape or nest, else the first failing table by
+    ``name(k)``, k its index.
     """
-    _require_real_entries(probs, len(shape), name)
+    _require_real_entries(probs, len(shape), what, name)
     probs = np.asarray(probs).astype(float, copy=False)
     if probs.shape[1:] != shape[1:] or shape[0] not in (None, probs.shape[0]):
         expected = str(shape).replace("None", "n")
@@ -384,11 +402,12 @@ def require_tolerance(tol: float) -> None:
 def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
     """All marginal disagreements beyond ``tol`` of one (10, 8) table array.
 
-    Any other shape, an entry that is not a real number, and a NaN or
-    infinite entry raise ``ValueError``.
+    Any other shape, an entry that is not a real number, a nest that is
+    not of lists, tuples or arrays, and a NaN or infinite entry raise
+    ``ValueError``.
     """
     require_tolerance(tol)
-    _require_real_entries(probs, 2, _context_name)
+    _require_real_entries(probs, 2, "table array", _context_name)
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(CONTEXTS), 8):
         raise ValueError(f"need a ({len(CONTEXTS)}, 8) table array, got {probs.shape}")

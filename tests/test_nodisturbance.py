@@ -115,6 +115,22 @@ class TestJointDistribution:
             with pytest.raises(ValueError, match=f"^joint row {row}: {message}$"):
                 JointDistribution(("X",), probs)
 
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            (lambda rows: (row for row in rows), "generator"),
+            (lambda rows: iter(rows), "list_iterator"),
+            (lambda rows: rows[:1] + [iter(rows[1])], "list_iterator"),
+            (lambda rows: [set(rows[0])] + rows[1:], "set"),
+        ],
+        ids=["generator", "iterator", "iterator-row", "set-row"],
+    )
+    def test_rejects_nests_that_are_not_sequences(self, make, kind):
+        rows = [[0.25, 0.75], [0.5, 0.5]]
+        message = f"^joint stack must be nested lists, tuples or arrays, got {kind}$"
+        with pytest.raises(ValueError, match=message):
+            JointDistribution(("X",), make(rows))
+
     def test_marginal_orders_variables_as_requested(self):
         probs = np.arange(8, dtype=float)
         probs /= probs.sum()
@@ -909,6 +925,23 @@ class TestNdViolations:
             for stack in stacks:
                 with pytest.raises(ValueError, match=pattern):
                     call(stack)
+
+    @pytest.mark.parametrize("call", STACKED_CALLS, ids=STACKED_IDS)
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            (lambda rows: (row for row in rows), "generator"),
+            (lambda rows: iter(rows), "list_iterator"),
+            (lambda rows: rows[:2] + [iter(rows[2])] + rows[3:], "list_iterator"),
+            (lambda rows: [[iter(table) for table in row] for row in rows], "list_iterator"),
+        ],
+        ids=["generator", "iterator", "iterator-row", "iterator-tables"],
+    )
+    def test_stack_that_is_not_nested_sequences_is_rejected(self, call, make, kind):
+        rows = sample_behavior_matrix(4, seed=3).reshape(-1, 10, 8).tolist()
+        message = f"^behavior table stack must be nested lists, tuples or arrays, got {kind}$"
+        with pytest.raises(ValueError, match=message):
+            call(make(rows))
 
     @pytest.mark.parametrize("call", STACKED_CALLS, ids=STACKED_IDS)
     def test_nested_list_stack_gives_the_array_bits(self, call):

@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import itertools
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -393,9 +395,19 @@ class TestStackedPhiExtremes:
             pytest.skip("libm pow(x, 2) equals x * x on every grid theta here")
         self._assert_matches_reference(np.array(differ))
 
-    def test_block_layout_does_not_matter(self, monkeypatch):
-        monkeypatch.setattr(region, "_EXTREMES_BLOCK", 7)
-        self._assert_matches_reference(ORACLE_THETAS[::13])
+    @pytest.mark.parametrize(
+        "block, thetas",
+        [
+            (7, ORACLE_THETAS[::13]),
+            (1, ORACLE_THETAS[::13]),
+            # one full block of the default size, then a 1-row tail
+            (4096, np.linspace(0.0, QUARTER, 4097)),
+        ],
+        ids=["7", "1", "4096-and-tail"],
+    )
+    def test_block_layout_does_not_matter(self, monkeypatch, block, thetas):
+        monkeypatch.setattr(region, "_EXTREMES_BLOCK", block)
+        self._assert_matches_reference(thetas)
 
     def test_theta_zero_tie_break(self):
         lo, lo_phi, hi, hi_phi = _phi_extremes_many([0.0])
@@ -553,6 +565,15 @@ def assert_formats_as_17g(values) -> None:
     assert mismatches[:5] == []
 
 
+def exponent_and_zero_words(x: float) -> tuple[int, int]:
+    """(e10, k): the decimal exponent of x and how many of the four 4-digit
+    words after its lead digit, at 17 significant digits, are all zeros at
+    the end."""
+    mantissa, e10 = format(x, ".16e").split("e")
+    words = re.findall("....", mantissa[2:])
+    return int(e10), len(list(itertools.takewhile("0000".__eq__, reversed(words))))
+
+
 def dyadic_ties(per_exponent: int, seed: int) -> np.ndarray:
     """Values k / 2**(17 - e) with odd k and 10**e <= x < 10**(e + 1), for
     e = -4..15.  Each has exactly 18 significant digits, the last a 5, so
@@ -589,6 +610,24 @@ class TestCsvFloats:
         for x in values[::97].tolist():
             digits = Decimal(x).as_tuple().digits
             assert len(digits) == 18 and digits[-1] == 5, x
+        assert_formats_as_17g(np.concatenate([values, -values]))
+
+    def test_short_decimals_with_every_count_of_all_zero_words(self):
+        # random bit patterns almost never end their 17 digits in zeros; the
+        # trailing-zeros-as-NUL words and the point mark need them at every
+        # decimal exponent of the fixed window, in both signs
+        bases = [1, 5, 12, 1234, 123456, 12345678, 1234567890, 1234567890123, 1234567890123457]
+        values = np.array(
+            [
+                x
+                for base in bases
+                for d in range(base, base + 10)
+                for e in range(-30, 20)
+                if 1e-4 <= (x := d * 10.0**e) < 1e16
+            ]
+        )
+        reached = set(map(exponent_and_zero_words, values.tolist()))
+        assert reached == {(e10, zeros) for e10 in range(-4, 16) for zeros in range(5)}
         assert_formats_as_17g(np.concatenate([values, -values]))
 
     def test_window_edges_zeros_subnormals_and_non_finite(self):

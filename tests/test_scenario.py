@@ -40,6 +40,7 @@ from ndmonogamy.scenario import (
     correlator_many,
     expression_values,
     kcbs_value,
+    nd_violations,
     probability_tables,
     sign_vector,
     term,
@@ -288,6 +289,32 @@ class TestBehavior:
     def test_rejects_string_arrays(self):
         with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
             Behavior(np.full((10, 8), "0.125"))
+
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            (lambda rows: (row for row in rows), "generator"),
+            (lambda rows: iter(rows), "list_iterator"),
+            (lambda rows: [iter(row) for row in rows], "list_iterator"),
+            (lambda rows: rows[:9] + [set(rows[9])], "set"),
+            (lambda rows: dict(enumerate(rows)), "dict"),
+        ],
+        ids=["generator", "iterator", "iterator-rows", "set-row", "mapping"],
+    )
+    def test_rejects_nests_that_are_not_sequences(self, make, kind):
+        # an entry-type pass used to consume the iterators, and numpy then
+        # raised TypeError reading the leftover as one object
+        rows = Behavior.uniform().probs.tolist()
+        message = f"^behavior table must be nested lists, tuples or arrays, got {kind}$"
+        with pytest.raises(ValueError, match=message):
+            Behavior(make(rows))
+        with pytest.raises(ValueError, match=f"^table array must be .*, got {kind}$"):
+            nd_violations(make(rows))
+
+    def test_accepts_tuples_and_arrays_of_rows(self):
+        rows = Behavior.uniform().probs.tolist()
+        mixed = tuple(np.array(row) if k % 2 else tuple(row) for k, row in enumerate(rows))
+        assert Behavior(mixed).probs.tobytes() == Behavior(rows).probs.tobytes()
 
     def test_accepts_numeric_python_and_numpy_entries(self):
         rows = [[1, 0, 0, 0, 0, 0, 0, 0]] * 9 + [[np.float32(0.5), np.int64(0), 0.5, 0, 0, 0, 0, 0]]
