@@ -1,8 +1,9 @@
 """Command-line surface: bounds table, region export, invariant suite.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 I/O error.
-All numeric output uses '.' decimals and fixed significant-digit
-formatting, so identical seeds and flags give byte-identical files.
+Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 I/O error,
+a failed write to stdout included.  All numeric output uses '.' decimals
+and fixed significant-digit formatting, so identical seeds and flags give
+byte-identical files.  Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -10,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
-
-from . import classical, nodisturbance, quantum, region, verify
-from .errors import InvalidCertificate
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -27,6 +26,8 @@ TABLE_DIGITS = 12
 
 
 def _bounds_rows() -> list[dict]:
+    from . import classical, nodisturbance, quantum
+
     rows = []
     for row in classical.BOUNDS:
         # eigh, not eigensystem, whose phase fix works on vectors unused here,
@@ -50,6 +51,8 @@ def _check_bounds_rows(rows: list[dict]) -> list[str]:
     ``certified_nd_minimum(row)``, which returns the row's own bound or
     raises.
     """
+    from . import classical
+
     expected = {row.name: row for row in classical.BOUNDS}
     problems = []
     for row in rows:
@@ -75,6 +78,8 @@ def _format_bounds_text(rows: list[dict]) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .errors import InvalidCertificate
+
     try:
         rows = _bounds_rows()
     except InvalidCertificate as exc:
@@ -105,6 +110,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     if args.samples < 2:
         print("region export needs --samples >= 2", file=sys.stderr)
         return EXIT_USAGE
+    from . import classical, region
+
     boundary = region.sample_boundary(args.samples)
     touch = region.touching_point()
     line_chsh = np.linspace(classical.CHSH_ND_BOUND, 1.0, args.samples)
@@ -129,6 +136,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import quantum, verify
+
     chsh_matrix = None
     if args.perturb_chsh:
         chsh_matrix = quantum.chsh_operator()
@@ -177,8 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--out", default="region_out", help="output directory")
     p_region.set_defaults(func=cmd_region)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--samples", type=int, default=100_000)
+    p_verify = sub.add_parser(
+        "verify",
+        help="run the invariant suite",
+        description=(
+            "Run the invariant suite; exit 0 iff every check passes. "
+            "region-membership passes only if the random states include at "
+            "least one that violates only the KCBS bound and one that "
+            "violates only the CHSH bound, so small --samples fail by chance: "
+            "14 of seeds 0-39 fail at 500 samples, 6 at 1000 and none at 2000."
+        ),
+    )
+    p_verify.add_argument(
+        "--samples", type=int, default=100_000, help="random states in the region-membership sweep"
+    )
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the JSON summary to a file")
@@ -203,7 +224,17 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("--seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    # The commands catch their own file errors, so an OSError here
+    # (BrokenPipeError included) is a failed write to stdout.
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        # Else the interpreter's final flush fails again and exits 120.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from ndmonogamy import classical, quantum, region
+from ndmonogamy import classical, quantum, region, verify
 from ndmonogamy.classical import (
     c1_expression,
     c2_expression,
@@ -278,9 +278,9 @@ def test_criterion_09_boundary_states():
             )
     report(
         9,
-        worst <= 2e-2,
+        worst <= verify.BOUNDARY_TOL,
         f"50 phis per branch: boundary-family states land within {worst:.2e} "
-        "of the computed boundary (tolerance 2e-2)",
+        f"of the computed boundary (tolerance {verify.BOUNDARY_TOL:g})",
     )
 
 

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ndmonogamy import classical, quantum, verify
 from ndmonogamy.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -220,3 +226,33 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds"],
+        ["region", "--samples", "7", "--out", "r7"],
+        ["verify", "--samples", "2000", "--seed", "1"],
+    ],
+    ids=["bounds", "region", "verify"],
+)
+def test_failed_stdout_write_is_io_error(args, buffered, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "ndmonogamy.cli", *args],
+            cwd=tmp_path,
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+        )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "cannot write stdout: [Errno 28] No space left on device\n"
