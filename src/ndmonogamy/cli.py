@@ -230,9 +230,12 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"cannot write stdout: {exc}", file=sys.stderr)
         # Else the interpreter's final flush fails again and exits 120.
         sys.stdout = open(os.devnull, "w")
+        try:
+            print(f"cannot write stdout: {exc}", file=sys.stderr)
+        except OSError:  # stderr is unwritable too
+            sys.stderr = open(os.devnull, "w")
         return EXIT_IO
     return code
 

@@ -12,7 +12,7 @@ class SubsetNotMeasurable(NdMonogamyError):
 class NotNoDisturbance(NdMonogamyError):
     """A behavior violates the no-disturbance marginal constraints.
 
-    Carries the violation records in ``args[1]`` when available.
+    Carries the violation records in ``.violations``; ``args`` is the message.
     """
 
     def __init__(self, message, violations=None):

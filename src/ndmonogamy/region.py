@@ -44,7 +44,6 @@ from .classical import (
     KCBS_QUANTUM_DEGENERATE,
     KCBS_QUANTUM_MIN,
     MONOGAMY_BOUND,
-    SQRT5,
 )
 from .errors import SingularParameter
 from .quantum import (
@@ -163,22 +162,32 @@ def gammas() -> Gammas:
 
 
 def expectation_M(theta, phi):
-    """Closed-form Bell expectation <theta,phi|M|theta,phi> (array-safe)."""
+    """Closed-form Bell expectation <theta,phi|M|theta,phi> (array-safe).
+
+    theta and phi broadcast.  cos^2 and sin^2 are libm ``math.pow(x, 2.0)``
+    once per entry of theta, for every shape (``x * x`` rounds some thetas
+    apart), so array calls equal scalar calls bit for bit."""
     g = gammas()
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    squares = map(math.pow, np.ravel([cos_t, sin_t]).tolist(), repeat(2.0))
+    cos_sq, sin_sq = np.fromiter(squares, float, 2 * theta.size).reshape(2, *theta.shape)
     value = (
-        g.g1 * np.cos(theta) ** 2
-        + (g.g2 + g.g3 * np.cos(2 * phi)) * np.sin(theta) ** 2
-        + np.cos(theta) * np.sin(theta) * (g.g4 * np.cos(phi) + g.g5 * np.sin(phi))
+        g.g1 * cos_sq
+        + (g.g2 + g.g3 * np.cos(2 * phi)) * sin_sq
+        + cos_t * sin_t * (g.g4 * np.cos(phi) + g.g5 * np.sin(phi))
     )
     return float(value) if value.ndim == 0 else value
 
 
 def expectation_N(theta):
-    """Closed-form pentagon expectation, independent of phi (array-safe)."""
+    """Closed-form pentagon expectation, independent of phi (array-safe):
+    (m + d) / 2 + (m - d) / 2 cos(2 theta), with the pentagon spectrum
+    m = ``KCBS_QUANTUM_MIN`` on |a> and d = ``KCBS_QUANTUM_DEGENERATE``."""
+    m, d = KCBS_QUANTUM_MIN, KCBS_QUANTUM_DEGENERATE
     theta = np.asarray(theta, dtype=float)
-    value = -SQRT5 + (5.0 - 3.0 * SQRT5) * np.cos(2 * theta)
+    value = (m + d) / 2.0 + (m - d) / 2.0 * np.cos(2 * theta)
     return float(value) if value.ndim == 0 else value
 
 
@@ -200,14 +209,13 @@ def frame_state(theta, phi) -> np.ndarray:
 def closed_form_agreement_gap(n_theta: int, n_phi: int) -> float:
     """Worst |closed form - quadratic form| for both witnesses on a grid."""
     m, n, _, _ = _blocks()
-    thetas = np.linspace(0.0, math.pi, n_theta)
+    thetas = np.linspace(0.0, math.pi, n_theta)[:, None]  # a column against the phi row
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    states = frame_state(th, ph)
+    states = frame_state(thetas, phis)
     direct_m = np.einsum("...i,ij,...j->...", states, m, states)
     direct_n = np.einsum("...i,ij,...j->...", states, n, states)
-    gap_m = np.max(np.abs(expectation_M(th, ph) - direct_m))
-    gap_n = np.max(np.abs(expectation_N(th) - direct_n))
+    gap_m = np.max(np.abs(expectation_M(thetas, phis) - direct_m))
+    gap_n = np.max(np.abs(expectation_N(thetas) - direct_n))
     return float(max(gap_m, gap_n))
 
 
@@ -265,10 +273,9 @@ def _phi_extremes_many(
     pi.  The roots of each block of thetas come from one stacked
     eigenvalue solve of the companion matrices (ones on the subdiagonal,
     first row -p[1:]/p[0]).  Blocks of ``_EXTREMES_BLOCK`` thetas keep
-    the temporaries, and so the peak memory, small.  Inside a block the
-    candidates are laid out as (5, n) rows, one row per candidate and one
-    column per theta (see :func:`_phi_extremes_block`); the four results
-    are 1-dim, one entry per theta.
+    the temporaries, and so the peak memory, small (see
+    :func:`_phi_extremes_block`).  The four results are 1-dim, one entry
+    per theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     blocks = [
@@ -287,19 +294,15 @@ def _phi_extremes_block(
     The n thetas of the block are columns.  The coefficients of the
     quartic, the five phi candidates (phi = pi in row 0, then the four
     root slots, 2 atan(root) where the root is real) and their ``valid``
-    mask are (5, n) arrays, and so are the candidates' values.  The
-    minimum, the maximum and the tie-breaking phis reduce over axis 0, row
-    by contiguous row.  Only the companion matrices are (m, 4, 4), one per
-    live column, as ``np.linalg.eigvals`` needs them.
+    mask are (5, n) arrays, and so are the candidates' values, from one
+    ``expectation_M`` call.  The minimum, the maximum and the tie-breaking
+    phis reduce over axis 0, row by contiguous row.  Only the companion
+    matrices are (m, 4, 4), one per live column, as ``np.linalg.eigvals``
+    needs them.
 
-    Every value equals, bit for bit, ``expectation_M(theta, phi)`` at the
-    same theta and phi, so the boundary files do not depend on the block
-    layout.  Two operations need libm for that: ``math.atan`` (``np.arctan``
-    differs in the last bit on some roots) and ``math.pow(x, 2.0)`` for
-    cos^2 and sin^2 (the scalar ``np.float64 ** 2`` is libm ``pow``, while
-    ``array ** 2`` is ``x * x``).  Each is one ``map`` of the libm function
-    over a list of the inputs, read by ``np.fromiter`` with its length
-    given, so no Python frame runs per element.
+    ``expectation_M`` equals its scalar calls bit for bit and the roots'
+    angles are libm ``math.atan`` (``np.arctan`` differs in the last bit on
+    some roots), so the boundary files do not depend on the block layout.
     """
     g = gammas()
     n = len(thetas)
@@ -330,13 +333,7 @@ def _phi_extremes_block(
     phis[1:, live] = live_phis
     valid[1:, live] = real
 
-    cos_sq = np.fromiter(map(math.pow, cos_t.tolist(), repeat(2.0)), float, n)
-    sin_sq = np.fromiter(map(math.pow, sin_t.tolist(), repeat(2.0)), float, n)
-    values = (
-        g.g1 * cos_sq
-        + (g.g2 + g.g3 * np.cos(2 * phis)) * sin_sq
-        + (cos_t * sin_t) * (g.g4 * np.cos(phis) + g.g5 * np.sin(phis))
-    )
+    values = expectation_M(thetas, phis)
     # np.mod(phis, 2 pi) for phis in [-pi, pi], several times faster: + 0.0
     # turns -0.0 into the 0.0 that np.mod gives
     wrapped = np.where(phis < 0.0, phis + 2 * math.pi, phis + 0.0)
@@ -442,8 +439,8 @@ def sample_boundary(n: int) -> Boundary:
     extremized over phi exactly; lower and upper extremes give the two
     arms of the boundary, of (n + 1) // 2 and n // 2 thetas.  When both
     arms have the same grid (every even n) one :func:`_phi_extremes_many`
-    call serves both; its libm ``atan``/``pow`` keep every point
-    bit-identical to a per-theta evaluation of ``expectation_M``.  The
+    call serves both; with libm ``atan`` for the roots, every point is
+    bit-identical to a per-theta solve with scalar ``expectation_M``.  The
     minus branch is the plus branch with the chsh coordinate negated.
     ``plus_order`` and ``minus_order`` order each branch by kcbs, then chsh.
     """

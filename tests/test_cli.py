@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ndmonogamy import classical, quantum, verify
+from ndmonogamy import classical, quantum, region, verify
 from ndmonogamy.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -198,6 +198,25 @@ class TestVerify:
         assert code == 2
         assert err.strip().splitlines() == ["--seed must be non-negative"]
 
+    def test_help_counts_seeds_failing_region_membership(self, capsys):
+        # a seed fails when its sweep has an offender or misses one of the
+        # two one-sided violations
+        failing = []
+        for samples in (500, 1000, 2000):
+            reports = [region.region_membership_sweep(samples, seed) for seed in range(40)]
+            failing.append(
+                sum(
+                    not (r.clean and r.kcbs_only_violation_count and r.chsh_only_violation_count)
+                    for r in reports
+                )
+            )
+        assert failing == [14, 6, 0]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        claim = "14 of seeds 0-39 fail at 500 samples, 6 at 1000 and none at 2000"
+        assert claim in " ".join(capsys.readouterr().out.split())
+
 
 def test_bounds_table_drives_bounds_and_verify(monkeypatch, capsys):
     rows = list(classical.BOUNDS)
@@ -229,7 +248,7 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("streams", ["unbuffered", "buffered", "stderr-full"])
 @pytest.mark.parametrize(
     "args",
     [
@@ -239,9 +258,10 @@ def test_unknown_command_is_usage_error(capsys):
     ],
     ids=["bounds", "region", "verify"],
 )
-def test_failed_stdout_write_is_io_error(args, buffered, tmp_path):
+def test_failed_stdout_write_is_io_error(args, streams, tmp_path):
+    # "stderr-full": the message about stdout cannot be written either
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if not buffered:
+    if streams == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
@@ -250,9 +270,10 @@ def test_failed_stdout_write_is_io_error(args, buffered, tmp_path):
             cwd=tmp_path,
             env=env,
             stdout=full,
-            stderr=subprocess.PIPE,
+            stderr=full if streams == "stderr-full" else subprocess.PIPE,
             text=True,
             timeout=300,
         )
     assert result.returncode == 3, result.stderr
-    assert result.stderr == "cannot write stdout: [Errno 28] No space left on device\n"
+    if streams != "stderr-full":
+        assert result.stderr == "cannot write stdout: [Errno 28] No space left on device\n"

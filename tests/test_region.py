@@ -273,6 +273,40 @@ class TestClosedForms:
         assert expectation_N(0.0) == pytest.approx(KCBS_QUANTUM_MIN, abs=1e-12)
         assert expectation_N(QUARTER) == pytest.approx(KCBS_QUANTUM_DEGENERATE, abs=1e-12)
 
+    def test_pentagon_closed_form_keeps_its_sqrt5_bits(self):
+        # (m + d) / 2 and (m - d) / 2 of the pentagon spectrum are -sqrt 5
+        # and 5 - 3 sqrt 5 to the last bit
+        thetas = np.linspace(0.0, math.pi, 10_001)
+        sqrt5 = math.sqrt(5.0)
+        reference = -sqrt5 + (5.0 - 3.0 * sqrt5) * np.cos(2 * thetas)
+        assert np.array_equal(expectation_N(thetas), reference)
+        assert [expectation_N(t) for t in thetas.tolist()] == reference.tolist()
+
+    def test_array_calls_equal_scalar_calls_bit_for_bit(self, monkeypatch):
+        # On this grid x * x and libm pow(x, 2) round some squares apart.
+        # Besides phi = 1, the phis are the candidates of the stacked root
+        # solve, recorded from its own calls; root slots that hold no real
+        # root are 0 and are skipped.
+        grid = np.linspace(0.0, QUARTER, 50_000)
+        recorded = []
+
+        def recording(theta, phi):
+            recorded.append((theta, phi))
+            return expectation_M(theta, phi)
+
+        monkeypatch.setattr(region, "expectation_M", recording)
+        _phi_extremes_many(grid)
+        monkeypatch.undo()
+        mismatches = 0
+        for theta, phi in [(grid, 1.0), *recorded]:
+            thetas, phis = np.broadcast_arrays(theta, phi)
+            keep = phis != 0.0
+            stacked = expectation_M(theta, phi)[keep]
+            pairs = zip(thetas[keep].tolist(), phis[keep].tolist())
+            mismatches += int(np.sum(stacked != [expectation_M(t, p) for t, p in pairs]))
+        assert mismatches == 0
+        assert recorded
+
     def test_grid_agreement(self):
         assert closed_form_agreement_gap(100, 100) <= 1e-10
 
