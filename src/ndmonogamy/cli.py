@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 I/O error,
 a failed write to stdout included.  All numeric output uses '.' decimals
 and fixed significant-digit formatting, so identical seeds and flags give
-byte-identical files.  Each command imports only the modules it runs.
+byte-identical files.  Each command imports only the modules it runs,
+and numpy only once its flags are checked, so ``--help`` and usage errors
+do not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
@@ -26,6 +26,8 @@ TABLE_DIGITS = 12
 
 
 def _bounds_rows() -> list[dict]:
+    import numpy as np
+
     from . import classical, nodisturbance, quantum
 
     rows = []
@@ -110,6 +112,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     if args.samples < 2:
         print("region export needs --samples >= 2", file=sys.stderr)
         return EXIT_USAGE
+    import numpy as np
+
     from . import classical, region
 
     boundary = region.sample_boundary(args.samples)

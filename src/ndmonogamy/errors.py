@@ -23,7 +23,8 @@ class NotNoDisturbance(NdMonogamyError):
 class Infeasible(NdMonogamyError):
     """The no-disturbance linear program reported an empty feasible region.
 
-    Cannot occur for the canonical scenario; treated as an internal error.
+    Cannot occur for the package's one scenario, whose polytope holds the
+    uniform behavior; treated as an internal error.
     """
 
 

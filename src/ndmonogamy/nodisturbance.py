@@ -7,7 +7,9 @@ pentagon-shaped and Bell-shaped parts of any kcbs+chsh split back to
 their classical bounds (-3 and -2), which is the monogamy relation
 ``kcbs + chsh >= -5``.  This module builds the joints and verifies them,
 one row per behavior of an (n, 10, 8) stack of context tables; the stack
-and every joint obey the one table rule, ``scenario.probability_tables``.
+and every joint obey the one table rule, ``scenario.probability_tables``,
+and the joins and the certificate take only stacks that are
+no-disturbance at the fixed ``scenario.ND_TOL``.
 Committed exact certificates prove every no-disturbance bound with no LP;
 :func:`nd_optimum`, the LP over the 80-dimensional behavior polytope that
 found them, is the one function here that needs scipy.
@@ -84,7 +86,7 @@ class JointDistribution:
         if len(set(variables)) < len(variables):
             raise ValueError(f"joint variables {variables} repeat a name")
         probs = probability_tables(
-            self.probs, (None, 2 ** len(variables)), PROB_TOL, "joint stack", "joint row {}".format
+            self.probs, (None, 2 ** len(variables)), "joint stack", "joint row {}".format
         )
         probs.setflags(write=False)
         object.__setattr__(self, "variables", variables)
@@ -139,7 +141,7 @@ def _nd_tables(probs: np.ndarray) -> np.ndarray:
     its violation records.
     """
     probs = probability_tables(
-        probs, (None, len(CONTEXTS), 8), PROB_TOL, "behavior table stack", _behavior_row_name
+        probs, (None, len(CONTEXTS), 8), "behavior table stack", _behavior_row_name
     )
     matrix, _ = marginal_constraint_rows()
     gaps = np.abs(probs.reshape(-1, matrix.shape[1]) @ matrix.T).max(axis=1)
@@ -273,22 +275,21 @@ class NdOptimum(NamedTuple):
     witness: Behavior
 
 
-def nd_optimum(expr: LinearExpression, sense: str = "min") -> NdOptimum:
-    """HiGHS's float optimum of ``expr`` over the no-disturbance polytope.
+def nd_optimum(expr: LinearExpression) -> NdOptimum:
+    """HiGHS's float minimum of ``expr`` over the no-disturbance polytope.
 
     Needs scipy.  It can miss the last bit (-4.999999999999999 for
-    kcbs+chsh); :func:`certified_nd_minimum` gives the exact bound.
+    kcbs+chsh); :func:`certified_nd_minimum` gives the exact bound.  A
+    maximum is minus the minimum of the negated expression.  The optima
+    are exact vertices, so the witness is a plain :class:`Behavior`,
+    checked at ``PROB_TOL``.
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     A_eq, b_eq = nd_equality_system()
     c = expression_vector(expr)
-    sign = 1.0 if sense == "min" else -1.0
-    result = linprog(sign * c, A_eq=A_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
+    result = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
     if not result.success:
         raise Infeasible(f"LP failed unexpectedly: {result.message}")
-    witness = Behavior(result.x.reshape(-1, 8), validation_tol=1e-7)
-    return NdOptimum(float(sign * result.fun), witness)
+    return NdOptimum(float(result.fun), Behavior(result.x.reshape(-1, 8)))
 
 
 #: One exact LP certificate per row of :data:`ndmonogamy.classical.BOUNDS`,
@@ -474,7 +475,7 @@ def sample_behavior_matrix(
         raise ValueError(f"method must be 'reject' or 'shrink', got {method!r}")
     if count < 0:
         raise ValueError(f"cannot sample a negative number of behaviors, got {count}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     q, uniform = _projector()
     n_ctx = len(CONTEXTS)
     alpha = np.ones(8)

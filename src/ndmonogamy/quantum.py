@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -25,7 +24,7 @@ import numpy as np
 
 from .classical import LinearExpression, chsh_expression, kcbs_expression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
-from .scenario import CONTEXTS, OUTCOMES, Behavior, alice, bob, canonical_context
+from .scenario import CONTEXTS, OUTCOME_TRIPLES, Behavior, alice, bob, canonical_context
 
 HERMITICITY_TOL = 1e-12
 #: largest distance of a state's norm from 1
@@ -291,7 +290,7 @@ def _context_projectors() -> np.ndarray:
         [
             np.kron(spectral[first][a] @ spectral[second][a2], spectral[third][o])
             for first, second, third in (c.members for c in CONTEXTS)
-            for a, a2, o in itertools.product(OUTCOMES, repeat=3)
+            for a, a2, o in OUTCOME_TRIPLES
         ]
     )
     stack.setflags(write=False)
@@ -331,7 +330,7 @@ def random_state_blocks(
     of its row norms.  That is how numpy divides a complex by a real, so
     the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     real = rng.standard_normal((count, 6))
     starts = list(range(0, max(count, 1), _STATE_BLOCK))
     if len(starts) > 1 and count - starts[-1] == 1:

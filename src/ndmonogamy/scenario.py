@@ -15,7 +15,9 @@ package's one rule for a probability table.  Pair and singleton marginals
 are always derived from the context tables, never stored, so a behavior
 cannot contradict itself about its own marginals; whether marginals agree
 *across* contexts is exactly the no-disturbance question answered by
-:func:`check_no_disturbance`.
+:func:`check_no_disturbance`.  Each notion has one fixed tolerance,
+:data:`PROB_TOL` and :data:`ND_TOL`, which no function takes as an
+argument.
 
 Outcome indexing convention: outcomes are -1/+1, tables are indexed
 lexicographically with -1 before +1 and the leftmost measurement of the
@@ -27,10 +29,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -45,11 +46,11 @@ OUTCOME_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.product(OUTCOMES, repeat=3)
 )
 
-#: how far a probability may fall below 0, and a table's sum miss 1: the default
-#: of ``Behavior.validation_tol`` and the check of every joint table and sample
+#: how far a probability may fall below 0, and a table's sum miss 1: the check
+#: of every ``Behavior``, joint table, stack and sample
 PROB_TOL = 1e-12
-#: marginal gap that still counts as no-disturbance: the default of
-#: :func:`check_no_disturbance`, and the tolerance of the joint constructions
+#: marginal gap that still counts as no-disturbance: the check of
+#: :func:`check_no_disturbance` and of the joint constructions
 ND_TOL = 1e-10
 Terms = tuple[tuple[float, tuple[str, ...]], ...]  # (coefficient, subset) pairs
 
@@ -181,7 +182,7 @@ def _require_real_entries(probs, ndim: int, what: str, name: Callable[[int], str
 
 
 def probability_tables(
-    probs, shape: tuple[int | None, ...], tol: float, what: str, name: Callable[[int], str]
+    probs, shape: tuple[int | None, ...], what: str, name: Callable[[int], str]
 ) -> np.ndarray:
     """``probs`` as a new float array of probability tables, tiny negatives clipped to 0.
 
@@ -190,24 +191,25 @@ def probability_tables(
     along its last axis.  Entries must be real numbers (not str, bool,
     None or complex) in nested lists, tuples or arrays (not generators,
     iterators, sets or mappings), and each table finite, nonnegative
-    within ``tol`` and summing to 1 within ``tol``.  ``ValueError`` names
-    ``what`` for a wrong shape or nest, else the first failing table by
-    ``name(k)``, k its index.
+    within :data:`PROB_TOL` and summing to 1 within :data:`PROB_TOL`.
+    ``ValueError`` names ``what`` for a wrong shape or nest, else the
+    first failing table by ``name(k)``, k its index.
     """
     _require_real_entries(probs, len(shape), what, name)
     probs = np.asarray(probs).astype(float, copy=False)
     if probs.shape[1:] != shape[1:] or shape[0] not in (None, probs.shape[0]):
         expected = str(shape).replace("None", "n")
         raise ValueError(f"{what} must have shape {expected}, got {probs.shape}")
-    require_tolerance(tol)
     # one pass over the whole array, phrased so that NaN and infinite entries
     # fail; then table by table only to name the first failing one
-    if probs.size and not (probs.min() >= -tol and np.abs(probs.sum(axis=-1) - 1.0).max() <= tol):
+    if probs.size and not (
+        probs.min() >= -PROB_TOL and np.abs(probs.sum(axis=-1) - 1.0).max() <= PROB_TOL
+    ):
         for k, table in enumerate(probs.reshape(-1, shape[-1])):
-            if not table.min() >= -tol:
+            if not table.min() >= -PROB_TOL:
                 raise ValueError(f"{name(k)}: negative or non-finite probability {table.min()}")
             total = float(table.sum())
-            if not abs(total - 1.0) <= tol:
+            if not abs(total - 1.0) <= PROB_TOL:
                 raise ValueError(f"{name(k)}: probabilities sum to {total}, not 1")
     return np.maximum(probs, 0.0)  # np.clip(probs, 0.0, None) into a new array
 
@@ -223,16 +225,13 @@ class Behavior:
     ``probs`` has shape (10, 8), rows in :data:`CONTEXTS` order,
     columns in the lexicographic outcome order of ``OUTCOME_TRIPLES``.
     The array is read-only after construction; negative entries within
-    the validation tolerance are clipped to exactly zero.
+    :data:`PROB_TOL` are clipped to exactly zero.
     """
 
     probs: np.ndarray
-    validation_tol: float = field(default=PROB_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        probs = probability_tables(
-            self.probs, (len(CONTEXTS), 8), self.validation_tol, "behavior table", _context_name
-        )
+        probs = probability_tables(self.probs, (len(CONTEXTS), 8), "behavior table", _context_name)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -393,20 +392,13 @@ class NdViolation(NamedTuple):
         return abs(self.value_a - self.value_b)
 
 
-def require_tolerance(tol: float) -> None:
-    """Reject a tolerance that is negative, NaN or infinite."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-
-
-def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
-    """All marginal disagreements beyond ``tol`` of one (10, 8) table array.
+def nd_violations(probs: np.ndarray) -> list[NdViolation]:
+    """All marginal disagreements beyond :data:`ND_TOL` of one (10, 8) table array.
 
     Any other shape, an entry that is not a real number, a nest that is
     not of lists, tuples or arrays, and a NaN or infinite entry raise
     ``ValueError``.
     """
-    require_tolerance(tol)
     _require_real_entries(probs, 2, "table array", _context_name)
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(CONTEXTS), 8):
@@ -416,10 +408,10 @@ def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
         raise ValueError("no-disturbance needs finite probabilities, got NaN or infinity")
     matrix, infos = marginal_constraint_rows()
     residuals = matrix @ probs.ravel()
-    if np.abs(residuals).max() <= tol:
+    if np.abs(residuals).max() <= ND_TOL:
         return []
     violations: list[NdViolation] = []
-    for k in np.flatnonzero(np.abs(residuals) > tol):
+    for k in np.flatnonzero(np.abs(residuals) > ND_TOL):
         info = infos[k]
         assignment = dict(zip(info.subset, info.outcomes))
         violations.append(
@@ -439,18 +431,18 @@ def nd_violations(probs: np.ndarray, tol: float = ND_TOL) -> list[NdViolation]:
     return violations
 
 
-def check_no_disturbance(behavior: Behavior, tol: float = ND_TOL) -> list[NdViolation]:
-    """All marginal disagreements of ``behavior`` beyond ``tol``.
+def check_no_disturbance(behavior: Behavior) -> list[NdViolation]:
+    """All marginal disagreements of ``behavior`` beyond :data:`ND_TOL`.
 
     Covers every shared pair marginal, p(a_i, a_{i+1}) across j in {1,2}
     and p(a_i, b_j) across the two contexts containing {A_i, B_j}, and
     every singleton marginal across all containing contexts.  An empty
-    list means the behavior satisfies no-disturbance at this tolerance;
-    violations are returned as data, never raised.  A negative or
-    non-finite ``tol`` raises ``ValueError``.  One matrix-vector product
-    gives every residual; the list is built only when the worst exceeds ``tol``.
+    list means the behavior satisfies no-disturbance; violations are
+    returned as data, never raised.  One matrix-vector product gives
+    every residual; the list is built only when the worst exceeds
+    :data:`ND_TOL`.
     """
-    return nd_violations(behavior.probs, tol)
+    return nd_violations(behavior.probs)
 
 
 #: the pentagon witness: the five cyclic pair correlators <A_i A_{i+1}>

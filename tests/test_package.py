@@ -62,6 +62,13 @@ def test_region_loads_neither_nodisturbance_nor_verify(tmp_path):
     assert not loaded & {"ndmonogamy.nodisturbance", "ndmonogamy.verify"}
 
 
+def test_usage_error_loads_no_numpy(tmp_path):
+    code = "from ndmonogamy import cli\nassert cli.main(['verify', '--samples', '0']) == 2"
+    loaded = loaded_after(code, tmp_path)
+    assert "numpy" not in loaded
+    assert loaded == {"ndmonogamy", "ndmonogamy.cli"}
+
+
 @pytest.mark.parametrize("name", ndmonogamy.__all__)
 def test_exported_name_is_its_submodule_object(name):
     value = getattr(ndmonogamy, name)

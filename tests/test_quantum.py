@@ -331,7 +331,7 @@ class TestEigensystem:
 class TestBehaviorFromState:
     def test_every_state_is_nd(self):
         for psi in random_states(10, seed=4):
-            assert check_no_disturbance(behavior_from_state(psi), 1e-10) == []
+            assert check_no_disturbance(behavior_from_state(psi)) == []
 
     def test_level_two_basis_state_minimizes_kcbs(self, basis_state_behavior):
         assert kcbs_value(basis_state_behavior) == pytest.approx(KCBS_MIN, abs=1e-10)

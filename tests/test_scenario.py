@@ -47,16 +47,16 @@ from ndmonogamy.scenario import (
 )
 
 
-def _validate_table(table: np.ndarray, name: str, tol: float) -> np.ndarray:
+def _validate_table(table: np.ndarray, name: str) -> np.ndarray:
     """The per-table reference of :func:`probability_tables`: one 8-entry table."""
     table = np.asarray(table, dtype=float)
     if table.shape != (8,):
         raise ValueError(f"{name}: expected 8 probabilities, got {table.shape}")
     # phrased so that NaN and infinite entries fail the comparisons
-    if not table.min() >= -tol:
+    if not table.min() >= -PROB_TOL:
         raise ValueError(f"{name}: negative or non-finite probability {table.min()}")
     total = float(table.sum())
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"{name}: probabilities sum to {total}, not 1")
     return np.clip(table, 0.0, None)
 
@@ -128,42 +128,33 @@ class TestBehavior:
             Behavior(probs)
 
     @pytest.mark.parametrize(
-        "build, name, tols",
+        "build, name",
         [
-            (
-                lambda p, tol: Behavior(p, validation_tol=tol).probs,
-                lambda k: f"context {LABELS[k]}",
-                (1e-12, 1e-7),
-            ),
+            (lambda p: Behavior(p).probs, lambda k: f"context {LABELS[k]}"),
             # a (10, 8) table is a 10-row stack of joints over 3 variables
-            (
-                lambda p, tol: JointDistribution(("X", "Y", "Z"), p).probs,
-                lambda k: f"joint row {k}",
-                (PROB_TOL,),
-            ),
+            (lambda p: JointDistribution(("X", "Y", "Z"), p).probs, lambda k: f"joint row {k}"),
             # the rule as the stacked joins and certificate apply it, on a 1-row stack
             (
-                lambda p, tol: probability_tables(
-                    p[None], (None, 10, 8), tol, "behavior table stack", _behavior_row_name
+                lambda p: probability_tables(
+                    p[None], (None, 10, 8), "behavior table stack", _behavior_row_name
                 ),
                 lambda k: f"behavior row 0, context {LABELS[k]}",
-                (PROB_TOL,),
             ),
         ],
         ids=["behavior", "joint", "stack"],
     )
-    def test_whole_table_check_matches_per_row_check(self, build, name, tols):
+    def test_whole_table_check_matches_per_row_check(self, build, name):
         # the reference validates one table at a time; the whole-array check
         # must accept the same tables, raise the same first message and clip
         # to the same bits
         rng = np.random.default_rng(5)
 
-        def per_row(probs, tol):
-            return np.array([_validate_table(row, name(k), tol) for k, row in enumerate(probs)])
+        def per_row(probs):
+            return np.array([_validate_table(row, name(k)) for k, row in enumerate(probs)])
 
-        def outcome(build, probs, tol):
+        def outcome(build, probs):
             try:
-                return build(probs, tol).tobytes()
+                return build(probs).tobytes()
             except ValueError as exc:
                 return str(exc)
 
@@ -183,19 +174,10 @@ class TestBehavior:
             tables.append(probs)
         raised = 0
         for probs in tables:
-            for tol in tols:
-                expected = outcome(per_row, probs, tol)
-                assert outcome(build, probs, tol) == expected
-                raised += isinstance(expected, str)
-        assert 0 < raised < len(tols) * len(tables)
-
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf])
-    def test_rejects_bad_validation_tolerance(self, tol):
-        # NaN used to fail every row as a "negative or non-finite
-        # probability"; inf accepted tables whose rows sum to 8
-        for probs in (np.full((10, 8), 1 / 8), np.ones((10, 8))):
-            with pytest.raises(ValueError, match="tolerance"):
-                Behavior(probs, validation_tol=tol)
+            expected = outcome(per_row, probs)
+            assert outcome(build, probs) == expected
+            raised += isinstance(expected, str)
+        assert 0 < raised < len(tables)
 
     @pytest.mark.parametrize("imag", [0.0, 1e-3])
     def test_rejects_complex_probabilities(self, imag):
@@ -401,7 +383,7 @@ class TestCorrelator:
 class TestNoDisturbance:
     def test_quantum_behavior_passes(self, quantum_behaviors):
         for behavior in quantum_behaviors:
-            assert check_no_disturbance(behavior, 1e-10) == []
+            assert check_no_disturbance(behavior) == []
 
     def test_constructed_counterexample_reports_singleton_gap(self):
         # context A1,A2,B1 pins a1 = +1; context A5,A1,B1 pins a1 = -1
@@ -409,20 +391,20 @@ class TestNoDisturbance:
         tables["A1,A2,B1"] = [0, 0, 0, 0, 0, 0, 0, 1.0]
         tables["A5,A1,B1"] = [1.0, 0, 0, 0, 0, 0, 0, 0]
         behavior = Behavior.from_tables(tables)
-        violations = check_no_disturbance(behavior, 1e-10)
+        violations = check_no_disturbance(behavior)
         assert violations
         assert any(v.subset == ("A1",) for v in violations)
 
     def test_mixture_of_nd_behaviors_is_nd(self, quantum_behaviors):
         first, second = quantum_behaviors[:2]
         mixed = Behavior(0.3 * first.probs + 0.7 * second.probs)
-        assert check_no_disturbance(mixed, 1e-10) == []
+        assert check_no_disturbance(mixed) == []
 
     def test_violation_records_carry_values(self):
         tables = {c.label: [1 / 8] * 8 for c in CONTEXTS}
         tables["A1,A2,B1"] = [0, 0, 0, 0, 0, 0, 0, 1.0]
         behavior = Behavior.from_tables(tables)
-        violations = check_no_disturbance(behavior, 1e-10)
+        violations = check_no_disturbance(behavior)
         worst = max(violations, key=lambda v: v.magnitude)
         assert worst.magnitude == pytest.approx(
             abs(worst.value_a - worst.value_b), abs=0
@@ -580,4 +562,4 @@ def test_quantum_behavior_from_state_passes_nd_everywhere():
     for k in range(6):
         e = np.zeros(6, dtype=complex)
         e[k] = 1.0
-        assert check_no_disturbance(behavior_from_state(e), 1e-10) == []
+        assert check_no_disturbance(behavior_from_state(e)) == []
