@@ -41,12 +41,17 @@ PIVOTS = (1, 2, 3, 4, 5)
 SQRT5 = math.sqrt(5.0)
 KCBS_CLASSICAL_BOUND = -3.0
 CHSH_CLASSICAL_BOUND = -2.0
+KCBS_ND_BOUND = -5.0
 CHSH_ND_BOUND = -4.0
 MONOGAMY_BOUND = -5.0
 #: lowest eigenvalue of the pentagon operator (the quantum kcbs minimum)
 KCBS_QUANTUM_MIN = 5.0 - 4.0 * SQRT5
 #: its other, four-fold degenerate eigenvalue
 KCBS_QUANTUM_DEGENERATE = -5.0 + 2.0 * SQRT5
+#: lowest eigenvalue of the Bell operator (the quantum chsh minimum), the
+#: smaller root of the factor lambda^2 + (2 sqrt5 - 2) lambda + 8 - 4 sqrt5
+#: of its characteristic polynomial
+CHSH_QUANTUM_MIN = 1.0 - SQRT5 - math.sqrt(2.0 * SQRT5 - 2.0)
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,10 @@ class LinearExpression:
 
     ``terms`` is a tuple of (coefficient, measurement-id subset) tuples: a
     finite real coefficient (not bool, str or complex) and a nonempty
-    tuple of measurement-id strings.
+    tuple of measurement-id strings.  A :class:`BoundRow` holds its name.
     """
 
     terms: tuple[tuple[float, tuple[str, ...]], ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not (isinstance(self.terms, tuple) and all(isinstance(t, tuple) for t in self.terms)):
@@ -101,8 +105,7 @@ class LinearExpression:
                 raise ValueError(f"non-finite coefficient {coeff}")
 
     def __add__(self, other: "LinearExpression") -> "LinearExpression":
-        name = f"{self.name}+{other.name}" if self.name and other.name else ""
-        return LinearExpression(self.terms + other.terms, name)
+        return LinearExpression(self.terms + other.terms)
 
     def evaluate_assignment(self, assignment: DeterministicAssignment) -> float:
         return sum(c * assignment.product(sub) for c, sub in self.terms)
@@ -113,20 +116,17 @@ class LinearExpression:
         def move(m: str) -> str:
             return alice(int(m[1]) + shift) if m.startswith("A") else m
 
-        return LinearExpression(
-            tuple((c, tuple(move(m) for m in sub)) for c, sub in self.terms),
-            self.name,
-        )
+        return LinearExpression(tuple((c, tuple(move(m) for m in sub)) for c, sub in self.terms))
 
 
 def kcbs_expression() -> LinearExpression:
     """Pentagon expression: sum of the 5 cyclic pair correlators (bound -3)."""
-    return LinearExpression(KCBS_TERMS, "kcbs")
+    return LinearExpression(KCBS_TERMS)
 
 
 def chsh_expression(pivot: int = 5) -> LinearExpression:
     """Bell expression on A_{pivot+1}, A_{pivot-1} vs B1, B2 (bound -2)."""
-    return LinearExpression(chsh_terms(pivot), f"chsh[{pivot}]")
+    return LinearExpression(chsh_terms(pivot))
 
 
 def c1_expression(pivot: int) -> LinearExpression:
@@ -144,8 +144,7 @@ def c1_expression(pivot: int) -> LinearExpression:
             (1.0, (alice(i + 2), alice(i - 2))),
             (1.0, (alice(i - 2), alice(i - 1))),
             (1.0, (alice(i - 1), bob(1))),
-        ),
-        f"c1[{pivot}]",
+        )
     )
 
 
@@ -163,8 +162,7 @@ def c2_expression(pivot: int) -> LinearExpression:
             (1.0, (alice(i - 1), alice(i))),
             (1.0, (alice(i + 1), bob(2))),
             (-1.0, (alice(i - 1), bob(2))),
-        ),
-        f"c2[{pivot}]",
+        )
     )
 
 
@@ -176,22 +174,23 @@ def monogamy_expression(pivot: int = 5) -> LinearExpression:
 class BoundRow(NamedTuple):
     """Classical, no-disturbance and quantum minima of one expression.
 
-    ``quantum`` is None where the minimum has no closed form here.
+    Each minimum is a closed form; ``quantum`` is the lowest eigenvalue of
+    the expression's qutrit-qubit operator.
     """
 
     name: str
     expression: LinearExpression
     classical: float
     nd: float
-    quantum: float | None
+    quantum: float
 
 
 #: The paper's bounds table, in the row order of ``ndmonogamy bounds``.
 #: The split parts c1, c2 keep their classical bound under no-disturbance
 #: and in the qutrit-qubit implementation.
 BOUNDS: tuple[BoundRow, ...] = (
-    BoundRow("kcbs", kcbs_expression(), KCBS_CLASSICAL_BOUND, -5.0, KCBS_QUANTUM_MIN),
-    BoundRow("chsh", chsh_expression(), CHSH_CLASSICAL_BOUND, CHSH_ND_BOUND, None),
+    BoundRow("kcbs", kcbs_expression(), KCBS_CLASSICAL_BOUND, KCBS_ND_BOUND, KCBS_QUANTUM_MIN),
+    BoundRow("chsh", chsh_expression(), CHSH_CLASSICAL_BOUND, CHSH_ND_BOUND, CHSH_QUANTUM_MIN),
     *(
         BoundRow(f"c1[{i}]", c1_expression(i), *(KCBS_CLASSICAL_BOUND,) * 3)
         for i in PIVOTS

@@ -61,7 +61,7 @@ def _check_bounds_rows(rows: list[dict]) -> list[str]:
         ref = expected[row["expression"]]
         if row["classical_min"] != ref.classical:
             problems.append(f"{row['expression']}: classical {row['classical_min']}")
-        if ref.quantum is not None and abs(row["quantum_min"] - ref.quantum) > 1e-9:
+        if abs(row["quantum_min"] - ref.quantum) > 1e-9:
             problems.append(f"{row['expression']}: quantum {row['quantum_min']}")
     return problems
 

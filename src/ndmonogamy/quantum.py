@@ -24,11 +24,12 @@ import numpy as np
 
 from .classical import LinearExpression, chsh_expression, kcbs_expression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
-from .scenario import CONTEXTS, OUTCOME_TRIPLES, Behavior, alice, bob, canonical_context
+from .scenario import CONTEXTS, OUTCOME_TRIPLES, PROB_TOL, Behavior, alice, bob, canonical_context
 
 HERMITICITY_TOL = 1e-12
-#: largest distance of a state's norm from 1
-NORM_TOL = 1e-12
+#: largest distance of a state's norm from 1; the Born probabilities sum to
+#: the squared norm, so every accepted state's behavior passes ``PROB_TOL``
+NORM_TOL = 0.4 * PROB_TOL
 #: largest cross-block entry that :func:`block_decompose` accepts
 BLOCK_CROSS_TOL = 1e-10
 _STATE_BLOCK = 8192  # states per block of random_state_blocks
@@ -50,12 +51,25 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def require_normalized(ket: np.ndarray) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex)
-    norm = float(np.linalg.norm(ket))
-    if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
-        raise NotNormalized(f"state has norm {norm}, expected 1")
-    return ket
+def require_normalized(states: np.ndarray) -> np.ndarray:
+    """One state, shape (6,), or a stack, shape (n, 6), as a complex array.
+
+    Any other shape raises ``ValueError``.  Every state must be finite with
+    norm within :data:`NORM_TOL` of 1; otherwise :class:`NotNormalized`
+    names the first bad row of a stack.  The norms come from one pass over
+    the real and imaginary parts of all states.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[-1] != 6:
+        raise ValueError(f"expected shape (6,) or (n, 6), got {states.shape}")
+    parts = np.ascontiguousarray(states).view(np.float64).reshape(-1, 12)  # re, im, ...
+    norms = np.sqrt(np.einsum("nk,nk->n", parts, parts))
+    gaps = np.abs(norms - 1.0)
+    if not gaps.max(initial=0.0) <= NORM_TOL:  # NaN and inf fail too
+        row = int(np.argmax(~(gaps <= NORM_TOL)))
+        name = "state" if states.ndim == 1 else f"state {row}"
+        raise NotNormalized(f"{name} has norm {norms[row]}, expected 1")
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +116,6 @@ def kcbs_observables() -> tuple[np.ndarray, ...]:
     return tuple(obs)
 
 
-def alice_observable(i: int) -> np.ndarray:
-    """A_i on the qutrit, index mod 5."""
-    return kcbs_observables()[(i - 1) % 5].copy()
-
-
 def bob_observable(j: int) -> np.ndarray:
     """B_1 = Z, B_2 = X on the qubit."""
     if j == 1:
@@ -140,11 +149,6 @@ def observables_6d() -> Mapping[str, np.ndarray]:
     for matrix in table.values():
         matrix.setflags(write=False)
     return MappingProxyType(table)
-
-
-def observable_6d(measurement_id: str) -> np.ndarray:
-    """A measurement's observable on the full qutrit (x) qubit space, a new array."""
-    return observables_6d()[measurement_id].copy()
 
 
 def kcbs_operator() -> np.ndarray:
@@ -303,11 +307,12 @@ def behavior_from_state(state: np.ndarray) -> Behavior:
     Each context's eight probabilities are expectation values of products
     of the commuting spectral projectors, all contracted with the state
     in one ``einsum``.  The result always satisfies no-disturbance (up to
-    roundoff).
+    roundoff).  ``state`` is one state under :func:`require_normalized`'s
+    rule; a stack raises ``ValueError``.
     """
     psi = require_normalized(state)
-    if psi.shape != (6,):
-        raise NotNormalized(f"expected a 6-dim state, got shape {psi.shape}")
+    if psi.ndim != 1:
+        raise ValueError(f"expected one state of shape (6,), got {psi.shape}")
     probs = np.einsum("i,kij,j->k", psi.conj(), _context_projectors(), psi)
     return Behavior(np.real(probs).reshape(-1, 8))
 
@@ -364,13 +369,11 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     or (m, n), each row bit-identical to a call with that operator alone.
     Every operator must be finite and Hermitian within
     :data:`HERMITICITY_TOL` (:func:`require_hermitian`'s rule); otherwise
-    :class:`NotHermitian` names the first bad one.  Every state must be
-    finite with norm within :data:`NORM_TOL` of 1
-    (:func:`require_normalized`'s rule); otherwise :class:`NotNormalized`
-    names the first bad row.  The norms are checked once per call.  A
-    stack of states is multiplied by each operator once, and each row is
-    paired with its image through the real and imaginary parts, so no
-    conjugate copy of the stack is made.
+    :class:`NotHermitian` names the first bad one.  The states pass
+    :func:`require_normalized`, once per call.  A stack of states is
+    multiplied by each operator once, and each row is paired with its
+    image through the real and imaginary parts, so no conjugate copy of
+    the stack is made.
     """
     operators = np.asarray(operator, dtype=complex)
     if operators.ndim not in (2, 3) or operators.shape[-2:] != (6, 6):
@@ -384,14 +387,10 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
         except NotHermitian as exc:
             name = "operator" if operators.ndim == 2 else f"operator {k}"
             raise NotHermitian(f"{name}: {exc}") from None
-    states = np.asarray(states, dtype=complex)
-    if states.ndim not in (1, 2) or states.shape[-1] != 6:
-        raise ValueError(f"expected shape (6,) or (n, 6), got {states.shape}")
+    states = require_normalized(states)
     if states.ndim == 1:
-        require_normalized(states)
         values = np.array([np.real(states.conj() @ op @ states) for op in stack])
     else:
-        _require_normalized_rows(states)
         values = np.empty((len(stack), len(states)))
         for op, row in zip(stack, values):
             images = states @ op.T
@@ -399,16 +398,3 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
             row += np.einsum("ni,ni->n", states.imag, images.imag)
     return values[0] if operators.ndim == 2 else values
 
-
-def _require_normalized_rows(states: np.ndarray) -> None:
-    """:func:`require_normalized` for every row of a stack, in one pass.
-
-    A function of its own, so the norms are freed before the caller
-    allocates the stack's images.
-    """
-    parts = np.ascontiguousarray(states).view(np.float64)  # (n, 12): re, im, ...
-    norms = np.sqrt(np.einsum("nk,nk->n", parts, parts))
-    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN and inf fail too
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise NotNormalized(f"state {row} has norm {norms[row]}, expected 1")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .classical import (
     CHSH_CLASSICAL_BOUND,
+    CHSH_QUANTUM_MIN,
     KCBS_CLASSICAL_BOUND,
     KCBS_QUANTUM_DEGENERATE,
     KCBS_QUANTUM_MIN,
@@ -92,12 +93,6 @@ def bell_block() -> np.ndarray:
 def pentagon_block() -> np.ndarray:
     """The 3x3 pentagon block, diagonal in the same basis."""
     return _blocks()[1].copy()
-
-
-def bell_block_minimum() -> float:
-    """Smallest eigenvalue of M, the quantum chsh minimum."""
-    w, _ = eigensystem(bell_block())
-    return float(w[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,8 +543,8 @@ class SweepReport:
 def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     """Check random pure states against the three region bounds.
 
-    Every state must satisfy chsh + kcbs >= -5, kcbs >= 5 - 4 sqrt(5) and
-    chsh >= min eig of the Bell block, all within ``POINTWISE_SLACK``; the report
+    Every state must satisfy chsh + kcbs >= -5, kcbs >= ``KCBS_QUANTUM_MIN``
+    and chsh >= ``CHSH_QUANTUM_MIN``, all within ``POINTWISE_SLACK``; the report
     also counts states violating exactly one of the two classical bounds
     (the two-sided tradeoff).  The states of ``random_states(samples, seed)``
     are drawn and checked in blocks (:func:`random_state_blocks`), and only
@@ -559,7 +554,6 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     operators = np.stack([kcbs_operator(), chsh_operator()])
-    chsh_floor = bell_block_minimum()
     lows, highs = [], []  # per block: (kcbs, chsh, sum) minima, (kcbs, chsh) maxima
     found: tuple[list[dict], ...] = ([], [], [])  # monogamy, kcbs floor, chsh floor
     kcbs_only = chsh_only = 0
@@ -572,7 +566,7 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
         masks = (
             total < MONOGAMY_BOUND - POINTWISE_SLACK,
             kcbs < KCBS_QUANTUM_MIN - POINTWISE_SLACK,
-            chsh < chsh_floor - POINTWISE_SLACK,
+            chsh < CHSH_QUANTUM_MIN - POINTWISE_SLACK,
         )
         for offenders, mask in zip(found, masks):
             for i in np.flatnonzero(mask)[: _OFFENDERS_KEPT - len(offenders)]:
@@ -741,20 +735,6 @@ def _csv_cells(values: np.ndarray) -> np.ndarray:
         text = np.array([format(x, ".17g") for x in values[other].tolist()], dtype="S40")
         cells[other] = text.view(np.uint64).reshape(-1, _CELL_WORDS)
     return cells
-
-
-def csv_floats(values) -> np.ndarray:
-    """Each value at 17 significant digits, the number format of every CSV.
-
-    Returns ``format(x, ".17g")`` of every entry as bytes, in an ``S24``
-    array of the shape of ``values``.  The CSV writers join the same cells
-    that this strips and splits.
-    """
-    values = np.asarray(values, dtype=float)
-    cells = _csv_cells(values.ravel())
-    cells[:, -1] |= _cell_end("\n")
-    lines = cells.tobytes().translate(None, b"\0").split(b"\n")[:-1]
-    return np.array(lines, dtype="S24").reshape(values.shape)
 
 
 def _ascii_word(text: str) -> np.uint64:

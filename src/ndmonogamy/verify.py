@@ -314,9 +314,7 @@ def check_region_membership(samples: int, seed: int) -> CheckResult:
 
 
 def verify_all(
-    samples: int = 100_000,
-    seed: int = 42,
-    chsh_matrix: np.ndarray | None = None,
+    samples: int, seed: int, chsh_matrix: np.ndarray | None = None
 ) -> list[CheckResult]:
     """Run the full suite.
 

@@ -288,7 +288,7 @@ def test_criterion_10_monogamy_sweep():
     start = time.monotonic()
     report_obj = region.region_membership_sweep(100_000, seed=42)
     elapsed = time.monotonic() - start
-    lam1 = region.bell_block_minimum()
+    lam1 = quantum.eigvals_characteristic_3x3(region.bell_block())[0]
     bounds_hold = (
         report_obj.clean
         and report_obj.min_sum >= -5.0 - 1e-9

@@ -45,7 +45,7 @@ class TestBoundsTable:
         s5 = math.sqrt(5.0)
         paper = [
             ("kcbs", kcbs_expression(), -3.0, -5.0, 5.0 - 4.0 * s5),
-            ("chsh", chsh_expression(), -2.0, -4.0, None),
+            ("chsh", chsh_expression(), -2.0, -4.0, 1.0 - s5 - math.sqrt(2.0 * s5 - 2.0)),
             *[(f"c1[{i}]", c1_expression(i), -3.0, -3.0, -3.0) for i in range(1, 6)],
             *[(f"c2[{i}]", c2_expression(i), -2.0, -2.0, -2.0) for i in range(1, 6)],
             ("kcbs+chsh", monogamy_expression(), -5.0, -5.0, -5.0),

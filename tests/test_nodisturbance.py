@@ -75,7 +75,7 @@ def expression_value(behavior, expr) -> float:
 
 def negated(expr):
     """``-expr``: ``nd_optimum`` of it is minus the maximum of ``expr``."""
-    return LinearExpression(tuple((-coeff, subset) for coeff, subset in expr.terms), f"-{expr.name}")
+    return LinearExpression(tuple((-coeff, subset) for coeff, subset in expr.terms))
 
 
 #: every row of the bounds table with its no-disturbance minimum, and the kcbs

@@ -16,7 +16,6 @@ from ndmonogamy.errors import (
 from ndmonogamy.quantum import (
     MINUS_BLOCK,
     PLUS_BLOCK,
-    alice_observable,
     behavior_from_state,
     block_decompose,
     bob_observable,
@@ -28,7 +27,6 @@ from ndmonogamy.quantum import (
     kcbs_observables,
     kcbs_operator,
     kcbs_vectors,
-    observable_6d,
     observables_6d,
     random_state_blocks,
     random_states,
@@ -374,8 +372,12 @@ class TestBehaviorFromState:
             behavior_from_state(psi)
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match="expected shape"):
             behavior_from_state(np.array([1.0, 0.0], dtype=complex))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"one state of shape \(6,\)"):
+            behavior_from_state(random_states(2, seed=1))
 
     def test_behavior_and_operator_paths_agree(self):
         k_op = kcbs_operator()
@@ -430,6 +432,57 @@ class TestBehaviorFromState:
         assert quantum._context_projectors() is stack
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
+
+
+class TestStateRule:
+    # one state, and the same state as a row of a stack, pass or fail alike
+    # through every caller of require_normalized
+    @pytest.mark.parametrize(
+        "offset",
+        [-1.1e-12, -0.9e-12, 0.9e-12, 1.1e-12]
+        + [f * quantum.NORM_TOL for f in (-1.1, -0.9, 0.9, 1.1)],
+        ids=[f"{f:+}{unit}" for unit in ("e-12", " NORM_TOL") for f in (-1.1, -0.9, 0.9, 1.1)],
+    )
+    def test_one_state_and_a_stack_row_agree(self, offset):
+        states = random_states(3, seed=9)
+        states[1] *= 1.0 + offset
+        calls = {
+            "require_normalized": lambda: require_normalized(states[1]),
+            "expectation": lambda: expectation(kcbs_operator(), states[1]),
+            "behavior_from_state": lambda: behavior_from_state(states[1]),
+            "require_normalized (stack)": lambda: require_normalized(states),
+            "expectation (stack)": lambda: expectation(kcbs_operator(), states),
+        }
+        for name, call in calls.items():
+            if abs(offset) < quantum.NORM_TOL:
+                call()
+            else:
+                match = "^state 1 has norm" if name.endswith("(stack)") else "^state has norm"
+                with pytest.raises(NotNormalized, match=match):
+                    call()
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (2, 5), (1, 2, 6), (6, 6, 1), ()])
+    def test_other_shapes_are_value_errors(self, shape):
+        for check in (require_normalized, behavior_from_state):
+            with pytest.raises(ValueError, match="expected shape"):
+                check(np.ones(shape, dtype=complex))
+
+    def test_returns_the_states_as_complex(self):
+        state = np.eye(6)[2]
+        out = require_normalized(state)
+        assert out.dtype == complex and np.array_equal(out, state)
+        stack = random_states(4, seed=2)
+        assert require_normalized(stack) is stack
+
+
+class TestBoundsQuantumColumn:
+    def test_every_row_has_a_float_quantum_minimum(self):
+        assert [type(row.quantum) for row in BOUNDS] == [float] * len(BOUNDS)
+
+    def test_chsh_minimum_is_the_lowest_eigenvalue(self):
+        (row,) = [row for row in BOUNDS if row.name == "chsh"]
+        w = np.linalg.eigh(expression_operator(row.expression)).eigenvalues
+        assert abs(row.quantum - w[0]) <= 1e-15
 
 
 class TestRandomStateSweep:
@@ -581,14 +634,14 @@ class TestStackedExpectation:
 class TestExpressionOperator:
     # references: the witness operators written out from the observables
     def test_kcbs_expression_reproduces_operator(self):
-        a = [alice_observable(i) for i in range(1, 6)]
+        a = [kcbs_observables()[(i - 1) % 5] for i in range(1, 6)]
         qutrit = sum(a[i] @ a[(i + 1) % 5] for i in range(5))
         reference = np.kron(qutrit, np.eye(2, dtype=complex))
         assert np.max(np.abs(expression_operator(kcbs_expression()) - reference)) < 1e-12
         assert np.max(np.abs(kcbs_operator() - reference)) < 1e-12
 
     def test_chsh_expression_reproduces_operator(self):
-        a1, a4 = alice_observable(1), alice_observable(4)
+        a1, a4 = kcbs_observables()[0], kcbs_observables()[3]
         z, x = bob_observable(1), bob_observable(2)
         reference = np.kron(a1, z) + np.kron(a1, x) + np.kron(a4, z) - np.kron(a4, x)
         assert np.max(np.abs(expression_operator(chsh_expression()) - reference)) < 1e-12
@@ -605,7 +658,8 @@ class TestExpressionOperator:
         # the construction from single-factor observables, one np.kron per factor
         def factor(m):
             if m[0] == "A":
-                return np.kron(alice_observable(int(m[1:])), np.eye(2, dtype=complex))
+                alice_factor = kcbs_observables()[(int(m[1:]) - 1) % 5]
+                return np.kron(alice_factor, np.eye(2, dtype=complex))
             return np.kron(np.eye(3, dtype=complex), bob_observable(int(m[1:])))
 
         reference = np.zeros((6, 6), dtype=complex)
@@ -629,10 +683,6 @@ class TestExpressionOperator:
         assert np.max(np.abs(op - 2 * np.kron(np.eye(3), bob_observable(1)))) < 1e-14
 
 
-def test_alice_observable_wraps_modulo_five():
-    assert np.array_equal(alice_observable(6), alice_observable(1))
-
-
 class TestObservableTable:
     def test_cached_read_only_table_of_the_seven_ids(self):
         table = observables_6d()
@@ -644,19 +694,9 @@ class TestObservableTable:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 2.0
 
-    @pytest.mark.parametrize("measurement_id", MEASUREMENT_IDS)
-    def test_observable_6d_returns_a_new_writable_copy(self, measurement_id):
-        first, second = observable_6d(measurement_id), observable_6d(measurement_id)
-        assert first.tobytes() == observables_6d()[measurement_id].tobytes()
-        assert not np.shares_memory(first, observables_6d()[measurement_id])
-        first[0, 0] += 1.0
-        assert second[0, 0] == first[0, 0] - 1.0
-
     @pytest.mark.parametrize(
         "measurement_id", ["A0", "A6", "A12", "A", "Ax", "B0", "B3", "C1", ""]
     )
     def test_unknown_id_rejected(self, measurement_id):
-        with pytest.raises(ValueError, match=f"unknown measurement id {measurement_id!r}"):
-            observable_6d(measurement_id)
         with pytest.raises(ValueError, match=f"unknown measurement id {measurement_id!r}"):
             observables_6d()[measurement_id]

@@ -32,12 +32,10 @@ from ndmonogamy.region import (
     RegionPoint,
     _phi_extremes_many,
     bell_block,
-    bell_block_minimum,
     boundary_coefficients,
     boundary_state,
     boundary_theta,
     closed_form_agreement_gap,
-    csv_floats,
     expectation_M,
     expectation_N,
     frame_state,
@@ -49,6 +47,7 @@ from ndmonogamy.region import (
     stationarity_residual,
     touching_point,
     write_boundary_csv,
+    write_csv,
 )
 from ndmonogamy.scenario import chsh_value, kcbs_value
 
@@ -90,7 +89,7 @@ def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
         max_chsh=float(chsh.max()),
         monogamy_violations=offenders(total < region.MONOGAMY_BOUND - slack),
         kcbs_floor_violations=offenders(kcbs < region.KCBS_QUANTUM_MIN - slack),
-        chsh_floor_violations=offenders(chsh < region.bell_block_minimum() - slack),
+        chsh_floor_violations=offenders(chsh < region.CHSH_QUANTUM_MIN - slack),
         kcbs_only_violation_count=int(np.sum(kcbs_violated & (chsh > region.CHSH_CLASSICAL_BOUND))),
         chsh_only_violation_count=int(np.sum(chsh_violated & (kcbs > region.KCBS_CLASSICAL_BOUND))),
     )
@@ -331,7 +330,7 @@ class TestClosedForms:
         assert not verify.check_region_constants().passed
 
     def test_boundary_reaches_bell_minimum(self):
-        lam1 = bell_block_minimum()
+        lam1 = region.CHSH_QUANTUM_MIN
         assert sample_boundary(800).chsh.min() == pytest.approx(lam1, abs=1e-3)
 
     def test_frame_state_is_unit(self):
@@ -583,16 +582,16 @@ class TestBoundarySequence:
 
 
 def assert_formats_as_17g(values) -> None:
-    """csv_floats(values) holds format(x, ".17g") of every entry, as bytes."""
-    values = np.asarray(values, dtype=float)
-    strings = csv_floats(values)
-    assert strings.shape == values.shape
+    """write_csv writes format(x, ".17g") of every entry, one line each."""
+    values = np.asarray(values, dtype=float).ravel()
+    file = io.StringIO()
+    write_csv(file, "x", values)
+    lines = file.getvalue().split("\n")
+    assert lines[0] == "x" and lines[-1] == "" and len(lines) == len(values) + 2
     mismatches = [
         (x, got, want)
         for x, got, want in zip(
-            values.ravel().tolist(),
-            strings.ravel().tolist(),
-            (format(x, ".17g").encode() for x in values.ravel().tolist()),
+            values.tolist(), lines[1:-1], (format(x, ".17g") for x in values.tolist())
         )
         if got != want
     ]
@@ -671,15 +670,10 @@ class TestCsvFloats:
         values = np.concatenate([bits.view(np.float64).ravel(), special])
         assert_formats_as_17g(np.concatenate([values, -values]))
 
-    def test_keeps_the_shape_of_its_input(self):
-        strings = csv_floats([[1.0, -0.5], [0.0, 1e-5]])
-        assert strings.dtype == np.dtype("S24")
-        assert strings.tolist() == [[b"1", b"-0.5"], [b"0", b"1.0000000000000001e-05"]]
-
     @settings(max_examples=500, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_every_finite_double(self, x):
-        assert csv_floats([x])[0] == format(x, ".17g").encode()
+        assert_formats_as_17g([x])
 
 
 class TestRegionExport:
@@ -915,7 +909,7 @@ class TestMembershipSweep:
         monkeypatch.setattr(quantum, "_STATE_BLOCK", 64)
         monkeypatch.setattr(region, "MONOGAMY_BOUND", -2.0)
         monkeypatch.setattr(region, "KCBS_QUANTUM_MIN", -1.5)
-        monkeypatch.setattr(region, "bell_block_minimum", lambda: -1.0)
+        monkeypatch.setattr(region, "CHSH_QUANTUM_MIN", -1.0)
         report = region_membership_sweep(5001, seed=7)
         assert report_fields(report) == report_fields(whole_stack_sweep(5001, seed=7))
         kinds = (

@@ -21,7 +21,7 @@ from ndmonogamy.classical import (
 )
 from ndmonogamy.errors import SubsetNotMeasurable
 from ndmonogamy.nodisturbance import ND_CERTIFICATES, JointDistribution, _behavior_row_name
-from ndmonogamy.quantum import alice_observable, behavior_from_state, random_states
+from ndmonogamy.quantum import behavior_from_state, kcbs_observables, random_states
 from ndmonogamy.scenario import (
     CONTEXTS,
     KCBS_TERMS,
@@ -359,7 +359,7 @@ class TestCorrelator:
 
     def test_quantum_pair_correlator_matches_trace_oracle(self, basis_state_behavior):
         # oracle: <20|A1 A2 (x) 1|20> computed directly from the observables
-        a1a2 = alice_observable(1) @ alice_observable(2)
+        a1a2 = kcbs_observables()[0] @ kcbs_observables()[1]
         expected = float(np.real(a1a2[2, 2]))
         assert correlator(basis_state_behavior, ("A1", "A2")) == pytest.approx(
             expected, abs=1e-12
