@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -213,6 +214,20 @@ def enumerate_assignments() -> Iterator[DeterministicAssignment]:
         yield DeterministicAssignment(ids, outcomes)
 
 
+@lru_cache(maxsize=None)
+def _minus_parity(mask: int, n: int) -> np.ndarray:
+    """Read-only parity of each pattern ``0 .. 2^n - 1`` on the bits of ``mask``.
+
+    Entry ``k`` is 1 exactly when an odd number of the measurements in
+    ``mask`` read -1 (their bits clear) in pattern ``k``.  Cached per
+    mask and width.
+    """
+    patterns = np.arange(1 << n, dtype=np.uint32)
+    parity = (np.bitwise_count(patterns & mask) ^ mask.bit_count()) & 1
+    parity.setflags(write=False)
+    return parity
+
+
 class ClassicalBound(NamedTuple):
     minimum: float
     maximum: float
@@ -239,15 +254,13 @@ def classical_bound(expr: LinearExpression) -> ClassicalBound:
             raise ValueError(f"expression references unknown measurements {unknown}")
     n = len(ids)
     bit = {m: 1 << (n - 1 - j) for j, m in enumerate(ids)}
-    patterns = np.arange(1 << n, dtype=np.uint32)
     values = np.zeros(1 << n)
     for coeff, subset in expr.terms:
         # a measurement repeated in a term squares to 1, so its bit cancels
         mask = 0
         for m in subset:
             mask ^= bit[m]
-        minus_parity = (np.bitwise_count(patterns & mask) ^ mask.bit_count()) & 1
-        values += np.where(minus_parity, -coeff, coeff)
+        values += np.where(_minus_parity(mask, n), -coeff, coeff)
     k = int(np.argmin(values))
     outcomes = tuple(1 if k >> (n - 1 - j) & 1 else -1 for j in range(n))
     return ClassicalBound(

@@ -5,7 +5,8 @@ a failed write to stdout included.  All numeric output uses '.' decimals
 and fixed significant-digit formatting, so identical seeds and flags give
 byte-identical files.  Each command imports only the modules it runs,
 and numpy only once its flags are checked, so ``--help`` and usage errors
-do not load it.
+do not load it.  Before numpy loads, :func:`main` sets BLAS to one
+thread unless the environment already names a thread count.
 """
 
 from __future__ import annotations
@@ -228,6 +229,10 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("--seed must be non-negative", file=sys.stderr)
         return EXIT_USAGE
+    # Before any command loads numpy: BLAS threads cost more than they save
+    # on these small products.  A value the caller set wins.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     # The commands catch their own file errors, so an OSError here
     # (BrokenPipeError included) is a failed write to stdout.
     try:

@@ -246,6 +246,18 @@ def nd_equality_system() -> tuple[np.ndarray, np.ndarray]:
     return matrix, rhs
 
 
+@lru_cache(maxsize=None)
+def _integer_equality_system() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 copies of :func:`nd_equality_system`'s ``A`` and ``b``.
+
+    Exact, since both hold only 0 and +-1 by construction.
+    """
+    pair = tuple(v.astype(np.int64) for v in nd_equality_system())
+    for v in pair:
+        v.setflags(write=False)
+    return pair
+
+
 def expression_vector(expr: LinearExpression) -> np.ndarray:
     """Vector c with c @ x = expression value on the stacked tables x.
 
@@ -407,10 +419,9 @@ def certified_nd_minimum(row: BoundRow) -> float:
 
     if row.name not in ND_CERTIFICATES:
         raise fail("no certificate")
-    A, b = nd_equality_system()
+    a_int, b_int = _integer_equality_system()
     c = expression_vector(row.expression)
-    # A and b hold only 0 and +-1 by construction; c holds sums of term coefficients
-    a_int, b_int, c_int = (v.astype(np.int64) for v in (A, b, c))
+    c_int = c.astype(np.int64)  # c holds sums of term coefficients
     if not np.array_equal(c_int, c):
         raise fail("the expression vector is not integer")
     if not float(row.nd).is_integer():

@@ -24,7 +24,16 @@ import numpy as np
 
 from .classical import LinearExpression, chsh_expression, kcbs_expression
 from .errors import BlockStructureViolated, NotHermitian, NotNormalized
-from .scenario import CONTEXTS, OUTCOME_TRIPLES, PROB_TOL, Behavior, alice, bob, canonical_context
+from .scenario import (
+    CONTEXTS,
+    OUTCOME_TRIPLES,
+    PROB_TOL,
+    Behavior,
+    alice,
+    bob,
+    canonical_context,
+    real_number_type,
+)
 
 HERMITICITY_TOL = 1e-12
 #: largest distance of a state's norm from 1; the Born probabilities sum to
@@ -42,8 +51,28 @@ PLUS_BLOCK = (1, 2, 5)    # |01>, |10>, |21>
 MINUS_BLOCK = (0, 3, 4)   # |00>, |11>, |20>
 
 
+def _complex_entries(values, what: str) -> np.ndarray:
+    """``values`` as a complex array; a str, bool or None entry raises ``ValueError``.
+
+    ``np.asarray(..., dtype=complex)`` would parse ``"1"`` and cast
+    ``True``, even when mixed into a row of numbers.  A numeric array
+    passes with one dtype check; any other input is checked by the types
+    of all its entries, which may be real or complex numbers.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiuc"):
+        kinds = set(map(type, np.asarray(values, dtype=object).ravel()))
+        bad = sorted(
+            kind.__name__
+            for kind in kinds
+            if not (real_number_type(kind) or issubclass(kind, (complex, np.complexfloating)))
+        )
+        if bad:
+            raise ValueError(f"{what} entries must be numbers, got {bad}")
+    return np.asarray(values, dtype=complex)
+
+
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = _complex_entries(matrix, "operator")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
         gap = float(np.max(np.abs(matrix - matrix.conj().T)))
     if not gap <= HERMITICITY_TOL:  # NaN fails too
@@ -57,9 +86,10 @@ def require_normalized(states: np.ndarray) -> np.ndarray:
     Any other shape raises ``ValueError``.  Every state must be finite with
     norm within :data:`NORM_TOL` of 1; otherwise :class:`NotNormalized`
     names the first bad row of a stack.  The norms come from one pass over
-    the real and imaginary parts of all states.
+    the real and imaginary parts of all states.  A str, bool or None entry
+    raises ``ValueError``.
     """
-    states = np.asarray(states, dtype=complex)
+    states = _complex_entries(states, "state")
     if states.ndim not in (1, 2) or states.shape[-1] != 6:
         raise ValueError(f"expected shape (6,) or (n, 6), got {states.shape}")
     parts = np.ascontiguousarray(states).view(np.float64).reshape(-1, 12)  # re, im, ...
@@ -171,20 +201,33 @@ def chsh_operator() -> np.ndarray:
 
 
 def expression_operator(expr: LinearExpression) -> np.ndarray:
-    """The 6-dim observable whose expectation equals the expression value.
+    """The 6-dim observable whose expectation equals the expression value, a new array.
 
     Every term's subset must be jointly measurable, so the per-term
-    operator products commute and the result is Hermitian.
+    operator products commute and the result is Hermitian.  The terms'
+    products are added in term order.
     """
-    observables = observables_6d()
     total = np.zeros((6, 6), dtype=complex)
     for coeff, subset in expr.terms:
-        canonical_context(subset)  # raises SubsetNotMeasurable
-        op = np.eye(6, dtype=complex)
-        for m in subset:
-            op = op @ observables[m]
-        total += coeff * op
+        total += coeff * _term_product(subset)
     return require_hermitian(total)
+
+
+@lru_cache(maxsize=None)
+def _term_product(subset: tuple[str, ...]) -> np.ndarray:
+    """Read-only product of the subset's observables, left to right.
+
+    Cached per subset; a subset that no context contains raises
+    :class:`~ndmonogamy.errors.SubsetNotMeasurable` on every call, since
+    a raising call caches nothing.
+    """
+    canonical_context(subset)  # raises SubsetNotMeasurable
+    observables = observables_6d()
+    op = np.eye(6, dtype=complex)
+    for m in subset:
+        op = op @ observables[m]
+    op.setflags(write=False)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +410,8 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     ``operator`` is one operator, shape (6, 6), or a stack, shape
     (m, 6, 6); a stack gives one row of values per operator, shape (m,)
     or (m, n), each row bit-identical to a call with that operator alone.
-    Every operator must be finite and Hermitian within
+    Operator entries, like states', must be numbers (not str, bool or
+    None; ``ValueError``).  Every operator must be finite and Hermitian within
     :data:`HERMITICITY_TOL` (:func:`require_hermitian`'s rule); otherwise
     :class:`NotHermitian` names the first bad one.  The states pass
     :func:`require_normalized`, once per call.  A stack of states is
@@ -375,7 +419,7 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     image through the real and imaginary parts, so no conjugate copy of
     the stack is made.
     """
-    operators = np.asarray(operator, dtype=complex)
+    operators = _complex_entries(operator, "operator")
     if operators.ndim not in (2, 3) or operators.shape[-2:] != (6, 6):
         raise ValueError(
             f"expected an operator of shape (6, 6) or (m, 6, 6), got {operators.shape}"

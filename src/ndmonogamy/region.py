@@ -247,13 +247,21 @@ def boundary_theta(phi: float) -> float:
     return theta if theta >= 0.0 else theta + math.pi
 
 
-def stationarity_residual(phi: float) -> float:
-    """Central-difference d<M>/dphi at (boundary_theta(phi), phi)."""
-    theta = boundary_theta(phi)
+def stationarity_residual(phi):
+    """Central-difference d<M>/dphi at (boundary_theta(phi), phi) (array-safe).
+
+    A float for a scalar phi, else an array of phi's shape.  Each theta is
+    the scalar :func:`boundary_theta` of its phi, and the two
+    :func:`expectation_M` calls equal their scalar calls bit for bit, so
+    every entry equals the call on that phi alone.
+    """
+    phi = np.asarray(phi, dtype=float)
+    theta = np.array([boundary_theta(p) for p in phi.ravel().tolist()]).reshape(phi.shape)
     step = RESIDUAL_STEP
-    return (expectation_M(theta, phi + step) - expectation_M(theta, phi - step)) / (
+    value = (expectation_M(theta, phi + step) - expectation_M(theta, phi - step)) / (
         2.0 * step
     )
+    return float(value) if phi.ndim == 0 else value
 
 
 def _phi_extremes_many(

@@ -245,6 +245,16 @@ class TestWholeArrayBound:
         assert tuple(bound) == loop_bound(expr)
         assert bound.minimum != round(bound.minimum)
 
+    def test_parity_vectors_are_cached_read_only_and_exact(self):
+        n = len(MEASUREMENT_IDS)
+        for mask in (0, 0b1000000, 0b0110001, 0b1111111):
+            parity = classical._minus_parity(mask, n)
+            assert classical._minus_parity(mask, n) is parity
+            # oracle: an odd count of the mask's measurements at -1 (bit clear)
+            assert parity.tolist() == [bin(~k & mask).count("1") % 2 for k in range(1 << n)]
+            with pytest.raises(ValueError):
+                parity[0] = 1
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_toy_scenarios(self, n, monkeypatch):
         # the bit indexing at widths other than 7: both functions read the

@@ -241,6 +241,30 @@ def test_wrong_nd_bound_fails_its_certificate(monkeypatch, capsys):
     assert [r.name for r in results if not r.passed] == ["nd-lp-bounds"]
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_set", [None, *BLAS_VARS])
+def test_blas_defaults_to_one_thread(user_set, tmp_path):
+    # a fresh process, so that numpy loads after main has set the default
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if user_set:
+        env[user_set] = "2"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import os, sys\n"
+        "from ndmonogamy import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(['bounds', '--out', 'bounds.txt']) == 0\n"
+        f"print(*(os.environ.get(v) for v in {BLAS_VARS!r}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2" if v == user_set else "1" for v in BLAS_VARS]
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -363,6 +363,14 @@ class TestCertificates:
         assert values == [row.nd for row in BOUNDS]
         assert list(ND_CERTIFICATES) == [row.name for row in BOUNDS]
 
+    def test_integer_system_is_cached_read_only_and_exact(self):
+        a_int, b_int = nodisturbance._integer_equality_system()
+        assert nodisturbance._integer_equality_system()[0] is a_int
+        for integer, original in zip((a_int, b_int), nd_equality_system()):
+            assert integer.dtype == np.int64 and np.array_equal(integer, original)
+            with pytest.raises(ValueError):
+                integer[0] = 2
+
     def test_no_lp_is_solved(self, monkeypatch):
         monkeypatch.setattr(nodisturbance, "linprog", None)
         assert [certified_nd_minimum(row) for row in BOUNDS] == [row.nd for row in BOUNDS]

@@ -473,6 +473,38 @@ class TestStateRule:
         assert out.dtype == complex and np.array_equal(out, state)
         stack = random_states(4, seed=2)
         assert require_normalized(stack) is stack
+        # complex entries in a list are numbers too
+        out = require_normalized([0, 0.6j, np.complex128(0.8), 0, 0, 0])
+        assert out.dtype == complex and np.array_equal(out, [0, 0.6j, 0.8, 0, 0, 0])
+
+    @pytest.mark.parametrize("bad", ["1", True, np.True_, None], ids=["str", "bool", "np.bool", "None"])
+    def test_non_number_entries_are_value_errors(self, bad):
+        # numpy would parse "1" and cast True, also among numbers
+        state = [bad, 0.0, 0.0, 0.0, 0.0, 0.0]
+        operator = kcbs_operator().tolist()
+        operator[0][0] = bad
+        name = type(bad).__name__
+        calls = {
+            "require_normalized": lambda: require_normalized(state),
+            "require_normalized (stack)": lambda: require_normalized([np.eye(6)[0], state]),
+            "behavior_from_state": lambda: behavior_from_state(state),
+            "expectation": lambda: expectation(kcbs_operator(), state),
+            "expectation (operator)": lambda: expectation(operator, np.eye(6)[0]),
+            "expectation (operator stack)": lambda: expectation(
+                [kcbs_operator(), operator], np.eye(6)[0]
+            ),
+            "require_hermitian": lambda: require_hermitian(operator),
+        }
+        for call in calls.values():
+            with pytest.raises(ValueError, match=rf"entries must be numbers, got \['{name}'\]"):
+                call()
+
+    def test_whole_arrays_of_strings_and_booleans_are_value_errors(self):
+        for state in (["0", "0", "0", "0", "1", "0"], np.eye(6, dtype=bool)[4]):
+            with pytest.raises(ValueError, match="entries must be numbers"):
+                expectation(kcbs_operator(), state)
+            with pytest.raises(ValueError, match="entries must be numbers"):
+                behavior_from_state(state)
 
 
 class TestBoundsQuantumColumn:
@@ -648,10 +680,19 @@ class TestExpressionOperator:
         assert np.max(np.abs(chsh_operator() - reference)) < 1e-12
 
     def test_witness_operators_are_new_writable_arrays(self):
+        # the term products behind them are cached, the sums are not
         for build in (kcbs_operator, chsh_operator):
             first = build()
             first[0, 1] += 1.0
             assert build()[0, 1] == first[0, 1] - 1.0
+
+    def test_term_products_are_cached_and_read_only(self):
+        for bound in BOUNDS:
+            for _, subset in bound.expression.terms:
+                product = quantum._term_product(subset)
+                assert quantum._term_product(subset) is product
+                with pytest.raises(ValueError):
+                    product[0, 0] = 2.0
 
     @pytest.mark.parametrize("bound", BOUNDS, ids=lambda b: b.name)
     def test_bytes_equal_a_per_term_kron_reference(self, bound):
@@ -673,8 +714,10 @@ class TestExpressionOperator:
     def test_unmeasurable_expression_rejected(self):
         from ndmonogamy.classical import LinearExpression
 
-        with pytest.raises(SubsetNotMeasurable):
-            expression_operator(LinearExpression(((1.0, ("A1", "A3")),)))
+        # on every call: a raising call caches no term product
+        for _ in range(2):
+            with pytest.raises(SubsetNotMeasurable):
+                expression_operator(LinearExpression(((1.0, ("A1", "A3")),)))
 
     def test_singletons_supported(self):
         from ndmonogamy.classical import LinearExpression

@@ -352,6 +352,29 @@ class TestBoundaryTheta:
                 phi = quadrant * QUARTER + float(offset)
                 assert abs(stationarity_residual(phi)) <= 1e-8
 
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        offsets = np.linspace(0.02, QUARTER - 0.02, 25)
+        phis = [k * QUARTER + float(d) for k in range(4) for d in offsets]
+        scalar = [stationarity_residual(phi) for phi in phis]
+        assert {type(r) for r in scalar} == {float}
+        array = stationarity_residual(np.array(phis))
+        assert array.shape == (100,) and array.tobytes() == np.array(scalar).tobytes()
+        grid = stationarity_residual(np.array(phis).reshape(4, 25))
+        assert grid.shape == (4, 25) and grid.tobytes() == array.tobytes()
+
+    def test_verify_worst_is_the_scalar_maximum(self, monkeypatch):
+        offsets = np.linspace(0.02, QUARTER - 0.02, verify.BOUNDARY_PHI_SAMPLES // 4)
+        worst = max(
+            abs(stationarity_residual(k * QUARTER + d)) for k in range(4) for d in offsets
+        )
+        result = verify.check_boundary_stationarity()
+        assert result.detail == f"100 phi samples, worst d<M>/dphi {worst:.3g}"
+        # the check passes at a threshold of exactly that worst value, not one ulp below
+        monkeypatch.setattr(verify, "BOUNDARY_TOL", worst)
+        assert verify.check_boundary_stationarity().passed
+        monkeypatch.setattr(verify, "BOUNDARY_TOL", math.nextafter(worst, 0.0))
+        assert not verify.check_boundary_stationarity().passed
+
     @pytest.mark.parametrize("phi", [0.0, QUARTER, math.pi, 3 * QUARTER, 2 * math.pi])
     def test_singular_parameters_raise(self, phi):
         with pytest.raises(SingularParameter):
