@@ -6,7 +6,7 @@ checkouts' outputs with ``cmp``:
     PYTHONPATH=src python .github/scripts/witness_bytes.py > witness-bytes.txt
 
 The first lines are the sha256 of ``sample_behavior_matrix`` over every
-count, seed and method of the grid below.  Then, for each behavior of
+count and seed of the grid below.  Then, for each behavior of
 ``random_states(2000, seed)``, one line of reprs: its ``to_json()``, its
 ``kcbs_value``, its ``chsh_value`` at every pivot and its
 ``check_no_disturbance`` list.
@@ -15,10 +15,11 @@ Then, for each seeded edge table (entries in ``[-PROB_TOL, 0)``, ``-0.0``
 entries and sums off by less than ``PROB_TOL``, and some just outside),
 the sha256 of ``Behavior(t).probs`` and of
 ``JointDistribution(("X", "Y", "Z"), t).probs``, or only the exception
-type for a table that is rejected.  Last, on ``shrink`` stacks, whose rows
-sit on polytope faces with exact zeros: the repr of every
-``monogamy_certificate`` report, and per pivot and join the sha256 of the
-joint tables and the repr of each term's correlator.
+type for a table that is rejected.  Last, on stacks of random mixtures of
+the primal witnesses x = n/2 of ``ND_CERTIFICATES``, whose rows sit on
+polytope faces with exact zeros: the repr of every ``monogamy_certificate``
+report, and per pivot and join the sha256 of the joint tables and the repr
+of each term's correlator.
 
 It uses only names that every version of the package has, so it also
 runs on an older checkout.
@@ -30,6 +31,7 @@ import numpy as np
 
 from ndmonogamy.classical import c1_expression, c2_expression
 from ndmonogamy.nodisturbance import (
+    ND_CERTIFICATES,
     JointDistribution,
     fine_join_c1,
     fine_join_c2,
@@ -44,7 +46,8 @@ SAMPLER_SEEDS = (0, 1, 7, 12345)
 STATE_SEEDS = (1, 2)
 EDGE_SEED = 20
 EDGE_COUNT = 2000
-SHRINK_SEEDS = (0, 1, 7)
+FACE_SEEDS = (0, 1, 7)
+FACE_ROWS = 200
 
 
 def digest(array: np.ndarray) -> str:
@@ -75,6 +78,25 @@ def edge_table(rng: np.random.Generator) -> np.ndarray:
     return table
 
 
+def witness_mixes(count: int, seed: int) -> np.ndarray:
+    """``count`` random mixtures of the primal witnesses x = n/2, as rows.
+
+    Dirichlet(0.3) weights, each kept with probability 0.3 and one chosen
+    witness a row always, then renormalised.
+    """
+    witnesses = np.zeros((len(ND_CERTIFICATES), 80))
+    for row, (_, primal) in zip(witnesses, ND_CERTIFICATES.values()):
+        row[list(primal)] = list(primal.values())
+    witnesses /= 2
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.full(len(witnesses), 0.3), size=count)
+    kept = rng.random(weights.shape) < 0.3
+    kept[np.arange(count), rng.integers(len(witnesses), size=count)] = True
+    weights *= kept
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights @ witnesses
+
+
 def built(make, table: np.ndarray) -> str:
     """The sha256 of ``make(table).probs``, or the type of what it raised."""
     try:
@@ -84,12 +106,10 @@ def built(make, table: np.ndarray) -> str:
 
 
 def main() -> None:
-    for method in ("reject", "shrink"):
-        for seed in SAMPLER_SEEDS:
-            for count in COUNTS:
-                rows = sample_behavior_matrix(count, seed, method)
-                label = f"sample_behavior_matrix({count}, {seed}, {method!r})"
-                print(label, rows.shape, digest(rows))
+    for seed in SAMPLER_SEEDS:
+        for count in COUNTS:
+            rows = sample_behavior_matrix(count, seed)
+            print(f"sample_behavior_matrix({count}, {seed})", rows.shape, digest(rows))
     for seed in STATE_SEEDS:
         for k, state in enumerate(random_states(2000, seed)):
             behavior = behavior_from_state(state)
@@ -103,9 +123,9 @@ def main() -> None:
         behavior = built(Behavior, table)
         joint = built(lambda t: JointDistribution(("X", "Y", "Z"), t), table)
         print("edge", k, behavior, joint)
-    for seed in SHRINK_SEEDS:
-        probs = sample_behavior_matrix(200, seed, "shrink").reshape(-1, 10, 8)
-        print("shrink", seed, int((probs == 0.0).sum()), "exact zeros")
+    for seed in FACE_SEEDS:
+        probs = witness_mixes(FACE_ROWS, seed).reshape(-1, 10, 8)
+        print("mixes", seed, int((probs == 0.0).sum()), "exact zeros")
         for k, report in enumerate(monogamy_certificate(probs)):
             print("certificate", seed, k, repr(report))
         for pivot in (1, 2, 3, 4, 5):

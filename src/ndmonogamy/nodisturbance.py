@@ -49,6 +49,7 @@ from .scenario import (
     marginal_constraint_rows,
     nd_violations,
     probability_tables,
+    require_integer,
     term,
 )
 
@@ -461,29 +462,22 @@ def _projector() -> tuple[np.ndarray, np.ndarray]:
     return q, uniform
 
 
-def sample_behavior_matrix(
-    count: int,
-    seed: int | np.random.Generator = 0,
-    method: str = "reject",
-) -> np.ndarray:
+def sample_behavior_matrix(count: int, seed: int | np.random.Generator = 0) -> np.ndarray:
     """``count`` random no-disturbance behaviors, stacked as rows.
 
     Raw context tables are drawn uniformly from the simplex and
-    orthogonally projected onto the no-disturbance equality subspace.
-    ``method='reject'`` discards projections with genuinely negative
-    entries; ``method='shrink'`` instead pulls them toward the uniform
-    behavior just enough to reach the polytope (its outputs often sit on
-    polytope faces, and nothing is discarded, which makes it the cheap
-    choice for very large feasibility sweeps).  Either way the returned
-    rows are exact members of the polytope: entries in [-PROB_TOL, 0)
-    are clipped to zero and each context row renormalized.
+    orthogonally projected onto the no-disturbance equality subspace;
+    projections with genuinely negative entries are discarded.  The
+    returned rows are exact members of the polytope: entries in
+    [-PROB_TOL, 0) are clipped to zero and each context row renormalized.
+    A bool, or a count that is not an integer, raises ``ValueError``
+    naming it, as does a negative count.
 
     Rows are drawn in whole chunks of ``_SAMPLE_BATCH`` until ``count``
     are accepted, so a passed ``Generator`` is left after the last chunk,
     not after the last returned row.
     """
-    if method not in ("reject", "shrink"):
-        raise ValueError(f"method must be 'reject' or 'shrink', got {method!r}")
+    count = require_integer(count, "count")
     if count < 0:
         raise ValueError(f"cannot sample a negative number of behaviors, got {count}")
     rng = np.random.default_rng(seed)
@@ -497,15 +491,7 @@ def sample_behavior_matrix(
         raw -= uniform
         raw -= (raw @ q) @ q.T
         raw += uniform
-        if method == "reject":
-            keep = raw[np.min(raw, axis=1) >= -PROB_TOL]
-        else:
-            # largest t with uniform + t*(row - uniform) nonnegative, t <= 1
-            drop = uniform - raw
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(drop > 0.0, uniform / drop, np.inf)
-            t = np.minimum(ratios.min(axis=1), 1.0)
-            keep = uniform + t[:, None] * (raw - uniform)
+        keep = raw[np.min(raw, axis=1) >= -PROB_TOL]
         tables = np.clip(keep, 0.0, None).reshape(-1, n_ctx, 8)
         tables /= tables.sum(axis=2, keepdims=True)
         chunks.append(tables.reshape(-1, 8 * n_ctx))

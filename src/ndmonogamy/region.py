@@ -349,7 +349,8 @@ def _phi_extremes_block(
 
 def _check_points(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None:
     """Reject the first point with a non-finite entry, then the first point
-    below chsh + kcbs = -5; every argument holds one entry per point."""
+    below chsh + kcbs = ``MONOGAMY_BOUND``; every argument holds one entry
+    per point."""
     finite = np.isfinite(np.stack([chsh, kcbs, *angles])).all(axis=0)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -357,7 +358,8 @@ def _check_points(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> No
     below = chsh + kcbs < MONOGAMY_BOUND - POINTWISE_SLACK
     if below.any():
         k = int(np.argmax(below))
-        raise ValueError(f"point ({float(chsh[k])}, {float(kcbs[k])}) breaks chsh+kcbs >= -5")
+        point = f"({float(chsh[k])}, {float(kcbs[k])})"
+        raise ValueError(f"point {point} breaks chsh+kcbs >= {MONOGAMY_BOUND:g}")
 
 
 def _check_rows(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None:

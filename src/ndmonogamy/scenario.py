@@ -110,22 +110,15 @@ def canonical_context(subset: Iterable[str]) -> Context:
     raise SubsetNotMeasurable(f"measurements {subset} share no context")
 
 
-def term(subset: Iterable[str], context: Context | None = None) -> tuple[int, np.ndarray]:
-    """(context index, read-only sign vector) of the correlator of ``subset``.
-
-    The context is ``context`` when given, else the canonical one.
-    Memoised per subset and context; a context that does not contain
-    ``subset`` raises :class:`SubsetNotMeasurable` on every call.
-    """
-    return _term(tuple(subset), context)
+def term(subset: Iterable[str]) -> tuple[int, np.ndarray]:
+    """(context index, read-only sign vector) of the correlator of ``subset``
+    in its canonical context, memoised per subset."""
+    return _term(tuple(subset))
 
 
 @lru_cache(maxsize=None)
-def _term(subset: tuple[str, ...], context: Context | None) -> tuple[int, np.ndarray]:
-    if context is None:
-        context = canonical_context(subset)
-    elif not context.contains(subset):
-        raise SubsetNotMeasurable(f"{subset} not contained in context {context.label}")
+def _term(subset: tuple[str, ...]) -> tuple[int, np.ndarray]:
+    context = canonical_context(subset)
     signs = sign_vector(context, subset)
     signs.setflags(write=False)
     return CONTEXTS.index(context), signs
@@ -347,33 +340,25 @@ def marginal_constraint_rows() -> tuple[np.ndarray, tuple[MarginalRowInfo, ...]]
     return matrix, tuple(infos)
 
 
-def correlator_many(
-    probs: np.ndarray, subset: Sequence[str], context: Context | None = None
-) -> np.ndarray:
+def correlator_many(probs: np.ndarray, subset: Sequence[str]) -> np.ndarray:
     """:func:`correlator` of every row of an (n, 10, 8) table stack.
 
     Each row's signed table entries are summed in outcome order, one
     after the other, so a row's value does not depend on the stack it
     sits in.
     """
-    c_idx, signs = term(subset, context)
+    c_idx, signs = term(subset)
     return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
 
 
-def correlator(
-    behavior: Behavior,
-    subset: Sequence[str],
-    context: Context | None = None,
-) -> float:
+def correlator(behavior: Behavior, subset: Sequence[str]) -> float:
     """Mean value of the product of outcomes of ``subset``.
 
-    The subset must be jointly measurable (contained in some context).
-    By default the first containing context is used; any other containing
-    context may be requested explicitly, which matters only for behaviors
-    violating no-disturbance.  The signed entries are summed in outcome
-    order, like :func:`correlator_many`.
+    The subset must be jointly measurable (contained in some context), and
+    is read in the first containing context.  The signed entries are
+    summed in outcome order, like :func:`correlator_many`.
     """
-    c_idx, signs = term(subset, context)
+    c_idx, signs = term(subset)
     return float(np.add.accumulate(behavior.probs[c_idx] * signs)[-1])
 
 
@@ -449,6 +434,16 @@ def check_no_disturbance(behavior: Behavior) -> list[NdViolation]:
 KCBS_TERMS: Terms = tuple((1.0, (alice(i), alice(i + 1))) for i in range(1, 6))
 
 
+def require_integer(value: int, what: str) -> int:
+    """``value`` as an int; a bool, or anything that is not an integer,
+    raises ``ValueError`` naming ``what`` and ``value``."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def wrap_pivot(pivot: int) -> int:
     """``pivot`` taken mod 5 into 1..5.
 
@@ -456,11 +451,7 @@ def wrap_pivot(pivot: int) -> int:
     naming it: ``True`` would otherwise act as pivot 1, and ``2.5`` name
     the measurement ``A3.5``.
     """
-    if type(pivot) is not int and (
-        isinstance(pivot, bool) or not isinstance(pivot, numbers.Integral)
-    ):
-        raise ValueError(f"pivot must be an integer, got {pivot!r}")
-    return (int(pivot) - 1) % N_CYCLE + 1
+    return (require_integer(pivot, "pivot") - 1) % N_CYCLE + 1
 
 
 def chsh_terms(pivot: int = 5) -> Terms:

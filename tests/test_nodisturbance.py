@@ -57,6 +57,7 @@ from ndmonogamy.scenario import (
     nd_violations,
     sign_vector,
 )
+from witness_mixes import witness_mixes
 
 PIVOTS = (1, 2, 3, 4, 5)
 
@@ -484,16 +485,6 @@ class TestSampling:
         second = sample_behavior_matrix(50, seed=21)
         assert np.array_equal(first, second)
 
-    def test_shrink_method_feasible(self):
-        matrix, rhs = nd_equality_system()
-        rows = sample_behavior_matrix(500, seed=3, method="shrink")
-        assert rows.min() >= 0.0
-        assert np.max(np.abs(rows @ matrix.T - rhs)) < 1e-12
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            sample_behavior_matrix(10, method="walk")
-
     def test_behavior_objects_round_trip(self):
         behaviors = sample_behaviors(5, seed=8)
         assert len(behaviors) == 5
@@ -501,7 +492,40 @@ class TestSampling:
             assert behavior.probs.shape == (10, 8)
 
 
-def one_shot_sample_matrix(count, seed, method):
+class TestWitnessMixes:
+    def test_rows_are_exact_nd_behaviors_on_faces(self):
+        rows = witness_mixes(20_000, seed=3)
+        matrix, rhs = nd_equality_system()
+        assert rows.min() >= 0.0
+        assert np.max(np.abs(rows @ matrix.T - rhs)) <= 1e-12
+        assert nodisturbance._nd_tables(rows.reshape(-1, 10, 8)).shape == (20_000, 10, 8)
+        assert (rows == 0.0).sum(axis=1).min() > 0
+
+    def test_mixes_reach_every_certified_bound(self):
+        rows = witness_mixes(20_000, seed=3)
+        for row in BOUNDS:
+            least = float((rows @ expression_vector(row.expression)).min())
+            assert abs(least - row.nd) <= 1e-9, row.name
+
+    @pytest.mark.parametrize("join", [fine_join_c1, fine_join_c2])
+    def test_fine_joins_meet_zero_denominators(self, monkeypatch, join):
+        zero_denominators = []
+
+        def recording_divide(num, den):
+            zero_denominators.append(int((den == 0.0).sum()))
+            return safe_divide(num, den)
+
+        safe_divide = nodisturbance._safe_divide
+        monkeypatch.setattr(nodisturbance, "_safe_divide", recording_divide)
+        probs = witness_mixes(200, seed=5).reshape(-1, 10, 8)
+        for pivot in PIVOTS:
+            joint = join(probs, pivot)
+            assert np.allclose(joint.probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert len(zero_denominators) == len(PIVOTS)
+        assert min(zero_denominators) > 0
+
+
+def one_shot_sample_matrix(count, seed):
     """The sampler drawing ``max(1000, 16 * rows still needed)`` rows per pass,
     at most 200 000: the reference that the chunked draws must reproduce."""
     rng = np.random.default_rng(seed)
@@ -514,14 +538,7 @@ def one_shot_sample_matrix(count, seed, method):
         raw -= uniform
         raw -= (raw @ q) @ q.T
         raw += uniform
-        if method == "reject":
-            keep = raw[np.min(raw, axis=1) >= -PROB_TOL]
-        else:
-            drop = uniform - raw
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(drop > 0.0, uniform / drop, np.inf)
-            t = np.minimum(ratios.min(axis=1), 1.0)
-            keep = uniform + t[:, None] * (raw - uniform)
+        keep = raw[np.min(raw, axis=1) >= -PROB_TOL]
         tables = np.clip(keep, 0.0, None).reshape(-1, 10, 8)
         tables /= tables.sum(axis=2, keepdims=True)
         chunks.append(tables.reshape(-1, 80))
@@ -530,18 +547,17 @@ def one_shot_sample_matrix(count, seed, method):
 
 
 class TestChunkedSampler:
-    @pytest.mark.parametrize("method", ["reject", "shrink"])
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
-    def test_bytes_equal_the_one_shot_draw(self, method, seed):
+    def test_bytes_equal_the_one_shot_draw(self, seed):
         for count in (0, 1, 15, 16, 17, 200, 511, 512, 513, 5000):
-            got = sample_behavior_matrix(count, seed, method)
-            want = one_shot_sample_matrix(count, seed, method)
+            got = sample_behavior_matrix(count, seed)
+            want = one_shot_sample_matrix(count, seed)
             assert got.shape == want.shape == (count, 80)
-            assert got.tobytes() == want.tobytes(), (count, seed, method)
+            assert got.tobytes() == want.tobytes(), (count, seed)
 
     def test_draws_whole_chunks(self):
         rng = np.random.default_rng(4)
-        sample_behavior_matrix(3, rng, "shrink")
+        sample_behavior_matrix(3, rng)
         reference = np.random.default_rng(4)
         reference.dirichlet(np.ones(8), size=(nodisturbance._SAMPLE_BATCH, 10))
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -975,7 +991,7 @@ class TestNdViolations:
 
     @pytest.mark.parametrize("call", STACKED_CALLS, ids=STACKED_IDS)
     def test_nested_list_stack_gives_the_array_bits(self, call):
-        probs = sample_behavior_matrix(20, seed=4, method="shrink").reshape(-1, 10, 8)
+        probs = witness_mixes(20, seed=4).reshape(-1, 10, 8)
         assert (probs == 0.0).any()
         from_array, from_list = call(probs), call(probs.tolist())
         if isinstance(from_array, JointDistribution):
@@ -987,7 +1003,6 @@ class TestNdViolations:
 class TestEmptySample:
     def test_zero_count(self):
         assert sample_behavior_matrix(0).shape == (0, 80)
-        assert sample_behavior_matrix(0, method="shrink").shape == (0, 80)
         assert sample_behaviors(0) == []
 
     @pytest.mark.parametrize("count", [-1, -200])
@@ -996,6 +1011,21 @@ class TestEmptySample:
             sample_behavior_matrix(count)
         with pytest.raises(ValueError, match=str(count)):
             sample_behaviors(count)
+
+    @pytest.mark.parametrize(
+        "count, shown",
+        [(True, "True"), (False, "False"), (2.5, "2.5"), (float("nan"), "nan"), ("3", "'3'")],
+    )
+    def test_count_that_is_not_an_integer(self, count, shown):
+        message = f"^count must be an integer, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            sample_behavior_matrix(count)
+        with pytest.raises(ValueError, match=message):
+            sample_behaviors(count)
+
+    def test_numpy_integer_count(self):
+        rows = sample_behavior_matrix(np.int64(3), seed=5)
+        assert rows.tobytes() == sample_behavior_matrix(3, seed=5).tobytes()
 
 
 class TestStackedVerifyChecks:

@@ -855,6 +855,14 @@ class TestRegionPoint:
         with pytest.raises(ValueError):
             RegionPoint(-3.0, -3.0, "plus", 0.0, 0.0)
 
+    def test_message_names_the_monogamy_bound(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^point \(-3\.0, -3\.0\) breaks chsh\+kcbs >= -5$"):
+            RegionPoint(-3.0, -3.0, "plus", 0.0, 0.0)
+        monkeypatch.setattr(region, "MONOGAMY_BOUND", -4.5)
+        message = r"^point \(-2\.1, -2\.6\) breaks chsh\+kcbs >= -4\.5$"
+        with pytest.raises(ValueError, match=message):
+            RegionPoint(-2.1, -2.6, "plus", 0.0, 0.0)
+
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
             RegionPoint(0.0, 0.0, "middle", 0.0, 0.0)

@@ -324,22 +324,11 @@ class TestCorrelator:
             with pytest.raises(SubsetNotMeasurable):
                 correlator(uniform_behavior, subset)
 
-    def test_explicit_context_must_contain_subset(self, uniform_behavior):
-        other = canonical_context(("A3", "A4"))
-        for _ in range(2):  # also once the canonical lookup is memoised
-            with pytest.raises(SubsetNotMeasurable):
-                correlator(uniform_behavior, ("A1", "A2"), context=other)
-            assert correlator(uniform_behavior, ("A1", "A2")) == 0.0
-
     def test_cached_sign_vectors_are_read_only(self):
-        for subset, context in [
-            (("A1", "A2"), None),
-            (("A2", "B1"), CONTEXTS[2]),
-            (("A1", "A2", "B1"), None),
-        ]:
-            c_idx, signs = term(subset, context)
-            assert term(list(subset), context)[1] is signs
-            expected = context or canonical_context(subset)
+        for subset in [("A1", "A2"), ("A2", "B1"), ("A1", "A2", "B1")]:
+            c_idx, signs = term(subset)
+            assert term(list(subset))[1] is signs
+            expected = canonical_context(subset)
             assert c_idx == CONTEXTS.index(expected)
             assert np.array_equal(signs, sign_vector(expected, subset))
             with pytest.raises(ValueError):
@@ -369,9 +358,11 @@ class TestCorrelator:
         for behavior in nd_behaviors[:10]:
             for i in range(1, 6):
                 pair = (f"A{i}", f"A{i % 5 + 1}")
-                ctx_j1, ctx_j2 = [c for c in CONTEXTS if c.contains(pair)]
-                v1 = correlator(behavior, pair, context=ctx_j1)
-                v2 = correlator(behavior, pair, context=ctx_j2)
+                v1, v2 = (
+                    float(sign_vector(ctx, pair) @ behavior.table(ctx))
+                    for ctx in CONTEXTS
+                    if ctx.contains(pair)
+                )
                 assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_triple_correlator_is_exposed(self, nd_behaviors):
