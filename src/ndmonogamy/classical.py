@@ -45,6 +45,9 @@ CHSH_CLASSICAL_BOUND = -2.0
 KCBS_ND_BOUND = -5.0
 CHSH_ND_BOUND = -4.0
 MONOGAMY_BOUND = -5.0
+#: how far a value may lie below one of these bounds and still meet it: the
+#: margin of every violation flag, floor and pointwise bound check
+BOUND_SLACK = 1e-9
 #: lowest eigenvalue of the pentagon operator (the quantum kcbs minimum)
 KCBS_QUANTUM_MIN = 5.0 - 4.0 * SQRT5
 #: its other, four-fold degenerate eigenvalue

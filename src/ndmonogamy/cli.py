@@ -67,6 +67,17 @@ def _check_bounds_rows(rows: list[dict]) -> list[str]:
     return problems
 
 
+def _write_out(path: str, text: str) -> bool:
+    """Write ``text`` and a newline to the ``--out`` file ``path``; on an
+    ``OSError`` say so on stderr and return False."""
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _format_bounds_text(rows: list[dict]) -> str:
     header = f"{'expression':<12} {'classical':>18} {'no-disturbance':>18} {'quantum':>18}"
     lines = [header, "-" * len(header)]
@@ -94,10 +105,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         else _format_bounds_text(rows)
     )
     if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        if not _write_out(args.out, text):
             return EXIT_IO
     else:
         print(text)
@@ -156,12 +164,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"[{status}] {r.name}: {r.detail}")
-    if args.out:
-        try:
-            Path(args.out).write_text(summary + "\n")
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.out and not _write_out(args.out, summary):
+        return EXIT_IO
     failures = [r.name for r in results if not r.passed]
     if failures:
         print(f"first failing invariant: {failures[0]}", file=sys.stderr)

@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .classical import (
+    BOUND_SLACK,
     CHSH_CLASSICAL_BOUND,
     KCBS_CLASSICAL_BOUND,
     PIVOTS,
@@ -53,9 +54,6 @@ from .scenario import (
     term,
 )
 
-#: margin below a classical bound that a :class:`MonogamyReport` flags as a
-#: violation; separate from the slack granted to the monogamy bound itself
-VIOLATION_TOL = 1e-9
 #: raw rows that sample_behavior_matrix draws, projects and accepts per pass.  On
 #: the OpenBLAS it was tested with (0.3.31), a row's projection has the same bits
 #: in every product of 16 rows or more, while 2- and 3-row products can differ in
@@ -519,7 +517,7 @@ class MonogamyReport:
     ``chsh_by_pivot`` is nonempty and keyed by pivots of ``PIVOTS``, and
     every value must be finite: a NaN compares false against both
     classical bounds, so it would read as no violation.  A value more
-    than :data:`VIOLATION_TOL` below its classical bound is a violation.
+    than ``BOUND_SLACK`` below its classical bound is a violation.
     """
 
     kcbs: float
@@ -543,12 +541,12 @@ class MonogamyReport:
 
     @property
     def kcbs_violated(self) -> bool:
-        return self.kcbs < KCBS_CLASSICAL_BOUND - VIOLATION_TOL
+        return self.kcbs < KCBS_CLASSICAL_BOUND - BOUND_SLACK
 
     @property
     def chsh_violated(self) -> bool:
         return any(
-            v < CHSH_CLASSICAL_BOUND - VIOLATION_TOL
+            v < CHSH_CLASSICAL_BOUND - BOUND_SLACK
             for v in self.chsh_by_pivot.values()
         )
 
@@ -562,7 +560,7 @@ def monogamy_certificate(probs: np.ndarray) -> list[MonogamyReport]:
 
     One :class:`MonogamyReport` per row of an (n, 10, 8) table stack.
     For any behavior satisfying no-disturbance at ``ND_TOL``, at most one
-    of the two inequalities can be violated (beyond ``VIOLATION_TOL``).
+    of the two inequalities can be violated (beyond ``BOUND_SLACK``).
     Raises :class:`NotNoDisturbance` for the first row that violates
     no-disturbance at ``ND_TOL``.
     """

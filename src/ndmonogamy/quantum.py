@@ -33,6 +33,7 @@ from .scenario import (
     bob,
     canonical_context,
     real_number_type,
+    require_integer,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -72,11 +73,24 @@ def _complex_entries(values, what: str) -> np.ndarray:
 
 
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """One operator, shape (n, n), or a stack, shape (m, n, n), as a complex array.
+
+    Any other shape raises ``ValueError``.  Every operator must be finite
+    and within :data:`HERMITICITY_TOL` of its conjugate transpose;
+    otherwise :class:`NotHermitian` gives the gap, and for a stack names
+    the first bad operator as "operator k".  A str, bool or None entry
+    raises ``ValueError``.
+    """
     matrix = _complex_entries(matrix, "operator")
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError(f"expected shape (n, n) or (m, n, n), got {matrix.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-        gap = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if not gap <= HERMITICITY_TOL:  # NaN fails too
-        raise NotHermitian(f"matrix deviates from Hermiticity by {gap:.3e}")
+        gaps = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max(axis=(-2, -1))
+    bad = ~(gaps <= HERMITICITY_TOL)  # NaN fails too
+    if bad.any():
+        k = int(np.argmax(bad))
+        name = "matrix" if matrix.ndim == 2 else f"operator {k}: matrix"
+        raise NotHermitian(f"{name} deviates from Hermiticity by {gaps.flat[k]:.3e}")
     return matrix
 
 
@@ -371,13 +385,18 @@ def random_state_blocks(
     hold ``_STATE_BLOCK`` states; a 1-row tail joins the block before it,
     since a 1-row product takes another BLAS path whose last bits can
     differ from the same row in a stack.  ``count = 0`` yields one empty
-    block.
+    block; a bool, a non-integer or a negative count raises ``ValueError``
+    naming it (``scenario.require_integer``'s rule) when the first block is
+    asked for.
 
     Each block is written in place: both parts go into one complex array
     through its float64 view, which is then multiplied by the reciprocal
     of its row norms.  That is how numpy divides a complex by a real, so
     the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
     """
+    count = require_integer(count, "count")
+    if count < 0:
+        raise ValueError(f"cannot draw a negative number of states, got {count}")
     rng = np.random.default_rng(seed)
     real = rng.standard_normal((count, 6))
     starts = list(range(0, max(count, 1), _STATE_BLOCK))
@@ -398,8 +417,8 @@ def random_states(
     """Haar-like random pure states: normalized complex Gaussian rows.
 
     The concatenation of the blocks of :func:`random_state_blocks`, which
-    is the one definition of the distribution and of the generator's
-    draws.
+    is the one definition of the distribution, of the generator's draws
+    and of the count rule.
     """
     return np.concatenate(list(random_state_blocks(count, seed)))
 
@@ -411,26 +430,18 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     (m, 6, 6); a stack gives one row of values per operator, shape (m,)
     or (m, n), each row bit-identical to a call with that operator alone.
     Operator entries, like states', must be numbers (not str, bool or
-    None; ``ValueError``).  Every operator must be finite and Hermitian within
-    :data:`HERMITICITY_TOL` (:func:`require_hermitian`'s rule); otherwise
-    :class:`NotHermitian` names the first bad one.  The states pass
-    :func:`require_normalized`, once per call.  A stack of states is
-    multiplied by each operator once, and each row is paired with its
-    image through the real and imaginary parts, so no conjugate copy of
-    the stack is made.
+    None; ``ValueError``).  The operators pass :func:`require_hermitian`
+    and the states :func:`require_normalized`, each once per call.  A
+    stack of states is multiplied by each operator once, and each row is
+    paired with its image through the real and imaginary parts, so no
+    conjugate copy of the stack is made.
     """
     operators = _complex_entries(operator, "operator")
     if operators.ndim not in (2, 3) or operators.shape[-2:] != (6, 6):
         raise ValueError(
             f"expected an operator of shape (6, 6) or (m, 6, 6), got {operators.shape}"
         )
-    stack = operators.reshape(-1, 6, 6)
-    for k, op in enumerate(stack):
-        try:
-            require_hermitian(op)
-        except NotHermitian as exc:
-            name = "operator" if operators.ndim == 2 else f"operator {k}"
-            raise NotHermitian(f"{name}: {exc}") from None
+    stack = require_hermitian(operators).reshape(-1, 6, 6)
     states = require_normalized(states)
     if states.ndim == 1:
         values = np.array([np.real(states.conj() @ op @ states) for op in stack])

@@ -39,6 +39,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .classical import (
+    BOUND_SLACK,
     CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_MIN,
     KCBS_CLASSICAL_BOUND,
@@ -55,10 +56,8 @@ from .quantum import (
     kcbs_operator,
     random_state_blocks,
 )
+from .scenario import require_integer
 
-#: tolerance granted to the pointwise monogamy bounds: boundary points and
-#: the random sweeps of ``verify``
-POINTWISE_SLACK = 1e-9
 #: distance from a multiple of pi/2 within which the boundary formula is singular
 SINGULAR_PHI_TOL = 1e-9
 #: half-width of the central difference in :func:`stationarity_residual`
@@ -355,7 +354,7 @@ def _check_points(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> No
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"point ({float(chsh[k])}, {float(kcbs[k])}) has a non-finite entry")
-    below = chsh + kcbs < MONOGAMY_BOUND - POINTWISE_SLACK
+    below = chsh + kcbs < MONOGAMY_BOUND - BOUND_SLACK
     if below.any():
         k = int(np.argmax(below))
         point = f"({float(chsh[k])}, {float(kcbs[k])})"
@@ -374,8 +373,8 @@ def _check_rows(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None
     for column in (kcbs, *angles):
         finite &= np.isfinite(column)
     if finite.all():
-        bad = chsh + kcbs < MONOGAMY_BOUND - POINTWISE_SLACK
-        bad |= kcbs - chsh < MONOGAMY_BOUND - POINTWISE_SLACK
+        bad = chsh + kcbs < MONOGAMY_BOUND - BOUND_SLACK
+        bad |= kcbs - chsh < MONOGAMY_BOUND - BOUND_SLACK
     else:
         bad = ~finite
     if bad.any():
@@ -448,7 +447,9 @@ def sample_boundary(n: int) -> Boundary:
     bit-identical to a per-theta solve with scalar ``expectation_M``.  The
     minus branch is the plus branch with the chsh coordinate negated.
     ``plus_order`` and ``minus_order`` order each branch by kcbs, then chsh.
+    ``n`` must be an integer of at least 2, and not a bool (``ValueError``).
     """
+    n = require_integer(n, "n")
     if n < 2:
         raise ValueError(f"need at least 2 boundary samples, got {n}")
     n_lower = (n + 1) // 2
@@ -554,13 +555,17 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     """Check random pure states against the three region bounds.
 
     Every state must satisfy chsh + kcbs >= -5, kcbs >= ``KCBS_QUANTUM_MIN``
-    and chsh >= ``CHSH_QUANTUM_MIN``, all within ``POINTWISE_SLACK``; the report
+    and chsh >= ``CHSH_QUANTUM_MIN``, all within ``BOUND_SLACK``; the report
     also counts states violating exactly one of the two classical bounds
-    (the two-sided tradeoff).  The states of ``random_states(samples, seed)``
-    are drawn and checked in blocks (:func:`random_state_blocks`), and only
-    the report's extrema, first offenders and counts are kept, so the
-    sweep holds 48 bytes a state of drawn real parts plus one block.
+    (the two-sided tradeoff), by the rule of ``MonogamyReport``: a value
+    more than ``BOUND_SLACK`` below its bound violates it.  The states of
+    ``random_states(samples, seed)`` are drawn and checked in blocks
+    (:func:`random_state_blocks`), and only the report's extrema, first
+    offenders and counts are kept, so the sweep holds 48 bytes a state of
+    drawn real parts plus one block.  ``samples`` must be an integer of at
+    least 1, and not a bool (``ValueError``).
     """
+    samples = require_integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     operators = np.stack([kcbs_operator(), chsh_operator()])
@@ -574,17 +579,19 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
         lows.append((kcbs.min(), chsh.min(), total.min()))
         highs.append((kcbs.max(), chsh.max()))
         masks = (
-            total < MONOGAMY_BOUND - POINTWISE_SLACK,
-            kcbs < KCBS_QUANTUM_MIN - POINTWISE_SLACK,
-            chsh < CHSH_QUANTUM_MIN - POINTWISE_SLACK,
+            total < MONOGAMY_BOUND - BOUND_SLACK,
+            kcbs < KCBS_QUANTUM_MIN - BOUND_SLACK,
+            chsh < CHSH_QUANTUM_MIN - BOUND_SLACK,
         )
         for offenders, mask in zip(found, masks):
             for i in np.flatnonzero(mask)[: _OFFENDERS_KEPT - len(offenders)]:
                 offenders.append(
                     {"index": start + int(i), "kcbs": float(kcbs[i]), "chsh": float(chsh[i])}
                 )
-        kcbs_only += int(np.sum((kcbs < KCBS_CLASSICAL_BOUND) & (chsh > CHSH_CLASSICAL_BOUND)))
-        chsh_only += int(np.sum((chsh < CHSH_CLASSICAL_BOUND) & (kcbs > KCBS_CLASSICAL_BOUND)))
+        kcbs_low = kcbs < KCBS_CLASSICAL_BOUND - BOUND_SLACK
+        chsh_low = chsh < CHSH_CLASSICAL_BOUND - BOUND_SLACK
+        kcbs_only += int(np.count_nonzero(kcbs_low & ~chsh_low))
+        chsh_only += int(np.count_nonzero(chsh_low & ~kcbs_low))
         start += len(states)
     min_kcbs, min_chsh, min_sum = (float(v) for v in np.min(lows, axis=0))
     max_kcbs, max_chsh = (float(v) for v in np.max(highs, axis=0))

@@ -466,10 +466,22 @@ def _chsh_terms(pivot: int) -> Terms:
     return tuple(zip((1.0, 1.0, 1.0, -1.0), pairs))
 
 
+def _term_sum(correlate: Callable, source, terms: Terms):
+    """``coeff * correlate(source, subset)`` of every term, added in term
+    order from 0: the one sum of every witness, scalar or stacked.  Not the
+    builtin ``sum``, which compensates float additions since Python 3.12,
+    while numpy adds arrays in order."""
+    total = 0
+    for coeff, subset in terms:
+        total += coeff * correlate(source, subset)
+    return total
+
+
 def expression_values(probs: np.ndarray, terms: Terms) -> np.ndarray:
     """Sum of the correlator ``terms`` on every row of an (n, 10, 8)
-    table stack, the terms added in order like :func:`kcbs_value` does."""
-    return sum(coeff * correlator_many(probs, subset) for coeff, subset in terms)
+    table stack, with the bits of :func:`kcbs_value` and :func:`chsh_value`
+    on each row."""
+    return _term_sum(correlator_many, probs, terms)
 
 
 def kcbs_value(behavior: Behavior) -> float:
@@ -477,7 +489,7 @@ def kcbs_value(behavior: Behavior) -> float:
 
     Noncontextual hidden-variable models obey ``kcbs_value >= -3``.
     """
-    return sum(coeff * correlator(behavior, subset) for coeff, subset in KCBS_TERMS)
+    return _term_sum(correlator, behavior, KCBS_TERMS)
 
 
 def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
@@ -489,4 +501,4 @@ def chsh_value(behavior: Behavior, pivot: int = 5) -> float:
     A1/A4 form; pivots wrap mod 5, and :func:`wrap_pivot` rejects a bool
     or a non-integer.
     """
-    return sum(coeff * correlator(behavior, subset) for coeff, subset in chsh_terms(pivot))
+    return _term_sum(correlator, behavior, chsh_terms(pivot))

@@ -136,7 +136,7 @@ def check_nd_monogamy(seed: int) -> CheckResult:
     reports = nodisturbance.monogamy_certificate(probs.reshape(-1, 10, 8))
     worst = min(min(report.sums_by_pivot.values()) for report in reports)
     flags_ok = all(report.at_most_one_violated for report in reports)
-    passed = flags_ok and worst >= classical.MONOGAMY_BOUND - region.POINTWISE_SLACK
+    passed = flags_ok and worst >= classical.MONOGAMY_BOUND - classical.BOUND_SLACK
     return _result(
         "nd-monogamy-sweep",
         passed,
@@ -322,7 +322,7 @@ def verify_all(
 
     ``chsh_matrix`` overrides the Bell operator in the block-structure
     check (fault-injection hook for testing).  The random sweeps grant
-    the pointwise monogamy bounds ``region.POINTWISE_SLACK``.
+    the pointwise monogamy bounds ``classical.BOUND_SLACK``.
     """
     return [
         check_classical_bounds(),

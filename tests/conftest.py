@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ndmonogamy import nodisturbance, quantum
+from ndmonogamy import classical, nodisturbance, quantum, region
 from ndmonogamy.scenario import Behavior
 
 
@@ -29,3 +29,15 @@ def basis_state_behavior():
     e20 = np.zeros(6, dtype=complex)
     e20[4] = 1.0
     return quantum.behavior_from_state(e20)
+
+
+@pytest.fixture
+def bound_slack(monkeypatch):
+    """A setter of ``BOUND_SLACK`` in ``classical`` and in every module that
+    imports it, undone after the test."""
+
+    def move(value: float) -> None:
+        for module in (classical, nodisturbance, region):
+            monkeypatch.setattr(module, "BOUND_SLACK", value)
+
+    return move

@@ -175,6 +175,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(target.read_text())["passed"] is True
 
+    def test_summary_io_error_exit_three(self, tmp_path, capsys):
+        # the bounds table's --out writer: the same message and exit code
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        target = blocker / "summary.json"
+        code, out, err = run_cli(
+            ["verify", "--samples", "1000", "--out", str(target)], capsys
+        )
+        assert code == 3
+        assert "[PASS] region-membership" in out
+        assert err.startswith(f"cannot write {target}: ")
+        code, _, bounds_err = run_cli(["bounds", "--out", str(target)], capsys)
+        assert code == 3
+        assert bounds_err == err
+
     def test_nonpositive_samples_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--samples", "0"], capsys)
         assert code == 2

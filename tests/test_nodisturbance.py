@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndmonogamy import classical, cli, nodisturbance, verify
+from ndmonogamy import classical, cli, nodisturbance, region, verify
 from ndmonogamy.classical import (
     BOUNDS,
     LinearExpression,
@@ -36,7 +36,7 @@ from ndmonogamy.nodisturbance import (
     sample_behavior_matrix,
     sample_behaviors,
 )
-from ndmonogamy.quantum import behavior_from_state
+from ndmonogamy.quantum import behavior_from_state, random_state_blocks, random_states
 from ndmonogamy.scenario import (
     CONTEXTS,
     MEASUREMENT_IDS,
@@ -614,6 +614,14 @@ class TestMonogamyCertificate:
         with pytest.raises(ValueError, match=r"chsh_by_pivot\[5\] must be finite"):
             MonogamyReport(-4.0, {1: -1.0, 5: bad})
 
+    def test_flags_read_the_bound_slack(self, bound_slack):
+        report = MonogamyReport(-3.5, {5: -1.0})
+        assert report.kcbs_violated and not report.chsh_violated
+        bound_slack(1.0)
+        assert not report.kcbs_violated and not report.chsh_violated
+        assert not MonogamyReport(0.0, {1: -2.9, 5: -1.0}).chsh_violated
+        assert MonogamyReport(-4.1, {1: -3.1}).kcbs_violated
+
     @pytest.mark.parametrize("chsh_by_pivot", [{}, {0: -3.0}, {6: -3.0}, {5: -3.0, 9: -3.0}])
     def test_report_rejects_empty_or_unknown_pivots(self, chsh_by_pivot):
         # with no CHSH value, or one at no pivot, the tradeoff flag checks nothing
@@ -1027,6 +1035,32 @@ class TestEmptySample:
         rows = sample_behavior_matrix(np.int64(3), seed=5)
         assert rows.tobytes() == sample_behavior_matrix(3, seed=5).tobytes()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: random_states(2.5), "count must be an integer, got 2.5"),
+            (lambda: random_states(True), "count must be an integer, got True"),
+            (lambda: random_states(-1), "cannot draw a negative number of states, got -1"),
+            (lambda: list(random_state_blocks(3.0)), "count must be an integer, got 3.0"),
+            (lambda: region.region_membership_sweep(2.5), "samples must be an integer, got 2.5"),
+            (lambda: region.region_membership_sweep(True), "samples must be an integer, got True"),
+            (lambda: region.sample_boundary(4.0), "n must be an integer, got 4.0"),
+            (lambda: region.sample_boundary(True), "n must be an integer, got True"),
+        ],
+    )
+    def test_state_and_boundary_counts_follow_the_count_rule(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_state_and_boundary_counts(self):
+        assert random_states(np.int64(3), seed=5).tobytes() == random_states(3, seed=5).tobytes()
+        got, want = region.sample_boundary(np.int32(7)), region.sample_boundary(7)
+        for column in ("theta", "phi", "chsh", "kcbs"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+        sweep = region.region_membership_sweep(np.int64(50), seed=1)
+        assert sweep == region.region_membership_sweep(50, seed=1)
+        assert type(sweep.samples) is int
+
 
 class TestStackedVerifyChecks:
     def test_fine_recovery_matches_reference_loop(self, monkeypatch):
@@ -1046,6 +1080,15 @@ class TestStackedVerifyChecks:
         result = verify.check_nd_monogamy(7)
         assert result.passed
         assert result.detail == f"min kcbs+chsh over sample {worst:.12g}"
+
+    def test_monogamy_sweep_can_fail(self, monkeypatch):
+        passing = verify.check_nd_monogamy(1)
+        monkeypatch.setattr(classical, "MONOGAMY_BOUND", -1.5)
+        monkeypatch.setattr(region, "MONOGAMY_BOUND", -1.5)
+        failing = verify.check_nd_monogamy(1)
+        assert passing.passed and not failing.passed
+        assert failing.detail == passing.detail
+        assert failing.detail.startswith("min kcbs+chsh over sample -2.0158")
 
     def test_fine_recovery_can_fail(self, monkeypatch):
         stacked = nodisturbance.fine_join_c1

@@ -230,6 +230,38 @@ class TestBlockDecompose:
         assert result.detail == "matrix deviates from Hermiticity by nan"
 
 
+class TestRequireHermitian:
+    def test_stack_names_the_first_bad_operator(self):
+        bad = chsh_operator()
+        bad[1, 4] += 1e-6
+        worse = kcbs_operator()
+        worse[0, 0] = np.nan
+        stack = np.stack([kcbs_operator(), chsh_operator(), bad, worse])
+        message = "^operator 2: matrix deviates from Hermiticity by 1.000e-06$"
+        with pytest.raises(NotHermitian, match=message):
+            require_hermitian(stack)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotHermitian, match="^operator 0: .* by nan$"):
+                require_hermitian(stack[::-1])
+
+    def test_stack_of_hermitian_operators_passes_whole(self):
+        stack = np.stack([kcbs_operator(), chsh_operator()])
+        got = require_hermitian(stack)
+        assert got.dtype == complex and got.tobytes() == stack.tobytes()
+        assert require_hermitian(stack[:0]).shape == (0, 6, 6)
+        assert require_hermitian(stack.real.tolist()).shape == (2, 6, 6)
+
+    def test_one_operator_is_not_named(self):
+        matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitian, match="^matrix deviates from Hermiticity by 1.000e"):
+            require_hermitian(matrix)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (3, 1), (2, 2, 3), (1, 2, 3, 3)])
+    def test_rejects_shapes_that_are_not_square(self, shape):
+        with pytest.raises(ValueError, match=r"expected shape \(n, n\) or \(m, n, n\)"):
+            require_hermitian(np.zeros(shape))
+
+
 class TestEigensystem:
     def test_identity(self):
         w, v = eigensystem(np.eye(3, dtype=complex))
@@ -615,13 +647,13 @@ class TestStackedExpectation:
         operator = kcbs_operator()
         operator[2, 2] = bad
         for states in (random_states(3, seed=2), random_states(1, seed=2)[0]):
-            with pytest.raises(NotHermitian, match="^operator: "):
+            with pytest.raises(NotHermitian, match="^matrix deviates from Hermiticity by "):
                 expectation(operator, states)
 
     def test_rejects_non_hermitian_operator(self):
         operator = kcbs_operator()
         operator[0, 1] += 1e-9
-        with pytest.raises(NotHermitian, match="^operator: .* by 1.000e-09"):
+        with pytest.raises(NotHermitian, match="^matrix deviates .* by 1.000e-09$"):
             expectation(operator, random_states(3, seed=2))
         operator[0, 1] -= 1e-9 - 1e-13  # within HERMITICITY_TOL
         assert expectation(operator, random_states(3, seed=2)).shape == (3,)

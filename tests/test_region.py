@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndmonogamy import cli, region, verify
+from ndmonogamy import classical, cli, region, verify
 from ndmonogamy.classical import CHSH_ND_BOUND, MONOGAMY_BOUND
 from ndmonogamy.errors import SingularParameter
 from ndmonogamy import quantum
@@ -76,9 +76,9 @@ def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
             for i in np.flatnonzero(mask)[:100]
         ]
 
-    slack = region.POINTWISE_SLACK
-    kcbs_violated = kcbs < region.KCBS_CLASSICAL_BOUND
-    chsh_violated = chsh < region.CHSH_CLASSICAL_BOUND
+    slack = region.BOUND_SLACK
+    kcbs_violated = kcbs < region.KCBS_CLASSICAL_BOUND - slack
+    chsh_violated = chsh < region.CHSH_CLASSICAL_BOUND - slack
     return region.SweepReport(
         samples=samples,
         seed=seed,
@@ -90,8 +90,8 @@ def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
         monogamy_violations=offenders(total < region.MONOGAMY_BOUND - slack),
         kcbs_floor_violations=offenders(kcbs < region.KCBS_QUANTUM_MIN - slack),
         chsh_floor_violations=offenders(chsh < region.CHSH_QUANTUM_MIN - slack),
-        kcbs_only_violation_count=int(np.sum(kcbs_violated & (chsh > region.CHSH_CLASSICAL_BOUND))),
-        chsh_only_violation_count=int(np.sum(chsh_violated & (kcbs > region.KCBS_CLASSICAL_BOUND))),
+        kcbs_only_violation_count=int(np.sum(kcbs_violated & ~chsh_violated)),
+        chsh_only_violation_count=int(np.sum(chsh_violated & ~kcbs_violated)),
     )
 
 
@@ -863,6 +863,12 @@ class TestRegionPoint:
         with pytest.raises(ValueError, match=message):
             RegionPoint(-2.1, -2.6, "plus", 0.0, 0.0)
 
+    def test_bound_slack_is_the_margin(self, bound_slack):
+        with pytest.raises(ValueError, match="breaks"):
+            RegionPoint(-3.0, -2.5, "plus", 0.0, 0.0)
+        bound_slack(1.0)
+        assert RegionPoint(-3.0, -2.5, "plus", 0.0, 0.0).kcbs == -2.5
+
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
             RegionPoint(0.0, 0.0, "middle", 0.0, 0.0)
@@ -951,6 +957,28 @@ class TestMembershipSweep:
         for offenders in kinds:
             assert len(offenders) == 100
             assert offenders[-1]["index"] > 64
+
+    @pytest.mark.parametrize("slack", [1.0, 0.25])
+    def test_one_sided_counts_read_the_bound_slack(self, bound_slack, slack):
+        # a violation is a value more than BOUND_SLACK below its bound,
+        # as in MonogamyReport
+        bound_slack(slack)
+        report = region_membership_sweep(20_000, seed=42)
+        states = random_states(20_000, seed=42)
+        kcbs_low = expectation(kcbs_operator(), states) < -3.0 - slack
+        chsh_low = expectation(chsh_operator(), states) < -2.0 - slack
+        counts = (int(np.sum(kcbs_low & ~chsh_low)), int(np.sum(chsh_low & ~kcbs_low)))
+        assert (report.kcbs_only_violation_count, report.chsh_only_violation_count) == counts
+        assert report_fields(report) == report_fields(whole_stack_sweep(20_000, seed=42))
+
+    def test_region_membership_can_fail(self, monkeypatch):
+        passing = verify.check_region_membership(2000, 1)
+        monkeypatch.setattr(classical, "MONOGAMY_BOUND", -1.5)
+        monkeypatch.setattr(region, "MONOGAMY_BOUND", -1.5)
+        failing = verify.check_region_membership(2000, 1)
+        assert passing.passed and not failing.passed
+        assert failing.detail == passing.detail
+        assert failing.detail.startswith("2000 states, min sum -4.372")
 
     def test_memory_stays_at_block_size(self):
         # the whole-stack sweep peaked at 21.6 MB here: 216 bytes a state

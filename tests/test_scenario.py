@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import warnings
 from functools import lru_cache
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndmonogamy import scenario
 from ndmonogamy.classical import (
     BOUNDS,
     DeterministicAssignment,
@@ -473,7 +475,11 @@ class TestWitnessValues:
 def reference_value(behavior, terms):
     """The per-term reference in Python floats: each correlator's signed
     entries added one after the other in outcome order, then the weighted
-    correlators added in term order from 0, as ``sum`` does."""
+    correlators added one after the other in term order from 0.
+
+    Not by the builtin ``sum``: since Python 3.12 it compensates float
+    additions, while numpy adds a stack's terms in order.
+    """
     total = 0
     for coeff, subset in terms:
         c_idx, signs = term(subset)
@@ -506,9 +512,32 @@ EXPRESSION_TERMS = [(row.name, row.expression.terms) for row in BOUNDS] + [
 ]
 
 
+def compensated_sum(items, start=0):
+    """The builtin ``sum`` of Python 3.12 and later: Python floats added
+    with Neumaier's compensation, anything else in order.
+
+    On the weighted terms of every witness of :func:`witness_behaviors`,
+    its results equal those of Python 3.12.1's and 3.13's ``sum``.
+    """
+    total, compensation = start, 0.0
+    for item in items:
+        if type(total) is float and type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - t) + item
+            else:
+                compensation += (item - t) + total
+            total = t
+        else:
+            total = total + item
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 class TestWitnessBits:
     """The witnesses, one behavior or a stack, have the bits of one
-    ``correlator`` per term added by ``sum``.
+    ``correlator`` per term added in term order from 0, on every Python.
 
     Compared by ``repr``, so -0.0 and 0.0 differ.
     """
@@ -532,6 +561,33 @@ class TestWitnessBits:
             assert repr(value) == repr(reference_value(behavior, terms))
         if name == "-kcbs":
             assert repr(float(expression_values(Behavior.uniform().probs[None], terms)[0])) == "0.0"
+
+    def test_a_compensated_builtin_sum_changes_no_bit(self, monkeypatch):
+        # the builtin sum of Python 3.12 and later, on any Python
+        monkeypatch.setattr(scenario, "sum", compensated_sum, raising=False)
+        behaviors = witness_behaviors()
+        stack = np.stack([b.probs for b in behaviors])
+        for terms in (KCBS_TERMS, *map(chsh_terms, range(1, 6))):
+            stacked = expression_values(stack, terms).tolist()
+            for behavior, value in zip(behaviors, stacked):
+                want = repr(reference_value(behavior, terms))
+                assert repr(value) == want
+        for behavior in behaviors:
+            assert repr(kcbs_value(behavior)) == repr(reference_value(behavior, KCBS_TERMS))
+            for pivot in range(1, 6):
+                want = repr(reference_value(behavior, chsh_terms(pivot)))
+                assert repr(chsh_value(behavior, pivot)) == want
+
+    def test_compensated_sum_differs_from_in_order_addition(self):
+        # so the test above can fail: on these behaviors, the compensated
+        # sum of the weighted terms moves some kcbs values
+        behaviors = witness_behaviors()
+        moved = sum(
+            repr(compensated_sum(c * correlator(b, s) for c, s in KCBS_TERMS))
+            != repr(reference_value(b, KCBS_TERMS))
+            for b in behaviors
+        )
+        assert moved > 100
 
     def test_certificate_witnesses_hold_negative_zero_terms(self):
         terms = [
