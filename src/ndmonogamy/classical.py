@@ -87,7 +87,9 @@ class LinearExpression:
 
     ``terms`` is a tuple of (coefficient, measurement-id subset) tuples: a
     finite real coefficient (not bool, str or complex) and a nonempty
-    tuple of measurement-id strings.  A :class:`BoundRow` holds its name.
+    tuple of ids of :data:`~ndmonogamy.scenario.MEASUREMENT_IDS`, read when
+    the expression is built; anything else raises ``ValueError``.  A
+    :class:`BoundRow` holds its name.
     """
 
     terms: tuple[tuple[float, tuple[str, ...]], ...]
@@ -97,11 +99,15 @@ class LinearExpression:
             raise ValueError(
                 f"terms must be a tuple of (coefficient, subset) tuples, got {self.terms!r}"
             )
+        known = frozenset(MEASUREMENT_IDS)  # read per call, not once at import
         for coeff, subset in self.terms:
             if not (isinstance(subset, tuple) and all(isinstance(m, str) for m in subset)):
                 raise ValueError(f"a subset must be a tuple of measurement ids, got {subset!r}")
             if not subset:
                 raise ValueError("each term needs a nonempty subset")
+            if not known.issuperset(subset):
+                unknown = [m for m in subset if m not in known]
+                raise ValueError(f"expression references unknown measurements {unknown}")
             kind = type(coeff)
             if not real_number_type(kind):
                 raise ValueError(f"a coefficient must be a real number, got {kind.__name__}")
@@ -247,14 +253,10 @@ def classical_bound(expr: LinearExpression) -> ClassicalBound:
     are added in expression order, so every value has the bits of
     :meth:`LinearExpression.evaluate_assignment`.  Ties in the argmin are
     broken by the first assignment in lexicographic order, so results are
-    reproducible.
+    reproducible.  ``expr`` names only ids of :data:`MEASUREMENT_IDS`,
+    since :class:`LinearExpression` rejects any other when it is built.
     """
     ids = MEASUREMENT_IDS
-    known = set(ids)
-    for _, subset in expr.terms:
-        unknown = set(subset) - known
-        if unknown:
-            raise ValueError(f"expression references unknown measurements {unknown}")
     n = len(ids)
     bit = {m: 1 << (n - 1 - j) for j, m in enumerate(ids)}
     values = np.zeros(1 << n)

@@ -24,6 +24,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 TABLE_DIGITS = 12
+#: how far a printed quantum minimum (an ``eigh`` eigenvalue) may lie from
+#: its closed form in ``classical.BOUNDS``
+QUANTUM_MIN_TOL = 1e-9
 
 
 def _bounds_rows() -> list[dict]:
@@ -62,7 +65,7 @@ def _check_bounds_rows(rows: list[dict]) -> list[str]:
         ref = expected[row["expression"]]
         if row["classical_min"] != ref.classical:
             problems.append(f"{row['expression']}: classical {row['classical_min']}")
-        if abs(row["quantum_min"] - ref.quantum) > 1e-9:
+        if abs(row["quantum_min"] - ref.quantum) > QUANTUM_MIN_TOL:
             problems.append(f"{row['expression']}: quantum {row['quantum_min']}")
     return problems
 

@@ -8,8 +8,9 @@ their classical bounds (-3 and -2), which is the monogamy relation
 ``kcbs + chsh >= -5``.  This module builds the joints and verifies them,
 one row per behavior of an (n, 10, 8) stack of context tables; the stack
 and every joint obey the one table rule, ``scenario.probability_tables``,
-and the joins and the certificate take only stacks that are
-no-disturbance at the fixed ``scenario.ND_TOL``.
+and the joins and the certificate take only stacks whose every row is
+no-disturbance at the fixed ``scenario.ND_TOL``, by the rule of
+``scenario.check_no_disturbance``.
 Committed exact certificates prove every no-disturbance bound with no LP;
 :func:`nd_optimum`, the LP over the 80-dimensional behavior polytope that
 found them, is the one function here that needs scipy.
@@ -50,8 +51,9 @@ from .scenario import (
     marginal_constraint_rows,
     nd_violations,
     probability_tables,
-    require_integer,
+    require_count,
     term,
+    wrap_pivot,
 )
 
 #: raw rows that sample_behavior_matrix draws, projects and accepts per pass.  On
@@ -134,25 +136,31 @@ def _behavior_row_name(k: int) -> str:
 def _nd_tables(probs: np.ndarray) -> np.ndarray:
     """``probs`` as an (n, 10, 8) array, every row no-disturbance at ``ND_TOL``.
 
-    :func:`probability_tables` checks every table at ``PROB_TOL``; then one
-    matrix product with the marginal-agreement rows checks the whole stack,
-    and the first offending row raises :class:`NotNoDisturbance` carrying
-    its violation records.
+    :func:`probability_tables` checks every table at ``PROB_TOL``.  Each
+    row's verdict is that of :func:`~ndmonogamy.scenario.nd_violations`,
+    the rule of ``check_no_disturbance``, on the row alone.  One matrix
+    product with the marginal-agreement rows only screens the stack: a
+    row whose stacked gap exceeds ``ND_TOL / 2`` goes to that rule.  The
+    screen misses no row, since a stacked and a one-row product differ by
+    about 2e-16.  The first row that fails raises
+    :class:`NotNoDisturbance` carrying its violation records and naming
+    their largest magnitude.
     """
     probs = probability_tables(
         probs, (None, len(CONTEXTS), 8), "behavior table stack", _behavior_row_name
     )
     matrix, _ = marginal_constraint_rows()
     gaps = np.abs(probs.reshape(-1, matrix.shape[1]) @ matrix.T).max(axis=1)
-    bad = np.flatnonzero(~(gaps <= ND_TOL))
-    if bad.size:
-        k = int(bad[0])
-        where = f"row {k} " if len(probs) > 1 else ""
-        raise NotNoDisturbance(
-            f"behavior {where}violates no-disturbance (worst marginal gap "
-            f"{gaps[k]:.3e} at tolerance {ND_TOL:.1e})",
-            nd_violations(probs[k]),
-        )
+    for k in np.flatnonzero(gaps > ND_TOL / 2):
+        violations = nd_violations(probs[k])
+        if violations:
+            where = f"row {k} " if len(probs) > 1 else ""
+            worst = max(v.magnitude for v in violations)
+            raise NotNoDisturbance(
+                f"behavior {where}violates no-disturbance (worst marginal gap "
+                f"{worst:.3e} at tolerance {ND_TOL:.1e})",
+                violations,
+            )
     return probs
 
 
@@ -178,12 +186,14 @@ def fine_join_c1(probs: np.ndarray, pivot: int) -> JointDistribution:
     no-disturbance; recovers every pair marginal of the pentagon-shaped
     split expression exactly.  Entries whose denominator marginal
     vanishes are zero (their numerators vanish too) and the remaining
-    entries still sum to one, so no renormalization is applied.  Raises
-    :class:`NotNoDisturbance` for the first row that violates
-    no-disturbance at ``ND_TOL``.
+    entries still sum to one, so no renormalization is applied.  The
+    pivot wraps mod 5, and ``scenario.wrap_pivot`` rejects a bool or a
+    non-integer with ``ValueError``.  Raises :class:`NotNoDisturbance` for
+    the first row that violates no-disturbance at ``ND_TOL``, by the rule
+    of ``check_no_disturbance`` on that row alone.
     """
+    i = wrap_pivot(pivot)
     probs = _nd_tables(probs)
-    i = pivot
     t_a = _context_arrays(probs, (alice(i + 1), alice(i + 2), bob(1)))
     t_b = _context_arrays(probs, (alice(i + 2), alice(i - 2), bob(1)))
     t_c = _context_arrays(probs, (alice(i - 2), alice(i - 1), bob(1)))
@@ -203,11 +213,11 @@ def fine_join_c2(probs: np.ndarray, pivot: int) -> JointDistribution:
     Conditional product of the two measured B2-context tables that share
     A_i, divided by the pair marginal p(a_i, b2).  Marginalizing over
     (A_{i+1}, B2) recovers p(a_{i-1}, a_i); over (A_{i-1}, B2) recovers
-    p(a_i, a_{i+1}).  Same zero-denominator rule and error as
-    :func:`fine_join_c1`.
+    p(a_i, a_{i+1}).  Same zero-denominator rule, pivot rule and errors
+    as :func:`fine_join_c1`.
     """
+    i = wrap_pivot(pivot)
     probs = _nd_tables(probs)
-    i = pivot
     t_prev = _context_arrays(probs, (alice(i - 1), alice(i), bob(2)))
     t_next = _context_arrays(probs, (alice(i), alice(i + 1), bob(2)))
     den = t_next.sum(axis=2)  # p(a_i, b2)
@@ -468,16 +478,14 @@ def sample_behavior_matrix(count: int, seed: int | np.random.Generator = 0) -> n
     projections with genuinely negative entries are discarded.  The
     returned rows are exact members of the polytope: entries in
     [-PROB_TOL, 0) are clipped to zero and each context row renormalized.
-    A bool, or a count that is not an integer, raises ``ValueError``
-    naming it, as does a negative count.
+    A bool, a count that is not an integer or a negative count raises
+    ``ValueError`` naming it (``scenario.require_count``'s rule).
 
     Rows are drawn in whole chunks of ``_SAMPLE_BATCH`` until ``count``
     are accepted, so a passed ``Generator`` is left after the last chunk,
     not after the last returned row.
     """
-    count = require_integer(count, "count")
-    if count < 0:
-        raise ValueError(f"cannot sample a negative number of behaviors, got {count}")
+    count = require_count(count, "count", 0)
     rng = np.random.default_rng(seed)
     q, uniform = _projector()
     n_ctx = len(CONTEXTS)
@@ -514,10 +522,11 @@ def sample_behaviors(
 class MonogamyReport:
     """kcbs and per-pivot chsh values of a no-disturbance behavior.
 
-    ``chsh_by_pivot`` is nonempty and keyed by pivots of ``PIVOTS``, and
-    every value must be finite: a NaN compares false against both
-    classical bounds, so it would read as no violation.  A value more
-    than ``BOUND_SLACK`` below its classical bound is a violation.
+    ``chsh_by_pivot`` is nonempty and keyed by the ints of ``PIVOTS`` (not
+    a bool, though ``True == 1``), and every value must be finite: a NaN
+    compares false against both classical bounds, so it would read as no
+    violation.  A value more than ``BOUND_SLACK`` below its classical
+    bound is a violation.
     """
 
     kcbs: float
@@ -526,7 +535,7 @@ class MonogamyReport:
     def __post_init__(self) -> None:
         if not self.chsh_by_pivot:
             raise ValueError("chsh_by_pivot needs at least one pivot")
-        unknown = [pivot for pivot in self.chsh_by_pivot if pivot not in PIVOTS]
+        unknown = [p for p in self.chsh_by_pivot if isinstance(p, bool) or p not in PIVOTS]
         if unknown:
             raise ValueError(f"chsh_by_pivot has pivots {unknown} outside {PIVOTS}")
         if not math.isfinite(self.kcbs):
@@ -562,7 +571,8 @@ def monogamy_certificate(probs: np.ndarray) -> list[MonogamyReport]:
     For any behavior satisfying no-disturbance at ``ND_TOL``, at most one
     of the two inequalities can be violated (beyond ``BOUND_SLACK``).
     Raises :class:`NotNoDisturbance` for the first row that violates
-    no-disturbance at ``ND_TOL``.
+    no-disturbance at ``ND_TOL``, by the rule of ``check_no_disturbance``
+    on that row alone.
     """
     probs = _nd_tables(probs)
     kcbs = expression_values(probs, KCBS_TERMS)

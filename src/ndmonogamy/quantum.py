@@ -33,7 +33,7 @@ from .scenario import (
     bob,
     canonical_context,
     real_number_type,
-    require_integer,
+    require_count,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -386,17 +386,17 @@ def random_state_blocks(
     since a 1-row product takes another BLAS path whose last bits can
     differ from the same row in a stack.  ``count = 0`` yields one empty
     block; a bool, a non-integer or a negative count raises ``ValueError``
-    naming it (``scenario.require_integer``'s rule) when the first block is
-    asked for.
+    naming it (``scenario.require_count``'s rule) at the call.
 
     Each block is written in place: both parts go into one complex array
     through its float64 view, which is then multiplied by the reciprocal
     of its row norms.  That is how numpy divides a complex by a real, so
     the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
     """
-    count = require_integer(count, "count")
-    if count < 0:
-        raise ValueError(f"cannot draw a negative number of states, got {count}")
+    return _state_blocks(require_count(count, "count", 0), seed)
+
+
+def _state_blocks(count: int, seed: int | np.random.Generator) -> Iterator[np.ndarray]:
     rng = np.random.default_rng(seed)
     real = rng.standard_normal((count, 6))
     starts = list(range(0, max(count, 1), _STATE_BLOCK))

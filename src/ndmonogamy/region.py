@@ -56,7 +56,7 @@ from .quantum import (
     kcbs_operator,
     random_state_blocks,
 )
-from .scenario import require_integer
+from .scenario import require_count
 
 #: distance from a multiple of pi/2 within which the boundary formula is singular
 SINGULAR_PHI_TOL = 1e-9
@@ -447,11 +447,10 @@ def sample_boundary(n: int) -> Boundary:
     bit-identical to a per-theta solve with scalar ``expectation_M``.  The
     minus branch is the plus branch with the chsh coordinate negated.
     ``plus_order`` and ``minus_order`` order each branch by kcbs, then chsh.
-    ``n`` must be an integer of at least 2, and not a bool (``ValueError``).
+    ``n`` must be an integer of at least 2, and not a bool
+    (``scenario.require_count``'s ``ValueError``).
     """
-    n = require_integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need at least 2 boundary samples, got {n}")
+    n = require_count(n, "n", 2)
     n_lower = (n + 1) // 2
     lower = np.linspace(0.0, math.pi / 2, n_lower)
     if n - n_lower == n_lower:
@@ -534,8 +533,6 @@ class SweepReport:
     min_kcbs: float
     min_chsh: float
     min_sum: float
-    max_kcbs: float
-    max_chsh: float
     monogamy_violations: list[dict] = field(default_factory=list)
     kcbs_floor_violations: list[dict] = field(default_factory=list)
     chsh_floor_violations: list[dict] = field(default_factory=list)
@@ -560,16 +557,14 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     (the two-sided tradeoff), by the rule of ``MonogamyReport``: a value
     more than ``BOUND_SLACK`` below its bound violates it.  The states of
     ``random_states(samples, seed)`` are drawn and checked in blocks
-    (:func:`random_state_blocks`), and only the report's extrema, first
+    (:func:`random_state_blocks`), and only the report's minima, first
     offenders and counts are kept, so the sweep holds 48 bytes a state of
     drawn real parts plus one block.  ``samples`` must be an integer of at
-    least 1, and not a bool (``ValueError``).
+    least 1, and not a bool (``scenario.require_count``'s ``ValueError``).
     """
-    samples = require_integer(samples, "samples")
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
+    samples = require_count(samples, "samples", 1)
     operators = np.stack([kcbs_operator(), chsh_operator()])
-    lows, highs = [], []  # per block: (kcbs, chsh, sum) minima, (kcbs, chsh) maxima
+    lows = []  # per block: (kcbs, chsh, sum) minima
     found: tuple[list[dict], ...] = ([], [], [])  # monogamy, kcbs floor, chsh floor
     kcbs_only = chsh_only = 0
     start = 0
@@ -577,7 +572,6 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
         kcbs, chsh = expectation(operators, states)
         total = kcbs + chsh
         lows.append((kcbs.min(), chsh.min(), total.min()))
-        highs.append((kcbs.max(), chsh.max()))
         masks = (
             total < MONOGAMY_BOUND - BOUND_SLACK,
             kcbs < KCBS_QUANTUM_MIN - BOUND_SLACK,
@@ -594,15 +588,12 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
         chsh_only += int(np.count_nonzero(chsh_low & ~kcbs_low))
         start += len(states)
     min_kcbs, min_chsh, min_sum = (float(v) for v in np.min(lows, axis=0))
-    max_kcbs, max_chsh = (float(v) for v in np.max(highs, axis=0))
     return SweepReport(
         samples=samples,
         seed=seed,
         min_kcbs=min_kcbs,
         min_chsh=min_chsh,
         min_sum=min_sum,
-        max_kcbs=max_kcbs,
-        max_chsh=max_chsh,
         monogamy_violations=found[0],
         kcbs_floor_violations=found[1],
         chsh_floor_violations=found[2],

@@ -444,6 +444,15 @@ def require_integer(value: int, what: str) -> int:
     return int(value)
 
 
+def require_count(value: int, what: str, least: int) -> int:
+    """``value`` as an int of at least ``least``, the rule of every count: else
+    :func:`require_integer`'s ``ValueError``, or one naming ``least``."""
+    value = require_integer(value, what)
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def wrap_pivot(pivot: int) -> int:
     """``pivot`` taken mod 5 into 1..5.
 

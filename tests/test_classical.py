@@ -178,9 +178,12 @@ class TestClassicalBounds:
         assert first == second
 
     def test_unknown_measurement_rejected(self):
-        expr = LinearExpression(((1.0, ("Z9",)),))
-        with pytest.raises(ValueError, match="unknown"):
-            classical_bound(expr)
+        # rejected when the expression is built, so classical_bound,
+        # expression_vector and expression_operator never see it
+        message = r"^expression references unknown measurements \['Z9'\]$"
+        for subset in (("Z9",), ("A1", "Z9")):
+            with pytest.raises(ValueError, match=message):
+                LinearExpression(((1.0, subset),))
 
     MEASURABLE_PAIRS = [
         ("A1", "A2"), ("A2", "A3"), ("A3", "A4"), ("A4", "A5"), ("A5", "A1"),

@@ -622,7 +622,9 @@ class TestMonogamyCertificate:
         assert not MonogamyReport(0.0, {1: -2.9, 5: -1.0}).chsh_violated
         assert MonogamyReport(-4.1, {1: -3.1}).kcbs_violated
 
-    @pytest.mark.parametrize("chsh_by_pivot", [{}, {0: -3.0}, {6: -3.0}, {5: -3.0, 9: -3.0}])
+    @pytest.mark.parametrize(
+        "chsh_by_pivot", [{}, {0: -3.0}, {6: -3.0}, {5: -3.0, 9: -3.0}, {True: -2.0}]
+    )
     def test_report_rejects_empty_or_unknown_pivots(self, chsh_by_pivot):
         # with no CHSH value, or one at no pivot, the tradeoff flag checks nothing
         with pytest.raises(ValueError, match="pivot"):
@@ -794,7 +796,10 @@ class TestStackedFineJoins:
             fine_join_c2(unnormalized, 1)
 
     def test_disturbing_row_names_its_index(self, uniform_behavior):
-        probs = np.stack([uniform_behavior.probs, disturbing_behavior().probs])
+        disturbing = disturbing_behavior()
+        want = check_no_disturbance(disturbing)
+        worst = max(v.magnitude for v in want)
+        probs = np.stack([uniform_behavior.probs, disturbing.probs])
         for call in (
             lambda: fine_join_c1(probs, 1),
             lambda: fine_join_c2(probs, 1),
@@ -802,7 +807,9 @@ class TestStackedFineJoins:
         ):
             with pytest.raises(NotNoDisturbance, match="row 1") as excinfo:
                 call()
-            assert excinfo.value.violations
+            # the records of check_no_disturbance on that row, and their worst
+            assert repr(excinfo.value.violations) == repr(want)
+            assert f"(worst marginal gap {worst:.3e} at tolerance" in str(excinfo.value)
 
 
 def report_fields(report):
@@ -1008,6 +1015,47 @@ class TestNdViolations:
             assert list(map(report_fields, from_list)) == list(map(report_fields, from_array))
 
 
+class TestStackVerdict:
+    """The joins and the certificate decide no-disturbance row by row, by
+    ``check_no_disturbance``'s rule, whatever stack a row sits in."""
+
+    def test_borderline_rows_get_the_one_row_verdict(self):
+        # d moves probability within context A1,A2,B1.  At t0 its worst
+        # marginal gap is ND_TOL, and the steps of 4e-14 t0 straddle it, where
+        # a stacked and a one-row product can round to different sides
+        probs = sample_behavior_matrix(400, 5)
+        matrix, _ = marginal_constraint_rows()
+        d = np.zeros(80)
+        d[0], d[7] = 1.0, -1.0
+        t0 = ND_TOL / np.abs(matrix @ d).max()
+        verdicts, disagree, unrecorded = set(), [], []
+        for r in range(len(probs) - 1):
+            for k in range(-40, 41, 4):
+                q = probs[r] + t0 * (1 + k * 1e-14) * d
+                want = bool(check_no_disturbance(Behavior(q.reshape(10, 8))))
+                verdicts.add(want)
+                try:
+                    monogamy_certificate(np.stack([probs[r + 1], q]).reshape(2, 10, 8))
+                    raised = None
+                except NotNoDisturbance as exc:
+                    raised = exc
+                if (raised is not None) != want:
+                    disagree.append((r, k))
+                if raised is not None and not raised.violations:
+                    unrecorded.append((r, k))
+        assert verdicts == {False, True}
+        assert disagree == []
+        assert unrecorded == []
+
+    @pytest.mark.parametrize("join", [fine_join_c1, fine_join_c2])
+    @pytest.mark.parametrize("pivot", [True, False, 2.5, "1"])
+    def test_joins_follow_the_pivot_rule(self, join, pivot):
+        # True used to give the pivot-1 joints, and 2.5 to name A3.5
+        message = f"^pivot must be an integer, got {re.escape(repr(pivot))}$"
+        with pytest.raises(ValueError, match=message):
+            join(Behavior.uniform().probs[None], pivot)
+
+
 class TestEmptySample:
     def test_zero_count(self):
         assert sample_behavior_matrix(0).shape == (0, 80)
@@ -1040,8 +1088,14 @@ class TestEmptySample:
         [
             (lambda: random_states(2.5), "count must be an integer, got 2.5"),
             (lambda: random_states(True), "count must be an integer, got True"),
-            (lambda: random_states(-1), "cannot draw a negative number of states, got -1"),
+            (lambda: random_states(-1), "count must be at least 0, got -1"),
             (lambda: list(random_state_blocks(3.0)), "count must be an integer, got 3.0"),
+            # at the call, not at the first next()
+            (lambda: random_state_blocks(2.5), "count must be an integer, got 2.5"),
+            (lambda: random_state_blocks(-1), "count must be at least 0, got -1"),
+            (lambda: sample_behavior_matrix(-2), "count must be at least 0, got -2"),
+            (lambda: region.region_membership_sweep(0), "samples must be at least 1, got 0"),
+            (lambda: region.sample_boundary(1), "n must be at least 2, got 1"),
             (lambda: region.region_membership_sweep(2.5), "samples must be an integer, got 2.5"),
             (lambda: region.region_membership_sweep(True), "samples must be an integer, got True"),
             (lambda: region.sample_boundary(4.0), "n must be an integer, got 4.0"),

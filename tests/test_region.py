@@ -85,8 +85,6 @@ def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
         min_kcbs=float(kcbs.min()),
         min_chsh=float(chsh.min()),
         min_sum=float(total.min()),
-        max_kcbs=float(kcbs.max()),
-        max_chsh=float(chsh.max()),
         monogamy_violations=offenders(total < region.MONOGAMY_BOUND - slack),
         kcbs_floor_violations=offenders(kcbs < region.KCBS_QUANTUM_MIN - slack),
         chsh_floor_violations=offenders(chsh < region.CHSH_QUANTUM_MIN - slack),
