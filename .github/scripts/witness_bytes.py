@@ -15,7 +15,11 @@ Then, for each seeded edge table (entries in ``[-PROB_TOL, 0)``, ``-0.0``
 entries and sums off by less than ``PROB_TOL``, and some just outside),
 the sha256 of ``Behavior(t).probs`` and of
 ``JointDistribution(("X", "Y", "Z"), t).probs``, or only the exception
-type for a table that is rejected.  Last, on stacks of random mixtures of
+type for a table that is rejected.  For each edge table that is accepted,
+the number of records of ``check_no_disturbance(Behavior(t))``, the
+sha256 of their repr (these tables disturb, so the reprs alone would run
+to about 32 MB) and the repr of ``Behavior.marginal`` on one pair
+assignment per context.  Last, on stacks of random mixtures of
 the primal witnesses x = n/2 of ``ND_CERTIFICATES``, whose rows sit on
 polytope faces with exact zeros: the repr of every ``monogamy_certificate``
 report, and per pivot and join the sha256 of the joint tables and the repr
@@ -26,6 +30,7 @@ runs on an older checkout.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -39,7 +44,14 @@ from ndmonogamy.nodisturbance import (
     sample_behavior_matrix,
 )
 from ndmonogamy.quantum import behavior_from_state, random_states
-from ndmonogamy.scenario import PROB_TOL, Behavior, check_no_disturbance, chsh_value, kcbs_value
+from ndmonogamy.scenario import (
+    CONTEXTS,
+    PROB_TOL,
+    Behavior,
+    check_no_disturbance,
+    chsh_value,
+    kcbs_value,
+)
 
 COUNTS = (0, 1, 15, 16, 17, 200, 511, 512, 513, 5000)
 SAMPLER_SEEDS = (0, 1, 7, 12345)
@@ -97,6 +109,16 @@ def witness_mixes(count: int, seed: int) -> np.ndarray:
     return weights @ witnesses
 
 
+def pair_assignments() -> list[dict[str, int]]:
+    """One assignment of two members per context, cycling through the member
+    pairs and the four outcome pairs."""
+    outcomes = list(itertools.product((-1, 1), repeat=2))
+    return [
+        {c.members[j % 3]: outcomes[j % 4][0], c.members[(j + 1) % 3]: outcomes[j % 4][1]}
+        for j, c in enumerate(CONTEXTS)
+    ]
+
+
 def built(make, table: np.ndarray) -> str:
     """The sha256 of ``make(table).probs``, or the type of what it raised."""
     try:
@@ -118,11 +140,18 @@ def main() -> None:
             kcbs = kcbs_value(behavior)
             print(seed, k, behavior.to_json(), repr(kcbs), repr(chsh), repr(violations))
     rng = np.random.default_rng(EDGE_SEED)
+    assignments = pair_assignments()
     for k in range(EDGE_COUNT):
         table = edge_table(rng)
         behavior = built(Behavior, table)
         joint = built(lambda t: JointDistribution(("X", "Y", "Z"), t), table)
         print("edge", k, behavior, joint)
+        if behavior != "ValueError":
+            accepted = Behavior(table)
+            violations = repr(check_no_disturbance(accepted))
+            text = hashlib.sha256(violations.encode()).hexdigest()
+            marginals = [accepted.marginal(c, a) for c, a in zip(CONTEXTS, assignments)]
+            print("nd", k, violations.count("NdViolation("), text, repr(marginals))
     for seed in FACE_SEEDS:
         probs = witness_mixes(FACE_ROWS, seed).reshape(-1, 10, 8)
         print("mixes", seed, int((probs == 0.0).sum()), "exact zeros")

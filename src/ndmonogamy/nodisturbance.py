@@ -52,6 +52,8 @@ from .scenario import (
     nd_violations,
     probability_tables,
     require_count,
+    require_integer,
+    table_sum,
     term,
     wrap_pivot,
 )
@@ -61,6 +63,9 @@ from .scenario import (
 #: in every product of 16 rows or more, while 2- and 3-row products can differ in
 #: the last bits; CI's witness_bytes.py comparison with the base commit guards it
 _SAMPLE_BATCH = 512
+#: singular value, relative to the largest, below which a direction of the
+#: no-disturbance equality system counts as outside its row space
+_RANK_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +103,9 @@ class JointDistribution:
         return JointDistribution(tuple(subset), self._marginals(subset))
 
     def correlator(self, subset: Sequence[str]) -> np.ndarray:
-        """Mean product of the outcomes of ``subset``, one value per row.
-
-        Each row's marginal over ``subset`` is summed with its outcome
-        signs one entry after the other, in outcome order.
-        """
-        marginals = self._marginals(subset)
-        return np.cumsum(marginals * _product_signs(len(subset)), axis=1)[:, -1]
+        """Mean product of the outcomes of ``subset``, one value per row: the
+        ``scenario.table_sum`` of each row's marginal with its outcome signs."""
+        return table_sum(self._marginals(subset), _product_signs(len(subset)))
 
     def _marginals(self, subset: Sequence[str]) -> np.ndarray:
         """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order."""
@@ -141,8 +142,8 @@ def _nd_tables(probs: np.ndarray) -> np.ndarray:
     the rule of ``check_no_disturbance``, on the row alone.  One matrix
     product with the marginal-agreement rows only screens the stack: a
     row whose stacked gap exceeds ``ND_TOL / 2`` goes to that rule.  The
-    screen misses no row, since a stacked and a one-row product differ by
-    about 2e-16.  The first row that fails raises
+    screen misses no row, since a stacked and a one-row product differ only
+    in the last bits.  The first row that fails raises
     :class:`NotNoDisturbance` carrying its violation records and naming
     their largest magnitude.
     """
@@ -462,7 +463,7 @@ def _projector() -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis Q of the constraint row space and a feasible point."""
     A_eq, _ = nd_equality_system()
     _, singulars, vt = np.linalg.svd(A_eq, full_matrices=False)
-    rank = int((singulars > singulars[0] * 1e-12).sum())
+    rank = int((singulars > singulars[0] * _RANK_TOL).sum())
     q = np.ascontiguousarray(vt[:rank].T)
     q.setflags(write=False)
     uniform = np.full(len(CONTEXTS) * 8, 1 / 8)
@@ -522,8 +523,9 @@ def sample_behaviors(
 class MonogamyReport:
     """kcbs and per-pivot chsh values of a no-disturbance behavior.
 
-    ``chsh_by_pivot`` is nonempty and keyed by the ints of ``PIVOTS`` (not
-    a bool, though ``True == 1``), and every value must be finite: a NaN
+    ``chsh_by_pivot`` is nonempty and keyed by the integers of ``PIVOTS``:
+    a bool or float key raises by ``scenario.require_integer``'s rule,
+    though ``True == 1.0 == 1``.  Every value must be finite: a NaN
     compares false against both classical bounds, so it would read as no
     violation.  A value more than ``BOUND_SLACK`` below its classical
     bound is a violation.
@@ -535,7 +537,7 @@ class MonogamyReport:
     def __post_init__(self) -> None:
         if not self.chsh_by_pivot:
             raise ValueError("chsh_by_pivot needs at least one pivot")
-        unknown = [p for p in self.chsh_by_pivot if isinstance(p, bool) or p not in PIVOTS]
+        unknown = [p for p in self.chsh_by_pivot if require_integer(p, "pivot") not in PIVOTS]
         if unknown:
             raise ValueError(f"chsh_by_pivot has pivots {unknown} outside {PIVOTS}")
         if not math.isfinite(self.kcbs):

@@ -63,6 +63,13 @@ SINGULAR_PHI_TOL = 1e-9
 #: half-width of the central difference in :func:`stationarity_residual`
 RESIDUAL_STEP = 1e-6
 _EXTREMES_BLOCK = 4096  # thetas per stacked root solve in _phi_extremes_many
+#: largest |coefficient| of a theta's stationarity quartic at or below which
+#: <M> counts as flat in phi, with no roots to solve
+_LIVE_QUARTIC_TOL = 1e-15
+#: |imaginary part| of a companion eigenvalue, relative to 1 + |real part|,
+#: within which it counts as a real root: eigvals can split a double root into
+#: a conjugate pair with a tiny imaginary part
+_REAL_ROOT_TOL = 1e-9
 _OFFENDERS_KEPT = 100  # offenders of each kind that a SweepReport lists
 
 BRANCHES = ("plus", "minus")
@@ -313,7 +320,7 @@ def _phi_extremes_block(
     b = g.g4 * sin_t * cos_t
     c = g.g5 * sin_t * cos_t
     coeffs = np.stack([-c, 8.0 * a - 2.0 * b, np.zeros_like(a), -(8.0 * a + 2.0 * b), c])
-    live = np.abs(coeffs).max(axis=0) > 1e-15
+    live = np.abs(coeffs).max(axis=0) > _LIVE_QUARTIC_TOL
     # row 0 is phi = pi in every column; where the polynomial vanishes the
     # expectation is constant in phi and row 1 adds phi = 0
     phis = np.zeros((5, n))
@@ -327,7 +334,7 @@ def _phi_extremes_block(
     companion[:, 0, :] = (-p[1:] / p[0]).T
     companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
     roots = np.linalg.eigvals(companion).T
-    real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))
+    real = np.abs(roots.imag) <= _REAL_ROOT_TOL * (1.0 + np.abs(roots.real))
     real_roots = roots.real[real].tolist()
     atans = np.fromiter(map(math.atan, real_roots), float, len(real_roots))
     live_phis = np.zeros(real.shape)

@@ -252,8 +252,9 @@ class Behavior:
         return self.probs[CONTEXTS.index(context)]
 
     def marginal(self, context: Context, assignment: Mapping[str, int]) -> float:
-        """Probability of ``assignment`` (id -> outcome) within one context."""
-        return _table_marginal(self.table(context), context, assignment)
+        """Probability of ``assignment`` (id -> outcome) within one context,
+        the :func:`table_sum` of its table with :func:`indicator_vector`."""
+        return table_sum(self.table(context), indicator_vector(context, assignment))[()]
 
     # -- serialization -----------------------------------------------------
 
@@ -264,18 +265,6 @@ class Behavior:
     @classmethod
     def from_json(cls, text: str) -> "Behavior":
         return cls.from_tables(json.loads(text))
-
-
-def _table_marginal(
-    table: np.ndarray, context: Context, assignment: Mapping[str, int]
-) -> float:
-    """Probability of ``assignment`` under one context's 8-entry table."""
-    positions = [(context.position(m), v) for m, v in assignment.items()]
-    total = 0.0
-    for k, triple in enumerate(OUTCOME_TRIPLES):
-        if all(triple[pos] == v for pos, v in positions):
-            total += table[k]
-    return total
 
 
 def sign_vector(context: Context, subset: Sequence[str]) -> np.ndarray:
@@ -340,26 +329,34 @@ def marginal_constraint_rows() -> tuple[np.ndarray, tuple[MarginalRowInfo, ...]]
     return matrix, tuple(infos)
 
 
-def correlator_many(probs: np.ndarray, subset: Sequence[str]) -> np.ndarray:
-    """:func:`correlator` of every row of an (n, 10, 8) table stack.
+def table_sum(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights``-weighted sum along the last axis of ``tables``: the one
+    sum of every correlator and marginal.
 
-    Each row's signed table entries are summed in outcome order, one
-    after the other, so a row's value does not depend on the stack it
-    sits in.
+    The products are added one after the other in outcome order, starting
+    from the first, so a table's value has the same bits whatever stack it
+    sits in; numpy's ``sum`` adds pairwise and ``@`` by BLAS blocks, which
+    can differ in the last bit.  A 0-d result stays an array: ``[()]``
+    makes it an ``np.float64``.
     """
+    return np.add.accumulate(tables * weights, axis=-1)[..., -1]
+
+
+def correlator_many(probs: np.ndarray, subset: Sequence[str]) -> np.ndarray:
+    """:func:`correlator` of every row of an (n, 10, 8) table stack."""
     c_idx, signs = term(subset)
-    return np.cumsum(probs[:, c_idx] * signs, axis=1)[:, -1]
+    return table_sum(probs[:, c_idx], signs)
 
 
 def correlator(behavior: Behavior, subset: Sequence[str]) -> float:
     """Mean value of the product of outcomes of ``subset``.
 
     The subset must be jointly measurable (contained in some context), and
-    is read in the first containing context.  The signed entries are
-    summed in outcome order, like :func:`correlator_many`.
+    is read in the first containing context, as the :func:`table_sum` of
+    its table with its sign vector.
     """
     c_idx, signs = term(subset)
-    return float(np.add.accumulate(behavior.probs[c_idx] * signs)[-1])
+    return float(table_sum(behavior.probs[c_idx], signs))
 
 
 class NdViolation(NamedTuple):
@@ -399,18 +396,15 @@ def nd_violations(probs: np.ndarray) -> list[NdViolation]:
     for k in np.flatnonzero(np.abs(residuals) > ND_TOL):
         info = infos[k]
         assignment = dict(zip(info.subset, info.outcomes))
+        a, b = info.context_a, info.context_b
         violations.append(
             NdViolation(
                 info.subset,
-                info.context_a.label,
-                info.context_b.label,
+                a.label,
+                b.label,
                 info.outcomes,
-                _table_marginal(
-                    probs[CONTEXTS.index(info.context_a)], info.context_a, assignment
-                ),
-                _table_marginal(
-                    probs[CONTEXTS.index(info.context_b)], info.context_b, assignment
-                ),
+                table_sum(probs[CONTEXTS.index(a)], indicator_vector(a, assignment))[()],
+                table_sum(probs[CONTEXTS.index(b)], indicator_vector(b, assignment))[()],
             )
         )
     return violations

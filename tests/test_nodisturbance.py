@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -44,13 +45,13 @@ from ndmonogamy.scenario import (
     PROB_TOL,
     Behavior,
     NdViolation,
-    _table_marginal,
     alice,
     bob,
     canonical_context,
     check_no_disturbance,
     chsh_value,
     correlator,
+    correlator_many,
     expression_values,
     kcbs_value,
     marginal_constraint_rows,
@@ -623,7 +624,16 @@ class TestMonogamyCertificate:
         assert MonogamyReport(-4.1, {1: -3.1}).kcbs_violated
 
     @pytest.mark.parametrize(
-        "chsh_by_pivot", [{}, {0: -3.0}, {6: -3.0}, {5: -3.0, 9: -3.0}, {True: -2.0}]
+        "chsh_by_pivot",
+        [
+            {},
+            {0: -3.0},
+            {6: -3.0},
+            {5: -3.0, 9: -3.0},
+            {True: -2.0},
+            {1.0: -2.5},
+            {np.float64(2.0): -2.5},
+        ],
     )
     def test_report_rejects_empty_or_unknown_pivots(self, chsh_by_pivot):
         # with no CHSH value, or one at no pivot, the tradeoff flag checks nothing
@@ -836,6 +846,25 @@ class TestStackedCertificates:
         assert report_fields(report) == report_fields(reference_report(nd_behaviors[4]))
 
 
+def in_order_sum(table, weights):
+    """The products of ``table`` and ``weights`` added one after the other in
+    outcome order, starting from the first: ``scenario.table_sum`` as a loop."""
+    products = [entry * weight for entry, weight in zip(table, weights)]
+    total = products[0]
+    for product in products[1:]:
+        total += product
+    return total
+
+
+def reference_marginal(table, context, assignment):
+    """Probability of ``assignment`` under one context's table: its entries
+    whose outcome triple matches, by :func:`in_order_sum`."""
+    positions = [(context.position(m), v) for m, v in assignment.items()]
+    triples = itertools.product((-1, 1), repeat=3)
+    weights = [float(all(t[p] == v for p, v in positions)) for t in triples]
+    return in_order_sum(table, weights)
+
+
 def full_scan_violations(probs):
     """Every residual beyond ``ND_TOL`` as a record, with no early exit: the reference scan."""
     matrix, infos = marginal_constraint_rows()
@@ -851,11 +880,52 @@ def full_scan_violations(probs):
                 a.label,
                 b.label,
                 info.outcomes,
-                _table_marginal(probs[CONTEXTS.index(a)], a, assignment),
-                _table_marginal(probs[CONTEXTS.index(b)], b, assignment),
+                reference_marginal(probs[CONTEXTS.index(a)], a, assignment),
+                reference_marginal(probs[CONTEXTS.index(b)], b, assignment),
             )
         )
     return violations
+
+
+def signed_zero_tables():
+    """Dirichlet context tables, each with two entries moved onto a third and set to -0.0."""
+    probs = np.random.default_rng(30).dirichlet(np.ones(8), size=len(CONTEXTS))
+    for row, table in enumerate(probs):
+        for column in (row % 8, (row + 3) % 8):
+            table[(row + 5) % 8] += table[column]
+            table[column] = -0.0
+    return probs
+
+
+class TestTableSum:
+    def test_every_sum_is_the_in_order_sum(self):
+        # a -0.0 entry gives a -0.0 product, whose sign an in-order sum keeps
+        # until a +0.0 or nonzero product joins; Behavior stores +0.0 for it
+        probs = signed_zero_tables()
+        assert np.signbit(probs[probs == 0.0]).all() and (probs == 0.0).sum() == 20
+        behavior = Behavior(probs)
+        for context in CONTEXTS:
+            for size in (1, 2, 3):
+                for subset in itertools.combinations(context.members, size):
+                    ctx = canonical_context(subset)
+                    signs = [
+                        float(math.prod(t[ctx.position(m)] for m in subset))
+                        for t in itertools.product((-1, 1), repeat=3)
+                    ]
+                    want = in_order_sum(behavior.table(ctx), signs)
+                    assert repr(correlator(behavior, subset)) == repr(float(want))
+                    raw = in_order_sum(probs[CONTEXTS.index(ctx)], signs)
+                    assert repr(correlator_many(probs[None], subset)[0]) == repr(raw)
+                    for values in itertools.product((-1, 1), repeat=size):
+                        assignment = dict(zip(subset, values))
+                        want = reference_marginal(behavior.table(context), context, assignment)
+                        assert repr(behavior.marginal(context, assignment)) == repr(want)
+        joint = JointDistribution(("X", "Y", "Z"), probs)
+        for size in (1, 2, 3):
+            for subset in itertools.permutations(("X", "Y", "Z"), size):
+                signs = [float(math.prod(t)) for t in itertools.product((-1, 1), repeat=size)]
+                want = [float(in_order_sum(row, signs)) for row in joint.marginal(subset).probs]
+                assert repr(joint.correlator(subset).tolist()) == repr(want)
 
 
 def straddling_mixtures():
