@@ -144,9 +144,14 @@ def c1_expression(pivot: int) -> LinearExpression:
 
     Runs around the 5-cycle (B1, A_{pivot+1}, A_{pivot+2}, A_{pivot-2},
     A_{pivot-1}); classical and no-disturbance bound -3.  Pivots wrap
-    mod 5; a bool or a non-integer raises ``ValueError``.
+    mod 5; a bool or a non-integer raises ``ValueError``.  Built once per
+    wrapped pivot.
     """
-    i = wrap_pivot(pivot)
+    return _c1_expression(wrap_pivot(pivot))
+
+
+@lru_cache(maxsize=len(PIVOTS))
+def _c1_expression(i: int) -> LinearExpression:
     return LinearExpression(
         (
             (1.0, (alice(i + 1), bob(1))),
@@ -164,8 +169,13 @@ def c2_expression(pivot: int) -> LinearExpression:
     Classical and no-disturbance bound -2.  Together with
     :func:`c1_expression` it sums to kcbs + chsh for the same pivot.
     Pivots wrap mod 5; a bool or a non-integer raises ``ValueError``.
+    Built once per wrapped pivot.
     """
-    i = wrap_pivot(pivot)
+    return _c2_expression(wrap_pivot(pivot))
+
+
+@lru_cache(maxsize=len(PIVOTS))
+def _c2_expression(i: int) -> LinearExpression:
     return LinearExpression(
         (
             (1.0, (alice(i + 1), alice(i))),

@@ -53,6 +53,7 @@ from .scenario import (
     probability_tables,
     require_count,
     require_integer,
+    seeded_generator,
     table_sum,
     term,
     wrap_pivot,
@@ -114,11 +115,23 @@ class JointDistribution:
                 raise ValueError(f"{m!r} is not a variable of {self.variables}")
         if len(set(subset)) < len(subset):
             raise ValueError(f"subset {tuple(subset)} repeats a variable")
-        positions = [self.variables.index(m) for m in subset]
-        drop = tuple(1 + k for k in range(len(self.variables)) if k not in positions)
+        drop, order = _marginal_layout(self.variables, tuple(subset))
         summed = self.probs.reshape((-1,) + (2,) * len(self.variables)).sum(axis=drop)
-        order = [0] + [1 + k for k in np.argsort(np.argsort(positions))]
         return np.transpose(summed, order).reshape(len(self.probs), 2 ** len(subset))
+
+
+@lru_cache(maxsize=256)
+def _marginal_layout(
+    variables: tuple[str, ...], subset: tuple[str, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(axes summed out, transpose order of the rest) that take a joint stack
+    over ``variables``, one axis a variable after the row axis, to its
+    marginals over ``subset``, in ``subset`` order.  ``subset`` names
+    distinct variables.  Memoised per pair."""
+    positions = [variables.index(m) for m in subset]
+    drop = tuple(1 + k for k in range(len(variables)) if k not in positions)
+    order = (0, *(1 + int(k) for k in np.argsort(np.argsort(positions))))
+    return drop, order
 
 
 @lru_cache(maxsize=None)
@@ -134,19 +147,34 @@ def _behavior_row_name(k: int) -> str:
     return f"behavior row {row}, context {LABELS[context]}"
 
 
+class _NdStack(np.ndarray):
+    """A read-only (n, 10, 8) stack that :func:`_nd_tables` returned marked
+    ``screened``, and so passes through it unchecked.  Views of it and
+    arrays computed from it are of this class too, but unmarked.  Every
+    numpy call costs more on a subclass, so the joins and the certificate
+    compute on ``np.asarray`` of it, a plain view."""
+
+    screened = False
+
+
 def _nd_tables(probs: np.ndarray) -> np.ndarray:
     """``probs`` as an (n, 10, 8) array, every row no-disturbance at ``ND_TOL``.
 
-    :func:`probability_tables` checks every table at ``PROB_TOL``.  Each
-    row's verdict is that of :func:`~ndmonogamy.scenario.nd_violations`,
-    the rule of ``check_no_disturbance``, on the row alone.  One matrix
-    product with the marginal-agreement rows only screens the stack: a
-    row whose stacked gap exceeds ``ND_TOL / 2`` goes to that rule.  The
-    screen misses no row, since a stacked and a one-row product differ only
-    in the last bits.  The first row that fails raises
+    A stack that this function returned comes back as it is: it is
+    read-only, so it still holds the rows that passed.  Any other input is
+    screened.  :func:`probability_tables` checks every table at
+    ``PROB_TOL``.  Each row's verdict is that of
+    :func:`~ndmonogamy.scenario.nd_violations`, the rule of
+    ``check_no_disturbance``, on the row alone.  One matrix product with
+    the marginal-agreement rows only screens the stack: a row whose
+    stacked gap exceeds ``ND_TOL / 2`` goes to that rule.  The screen
+    misses no row, since a stacked and a one-row product differ only in
+    the last bits.  The first row that fails raises
     :class:`NotNoDisturbance` carrying its violation records and naming
     their largest magnitude.
     """
+    if isinstance(probs, _NdStack) and probs.screened:
+        return probs
     probs = probability_tables(
         probs, (None, len(CONTEXTS), 8), "behavior table stack", _behavior_row_name
     )
@@ -162,7 +190,10 @@ def _nd_tables(probs: np.ndarray) -> np.ndarray:
                 f"{worst:.3e} at tolerance {ND_TOL:.1e})",
                 violations,
             )
-    return probs
+    probs.setflags(write=False)
+    stack = probs.view(_NdStack)
+    stack.screened = True
+    return stack
 
 
 def _context_arrays(probs: np.ndarray, members: tuple[str, str, str]) -> np.ndarray:
@@ -194,7 +225,7 @@ def fine_join_c1(probs: np.ndarray, pivot: int) -> JointDistribution:
     of ``check_no_disturbance`` on that row alone.
     """
     i = wrap_pivot(pivot)
-    probs = _nd_tables(probs)
+    probs = np.asarray(_nd_tables(probs))
     t_a = _context_arrays(probs, (alice(i + 1), alice(i + 2), bob(1)))
     t_b = _context_arrays(probs, (alice(i + 2), alice(i - 2), bob(1)))
     t_c = _context_arrays(probs, (alice(i - 2), alice(i - 1), bob(1)))
@@ -218,7 +249,7 @@ def fine_join_c2(probs: np.ndarray, pivot: int) -> JointDistribution:
     as :func:`fine_join_c1`.
     """
     i = wrap_pivot(pivot)
-    probs = _nd_tables(probs)
+    probs = np.asarray(_nd_tables(probs))
     t_prev = _context_arrays(probs, (alice(i - 1), alice(i), bob(2)))
     t_next = _context_arrays(probs, (alice(i), alice(i + 1), bob(2)))
     den = t_next.sum(axis=2)  # p(a_i, b2)
@@ -479,15 +510,16 @@ def sample_behavior_matrix(count: int, seed: int | np.random.Generator = 0) -> n
     projections with genuinely negative entries are discarded.  The
     returned rows are exact members of the polytope: entries in
     [-PROB_TOL, 0) are clipped to zero and each context row renormalized.
-    A bool, a count that is not an integer or a negative count raises
-    ``ValueError`` naming it (``scenario.require_count``'s rule).
+    A bool, a non-integer or a negative count or seed raises ``ValueError``
+    naming it (``scenario.require_count``'s rule); a ``Generator`` seed is
+    used as it is.
 
     Rows are drawn in whole chunks of ``_SAMPLE_BATCH`` until ``count``
     are accepted, so a passed ``Generator`` is left after the last chunk,
     not after the last returned row.
     """
     count = require_count(count, "count", 0)
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     q, uniform = _projector()
     n_ctx = len(CONTEXTS)
     alpha = np.ones(8)
@@ -576,7 +608,7 @@ def monogamy_certificate(probs: np.ndarray) -> list[MonogamyReport]:
     no-disturbance at ``ND_TOL``, by the rule of ``check_no_disturbance``
     on that row alone.
     """
-    probs = _nd_tables(probs)
+    probs = np.asarray(_nd_tables(probs))
     kcbs = expression_values(probs, KCBS_TERMS)
     chsh = np.stack([expression_values(probs, chsh_terms(i)) for i in PIVOTS], axis=-1)
     return [

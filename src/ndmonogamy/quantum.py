@@ -32,8 +32,9 @@ from .scenario import (
     alice,
     bob,
     canonical_context,
-    real_number_type,
+    number_array,
     require_count,
+    seeded_generator,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -52,26 +53,6 @@ PLUS_BLOCK = (1, 2, 5)    # |01>, |10>, |21>
 MINUS_BLOCK = (0, 3, 4)   # |00>, |11>, |20>
 
 
-def _complex_entries(values, what: str) -> np.ndarray:
-    """``values`` as a complex array; a str, bool or None entry raises ``ValueError``.
-
-    ``np.asarray(..., dtype=complex)`` would parse ``"1"`` and cast
-    ``True``, even when mixed into a row of numbers.  A numeric array
-    passes with one dtype check; any other input is checked by the types
-    of all its entries, which may be real or complex numbers.
-    """
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiuc"):
-        kinds = set(map(type, np.asarray(values, dtype=object).ravel()))
-        bad = sorted(
-            kind.__name__
-            for kind in kinds
-            if not (real_number_type(kind) or issubclass(kind, (complex, np.complexfloating)))
-        )
-        if bad:
-            raise ValueError(f"{what} entries must be numbers, got {bad}")
-    return np.asarray(values, dtype=complex)
-
-
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     """One operator, shape (n, n), or a stack, shape (m, n, n), as a complex array.
 
@@ -81,7 +62,7 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     the first bad operator as "operator k".  A str, bool or None entry
     raises ``ValueError``.
     """
-    matrix = _complex_entries(matrix, "operator")
+    matrix = number_array(matrix, complex, "operator")
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError(f"expected shape (n, n) or (m, n, n), got {matrix.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
@@ -103,7 +84,7 @@ def require_normalized(states: np.ndarray) -> np.ndarray:
     the real and imaginary parts of all states.  A str, bool or None entry
     raises ``ValueError``.
     """
-    states = _complex_entries(states, "state")
+    states = number_array(states, complex, "state")
     if states.ndim not in (1, 2) or states.shape[-1] != 6:
         raise ValueError(f"expected shape (6,) or (n, 6), got {states.shape}")
     parts = np.ascontiguousarray(states).view(np.float64).reshape(-1, 12)  # re, im, ...
@@ -385,19 +366,19 @@ def random_state_blocks(
     hold ``_STATE_BLOCK`` states; a 1-row tail joins the block before it,
     since a 1-row product takes another BLAS path whose last bits can
     differ from the same row in a stack.  ``count = 0`` yields one empty
-    block; a bool, a non-integer or a negative count raises ``ValueError``
-    naming it (``scenario.require_count``'s rule) at the call.
+    block; a bool, a non-integer or a negative count or seed raises
+    ``ValueError`` naming it (``scenario.require_count``'s rule) at the
+    call.
 
     Each block is written in place: both parts go into one complex array
     through its float64 view, which is then multiplied by the reciprocal
     of its row norms.  That is how numpy divides a complex by a real, so
     the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
     """
-    return _state_blocks(require_count(count, "count", 0), seed)
+    return _state_blocks(require_count(count, "count", 0), seeded_generator(seed))
 
 
-def _state_blocks(count: int, seed: int | np.random.Generator) -> Iterator[np.ndarray]:
-    rng = np.random.default_rng(seed)
+def _state_blocks(count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     real = rng.standard_normal((count, 6))
     starts = list(range(0, max(count, 1), _STATE_BLOCK))
     if len(starts) > 1 and count - starts[-1] == 1:
@@ -436,7 +417,7 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
     paired with its image through the real and imaginary parts, so no
     conjugate copy of the stack is made.
     """
-    operators = _complex_entries(operator, "operator")
+    operators = number_array(operator, complex, "operator")
     if operators.ndim not in (2, 3) or operators.shape[-2:] != (6, 6):
         raise ValueError(
             f"expected an operator of shape (6, 6) or (m, 6, 6), got {operators.shape}"

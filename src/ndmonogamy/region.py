@@ -56,7 +56,7 @@ from .quantum import (
     kcbs_operator,
     random_state_blocks,
 )
-from .scenario import require_count
+from .scenario import number_array, require_count
 
 #: distance from a multiple of pi/2 within which the boundary formula is singular
 SINGULAR_PHI_TOL = 1e-9
@@ -167,10 +167,12 @@ def expectation_M(theta, phi):
 
     theta and phi broadcast.  cos^2 and sin^2 are libm ``math.pow(x, 2.0)``
     once per entry of theta, for every shape (``x * x`` rounds some thetas
-    apart), so array calls equal scalar calls bit for bit."""
+    apart), so array calls equal scalar calls bit for bit.  A str, bool,
+    None or complex entry raises ``ValueError`` (``scenario.number_array``'s
+    rule, as for every closed form here)."""
     g = gammas()
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta = number_array(theta, float, "theta")
+    phi = number_array(phi, float, "phi")
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     squares = map(math.pow, np.ravel([cos_t, sin_t]).tolist(), repeat(2.0))
     cos_sq, sin_sq = np.fromiter(squares, float, 2 * theta.size).reshape(2, *theta.shape)
@@ -187,7 +189,7 @@ def expectation_N(theta):
     (m + d) / 2 + (m - d) / 2 cos(2 theta), with the pentagon spectrum
     m = ``KCBS_QUANTUM_MIN`` on |a> and d = ``KCBS_QUANTUM_DEGENERATE``."""
     m, d = KCBS_QUANTUM_MIN, KCBS_QUANTUM_DEGENERATE
-    theta = np.asarray(theta, dtype=float)
+    theta = number_array(theta, float, "theta")
     value = (m + d) / 2.0 + (m - d) / 2.0 * np.cos(2 * theta)
     return float(value) if value.ndim == 0 else value
 
@@ -198,8 +200,8 @@ def frame_state(theta, phi) -> np.ndarray:
     Array-safe: the three coordinates run along a new last axis.
     """
     frame = region_basis()
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta = number_array(theta, float, "theta")
+    phi = number_array(phi, float, "phi")
     return (
         np.cos(theta)[..., None] * frame.a
         + (np.sin(theta) * np.cos(phi))[..., None] * frame.b
@@ -261,7 +263,7 @@ def stationarity_residual(phi):
     :func:`expectation_M` calls equal their scalar calls bit for bit, so
     every entry equals the call on that phi alone.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = number_array(phi, float, "phi")
     theta = np.array([boundary_theta(p) for p in phi.ravel().tolist()]).reshape(phi.shape)
     step = RESIDUAL_STEP
     value = (expectation_M(theta, phi + step) - expectation_M(theta, phi - step)) / (
@@ -567,7 +569,8 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     (:func:`random_state_blocks`), and only the report's minima, first
     offenders and counts are kept, so the sweep holds 48 bytes a state of
     drawn real parts plus one block.  ``samples`` must be an integer of at
-    least 1, and not a bool (``scenario.require_count``'s ``ValueError``).
+    least 1 and ``seed`` one of at least 0 or a ``Generator``, neither a
+    bool (``scenario.require_count``'s ``ValueError``).
     """
     samples = require_count(samples, "samples", 1)
     operators = np.stack([kcbs_operator(), chsh_operator()])

@@ -129,6 +129,35 @@ def real_number_type(kind: type) -> bool:
     return kind is not bool and issubclass(kind, (int, float, np.integer, np.floating))
 
 
+def number_array(values, dtype: type, what: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``, ``float`` or ``complex``: the
+    entry rule of states, operators and the region's angles.
+
+    ``np.asarray(..., dtype=...)`` would parse ``"1"`` and cast ``True``,
+    even when mixed into a row of numbers, and a float array would drop an
+    imaginary part.  So a str, bool or None entry raises ``ValueError``
+    naming ``what``, and so does a complex entry where ``dtype`` is float.
+    A numeric array passes with one dtype check; any other input is checked
+    by the types of all its entries.
+    """
+    complex_ok = dtype is complex
+    kinds_ok = "fiuc" if complex_ok else "fiu"
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds_ok):
+        kinds = set(map(type, np.asarray(values, dtype=object).ravel()))
+        bad = sorted(
+            kind.__name__
+            for kind in kinds
+            if not (
+                real_number_type(kind)
+                or complex_ok and issubclass(kind, (complex, np.complexfloating))
+            )
+        )
+        if bad:
+            need = "numbers" if complex_ok else "real numbers"
+            raise ValueError(f"{what} entries must be {need}, got {bad}")
+    return np.asarray(values, dtype=dtype)
+
+
 def _require_rows(level: list, what: str) -> None:
     """Reject a member of ``level`` that is iterable but not a list, tuple,
     array or other sequence: a generator, an iterator, a set or a mapping.
@@ -253,7 +282,9 @@ class Behavior:
 
     def marginal(self, context: Context, assignment: Mapping[str, int]) -> float:
         """Probability of ``assignment`` (id -> outcome) within one context,
-        the :func:`table_sum` of its table with :func:`indicator_vector`."""
+        the :func:`table_sum` of its table with :func:`indicator_vector`,
+        which rejects an empty assignment, an id outside ``context`` and an
+        outcome other than -1 or +1."""
         return table_sum(self.table(context), indicator_vector(context, assignment))[()]
 
     # -- serialization -----------------------------------------------------
@@ -276,7 +307,19 @@ def sign_vector(context: Context, subset: Sequence[str]) -> np.ndarray:
 
 
 def indicator_vector(context: Context, assignment: Mapping[str, int]) -> np.ndarray:
-    """1 where an outcome triple matches ``assignment``, else 0, per column."""
+    """1 where an outcome triple matches ``assignment``, else 0, per column.
+
+    ``assignment`` maps at least one id of ``context`` to -1 or +1 (not a
+    bool); an empty assignment, another id or another outcome raises
+    ``ValueError`` naming it.
+    """
+    if not assignment:
+        raise ValueError(f"an assignment needs at least one id of context {context.label}")
+    for m, v in assignment.items():
+        if m not in context.members:
+            raise ValueError(f"{m!r} is not a measurement of context {context.label}")
+        if isinstance(v, bool) or v not in OUTCOMES:
+            raise ValueError(f"outcome of {m} must be -1 or +1, got {v!r}")
     positions = [(context.position(m), v) for m, v in assignment.items()]
     return np.array(
         [
@@ -388,6 +431,12 @@ def nd_violations(probs: np.ndarray) -> list[NdViolation]:
     # before the product, in which 0 * inf would warn
     if not np.isfinite(probs).all():
         raise ValueError("no-disturbance needs finite probabilities, got NaN or infinity")
+    return _nd_verdict(probs)
+
+
+def _nd_verdict(probs: np.ndarray) -> list[NdViolation]:
+    """The body of :func:`nd_violations` on a finite (10, 8) float array: the
+    package's one no-disturbance verdict."""
     matrix, infos = marginal_constraint_rows()
     residuals = matrix @ probs.ravel()
     if np.abs(residuals).max() <= ND_TOL:
@@ -419,9 +468,10 @@ def check_no_disturbance(behavior: Behavior) -> list[NdViolation]:
     list means the behavior satisfies no-disturbance; violations are
     returned as data, never raised.  One matrix-vector product gives
     every residual; the list is built only when the worst exceeds
-    :data:`ND_TOL`.
+    :data:`ND_TOL`.  ``behavior.probs`` passed the table rule when the
+    behavior was built, so the verdict runs on it with no second check.
     """
-    return nd_violations(behavior.probs)
+    return _nd_verdict(behavior.probs)
 
 
 #: the pentagon witness: the five cyclic pair correlators <A_i A_{i+1}>
@@ -445,6 +495,15 @@ def require_count(value: int, what: str, least: int) -> int:
     if value < least:
         raise ValueError(f"{what} must be at least {least}, got {value}")
     return value
+
+
+def seeded_generator(seed: int | np.random.Generator) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, the rule of every seed: a ``Generator``
+    is used as it is, and a bool, a non-integer or a negative seed raises
+    :func:`require_count`'s ``ValueError`` naming it."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(require_count(seed, "seed", 0))
 
 
 def wrap_pivot(pivot: int) -> int:

@@ -148,6 +148,13 @@ class TestClassicalBounds:
         assert classical_bound(c1_expression(pivot)).minimum == -3.0
         assert classical_bound(c2_expression(pivot)).minimum == -2.0
 
+    @pytest.mark.parametrize("build", [c1_expression, c2_expression])
+    def test_split_parts_are_built_once_per_wrapped_pivot(self, build):
+        with pytest.raises(ValueError, match="^pivot must be an integer, got True$"):
+            build(True)
+        assert build(6) == build(1)
+        assert build(6) is build(1) is build(np.int64(-4))
+
     def test_sum_argmin_achieves_both_bounds(self):
         # additivity holds because the two optima are simultaneously reachable
         argmin = classical_bound(monogamy_expression()).argmin

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndmonogamy import classical, cli, nodisturbance, region, verify
+from ndmonogamy import classical, cli, nodisturbance, region, scenario, verify
 from ndmonogamy.classical import (
     BOUNDS,
     LinearExpression,
@@ -986,6 +986,22 @@ class TestNdViolations:
         assert full_scan_violations(below.probs) == []
         assert full_scan_violations(above.probs)
 
+    def test_behavior_verdict_is_the_table_verdict(self, monkeypatch, quantum_behaviors):
+        below, above = straddling_mixtures()
+        random_tables = np.random.default_rng(31).dirichlet(np.ones(8), size=len(CONTEXTS))
+        disturbing = [disturbing_behavior(), above, Behavior(signed_zero_tables())]
+        disturbing.append(Behavior(random_tables))
+        cases = [*disturbing, below, Behavior.uniform(), *quantum_behaviors]
+        want = [repr(nd_violations(behavior.probs)) for behavior in cases]
+        assert all(nd_violations(behavior.probs) for behavior in disturbing)
+
+        def unchecked(*args):
+            raise AssertionError("a Behavior's tables were checked again")
+
+        # a Behavior's tables passed the table rule once, when it was built
+        monkeypatch.setattr(scenario, "_require_real_entries", unchecked)
+        assert [repr(check_no_disturbance(behavior)) for behavior in cases] == want
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_table(self, bad):
         probs = Behavior.uniform().probs.copy()
@@ -1229,6 +1245,115 @@ class TestStackedVerifyChecks:
         result = verify.check_fine_recovery(42)
         assert not result.passed
         assert "worst marginal gap 1e-06" in result.detail
+
+
+class TestScreenedStack:
+    """A stack that ``_nd_tables`` screened passes the joins and the
+    certificate as it is, with the bits of the raw stack; any other array
+    is screened again."""
+
+    @staticmethod
+    def raw_stack():
+        # sampled rows and certificate face mixes, whose zeros meet the
+        # joins' zero denominators
+        rows = np.concatenate([sample_behavior_matrix(40, 11), witness_mixes(40, seed=4)])
+        return rows.reshape(-1, 10, 8)
+
+    def test_fine_recovery_screens_its_stack_once(self, monkeypatch):
+        screens = []
+        checked = nodisturbance.probability_tables
+
+        def counting(probs, shape, what, name):
+            if what == "behavior table stack":
+                screens.append(np.shape(probs))
+            return checked(probs, shape, what, name)
+
+        monkeypatch.setattr(nodisturbance, "probability_tables", counting)
+        assert verify.check_fine_recovery(42).passed
+        assert screens == [(verify.ND_BEHAVIOR_COUNT, 10, 8)]
+
+    def test_screened_stack_gives_the_raw_stack_bits(self):
+        raw = self.raw_stack()
+        screened = nodisturbance._nd_tables(raw)
+        assert screened.tobytes() == raw.tobytes()
+        for pivot in PIVOTS:
+            for join, expr in (
+                (fine_join_c1, c1_expression(pivot)),
+                (fine_join_c2, c2_expression(pivot)),
+            ):
+                want, got = join(raw, pivot), join(screened, pivot)
+                assert got.variables == want.variables
+                assert got.probs.tobytes() == want.probs.tobytes()
+                for _, subset in expr.terms:
+                    assert got.correlator(subset).tobytes() == want.correlator(subset).tobytes()
+        want = list(map(report_fields, monogamy_certificate(raw)))
+        assert list(map(report_fields, monogamy_certificate(screened))) == want
+
+    def test_screened_stack_is_read_only_and_passes_through(self):
+        screened = nodisturbance._nd_tables(self.raw_stack())
+        assert not screened.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            screened[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            screened.setflags(write=True)
+        assert nodisturbance._nd_tables(screened) is screened
+
+    def test_arrays_made_from_a_screened_stack_are_screened_again(self):
+        screened = nodisturbance._nd_tables(self.raw_stack())
+        disturbing = screened.copy()
+        disturbing[1] = disturbing_behavior().probs
+        for call in STACKED_CALLS:
+            with pytest.raises(NotNoDisturbance, match="row 1"):
+                call(disturbing)
+            with pytest.raises(ValueError, match="sum to"):
+                call(2 * screened)
+        assert nodisturbance._nd_tables(screened[:5]) is not screened
+
+
+class TestSeedRule:
+    """Every seeded draw of the package takes a ``Generator`` or an integer
+    of at least 0, not a bool."""
+
+    CALLS = [
+        lambda seed: sample_behavior_matrix(3, seed),
+        lambda seed: random_states(3, seed),
+        lambda seed: random_state_blocks(3, seed),
+        lambda seed: region.region_membership_sweep(5, seed),
+    ]
+    IDS = ["sample_behavior_matrix", "random_states", "random_state_blocks", "sweep"]
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer, got True"),
+            (False, "seed must be an integer, got False"),
+            (1.5, "seed must be an integer, got 1.5"),
+            ("1", "seed must be an integer, got '1'"),
+            (None, "seed must be an integer, got None"),
+            (-1, "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_rejects_bool_negative_and_non_integer_seeds(self, call, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**40])
+    def test_valid_seeds_draw_numpys_values(self, seed):
+        def rng():
+            return np.random.default_rng(int(seed))
+
+        want = sample_behavior_matrix(5, rng())
+        assert sample_behavior_matrix(5, seed).tobytes() == want.tobytes()
+        assert random_states(5, seed).tobytes() == random_states(5, rng()).tobytes()
+        got = region.region_membership_sweep(20, seed)
+        assert got == dataclasses.replace(region.region_membership_sweep(20, rng()), seed=seed)
+
+    def test_generator_is_drawn_from(self):
+        rng = np.random.default_rng(3)
+        first, second = random_states(4, rng), random_states(4, rng)
+        assert first.tobytes() == random_states(4, 3).tobytes()
+        assert first.tobytes() != second.tobytes()
 
 
 SCIPY_FREE_SCRIPT = textwrap.dedent(

@@ -279,6 +279,33 @@ class TestClosedForms:
         assert np.array_equal(expectation_N(thetas), reference)
         assert [expectation_N(t) for t in thetas.tolist()] == reference.tolist()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: expectation_M("1", 0.3), "theta entries must be real numbers, got ['str']"),
+            (lambda: expectation_M(0.3, "1"), "phi entries must be real numbers, got ['str']"),
+            (lambda: expectation_M([0.3, True], 0.3), "theta entries must be real numbers, got ['bool']"),
+            (lambda: expectation_M(0.3, None), "phi entries must be real numbers, got ['NoneType']"),
+            (lambda: expectation_M(0.3, 1j), "phi entries must be real numbers, got ['complex']"),
+            (lambda: expectation_N("1"), "theta entries must be real numbers, got ['str']"),
+            (lambda: expectation_N(np.array([True])), "theta entries must be real numbers, got ['bool']"),
+            (lambda: expectation_N(np.array(["1"])), "theta entries must be real numbers, got ['str']"),
+            (lambda: stationarity_residual("1.0"), "phi entries must be real numbers, got ['str']"),
+            (lambda: stationarity_residual([0.3, None]), "phi entries must be real numbers, got ['NoneType']"),
+            (lambda: frame_state(0.3, False), "phi entries must be real numbers, got ['bool']"),
+        ],
+    )
+    def test_closed_forms_reject_entries_that_are_not_real_numbers(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_closed_forms_take_numeric_python_and_numpy_entries(self):
+        assert expectation_M([0.3, np.float32(0.5)], 1).tolist() == [
+            expectation_M(0.3, 1.0), expectation_M(float(np.float32(0.5)), 1.0)
+        ]
+        assert expectation_N(np.arange(3)).tolist() == [expectation_N(k) for k in range(3)]
+        assert stationarity_residual(np.array([0.3])).tolist() == [stationarity_residual(0.3)]
+
     def test_array_calls_equal_scalar_calls_bit_for_bit(self, monkeypatch):
         # On this grid x * x and libm pow(x, 2) round some squares apart.
         # Besides phi = 1, the phis are the candidates of the stacked root

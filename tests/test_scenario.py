@@ -306,6 +306,22 @@ class TestBehavior:
         assert behavior.probs[9].tolist() == [0.5, 0.0, 0.5, 0, 0, 0, 0, 0]
         assert Behavior(np.array(rows, dtype=object)).probs.tobytes() == behavior.probs.tobytes()
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({}, "an assignment needs at least one id of context A1,A2,B1"),
+            ({"B2": 1}, "'B2' is not a measurement of context A1,A2,B1"),
+            ({"A1": 1, "A9": -1}, "'A9' is not a measurement of context A1,A2,B1"),
+            ({"A1": 0}, "outcome of A1 must be -1 or +1, got 0"),
+            ({"A2": 2.0}, "outcome of A2 must be -1 or +1, got 2.0"),
+            ({"B1": True}, "outcome of B1 must be -1 or +1, got True"),
+            ({"A1": 1, "B1": "1"}, "outcome of B1 must be -1 or +1, got '1'"),
+        ],
+    )
+    def test_marginal_rejects_bad_assignments(self, uniform_behavior, assignment, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            uniform_behavior.marginal(CONTEXTS[0], assignment)
+
     def test_json_keys_are_context_labels(self, uniform_behavior):
         payload = json.loads(uniform_behavior.to_json())
         assert set(payload) == {c.label for c in CONTEXTS}
