@@ -187,8 +187,17 @@ def _c2_expression(i: int) -> LinearExpression:
 
 
 def monogamy_expression(pivot: int = 5) -> LinearExpression:
-    """The combined expression kcbs + chsh for one pivot (bound -5)."""
-    return kcbs_expression() + chsh_expression(pivot)
+    """The combined expression kcbs + chsh for one pivot (bound -5).
+
+    Pivots wrap mod 5; a bool or a non-integer raises ``ValueError``.
+    Built once per wrapped pivot.
+    """
+    return _monogamy_expression(wrap_pivot(pivot))
+
+
+@lru_cache(maxsize=len(PIVOTS))
+def _monogamy_expression(i: int) -> LinearExpression:
+    return kcbs_expression() + chsh_expression(i)
 
 
 class BoundRow(NamedTuple):

@@ -53,6 +53,7 @@ from .scenario import (
     probability_tables,
     require_count,
     require_integer,
+    row_sum,
     seeded_generator,
     table_sum,
     term,
@@ -299,16 +300,19 @@ def _integer_equality_system() -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+@lru_cache(maxsize=256)
 def expression_vector(expr: LinearExpression) -> np.ndarray:
     """Vector c with c @ x = expression value on the stacked tables x.
 
     Each term is evaluated in its first containing context; on the
-    no-disturbance polytope the choice does not matter.
+    no-disturbance polytope the choice does not matter.  Cached per
+    expression: equal expressions share one read-only vector.
     """
     c = np.zeros(len(CONTEXTS) * 8)
     for coeff, subset in expr.terms:
         c_idx, signs = term(subset)
         c[8 * c_idx : 8 * c_idx + 8] += coeff * signs
+    c.setflags(write=False)
     return c
 
 
@@ -517,16 +521,24 @@ def sample_behavior_matrix(count: int, seed: int | np.random.Generator = 0) -> n
     Rows are drawn in whole chunks of ``_SAMPLE_BATCH`` until ``count``
     are accepted, so a passed ``Generator`` is left after the last chunk,
     not after the last returned row.
+
+    A raw context table is 8 standard exponential draws, each multiplied
+    by the reciprocal of their ``scenario.row_sum``.  That is a
+    Dirichlet(1, ..., 1) draw and the arithmetic of
+    ``rng.dirichlet(np.ones(8))``, which draws the same exponentials, so
+    the rows and the generator's final state have the same bits as a
+    ``dirichlet`` draw of the chunk.
     """
     count = require_count(count, "count", 0)
     rng = seeded_generator(seed)
     q, uniform = _projector()
     n_ctx = len(CONTEXTS)
-    alpha = np.ones(8)
     chunks = [np.empty((0, 8 * n_ctx))]
     total = 0
     while total < count:
-        raw = rng.dirichlet(alpha, size=(_SAMPLE_BATCH, n_ctx)).reshape(-1, 8 * n_ctx)
+        raw = rng.standard_exponential((_SAMPLE_BATCH * n_ctx, 8))
+        raw *= (1.0 / row_sum(raw))[:, None]
+        raw = raw.reshape(-1, 8 * n_ctx)
         raw -= uniform
         raw -= (raw @ q) @ q.T
         raw += uniform

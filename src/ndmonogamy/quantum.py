@@ -34,6 +34,7 @@ from .scenario import (
     canonical_context,
     number_array,
     require_count,
+    row_sum,
     seeded_generator,
 )
 
@@ -44,6 +45,9 @@ NORM_TOL = 0.4 * PROB_TOL
 #: largest cross-block entry that :func:`block_decompose` accepts
 BLOCK_CROSS_TOL = 1e-10
 _STATE_BLOCK = 8192  # states per block of random_state_blocks
+#: least squared norm that random_state_blocks scales to 1; below it the
+#: squared moduli lose bits to subnormal rounding
+_TINY = np.finfo(np.float64).tiny
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -372,8 +376,14 @@ def random_state_blocks(
 
     Each block is written in place: both parts go into one complex array
     through its float64 view, which is then multiplied by the reciprocal
-    of its row norms.  That is how numpy divides a complex by a real, so
-    the bits equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.
+    of its row norms.  A row's squared norm is the ``scenario.row_sum`` of
+    numpy's squared moduli ``(block.conj() * block).real``, which is how
+    ``np.linalg.norm`` adds a 6-entry row, and numpy divides a complex by a
+    real through that reciprocal; so the bits equal
+    ``raw / np.linalg.norm(raw, axis=1, keepdims=True)``.  A squared norm
+    that is zero, subnormal or not finite raises :class:`NotNormalized`
+    naming the state, so every yielded block is normalized (within
+    :data:`NORM_TOL`) by construction and needs no :func:`require_normalized`.
     """
     return _state_blocks(require_count(count, "count", 0), seeded_generator(seed))
 
@@ -388,7 +398,15 @@ def _state_blocks(count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
         parts = block.view(np.float64)  # (rows, 12): re, im, re, im, ...
         parts[:, 0::2] = real[start:stop]
         parts[:, 1::2] = rng.standard_normal((stop - start, 6))
-        block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows fail below
+            squares = row_sum((block.conj() * block).real)
+        fine = (_TINY <= squares) & (squares < np.inf)  # NaN fails too
+        if not fine.all():
+            row = int(np.argmin(fine))
+            raise NotNormalized(
+                f"state {start + row} has norm {np.sqrt(squares[row])}, cannot be normalized"
+            )
+        block *= (1.0 / np.sqrt(squares))[:, None]
         yield block
 
 
@@ -423,14 +441,23 @@ def expectation(operator: np.ndarray, states: np.ndarray) -> np.ndarray:
             f"expected an operator of shape (6, 6) or (m, 6, 6), got {operators.shape}"
         )
     stack = require_hermitian(operators).reshape(-1, 6, 6)
-    states = require_normalized(states)
-    if states.ndim == 1:
-        values = np.array([np.real(states.conj() @ op @ states) for op in stack])
-    else:
-        values = np.empty((len(stack), len(states)))
-        for op, row in zip(stack, values):
-            images = states @ op.T
-            np.einsum("ni,ni->n", states.real, images.real, out=row)
-            row += np.einsum("ni,ni->n", states.imag, images.imag)
+    values = _expectation_values(stack, require_normalized(states))
     return values[0] if operators.ndim == 2 else values
 
+
+def _expectation_values(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`expectation`, shape (m,) or (m, n), unchecked.
+
+    ``stack`` is a complex (m, 6, 6) stack that passed
+    :func:`require_hermitian` and ``states`` one complex state or stack
+    that passed :func:`require_normalized` or came from
+    :func:`random_state_blocks`.
+    """
+    if states.ndim == 1:
+        return np.array([np.real(states.conj() @ op @ states) for op in stack])
+    values = np.empty((len(stack), len(states)))
+    for op, row in zip(stack, values):
+        images = states @ op.T
+        np.einsum("ni,ni->n", states.real, images.real, out=row)
+        row += np.einsum("ni,ni->n", states.imag, images.imag)
+    return values

@@ -49,12 +49,13 @@ from .classical import (
 )
 from .errors import SingularParameter
 from .quantum import (
+    _expectation_values,
     block_decompose,
     chsh_operator,
     eigensystem,
-    expectation,
     kcbs_operator,
     random_state_blocks,
+    require_hermitian,
 )
 from .scenario import number_array, require_count
 
@@ -571,15 +572,21 @@ def region_membership_sweep(samples: int, seed: int = 0) -> SweepReport:
     drawn real parts plus one block.  ``samples`` must be an integer of at
     least 1 and ``seed`` one of at least 0 or a ``Generator``, neither a
     bool (``scenario.require_count``'s ``ValueError``).
+
+    The checks run once a sweep: the witness stack passes
+    ``require_hermitian`` before the first draw, and every block of
+    :func:`random_state_blocks` is normalized by construction, so each
+    block goes straight to the arithmetic of ``quantum.expectation``, with
+    the same values bit for bit.
     """
     samples = require_count(samples, "samples", 1)
-    operators = np.stack([kcbs_operator(), chsh_operator()])
+    operators = require_hermitian(np.stack([kcbs_operator(), chsh_operator()]))
     lows = []  # per block: (kcbs, chsh, sum) minima
     found: tuple[list[dict], ...] = ([], [], [])  # monogamy, kcbs floor, chsh floor
     kcbs_only = chsh_only = 0
     start = 0
     for states in random_state_blocks(samples, seed):
-        kcbs, chsh = expectation(operators, states)
+        kcbs, chsh = _expectation_values(operators, states)
         total = kcbs + chsh
         lows.append((kcbs.min(), chsh.min(), total.min()))
         masks = (

@@ -385,6 +385,21 @@ def table_sum(tables: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(tables * weights, axis=-1)[..., -1]
 
 
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of each row of a 2-d array of at least two columns, adding
+    the columns one after the other, starting from the first.
+
+    The random draws normalise with it: it is the order in which
+    ``np.linalg.norm`` adds a 6-entry row and ``Generator.dirichlet``
+    a table, so the draws keep their bits, and a column at a time is
+    cheaper than numpy's reduction over short rows.
+    """
+    total = rows[:, 0] + rows[:, 1]
+    for k in range(2, rows.shape[1]):
+        total += rows[:, k]
+    return total
+
+
 def correlator_many(probs: np.ndarray, subset: Sequence[str]) -> np.ndarray:
     """:func:`correlator` of every row of an (n, 10, 8) table stack."""
     c_idx, signs = term(subset)

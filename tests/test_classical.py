@@ -148,8 +148,9 @@ class TestClassicalBounds:
         assert classical_bound(c1_expression(pivot)).minimum == -3.0
         assert classical_bound(c2_expression(pivot)).minimum == -2.0
 
-    @pytest.mark.parametrize("build", [c1_expression, c2_expression])
+    @pytest.mark.parametrize("build", [c1_expression, c2_expression, monogamy_expression])
     def test_split_parts_are_built_once_per_wrapped_pivot(self, build):
+        build(1)  # a cached pivot 1 must not answer for True == 1
         with pytest.raises(ValueError, match="^pivot must be an integer, got True$"):
             build(True)
         assert build(6) == build(1)

@@ -299,6 +299,14 @@ class TestNdOptimum:
         assert -value == pytest.approx(5.0, abs=1e-9)
         assert kcbs_value(witness) == pytest.approx(5.0, abs=1e-8)
 
+    def test_expression_vector_is_built_once_and_read_only(self):
+        # equal expressions share one vector, which no caller can change
+        vector = expression_vector(monogamy_expression())
+        assert vector is expression_vector(kcbs_expression() + chsh_expression())
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+
     def test_cyclic_relabeling_invariance(self):
         reference = nd_optimum(kcbs_expression()).value
         for shift in range(1, 5):

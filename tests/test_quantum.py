@@ -595,6 +595,52 @@ class TestRandomStateBlocks:
     def test_block_sizes(self, count, sizes):
         assert [len(block) for block in random_state_blocks(count, 1)] == sizes
 
+    @pytest.mark.parametrize(
+        "count,row,value,norm",
+        [
+            (3, 0, 0.0, "0.0"),
+            (BLOCK + 2, BLOCK + 1, 0.0, "0.0"),  # named by its index in random_states
+            (2 * BLOCK + 1, BLOCK + 5, np.inf, "inf"),
+            (5, 4, np.nan, "nan"),
+            # its squares are subnormal: the norm, not 3.4641016e-160, has lost bits
+            (5, 2, 1e-160, r"3\.46408\d*e-160"),
+            (5, 1, 1e200, "inf"),  # its squares overflow
+        ],
+    )
+    def test_unnormalizable_state_raises(self, count, row, value, norm):
+        message = rf"^state {row} has norm {norm}, cannot be normalized$"
+        with pytest.raises(NotNormalized, match=message):
+            list(random_state_blocks(count, RowFilledGenerator(row, value)))
+
+    @pytest.mark.parametrize("value", [1e-150, 1e150])
+    def test_blocks_are_normalized_by_construction(self, value):
+        # the smallest and largest scales whose squared norm is a normal float
+        for block in random_state_blocks(BLOCK + 2, RowFilledGenerator(3, value)):
+            assert quantum.require_normalized(block) is block
+
+
+class RowFilledGenerator(np.random.Generator):
+    """Seeded normal draws, but every part of state ``row`` is ``value``.
+
+    ``random_state_blocks`` draws the real parts of all states first and
+    then each block's imaginary parts, in order; the row is found in each.
+    """
+
+    def __init__(self, row: int, value: float):
+        super().__init__(np.random.PCG64(8))
+        self.row, self.value, self.seen = row, value, None
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        draw = super().standard_normal(size)
+        if self.seen is None:  # the real parts of every state
+            draw[self.row] = self.value
+            self.seen = 0
+            return draw
+        if 0 <= self.row - self.seen < len(draw):
+            draw[self.row - self.seen] = self.value
+        self.seen += len(draw)
+        return draw
+
 
 class TestStackedExpectation:
     @pytest.fixture(scope="class")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ndmonogamy import classical, cli, region, verify
 from ndmonogamy.classical import CHSH_ND_BOUND, MONOGAMY_BOUND
-from ndmonogamy.errors import SingularParameter
+from ndmonogamy.errors import NotHermitian, SingularParameter
 from ndmonogamy import quantum
 from ndmonogamy.quantum import (
     behavior_from_state,
@@ -61,13 +61,20 @@ def report_fields(report: region.SweepReport) -> str:
 
 
 def whole_stack_sweep(samples: int, seed: int) -> region.SweepReport:
-    """The reference for the blocked sweep: every state and value at once.
-
-    Reads the bounds from ``region`` at call time, so a test can move them.
-    """
+    """The reference for the blocked sweep: every state and value at once."""
     states = random_states(samples, seed)
     kcbs = expectation(kcbs_operator(), states)
     chsh = expectation(chsh_operator(), states)
+    return reference_report(samples, seed, kcbs, chsh)
+
+
+def reference_report(
+    samples: int, seed: int, kcbs: np.ndarray, chsh: np.ndarray
+) -> region.SweepReport:
+    """The sweep's report of every state's values, built at once.
+
+    Reads the bounds from ``region`` at call time, so a test can move them.
+    """
     total = kcbs + chsh
 
     def offenders(mask: np.ndarray) -> list[dict]:
@@ -964,6 +971,38 @@ class TestMembershipSweep:
             blocked = [expectation(operator, states) for states in blocks]
             whole = expectation(operator, random_states(samples, seed))
             assert np.concatenate(blocked).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("samples", [1, 2, BLOCK + 1, 100_000])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("bounds", ["paper", "moved"])
+    def test_report_matches_the_public_expectation_of_each_block(
+        self, monkeypatch, samples, seed, bounds
+    ):
+        # the sweep checks once and then skips expectation's checks; the
+        # values, and so the report, must stay those of the public call.
+        # Moved inside the region, the bounds give offenders of each kind.
+        if bounds == "moved":
+            monkeypatch.setattr(region, "MONOGAMY_BOUND", -2.0)
+            monkeypatch.setattr(region, "KCBS_QUANTUM_MIN", -1.5)
+            monkeypatch.setattr(region, "CHSH_QUANTUM_MIN", -1.0)
+        operators = np.stack([kcbs_operator(), chsh_operator()])
+        blocks = random_state_blocks(samples, seed)
+        values = np.concatenate([expectation(operators, states) for states in blocks], axis=1)
+        want = reference_report(samples, seed, *values)
+        got = region_membership_sweep(samples, seed)
+        for field in ("min_kcbs", "min_chsh", "min_sum"):
+            assert getattr(got, field).hex() == getattr(want, field).hex()
+        assert report_fields(got) == report_fields(want)
+        if bounds == "moved" and samples == 100_000:
+            assert got.kcbs_floor_violations and got.chsh_floor_violations
+            assert got.monogamy_violations
+
+    def test_rejects_a_non_hermitian_witness(self, monkeypatch):
+        bad = chsh_operator()
+        bad[0, 1] += 1e-9
+        monkeypatch.setattr(region, "chsh_operator", lambda: bad)
+        with pytest.raises(NotHermitian, match="^operator 1: matrix deviates .* by 1.000e-09$"):
+            region_membership_sweep(3, seed=1)
 
     def test_offenders_keep_their_global_indices(self, monkeypatch):
         # bounds moved inside the region, so offenders spread over many

@@ -1,9 +1,10 @@
 import itertools
 import json
 import math
+import operator
 import re
 import warnings
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -626,3 +627,16 @@ def test_quantum_behavior_from_state_passes_nd_everywhere():
         e = np.zeros(6, dtype=complex)
         e[k] = 1.0
         assert check_no_disturbance(behavior_from_state(e)) == []
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("width", range(2, 10))
+    def test_adds_the_columns_in_order(self, width):
+        # huge entries of both signs, so another order changes the bits
+        rng = np.random.default_rng(width)
+        rows = rng.standard_normal((500, width)) * 10.0 ** rng.integers(-3, 17, (500, width))
+        want = [reduce(operator.add, row.tolist()) for row in rows]
+        assert scenario.row_sum(rows).tolist() == want
+        assert scenario.row_sum(rows[:, ::-1]).tolist() == [
+            reduce(operator.add, row.tolist()[::-1]) for row in rows
+        ]

@@ -2,6 +2,7 @@
 smallest named fault, and the check must fail under it and pass without it."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ def scale_boundary_f(monkeypatch):
     monkeypatch.setattr(region, "boundary_coefficients", scaled)
 
 
+def shift_boundary_theta(monkeypatch):
+    solve = region.boundary_theta
+    monkeypatch.setattr(region, "boundary_theta", lambda phi: solve(phi) + SHIFT)
+
+
+def leak_chsh_blocks(monkeypatch):
+    # one entry between the two invariant blocks, kept Hermitian
+    build = quantum.chsh_operator
+
+    def leaked():
+        op = build()
+        op[0, 1] += SHIFT
+        op[1, 0] += SHIFT
+        return op
+
+    monkeypatch.setattr(quantum, "chsh_operator", leaked)
+
+
 #: check name -> (the check alone, the fault that must break it)
 FAULTS = {
     "kcbs-spectrum": (verify.check_kcbs_spectrum, shift_kcbs_minimum),
@@ -60,6 +79,8 @@ FAULTS = {
     ),
     "touching-point": (verify.check_touching_point, scale_expectation_M),
     "boundary-states": (verify.check_boundary_states, scale_boundary_f),
+    "boundary-stationarity": (verify.check_boundary_stationarity, shift_boundary_theta),
+    "chsh-block-structure": (verify.check_chsh_block_structure, leak_chsh_blocks),
 }
 
 
@@ -71,3 +92,16 @@ def test_check_fails_under_its_fault(name, monkeypatch):
     inject(monkeypatch)
     broken = check()
     assert broken.name == name and not broken.passed, broken.detail
+
+
+@pytest.mark.parametrize(
+    "name,detail",
+    [
+        ("boundary-stationarity", r"^100 phi samples, worst d<M>/dphi 3\.98e-06$"),
+        ("chsh-block-structure", r"^cross-block entries reach 1\.000e-06 \(tolerance 1\.0e-10\)$"),
+    ],
+)
+def test_fault_reads_in_the_detail(name, detail, monkeypatch):
+    check, inject = FAULTS[name]
+    inject(monkeypatch)
+    assert re.match(detail, check().detail)
