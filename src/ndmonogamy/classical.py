@@ -35,6 +35,7 @@ from .scenario import (
     bob,
     chsh_terms,
     real_number_type,
+    require_outcome,
     wrap_pivot,
 )
 
@@ -60,7 +61,8 @@ CHSH_QUANTUM_MIN = 1.0 - SQRT5 - math.sqrt(2.0 * SQRT5 - 2.0)
 
 @dataclass(frozen=True)
 class DeterministicAssignment:
-    """One outcome (-1 or +1) for every measurement in ``ids``."""
+    """One outcome for every measurement in ``ids``, each -1 or +1 by
+    :func:`~ndmonogamy.scenario.require_outcome`'s rule."""
 
     ids: tuple[str, ...]
     outcomes: tuple[int, ...]
@@ -68,8 +70,8 @@ class DeterministicAssignment:
     def __post_init__(self) -> None:
         if len(self.ids) != len(self.outcomes):
             raise ValueError("ids and outcomes must have equal length")
-        if any(v not in (-1, 1) for v in self.outcomes):
-            raise ValueError("outcomes must be -1 or +1")
+        for m, v in zip(self.ids, self.outcomes):
+            require_outcome(v, m)
 
     def value(self, measurement_id: str) -> int:
         return self.outcomes[self.ids.index(measurement_id)]

@@ -51,6 +51,7 @@ from .scenario import (
     marginal_constraint_rows,
     nd_violations,
     probability_tables,
+    real_number_type,
     require_count,
     require_integer,
     row_sum,
@@ -563,15 +564,23 @@ def sample_behaviors(
 # ---------------------------------------------------------------------------
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, not a bool or a str; the
+    floats of :func:`monogamy_certificate` pass the first test."""
+    kind = type(value)
+    return (kind is float or real_number_type(kind)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class MonogamyReport:
     """kcbs and per-pivot chsh values of a no-disturbance behavior.
 
     ``chsh_by_pivot`` is nonempty and keyed by the integers of ``PIVOTS``:
     a bool or float key raises by ``scenario.require_integer``'s rule,
-    though ``True == 1.0 == 1``.  Every value must be finite: a NaN
-    compares false against both classical bounds, so it would read as no
-    violation.  A value more than ``BOUND_SLACK`` below its classical
+    though ``True == 1.0 == 1``.  Every value must be a finite real
+    number, else ``ValueError``: a NaN compares false against both
+    classical bounds, so it would read as no violation, and a bool would
+    read as 0 or 1.  A value more than ``BOUND_SLACK`` below its classical
     bound is a violation.
     """
 
@@ -584,11 +593,13 @@ class MonogamyReport:
         unknown = [p for p in self.chsh_by_pivot if require_integer(p, "pivot") not in PIVOTS]
         if unknown:
             raise ValueError(f"chsh_by_pivot has pivots {unknown} outside {PIVOTS}")
-        if not math.isfinite(self.kcbs):
-            raise ValueError(f"kcbs must be finite, got {self.kcbs}")
+        if not _finite_real(self.kcbs):
+            raise ValueError(f"kcbs must be finite and a real number, got {self.kcbs!r}")
         for pivot, value in self.chsh_by_pivot.items():
-            if not math.isfinite(value):
-                raise ValueError(f"chsh_by_pivot[{pivot}] must be finite, got {value}")
+            if not _finite_real(value):
+                raise ValueError(
+                    f"chsh_by_pivot[{pivot}] must be finite and a real number, got {value!r}"
+                )
 
     @property
     def sums_by_pivot(self) -> dict[int, float]:

@@ -368,7 +368,7 @@ def _check_points(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> No
     if below.any():
         k = int(np.argmax(below))
         point = f"({float(chsh[k])}, {float(kcbs[k])})"
-        raise ValueError(f"point {point} breaks chsh+kcbs >= {MONOGAMY_BOUND:g}")
+        raise ValueError(f"point {point} breaks chsh+kcbs >= {MONOGAMY_BOUND!r}")
 
 
 def _check_rows(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None:
@@ -395,7 +395,13 @@ def _check_rows(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None
 
 @dataclass(frozen=True)
 class RegionPoint:
-    """One (chsh, kcbs) pair with the block and parameters producing it."""
+    """One (chsh, kcbs) pair with the block and parameters producing it.
+
+    Each number field is one real number by ``scenario.number_array``'s
+    entry rule, stored as a float; a str, bool, None or complex entry, an
+    array, a non-finite value or a point below the monogamy line raises
+    ``ValueError``.
+    """
 
     chsh: float
     kcbs: float
@@ -406,8 +412,14 @@ class RegionPoint:
     def __post_init__(self) -> None:
         if self.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
-        entries = (self.chsh, self.kcbs, self.theta, self.phi)
-        _check_points(*np.array(entries, dtype=float)[:, None])
+        entries = []
+        for name in ("chsh", "kcbs", "theta", "phi"):
+            entry = number_array(getattr(self, name), float, name)
+            if entry.ndim:
+                raise ValueError(f"{name} must be one number, got shape {entry.shape}")
+            object.__setattr__(self, name, float(entry))
+            entries.append(entry[None])
+        _check_points(*entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +431,9 @@ class Boundary:
     branch has ``chsh`` and the minus branch ``-chsh``; both share theta,
     phi and kcbs.  ``plus_order`` and ``minus_order`` list the rows of each
     branch by kcbs, then chsh, ties in row order.  ``len`` counts the
-    points of both branches.
+    points of both branches.  Each column is a read-only float copy of
+    what was given, whose entries pass ``scenario.number_array``'s entry
+    rule.
     """
 
     theta: np.ndarray
@@ -431,7 +445,8 @@ class Boundary:
 
     def __post_init__(self) -> None:
         names = ("theta", "phi", "chsh", "kcbs")
-        columns = [np.array(getattr(self, name), dtype=float) for name in names]
+        # a copy, so that the caller's arrays stay writable
+        columns = [number_array(getattr(self, name), float, name).copy() for name in names]
         theta, phi, chsh, kcbs = columns
         if theta.ndim != 1 or any(c.shape != theta.shape for c in columns):
             raise ValueError("boundary columns must be 1-dim and of equal length")

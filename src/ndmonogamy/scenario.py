@@ -131,7 +131,7 @@ def real_number_type(kind: type) -> bool:
 
 def number_array(values, dtype: type, what: str) -> np.ndarray:
     """``values`` as an array of ``dtype``, ``float`` or ``complex``: the
-    entry rule of states, operators and the region's angles.
+    entry rule of states, operators, the region's angles and its points.
 
     ``np.asarray(..., dtype=...)`` would parse ``"1"`` and cast ``True``,
     even when mixed into a row of numbers, and a float array would drop an
@@ -306,11 +306,19 @@ def sign_vector(context: Context, subset: Sequence[str]) -> np.ndarray:
     )
 
 
+def require_outcome(value: int, measurement_id: str) -> None:
+    """The rule of every outcome: a real number, -1 or +1.  A bool, numpy's
+    included, an array or any other value raises ``ValueError`` naming
+    ``measurement_id`` and ``value``."""
+    if not (real_number_type(type(value)) and value in OUTCOMES):
+        raise ValueError(f"outcome of {measurement_id} must be -1 or +1, got {value!r}")
+
+
 def indicator_vector(context: Context, assignment: Mapping[str, int]) -> np.ndarray:
     """1 where an outcome triple matches ``assignment``, else 0, per column.
 
-    ``assignment`` maps at least one id of ``context`` to -1 or +1 (not a
-    bool); an empty assignment, another id or another outcome raises
+    ``assignment`` maps at least one id of ``context`` to an outcome of
+    :func:`require_outcome`; an empty assignment or another id raises
     ``ValueError`` naming it.
     """
     if not assignment:
@@ -318,8 +326,7 @@ def indicator_vector(context: Context, assignment: Mapping[str, int]) -> np.ndar
     for m, v in assignment.items():
         if m not in context.members:
             raise ValueError(f"{m!r} is not a measurement of context {context.label}")
-        if isinstance(v, bool) or v not in OUTCOMES:
-            raise ValueError(f"outcome of {m} must be -1 or +1, got {v!r}")
+        require_outcome(v, m)
     positions = [(context.position(m), v) for m, v in assignment.items()]
     return np.array(
         [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestEnumeration:
         assignment = DeterministicAssignment(("A1", "A2"), (-1, 1))
         assert assignment.product(("A1", "A2")) == -1
         assert assignment.value("A2") == 1
+
+    @pytest.mark.parametrize(
+        "outcome, shown",
+        [
+            (True, "True"), (np.True_, "np.True_"), (0, "0"), (2.0, "2.0"), ("1", "'1'"), (None, "None"),
+            (np.ones(2, dtype=int), "array([1, 1])"),
+        ],
+    )
+    def test_assignment_takes_the_outcome_rule_of_a_marginal(self, outcome, shown):
+        # the rule of scenario.indicator_vector, so True is not the outcome +1
+        outcomes = (1,) * 6 + (outcome,)
+        message = f"outcome of B2 must be -1 or +1, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DeterministicAssignment(MEASUREMENT_IDS, outcomes)
 
 
 class TestLinearExpression:

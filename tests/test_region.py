@@ -341,26 +341,6 @@ class TestClosedForms:
     def test_grid_agreement(self):
         assert closed_form_agreement_gap(100, 100) <= 1e-10
 
-    def test_agreement_check_catches_a_shifted_coefficient(self, monkeypatch):
-        shifted = gammas()._replace(g4=gammas().g4 + 1e-6)
-        monkeypatch.setattr(region, "gammas", lambda: shifted)
-        assert not verify.check_closed_form_agreement().passed
-
-    @pytest.mark.parametrize("angle", [1e-6, -1e-6, math.pi / 2])
-    def test_region_constants_check_catches_a_rotated_frame(self, monkeypatch, angle):
-        # Rotating b and c within their plane couples them through M (1e-6)
-        # or hands the minimising axis to c (pi/2); the norm stays exact.
-        frame = region_basis()
-        cos, sin = math.cos(angle), math.sin(angle)
-        alpha = cos * frame.alpha - sin * frame.beta
-        beta = cos * frame.beta + sin * frame.alpha
-        b = cos * frame.b + sin * frame.c
-        c = -sin * frame.b + cos * frame.c
-        rotated = region.RegionBasis(frame.a, b, c, alpha, beta)
-        assert np.allclose(b, [alpha, beta, 0.0]) and np.allclose(c, [-beta, alpha, 0.0])
-        monkeypatch.setattr(region, "region_basis", lambda: rotated)
-        assert not verify.check_region_constants().passed
-
     def test_boundary_reaches_bell_minimum(self):
         lam1 = region.CHSH_QUANTUM_MIN
         assert sample_boundary(800).chsh.min() == pytest.approx(lam1, abs=1e-3)
@@ -635,6 +615,24 @@ class TestBoundarySequence:
         with pytest.raises(ValueError, match="equal length"):
             Boundary(theta=[0.1, 0.2], phi=[1.0], chsh=[0.0, 0.0], kcbs=[-3.0, -3.0])
 
+    @pytest.mark.parametrize("entry", ["1.0", True, None, 1j])
+    @pytest.mark.parametrize("column", ["theta", "phi", "chsh", "kcbs"])
+    def test_rejects_entries_that_are_not_real_numbers(self, column, entry):
+        columns = {"theta": [0.1, 0.2], "phi": [1.0, 1.0], "chsh": [0.0, 0.5], "kcbs": [-3.0, -3.0]}
+        columns[column] = [columns[column][0], entry]
+        message = f"{column} entries must be real numbers, got ['{type(entry).__name__}']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Boundary(**columns)
+
+    def test_keeps_a_copy_of_each_column(self):
+        names = ("theta", "phi", "chsh", "kcbs")
+        columns = dict(zip(names, np.array([[0.1, 0.2], [1.0, 1.0], [0.0, 0.5], [-3.0, -3.0]])))
+        boundary = Boundary(**columns)
+        for name, column in columns.items():
+            kept = getattr(boundary, name)
+            assert column.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(kept, column) and np.array_equal(kept, column)
+
 
 def assert_formats_as_17g(values) -> None:
     """write_csv writes format(x, ".17g") of every entry, one line each."""
@@ -888,12 +886,38 @@ class TestRegionPoint:
             RegionPoint(-3.0, -3.0, "plus", 0.0, 0.0)
 
     def test_message_names_the_monogamy_bound(self, monkeypatch):
-        with pytest.raises(ValueError, match=r"^point \(-3\.0, -3\.0\) breaks chsh\+kcbs >= -5$"):
+        with pytest.raises(ValueError, match=r"^point \(-3\.0, -3\.0\) breaks chsh\+kcbs >= -5\.0$"):
             RegionPoint(-3.0, -3.0, "plus", 0.0, 0.0)
         monkeypatch.setattr(region, "MONOGAMY_BOUND", -4.5)
         message = r"^point \(-2\.1, -2\.6\) breaks chsh\+kcbs >= -4\.5$"
         with pytest.raises(ValueError, match=message):
             RegionPoint(-2.1, -2.6, "plus", 0.0, 0.0)
+
+    def test_message_writes_the_bound_exactly(self, monkeypatch):
+        # with :g, a bound 1e-6 above -5 would print as -5
+        for module in (classical, region):
+            monkeypatch.setattr(module, "MONOGAMY_BOUND", MONOGAMY_BOUND + 1e-6)
+        with pytest.raises(ValueError, match=r"breaks chsh\+kcbs >= -4\.999999"):
+            touching_point()
+
+    @pytest.mark.parametrize("entry", ["-2.0", True, None, -2 + 0j])
+    @pytest.mark.parametrize("field", ["chsh", "kcbs", "theta", "phi"])
+    def test_rejects_entries_that_are_not_real_numbers(self, field, entry):
+        fields = {"chsh": -2.0, "kcbs": -2.9, "branch": "plus", "theta": 0.0, "phi": 0.5}
+        fields[field] = entry
+        message = f"{field} entries must be real numbers, got ['{type(entry).__name__}']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RegionPoint(**fields)
+
+    def test_rejects_an_array_field(self):
+        with pytest.raises(ValueError, match=r"^theta must be one number, got shape \(1,\)$"):
+            RegionPoint(-2.0, -2.9, "plus", [0.5], 0.5)
+
+    def test_stores_floats(self):
+        point = RegionPoint(np.float64(-2.0), -3, "plus", np.float32(0.5), np.int64(1))
+        values = (point.chsh, point.kcbs, point.theta, point.phi)
+        assert values == (-2.0, -3.0, 0.5, 1.0)
+        assert {type(value) for value in values} == {float}
 
     def test_bound_slack_is_the_margin(self, bound_slack):
         with pytest.raises(ValueError, match="breaks"):
@@ -1034,15 +1058,6 @@ class TestMembershipSweep:
         counts = (int(np.sum(kcbs_low & ~chsh_low)), int(np.sum(chsh_low & ~kcbs_low)))
         assert (report.kcbs_only_violation_count, report.chsh_only_violation_count) == counts
         assert report_fields(report) == report_fields(whole_stack_sweep(20_000, seed=42))
-
-    def test_region_membership_can_fail(self, monkeypatch):
-        passing = verify.check_region_membership(2000, 1)
-        monkeypatch.setattr(classical, "MONOGAMY_BOUND", -1.5)
-        monkeypatch.setattr(region, "MONOGAMY_BOUND", -1.5)
-        failing = verify.check_region_membership(2000, 1)
-        assert passing.passed and not failing.passed
-        assert failing.detail == passing.detail
-        assert failing.detail.startswith("2000 states, min sum -4.372")
 
     def test_memory_stays_at_block_size(self):
         # the whole-stack sweep peaked at 21.6 MB here: 216 bytes a state

@@ -316,6 +316,7 @@ class TestBehavior:
             ({"A1": 0}, "outcome of A1 must be -1 or +1, got 0"),
             ({"A2": 2.0}, "outcome of A2 must be -1 or +1, got 2.0"),
             ({"B1": True}, "outcome of B1 must be -1 or +1, got True"),
+            ({"B1": np.True_}, "outcome of B1 must be -1 or +1, got np.True_"),
             ({"A1": 1, "B1": "1"}, "outcome of B1 must be -1 or +1, got '1'"),
         ],
     )
