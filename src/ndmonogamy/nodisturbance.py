@@ -83,14 +83,20 @@ class JointDistribution:
     ``probs`` is an (n, 2**k) array with one joint table over the k
     distinct ``variables`` per row.  Indexing is lexicographic with -1
     before +1 and the first variable most significant, matching the
-    context-table convention.  Every row is checked as a probability table
-    by :func:`~ndmonogamy.scenario.probability_tables` at ``PROB_TOL``.
+    context-table convention.  ``variables`` is a tuple or list of str
+    ids; a str, or any other id, raises ``ValueError`` naming it.  Every
+    row is checked as a probability table by
+    :func:`~ndmonogamy.scenario.probability_tables` at ``PROB_TOL``.
     """
 
     variables: tuple[str, ...]
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (
+            isinstance(self.variables, (tuple, list)) and all(isinstance(m, str) for m in self.variables)
+        ):
+            raise ValueError(f"joint variables must be a tuple or list of str ids, got {self.variables!r}")
         variables = tuple(self.variables)
         if len(set(variables)) < len(variables):
             raise ValueError(f"joint variables {variables} repeat a name")
@@ -111,7 +117,10 @@ class JointDistribution:
         return table_sum(self._marginals(subset), _product_signs(len(subset)))
 
     def _marginals(self, subset: Sequence[str]) -> np.ndarray:
-        """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order."""
+        """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order.
+        A str subset raises ``ValueError``: ``"A1"`` would read as ``"A"`` and ``"1"``."""
+        if isinstance(subset, str):
+            raise ValueError(f"a subset is a sequence of variables, got the str {subset!r}")
         for m in subset:
             if m not in self.variables:
                 raise ValueError(f"{m!r} is not a variable of {self.variables}")

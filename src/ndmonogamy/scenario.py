@@ -112,7 +112,10 @@ def canonical_context(subset: Iterable[str]) -> Context:
 
 def term(subset: Iterable[str]) -> tuple[int, np.ndarray]:
     """(context index, read-only sign vector) of the correlator of ``subset``
-    in its canonical context, memoised per subset."""
+    in its canonical context, memoised per subset.  A str subset raises
+    ``ValueError``: ``"A1"`` would read as the ids ``"A"`` and ``"1"``."""
+    if isinstance(subset, str):
+        raise ValueError(f"a subset is a sequence of measurement ids, got the str {subset!r}")
     return _term(tuple(subset))
 
 
@@ -129,78 +132,49 @@ def real_number_type(kind: type) -> bool:
     return kind is not bool and issubclass(kind, (int, float, np.integer, np.floating))
 
 
-def number_array(values, dtype: type, what: str) -> np.ndarray:
-    """``values`` as an array of ``dtype``, ``float`` or ``complex``: the
-    entry rule of states, operators, the region's angles and its points.
+def number_array(
+    values, dtype: type, what: str, name: Callable[[int], str] | None = None
+) -> np.ndarray:
+    """``values`` as an array of ``dtype``, ``float`` or ``complex``: the one
+    entry rule of every array the package accepts, tables included.
 
     ``np.asarray(..., dtype=...)`` would parse ``"1"`` and cast ``True``,
     even when mixed into a row of numbers, and a float array would drop an
-    imaginary part.  So a str, bool or None entry raises ``ValueError``
-    naming ``what``, and so does a complex entry where ``dtype`` is float.
-    A numeric array passes with one dtype check; any other input is checked
-    by the types of all its entries.
+    imaginary part.  So every entry must be an int, float or numpy number
+    (complex too where ``dtype`` is complex), and not a bool.  A numeric
+    array passes with one dtype check.  Any other input is read once, as
+    an object array: a str, bool, None or complex entry fails the one pass
+    over its entry types, and so does a container that numpy holds as one
+    object, nothing consumed: a generator, iterator, set, mapping or
+    ragged row.  The ``ValueError`` reads ``<what> entries must be real
+    numbers, got [<types>]`` (``numbers`` where ``dtype`` is complex).
+    With ``name``, tables run along the last axis, and unless a container
+    broke the nest, the message starts ``<name(k)>: `` for the first table
+    k that holds a bad entry and lists that table's types.
     """
     complex_ok = dtype is complex
-    kinds_ok = "fiuc" if complex_ok else "fiu"
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds_ok):
-        kinds = set(map(type, np.asarray(values, dtype=object).ravel()))
-        bad = sorted(
-            kind.__name__
-            for kind in kinds
-            if not (
-                real_number_type(kind)
-                or complex_ok and issubclass(kind, (complex, np.complexfloating))
-            )
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("fiuc" if complex_ok else "fiu"):
+        return np.asarray(values, dtype=dtype)
+    entries = np.asarray(values, dtype=object)
+    bad = {
+        kind
+        for kind in set(map(type, entries.flat))
+        if not (
+            real_number_type(kind)
+            or complex_ok and issubclass(kind, (complex, np.complexfloating))
         )
-        if bad:
-            need = "numbers" if complex_ok else "real numbers"
-            raise ValueError(f"{what} entries must be {need}, got {bad}")
-    return np.asarray(values, dtype=dtype)
-
-
-def _require_rows(level: list, what: str) -> None:
-    """Reject a member of ``level`` that is iterable but not a list, tuple,
-    array or other sequence: a generator, an iterator, a set or a mapping.
-
-    Such a member would be used up by the entry-type pass, or read by numpy
-    as one object, and fail later with a ``TypeError``.
-    """
-    for kind in set(map(type, level)) - {list, tuple}:
-        if issubclass(kind, Iterable) and not issubclass(kind, (Sequence, np.ndarray)):
-            raise ValueError(f"{what} must be nested lists, tuples or arrays, got {kind.__name__}")
-
-
-def _require_real_entries(probs, ndim: int, what: str, name: Callable[[int], str]) -> None:
-    """Reject str, bool, None, complex and nested entries of an ``ndim``-deep
-    nest of tables, naming the first offending table by ``name(k)``.
-
-    ``np.asarray(..., dtype=float)`` would parse ``"0.125"``, cast ``True``
-    and, with only a warning, drop an imaginary part, even when mixed into
-    a row of floats.  A real numeric array passes at once; any other input
-    must nest sequences (:func:`_require_rows` names ``what`` otherwise)
-    and is checked by the types of all its entries in one pass, and table
-    by table only to name the first offending one.
-    """
-    if isinstance(probs, np.ndarray) and probs.dtype.kind in "fiu":
-        return
-    tables = [probs]
-    try:
-        for _ in range(ndim - 1):
-            _require_rows(tables, what)
-            tables = list(itertools.chain.from_iterable(tables))
-        _require_rows(tables, what)
-        kinds = set(map(type, itertools.chain.from_iterable(tables)))
-    except TypeError:
-        return  # not a nest of rows: the shape check names it
-    if all(map(real_number_type, kinds)):
-        return
-    for k, table in enumerate(tables):
-        for entry in table:
-            kind = type(entry)
-            if not real_number_type(kind):
-                need = "real" if issubclass(kind, (complex, np.complexfloating)) else "numbers"
-                raise ValueError(f"{name(k)}: entries must be {need}, got {kind.__name__}")
-    raise ValueError(f"entries must be numbers, got {sorted(k.__name__ for k in kinds)}")
+    }
+    if bad:
+        if name is not None and entries.ndim > 1 and not any(
+            issubclass(kind, Iterable) and not issubclass(kind, (str, bytes)) for kind in bad
+        ):
+            tables = entries.reshape(-1, entries.shape[-1])
+            k = next(k for k, table in enumerate(tables) if bad.intersection(map(type, table)))
+            bad.intersection_update(map(type, tables[k]))
+            what = f"{name(k)}: {what}"
+        need = "numbers" if complex_ok else "real numbers"
+        raise ValueError(f"{what} entries must be {need}, got {sorted(kind.__name__ for kind in bad)}")
+    return entries.astype(dtype)
 
 
 def probability_tables(
@@ -210,15 +184,13 @@ def probability_tables(
 
     The one rule for every table of the package.  ``shape`` is the
     expected shape, its first length ``None`` when any will do; tables run
-    along its last axis.  Entries must be real numbers (not str, bool,
-    None or complex) in nested lists, tuples or arrays (not generators,
-    iterators, sets or mappings), and each table finite, nonnegative
-    within :data:`PROB_TOL` and summing to 1 within :data:`PROB_TOL`.
-    ``ValueError`` names ``what`` for a wrong shape or nest, else the
-    first failing table by ``name(k)``, k its index.
+    along its last axis.  Entries pass :func:`number_array` as real
+    numbers, and each table must be finite, nonnegative within
+    :data:`PROB_TOL` and sum to 1 within :data:`PROB_TOL`.  ``ValueError``
+    names ``what`` for a wrong shape, and otherwise the first failing
+    table by ``name(k)``, k its index.
     """
-    _require_real_entries(probs, len(shape), what, name)
-    probs = np.asarray(probs).astype(float, copy=False)
+    probs = number_array(probs, float, what, name)
     if probs.shape[1:] != shape[1:] or shape[0] not in (None, probs.shape[0]):
         expected = str(shape).replace("None", "n")
         raise ValueError(f"{what} must have shape {expected}, got {probs.shape}")
@@ -442,12 +414,11 @@ class NdViolation(NamedTuple):
 def nd_violations(probs: np.ndarray) -> list[NdViolation]:
     """All marginal disagreements beyond :data:`ND_TOL` of one (10, 8) table array.
 
-    Any other shape, an entry that is not a real number, a nest that is
-    not of lists, tuples or arrays, and a NaN or infinite entry raise
-    ``ValueError``.
+    Its entries pass :func:`number_array` as real numbers, named "table
+    array" and by context.  Any other shape and a NaN or infinite entry
+    raise ``ValueError`` too.
     """
-    _require_real_entries(probs, 2, "table array", _context_name)
-    probs = np.asarray(probs, dtype=float)
+    probs = number_array(probs, float, "table array", _context_name)
     if probs.shape != (len(CONTEXTS), 8):
         raise ValueError(f"need a ({len(CONTEXTS)}, 8) table array, got {probs.shape}")
     # before the product, in which 0 * inf would warn

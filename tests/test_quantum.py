@@ -509,36 +509,6 @@ class TestStateRule:
         out = require_normalized([0, 0.6j, np.complex128(0.8), 0, 0, 0])
         assert out.dtype == complex and np.array_equal(out, [0, 0.6j, 0.8, 0, 0, 0])
 
-    @pytest.mark.parametrize("bad", ["1", True, np.True_, None], ids=["str", "bool", "np.bool", "None"])
-    def test_non_number_entries_are_value_errors(self, bad):
-        # numpy would parse "1" and cast True, also among numbers
-        state = [bad, 0.0, 0.0, 0.0, 0.0, 0.0]
-        operator = kcbs_operator().tolist()
-        operator[0][0] = bad
-        name = type(bad).__name__
-        calls = {
-            "require_normalized": lambda: require_normalized(state),
-            "require_normalized (stack)": lambda: require_normalized([np.eye(6)[0], state]),
-            "behavior_from_state": lambda: behavior_from_state(state),
-            "expectation": lambda: expectation(kcbs_operator(), state),
-            "expectation (operator)": lambda: expectation(operator, np.eye(6)[0]),
-            "expectation (operator stack)": lambda: expectation(
-                [kcbs_operator(), operator], np.eye(6)[0]
-            ),
-            "require_hermitian": lambda: require_hermitian(operator),
-        }
-        for call in calls.values():
-            with pytest.raises(ValueError, match=rf"entries must be numbers, got \['{name}'\]"):
-                call()
-
-    def test_whole_arrays_of_strings_and_booleans_are_value_errors(self):
-        for state in (["0", "0", "0", "0", "1", "0"], np.eye(6, dtype=bool)[4]):
-            with pytest.raises(ValueError, match="entries must be numbers"):
-                expectation(kcbs_operator(), state)
-            with pytest.raises(ValueError, match="entries must be numbers"):
-                behavior_from_state(state)
-
-
 class TestBoundsQuantumColumn:
     def test_every_row_has_a_float_quantum_minimum(self):
         assert [type(row.quantum) for row in BOUNDS] == [float] * len(BOUNDS)

@@ -43,7 +43,6 @@ from ndmonogamy.scenario import (
     correlator_many,
     expression_values,
     kcbs_value,
-    nd_violations,
     probability_tables,
     sign_vector,
     term,
@@ -235,67 +234,6 @@ class TestBehavior:
             assert again.probs.tobytes() == behavior.probs.tobytes()
             assert again.to_json() == text
 
-    @pytest.mark.parametrize(
-        "entry, kind",
-        [("0.125", "str"), (None, "NoneType"), ([0.125], "list"), ({"p": 0.125}, "dict")],
-    )
-    def test_rejects_non_numeric_entries(self, uniform_behavior, entry, kind):
-        tables = json.loads(uniform_behavior.to_json())
-        tables["A3,A4,B2"][2] = entry
-        message = f"context A3,A4,B2: entries must be numbers, got {kind}"
-        with pytest.raises(ValueError, match=message):
-            Behavior.from_tables(tables)
-        with pytest.raises(ValueError, match=message):
-            Behavior.from_json(json.dumps(tables))
-        with pytest.raises(ValueError, match=message):
-            Behavior(list(tables.values()))
-
-    def test_rejects_every_entry_as_a_string(self, uniform_behavior):
-        tables = {k: [repr(v) for v in row] for k, row in json.loads(uniform_behavior.to_json()).items()}
-        with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
-            Behavior.from_json(json.dumps(tables))
-
-    def test_rejects_booleans_numpy_would_cast(self):
-        # a point mass with True for 1.0 and False for 0.0 is a valid
-        # behavior once cast to float, mixed into a float row or not
-        tables = json.loads(behavior_from_assignment(all_plus_assignment()).to_json())
-        mixed = dict(tables, **{"A5,A1,B2": [False] + tables["A5,A1,B2"][1:7] + [True]})
-        whole = {label: [v == 1.0 for v in row] for label, row in tables.items()}
-        assert all(type(v) is float for v in mixed["A5,A1,B2"][1:7])
-        for bad, label in ((mixed, "A5,A1,B2"), (whole, "A1,A2,B1")):
-            message = f"context {label}: entries must be numbers, got bool"
-            with pytest.raises(ValueError, match=message):
-                Behavior.from_tables(bad)
-            with pytest.raises(ValueError, match=message):
-                Behavior.from_json(json.dumps(bad))
-        with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got bool"):
-            Behavior(np.array(list(whole.values())))
-
-    def test_rejects_string_arrays(self):
-        with pytest.raises(ValueError, match="context A1,A2,B1: entries must be numbers, got str"):
-            Behavior(np.full((10, 8), "0.125"))
-
-    @pytest.mark.parametrize(
-        "make, kind",
-        [
-            (lambda rows: (row for row in rows), "generator"),
-            (lambda rows: iter(rows), "list_iterator"),
-            (lambda rows: [iter(row) for row in rows], "list_iterator"),
-            (lambda rows: rows[:9] + [set(rows[9])], "set"),
-            (lambda rows: dict(enumerate(rows)), "dict"),
-        ],
-        ids=["generator", "iterator", "iterator-rows", "set-row", "mapping"],
-    )
-    def test_rejects_nests_that_are_not_sequences(self, make, kind):
-        # an entry-type pass used to consume the iterators, and numpy then
-        # raised TypeError reading the leftover as one object
-        rows = Behavior.uniform().probs.tolist()
-        message = f"^behavior table must be nested lists, tuples or arrays, got {kind}$"
-        with pytest.raises(ValueError, match=message):
-            Behavior(make(rows))
-        with pytest.raises(ValueError, match=f"^table array must be .*, got {kind}$"):
-            nd_violations(make(rows))
-
     def test_accepts_tuples_and_arrays_of_rows(self):
         rows = Behavior.uniform().probs.tolist()
         mixed = tuple(np.array(row) if k % 2 else tuple(row) for k, row in enumerate(rows))
@@ -343,6 +281,17 @@ class TestCorrelator:
         for subset in [("A1", "A3"), ("B1", "B2"), ("A1", "A2", "B1", "B2")]:
             with pytest.raises(SubsetNotMeasurable):
                 correlator(uniform_behavior, subset)
+
+    def test_a_str_subset_is_not_split_into_ids(self, uniform_behavior):
+        # "A1" used to read as the ids "A" and "1", which share no context
+        message = r"^a subset is a sequence of measurement ids, got the str 'A1'$"
+        for call in (
+            lambda: correlator(uniform_behavior, "A1"),
+            lambda: correlator_many(uniform_behavior.probs[None], "A1"),
+            lambda: term("A1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_cached_sign_vectors_are_read_only(self):
         for subset in [("A1", "A2"), ("A2", "B1"), ("A1", "A2", "B1")]:

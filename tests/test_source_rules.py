@@ -1,6 +1,7 @@
-"""Two rules of the package source, read from its tokens: a float written in
-e-notation is a named module constant, and a running sum is
-``scenario.table_sum``'s alone."""
+"""Three rules of the package source, read from its tokens: a float written
+in e-notation is a named module constant, a running sum is
+``scenario.table_sum``'s alone, and an object array, the entry-type pass,
+is ``scenario.number_array``'s alone."""
 
 import ast
 import io
@@ -64,5 +65,20 @@ def test_running_sums_are_table_sum_alone(path):
             and [t.string for t, _ in tokens[k - 2 : k]] == ["add", "."]
         )
         and not (path.name == "scenario.py" and getattr(statement, "name", None) == "table_sum")
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_object_arrays_are_number_array_alone(path):
+    # number_array is the one entry rule; a second pass over entry types
+    # would build its own dtype=object array
+    tokens = list(located_tokens(path))
+    stray = [
+        f"{path.name}:{token.start[0]}: dtype=object"
+        for k, (token, statement) in enumerate(tokens)
+        if token.string == "object"
+        and [t.string for t, _ in tokens[k - 2 : k]] == ["dtype", "="]
+        and not (path.name == "scenario.py" and getattr(statement, "name", None) == "number_array")
     ]
     assert stray == []
