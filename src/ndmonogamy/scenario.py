@@ -133,7 +133,11 @@ def real_number_type(kind: type) -> bool:
 
 
 def number_array(
-    values, dtype: type, what: str, name: Callable[[int], str] | None = None
+    values,
+    dtype: type,
+    what: str,
+    name: Callable[[int], str] | None = None,
+    shape: tuple[int | None, ...] = (),
 ) -> np.ndarray:
     """``values`` as an array of ``dtype``, ``float`` or ``complex``: the one
     entry rule of every array the package accepts, tables included.
@@ -148,9 +152,11 @@ def number_array(
     object, nothing consumed: a generator, iterator, set, mapping or
     ragged row.  The ``ValueError`` reads ``<what> entries must be real
     numbers, got [<types>]`` (``numbers`` where ``dtype`` is complex).
-    With ``name``, tables run along the last axis, and unless a container
-    broke the nest, the message starts ``<name(k)>: `` for the first table
-    k that holds a bad entry and lists that table's types.
+    Tables pass ``name`` and their expected ``shape`` (as
+    :func:`probability_tables` takes it), tables along its last axis: when
+    the object array has that shape, the message starts ``<name(k)>: ``
+    for the first table k that holds a bad entry and lists that table's
+    types.
     """
     complex_ok = dtype is complex
     if isinstance(values, np.ndarray) and values.dtype.kind in ("fiuc" if complex_ok else "fiu"):
@@ -165,16 +171,19 @@ def number_array(
         )
     }
     if bad:
-        if name is not None and entries.ndim > 1 and not any(
-            issubclass(kind, Iterable) and not issubclass(kind, (str, bytes)) for kind in bad
-        ):
-            tables = entries.reshape(-1, entries.shape[-1])
+        if name is not None and _has_shape(entries, shape):
+            tables = entries.reshape(-1, shape[-1])
             k = next(k for k, table in enumerate(tables) if bad.intersection(map(type, table)))
             bad.intersection_update(map(type, tables[k]))
             what = f"{name(k)}: {what}"
         need = "numbers" if complex_ok else "real numbers"
         raise ValueError(f"{what} entries must be {need}, got {sorted(kind.__name__ for kind in bad)}")
     return entries.astype(dtype)
+
+
+def _has_shape(array: np.ndarray, shape: tuple[int | None, ...]) -> bool:
+    """Whether ``array`` has ``shape``, whose first length ``None`` allows any."""
+    return array.shape[1:] == shape[1:] and shape[0] in (None, array.shape[0])
 
 
 def probability_tables(
@@ -190,8 +199,8 @@ def probability_tables(
     names ``what`` for a wrong shape, and otherwise the first failing
     table by ``name(k)``, k its index.
     """
-    probs = number_array(probs, float, what, name)
-    if probs.shape[1:] != shape[1:] or shape[0] not in (None, probs.shape[0]):
+    probs = number_array(probs, float, what, name, shape)
+    if not _has_shape(probs, shape):
         expected = str(shape).replace("None", "n")
         raise ValueError(f"{what} must have shape {expected}, got {probs.shape}")
     # one pass over the whole array, phrased so that NaN and infinite entries
@@ -418,7 +427,7 @@ def nd_violations(probs: np.ndarray) -> list[NdViolation]:
     array" and by context.  Any other shape and a NaN or infinite entry
     raise ``ValueError`` too.
     """
-    probs = number_array(probs, float, "table array", _context_name)
+    probs = number_array(probs, float, "table array", _context_name, (len(CONTEXTS), 8))
     if probs.shape != (len(CONTEXTS), 8):
         raise ValueError(f"need a ({len(CONTEXTS)}, 8) table array, got {probs.shape}")
     # before the product, in which 0 * inf would warn

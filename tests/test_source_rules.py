@@ -69,16 +69,39 @@ def test_running_sums_are_table_sum_alone(path):
     assert stray == []
 
 
+def names_object_dtype(node) -> bool:
+    """Whether ``node`` spells numpy's object dtype: ``object``, ``np.object_``,
+    ``"O"`` or ``"object"``."""
+    return (
+        isinstance(node, ast.Name) and node.id == "object"
+        or isinstance(node, ast.Attribute) and node.attr == "object_"
+        or isinstance(node, ast.Constant) and node.value in ("O", "object")
+    )
+
+
+def object_dtype_calls(statement):
+    """Each call within ``statement`` that asks for an object array: its
+    ``dtype=`` keyword, or the first argument of ``astype``, names the
+    object dtype."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Call) and (
+            any(k.arg == "dtype" and names_object_dtype(k.value) for k in node.keywords)
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype"
+            and node.args
+            and names_object_dtype(node.args[0])
+        ):
+            yield node
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_object_arrays_are_number_array_alone(path):
     # number_array is the one entry rule; a second pass over entry types
-    # would build its own dtype=object array
-    tokens = list(located_tokens(path))
+    # would build its own object array
     stray = [
-        f"{path.name}:{token.start[0]}: dtype=object"
-        for k, (token, statement) in enumerate(tokens)
-        if token.string == "object"
-        and [t.string for t, _ in tokens[k - 2 : k]] == ["dtype", "="]
-        and not (path.name == "scenario.py" and getattr(statement, "name", None) == "number_array")
+        f"{path.name}:{call.lineno}: {ast.unparse(call)}"
+        for statement in ast.parse(path.read_text()).body
+        if not (path.name == "scenario.py" and getattr(statement, "name", None) == "number_array")
+        for call in object_dtype_calls(statement)
     ]
     assert stray == []
