@@ -34,7 +34,7 @@ from .scenario import (
     alice,
     bob,
     chsh_terms,
-    real_number_type,
+    real_number,
     require_outcome,
     wrap_pivot,
 )
@@ -88,10 +88,10 @@ class LinearExpression:
     """A linear combination of outcome-product correlators.
 
     ``terms`` is a tuple of (coefficient, measurement-id subset) tuples: a
-    finite real coefficient (not bool, str or complex) and a nonempty
-    tuple of ids of :data:`~ndmonogamy.scenario.MEASUREMENT_IDS`, read when
-    the expression is built; anything else raises ``ValueError``.  A
-    :class:`BoundRow` holds its name.
+    coefficient by :func:`~ndmonogamy.scenario.real_number`'s rule and a
+    nonempty tuple of ids of :data:`~ndmonogamy.scenario.MEASUREMENT_IDS`,
+    read when the expression is built; anything else raises
+    ``ValueError``.  A :class:`BoundRow` holds its name.
     """
 
     terms: tuple[tuple[float, tuple[str, ...]], ...]
@@ -110,11 +110,7 @@ class LinearExpression:
             if not known.issuperset(subset):
                 unknown = [m for m in subset if m not in known]
                 raise ValueError(f"expression references unknown measurements {unknown}")
-            kind = type(coeff)
-            if not real_number_type(kind):
-                raise ValueError(f"a coefficient must be a real number, got {kind.__name__}")
-            if not np.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient {coeff}")
+            real_number(coeff, "a coefficient")
 
     def __add__(self, other: "LinearExpression") -> "LinearExpression":
         return LinearExpression(self.terms + other.terms)

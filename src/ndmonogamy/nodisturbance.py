@@ -51,9 +51,10 @@ from .scenario import (
     marginal_constraint_rows,
     nd_violations,
     probability_tables,
-    real_number_type,
+    real_number,
     require_count,
     require_integer,
+    require_subset,
     row_sum,
     seeded_generator,
     table_sum,
@@ -118,15 +119,14 @@ class JointDistribution:
 
     def _marginals(self, subset: Sequence[str]) -> np.ndarray:
         """(n, 2**len(subset)) marginals over ``subset``, in ``subset`` order.
-        A str subset raises ``ValueError``: ``"A1"`` would read as ``"A"`` and ``"1"``."""
-        if isinstance(subset, str):
-            raise ValueError(f"a subset is a sequence of variables, got the str {subset!r}")
+        A str subset raises ``scenario.require_subset``'s ``ValueError``."""
+        subset = require_subset(subset, "variables")
         for m in subset:
             if m not in self.variables:
                 raise ValueError(f"{m!r} is not a variable of {self.variables}")
         if len(set(subset)) < len(subset):
-            raise ValueError(f"subset {tuple(subset)} repeats a variable")
-        drop, order = _marginal_layout(self.variables, tuple(subset))
+            raise ValueError(f"subset {subset} repeats a variable")
+        drop, order = _marginal_layout(self.variables, subset)
         summed = self.probs.reshape((-1,) + (2,) * len(self.variables)).sum(axis=drop)
         return np.transpose(summed, order).reshape(len(self.probs), 2 ** len(subset))
 
@@ -278,7 +278,9 @@ def fine_join_c2(probs: np.ndarray, pivot: int) -> JointDistribution:
 
 @lru_cache(maxsize=None)
 def nd_equality_system() -> tuple[np.ndarray, np.ndarray]:
-    """Equality constraints A x = b of the no-disturbance polytope.
+    """Equality constraints A x = b of the no-disturbance polytope, as
+    read-only int64 arrays: every entry is 0 or +-1, so they are exact,
+    and the certificates check them in integer arithmetic.
 
     Variables are the stacked context tables (10 * 8).  Rows:
     one normalization per context, then agreement of every shared
@@ -291,23 +293,11 @@ def nd_equality_system() -> tuple[np.ndarray, np.ndarray]:
     for c_idx in range(n_contexts):
         normalization[c_idx, 8 * c_idx : 8 * c_idx + 8] = 1.0
     marginal_rows, _ = marginal_constraint_rows()
-    matrix = np.vstack([normalization, marginal_rows])
-    rhs = np.concatenate([np.ones(n_contexts), np.zeros(len(marginal_rows))])
+    matrix = np.vstack([normalization, marginal_rows]).astype(np.int64)
+    rhs = np.concatenate([np.ones(n_contexts), np.zeros(len(marginal_rows))]).astype(np.int64)
     matrix.setflags(write=False)
     rhs.setflags(write=False)
     return matrix, rhs
-
-
-@lru_cache(maxsize=None)
-def _integer_equality_system() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int64 copies of :func:`nd_equality_system`'s ``A`` and ``b``.
-
-    Exact, since both hold only 0 and +-1 by construction.
-    """
-    pair = tuple(v.astype(np.int64) for v in nd_equality_system())
-    for v in pair:
-        v.setflags(write=False)
-    return pair
 
 
 @lru_cache(maxsize=256)
@@ -474,7 +464,7 @@ def certified_nd_minimum(row: BoundRow) -> float:
 
     if row.name not in ND_CERTIFICATES:
         raise fail("no certificate")
-    a_int, b_int = _integer_equality_system()
+    a_int, b_int = nd_equality_system()
     c = expression_vector(row.expression)
     c_int = c.astype(np.int64)  # c holds sums of term coefficients
     if not np.array_equal(c_int, c):
@@ -573,11 +563,8 @@ def sample_behaviors(
 # ---------------------------------------------------------------------------
 
 
-def _finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number, not a bool or a str; the
-    floats of :func:`monogamy_certificate` pass the first test."""
-    kind = type(value)
-    return (kind is float or real_number_type(kind)) and math.isfinite(value)
+#: the name of each pivot's value in a report's errors, built once
+_CHSH_NAMES = {pivot: f"chsh_by_pivot[{pivot}]" for pivot in PIVOTS}
 
 
 @dataclass(frozen=True)
@@ -586,11 +573,11 @@ class MonogamyReport:
 
     ``chsh_by_pivot`` is nonempty and keyed by the integers of ``PIVOTS``:
     a bool or float key raises by ``scenario.require_integer``'s rule,
-    though ``True == 1.0 == 1``.  Every value must be a finite real
-    number, else ``ValueError``: a NaN compares false against both
-    classical bounds, so it would read as no violation, and a bool would
-    read as 0 or 1.  A value more than ``BOUND_SLACK`` below its classical
-    bound is a violation.
+    though ``True == 1.0 == 1``.  Every value must pass
+    ``scenario.real_number``'s rule, else ``ValueError``: a NaN compares
+    false against both classical bounds, so it would read as no violation,
+    and a bool would read as 0 or 1.  A value more than ``BOUND_SLACK``
+    below its classical bound is a violation.
     """
 
     kcbs: float
@@ -602,13 +589,9 @@ class MonogamyReport:
         unknown = [p for p in self.chsh_by_pivot if require_integer(p, "pivot") not in PIVOTS]
         if unknown:
             raise ValueError(f"chsh_by_pivot has pivots {unknown} outside {PIVOTS}")
-        if not _finite_real(self.kcbs):
-            raise ValueError(f"kcbs must be finite and a real number, got {self.kcbs!r}")
+        real_number(self.kcbs, "kcbs")
         for pivot, value in self.chsh_by_pivot.items():
-            if not _finite_real(value):
-                raise ValueError(
-                    f"chsh_by_pivot[{pivot}] must be finite and a real number, got {value!r}"
-                )
+            real_number(value, _CHSH_NAMES[pivot])
 
     @property
     def sums_by_pivot(self) -> dict[int, float]:

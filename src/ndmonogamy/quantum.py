@@ -146,12 +146,8 @@ def kcbs_observables() -> tuple[np.ndarray, ...]:
 
 
 def bob_observable(j: int) -> np.ndarray:
-    """B_1 = Z, B_2 = X on the qubit."""
-    if j == 1:
-        return PAULI_Z.copy()
-    if j == 2:
-        return PAULI_X.copy()
-    raise ValueError(f"Bob has observables 1 and 2, got {j}")
+    """B_1 = Z, B_2 = X on the qubit; ``j`` by ``scenario.bob``'s rule."""
+    return {"B1": PAULI_Z, "B2": PAULI_X}[bob(j)].copy()
 
 
 class _ObservableTable(dict):

@@ -57,7 +57,7 @@ from .quantum import (
     random_state_blocks,
     require_hermitian,
 )
-from .scenario import number_array, require_count
+from .scenario import number_array, real_number, require_count
 
 #: distance from a multiple of pi/2 within which the boundary formula is singular
 SINGULAR_PHI_TOL = 1e-9
@@ -228,15 +228,17 @@ def closed_form_agreement_gap(n_theta: int, n_phi: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_not_singular(phi: float) -> None:
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+def _check_not_singular(phi: float) -> float:
+    """``phi`` as a float by ``scenario.real_number``'s rule, away from the
+    multiples of pi/2 where the boundary formula is singular."""
+    phi = real_number(phi, "phi")
     nearest = round(phi / (math.pi / 2)) * (math.pi / 2)
     if abs(phi - nearest) < SINGULAR_PHI_TOL:
         raise SingularParameter(
             f"phi={phi} is within {SINGULAR_PHI_TOL} of a multiple of pi/2 where the "
             "boundary formula is singular; approach by limit instead"
         )
+    return phi
 
 
 def boundary_theta(phi: float) -> float:
@@ -245,9 +247,10 @@ def boundary_theta(phi: float) -> float:
     Solves the phi-stationarity of the Bell expectation at fixed theta,
     tan(theta) = csc(2 phi)(g5 cos(phi) - g4 sin(phi)) / (2 g3); the
     pentagon expectation is constant in phi, so these stationary points
-    sweep the boundary curves.
+    sweep the boundary curves.  ``phi`` is one number by
+    ``scenario.real_number``'s rule.
     """
-    _check_not_singular(phi)
+    phi = _check_not_singular(phi)
     g = gammas()
     t = (g.g5 * math.cos(phi) - g.g4 * math.sin(phi)) / (
         2.0 * g.g3 * math.sin(2.0 * phi)
@@ -397,10 +400,9 @@ def _check_rows(chsh: np.ndarray, kcbs: np.ndarray, *angles: np.ndarray) -> None
 class RegionPoint:
     """One (chsh, kcbs) pair with the block and parameters producing it.
 
-    Each number field is one real number by ``scenario.number_array``'s
-    entry rule, stored as a float; a str, bool, None or complex entry, an
-    array, a non-finite value or a point below the monogamy line raises
-    ``ValueError``.
+    Each number field is one real number by ``scenario.real_number``'s
+    rule, stored as a float; anything else, a 0-d array included, raises
+    its ``ValueError``, and so does a point below the monogamy line.
     """
 
     chsh: float
@@ -412,14 +414,11 @@ class RegionPoint:
     def __post_init__(self) -> None:
         if self.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
-        entries = []
+        values = []
         for name in ("chsh", "kcbs", "theta", "phi"):
-            entry = number_array(getattr(self, name), float, name)
-            if entry.ndim:
-                raise ValueError(f"{name} must be one number, got shape {entry.shape}")
-            object.__setattr__(self, name, float(entry))
-            entries.append(entry[None])
-        _check_points(*entries)
+            values.append(real_number(getattr(self, name), name))
+            object.__setattr__(self, name, values[-1])
+        _check_points(*np.array(values)[:, None])
 
 
 @dataclass(frozen=True, eq=False)

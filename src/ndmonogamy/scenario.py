@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -55,13 +56,26 @@ ND_TOL = 1e-10
 Terms = tuple[tuple[float, tuple[str, ...]], ...]  # (coefficient, subset) pairs
 
 
+def require_integer(value: int, what: str) -> int:
+    """``value`` as an int; a bool, or anything that is not an integer,
+    raises ``ValueError`` naming ``what`` and ``value``."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def alice(i: int) -> str:
-    """Label of Alice's i-th measurement, index taken mod 5 into 1..5."""
-    return f"A{(i - 1) % N_CYCLE + 1}"
+    """Label of Alice's i-th measurement, index taken mod 5 into 1..5.  A
+    bool or a non-integer raises :func:`require_integer`'s ``ValueError``."""
+    return f"A{(require_integer(i, 'Alice index') - 1) % N_CYCLE + 1}"
 
 
 def bob(j: int) -> str:
-    """Label of Bob's j-th measurement, j in {1, 2}."""
+    """Label of Bob's j-th measurement, j in {1, 2}.  A bool or a
+    non-integer raises :func:`require_integer`'s ``ValueError``."""
+    j = require_integer(j, "Bob index")
     if j not in (1, 2):
         raise ValueError(f"Bob has measurements 1 and 2, got {j}")
     return f"B{j}"
@@ -101,9 +115,19 @@ CONTEXTS: tuple[Context, ...] = tuple(
 LABELS: tuple[str, ...] = tuple(c.label for c in CONTEXTS)
 
 
+def require_subset(subset: Iterable[str], what: str) -> tuple[str, ...]:
+    """``subset`` as a tuple, the rule of every subset argument: a str raises
+    ``ValueError`` naming ``what``, since ``"A1"`` would read as the ids
+    ``"A"`` and ``"1"``."""
+    if isinstance(subset, str):
+        raise ValueError(f"a subset is a sequence of {what}, got the str {subset!r}")
+    return tuple(subset)
+
+
 def canonical_context(subset: Iterable[str]) -> Context:
-    """First context (in :data:`CONTEXTS` order) containing ``subset``."""
-    subset = tuple(subset)
+    """First context (in :data:`CONTEXTS` order) containing ``subset``; a
+    str subset raises :func:`require_subset`'s ``ValueError``."""
+    subset = require_subset(subset, "measurement ids")
     for context in CONTEXTS:
         if context.contains(subset):
             return context
@@ -113,10 +137,8 @@ def canonical_context(subset: Iterable[str]) -> Context:
 def term(subset: Iterable[str]) -> tuple[int, np.ndarray]:
     """(context index, read-only sign vector) of the correlator of ``subset``
     in its canonical context, memoised per subset.  A str subset raises
-    ``ValueError``: ``"A1"`` would read as the ids ``"A"`` and ``"1"``."""
-    if isinstance(subset, str):
-        raise ValueError(f"a subset is a sequence of measurement ids, got the str {subset!r}")
-    return _term(tuple(subset))
+    :func:`require_subset`'s ``ValueError``."""
+    return _term(require_subset(subset, "measurement ids"))
 
 
 @lru_cache(maxsize=None)
@@ -130,6 +152,24 @@ def _term(subset: tuple[str, ...]) -> tuple[int, np.ndarray]:
 def real_number_type(kind: type) -> bool:
     """Whether ``kind`` is int, float or a real numpy number, and not bool."""
     return kind is not bool and issubclass(kind, (int, float, np.integer, np.floating))
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float: the one rule of every real scalar input.
+
+    A finite int, float or real numpy number passes.  A bool, str, None,
+    complex, any array (0-d included), NaN, +-inf and an int too large for
+    a float raise ``ValueError: <what> must be a finite real number, got
+    <repr>``.  ``what`` is a fixed name, so a passing value builds no
+    string.
+    """
+    if type(value) is float or real_number_type(type(value)):
+        try:
+            if math.isfinite(value):  # an int too large for a float overflows
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 def number_array(
@@ -280,8 +320,9 @@ class Behavior:
 
 
 def sign_vector(context: Context, subset: Sequence[str]) -> np.ndarray:
-    """Products of ``subset`` outcomes for the 8 outcome triples of a context."""
-    positions = [context.position(m) for m in subset]
+    """Products of ``subset`` outcomes for the 8 outcome triples of a context;
+    a str subset raises :func:`require_subset`'s ``ValueError``."""
+    positions = [context.position(m) for m in require_subset(subset, "measurement ids")]
     return np.array(
         [float(np.prod([t[p] for p in positions])) for t in OUTCOME_TRIPLES]
     )
@@ -478,16 +519,6 @@ def check_no_disturbance(behavior: Behavior) -> list[NdViolation]:
 
 #: the pentagon witness: the five cyclic pair correlators <A_i A_{i+1}>
 KCBS_TERMS: Terms = tuple((1.0, (alice(i), alice(i + 1))) for i in range(1, 6))
-
-
-def require_integer(value: int, what: str) -> int:
-    """``value`` as an int; a bool, or anything that is not an integer,
-    raises ``ValueError`` naming ``what`` and ``value``."""
-    if type(value) is not int and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def require_count(value: int, what: str, least: int) -> int:

@@ -1,11 +1,15 @@
-"""The inputs that the package's one entry rule, ``scenario.number_array``,
-rejects, as one table: each row is an entry point and a bad entry, and
-asserts ``ValueError`` with its exact message, ``[<table>: ]<what> entries
-must be [real ]numbers, got [<types>]``."""
+"""The inputs that the package's entry rules reject, as one table: each row
+is an entry point and a bad entry, and asserts ``ValueError`` with its exact
+message.  Arrays pass ``scenario.number_array`` (``[<table>: ]<what>
+entries must be [real ]numbers, got [<types>]``), real scalars
+``scenario.real_number`` (``<what> must be a finite real number, got
+<repr>``) and measurement indices ``scenario.require_integer``."""
 
 import copy
 import json
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from ndmonogamy import classical
 from ndmonogamy.nodisturbance import (
     JointDistribution,
+    MonogamyReport,
     fine_join_c1,
     fine_join_c2,
     monogamy_certificate,
@@ -21,13 +26,31 @@ from ndmonogamy.nodisturbance import (
 )
 from ndmonogamy.quantum import (
     behavior_from_state,
+    bob_observable,
     expectation,
     kcbs_operator,
     require_hermitian,
     require_normalized,
 )
-from ndmonogamy.region import expectation_M, expectation_N, frame_state, stationarity_residual
-from ndmonogamy.scenario import LABELS, MEASUREMENT_IDS, Behavior, nd_violations, number_array
+from ndmonogamy.region import (
+    RegionPoint,
+    boundary_state,
+    boundary_theta,
+    expectation_M,
+    expectation_N,
+    frame_state,
+    stationarity_residual,
+)
+from ndmonogamy.scenario import (
+    LABELS,
+    MEASUREMENT_IDS,
+    Behavior,
+    alice,
+    bob,
+    nd_violations,
+    number_array,
+    real_number,
+)
 
 ROWS = Behavior.uniform().probs.tolist()
 TABLES = dict(zip(LABELS, ROWS))
@@ -271,6 +294,76 @@ def angle_rows():
     ]
 
 
+#: the scalars that ``scenario.real_number`` rejects
+BAD_SCALARS = {
+    "bool": True,
+    "np.bool": np.True_,
+    "str": "1",
+    "None": None,
+    "complex": 1j,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "0d-array": np.array(0.5),
+    "array": np.array([0.5]),
+    "list": [0.5],
+    "huge-int": 10**400,
+}
+POINT = {"chsh": -2.0, "kcbs": -2.9, "branch": "plus", "theta": 0.0, "phi": 0.5}
+#: each scalar entry point: (the name its message gives, a call on one value)
+SCALAR_CALLS = {
+    "coefficient": ("a coefficient", lambda x: classical.LinearExpression(((x, ("A1", "A2")),))),
+    # a NaN would read as no violation of either bound, and a bool as 0 or 1
+    "report-kcbs": ("kcbs", lambda x: MonogamyReport(x, {1: -1.0})),
+    "report-chsh": ("chsh_by_pivot[5]", lambda x: MonogamyReport(-1.0, {1: -1.0, 5: x})),
+    **{
+        f"point-{field}": (field, lambda x, field=field: RegionPoint(**dict(POINT, **{field: x})))
+        for field in ("chsh", "kcbs", "theta", "phi")
+    },
+    "boundary_theta": ("phi", boundary_theta),
+    "boundary_state": ("phi", boundary_state),
+}
+#: the indices that ``scenario.require_integer`` rejects; ``10**400`` is an
+#: integer, which ``alice`` takes mod 5
+BAD_INDICES = {
+    **{bad: BAD_SCALARS[bad] for bad in ("bool", "np.bool", "str", "None", "complex", "nan", "inf")},
+    "0d-array": np.array(1),
+    "array": np.array([1]),
+    "float": 1.0,
+    "np.float": np.float64(1.0),
+    "fraction": 2.5,
+}
+INDEX_CALLS = {
+    "alice": ("Alice index", alice),
+    "bob": ("Bob index", bob),
+    "bob_observable": ("Bob index", bob_observable),
+}
+
+
+def scalar_rows():
+    return [
+        pytest.param(
+            lambda call=call, value=value: call(value),
+            f"{what} must be a finite real number, got {value!r}",
+            id=f"{point}-{bad}",
+        )
+        for point, (what, call) in SCALAR_CALLS.items()
+        for bad, value in BAD_SCALARS.items()
+    ]
+
+
+def index_rows():
+    return [
+        pytest.param(
+            lambda call=call, value=value: call(value),
+            f"{what} must be an integer, got {value!r}",
+            id=f"{point}-{bad}",
+        )
+        for point, (what, call) in INDEX_CALLS.items()
+        for bad, value in BAD_INDICES.items()
+    ]
+
+
 REJECTIONS = [
     *table_rows(),
     *nd_violations_rows(),
@@ -279,6 +372,8 @@ REJECTIONS = [
     *state_rows(),
     *operator_rows(),
     *angle_rows(),
+    *scalar_rows(),
+    *index_rows(),
 ]
 
 
@@ -312,3 +407,29 @@ def test_nested_lists_get_the_bits_of_numpy(dtype):
     if dtype is complex:
         nest.append([0.5j, np.complex64(1 - 2j), 3])
     assert number_array(nest, dtype, "x").tobytes() == np.asarray(nest, dtype=dtype).tobytes()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1, -0.0, 0.5, 5e-324, sys.float_info.max, pytest.param(2**1023, id="2**1023"), np.float64(0.5),
+     np.float32(0.5), np.float16(0.5), np.longdouble(0.5), np.int64(-7), np.uint8(1)],
+    ids=repr,
+)
+def test_real_number_takes_every_finite_real_scalar(value):
+    number = real_number(value, "x")
+    assert type(number) is float and number == float(value)
+
+
+@pytest.mark.parametrize("point", SCALAR_CALLS)
+def test_scalar_entry_points_take_python_and_numpy_numbers(point):
+    _, call = SCALAR_CALLS[point]
+    for value in (1, 0.5, np.float64(0.5), np.float32(0.5), np.float16(0.5), np.int64(1), np.uint8(1)):
+        call(value)
+
+
+def test_indices_take_python_and_numpy_integers():
+    assert [alice(6), alice(np.int64(-1)), bob(np.uint8(2))] == ["A1", "A4", "B2"]
+    assert np.array_equal(bob_observable(np.int64(2)), bob_observable(2))
+    for call in (bob, bob_observable):
+        with pytest.raises(ValueError, match="^Bob has measurements 1 and 2, got 3$"):
+            call(3)

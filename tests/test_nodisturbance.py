@@ -352,10 +352,10 @@ class TestCertificates:
         assert list(ND_CERTIFICATES) == [row.name for row in BOUNDS]
 
     def test_integer_system_is_cached_read_only_and_exact(self):
-        a_int, b_int = nodisturbance._integer_equality_system()
-        assert nodisturbance._integer_equality_system()[0] is a_int
-        for integer, original in zip((a_int, b_int), nd_equality_system()):
-            assert integer.dtype == np.int64 and np.array_equal(integer, original)
+        a_int, b_int = nd_equality_system()
+        assert nd_equality_system()[0] is a_int
+        for integer in (a_int, b_int):
+            assert integer.dtype == np.int64 and set(np.unique(integer)) <= {-1, 0, 1}
             with pytest.raises(ValueError):
                 integer[0] = 2
 
@@ -592,23 +592,6 @@ class TestMonogamyCertificate:
     def test_rejects_disturbing_behavior(self):
         with pytest.raises(NotNoDisturbance):
             monogamy_certificate(disturbing_behavior().probs[None])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_report_rejects_non_finite_values(self, bad):
-        # a NaN would read as no violation of either bound
-        with pytest.raises(ValueError, match="kcbs must be finite"):
-            MonogamyReport(bad, {5: -3.0})
-        with pytest.raises(ValueError, match=r"chsh_by_pivot\[5\] must be finite"):
-            MonogamyReport(-4.0, {1: -1.0, 5: bad})
-
-    @pytest.mark.parametrize("bad", ["1", True, np.True_, None, 1j])
-    def test_report_rejects_values_that_are_not_real_numbers(self, bad):
-        # a bool would read as 0 or 1, and a str would raise a TypeError
-        with pytest.raises(ValueError, match="^kcbs must be finite and a real number, got "):
-            MonogamyReport(bad, {1: 0.0})
-        message = r"^chsh_by_pivot\[1\] must be finite and a real number, got "
-        with pytest.raises(ValueError, match=message):
-            MonogamyReport(-1.0, {1: bad})
 
     def test_report_takes_python_and_numpy_numbers(self):
         report = MonogamyReport(np.float64(-3.5), {1: np.int64(-1), 5: -2})

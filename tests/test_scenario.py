@@ -283,12 +283,15 @@ class TestCorrelator:
                 correlator(uniform_behavior, subset)
 
     def test_a_str_subset_is_not_split_into_ids(self, uniform_behavior):
-        # "A1" used to read as the ids "A" and "1", which share no context
+        # "A1" used to read as the ids "A" and "1", which share no context,
+        # and sign_vector raised tuple.index's bare error
         message = r"^a subset is a sequence of measurement ids, got the str 'A1'$"
         for call in (
             lambda: correlator(uniform_behavior, "A1"),
             lambda: correlator_many(uniform_behavior.probs[None], "A1"),
             lambda: term("A1"),
+            lambda: canonical_context("A1"),
+            lambda: sign_vector(CONTEXTS[0], "A1"),
         ):
             with pytest.raises(ValueError, match=message):
                 call()

@@ -1,7 +1,8 @@
-"""Three rules of the package source, read from its tokens: a float written
+"""Four rules of the package source, read from its tokens: a float written
 in e-notation is a named module constant, a running sum is
-``scenario.table_sum``'s alone, and an object array, the entry-type pass,
-is ``scenario.number_array``'s alone."""
+``scenario.table_sum``'s alone, an object array, the entry-type pass,
+is ``scenario.number_array``'s alone, and a real scalar is checked by
+``scenario.real_number`` alone."""
 
 import ast
 import io
@@ -103,5 +104,41 @@ def test_object_arrays_are_number_array_alone(path):
         for statement in ast.parse(path.read_text()).body
         if not (path.name == "scenario.py" and getattr(statement, "name", None) == "number_array")
         for call in object_dtype_calls(statement)
+    ]
+    assert stray == []
+
+
+
+def scalar_check(node) -> str | None:
+    """``real_number_type`` or ``math.isfinite`` where ``node`` names or
+    imports it, else ``None``."""
+    if isinstance(node, ast.alias):
+        name = node.name
+    elif isinstance(node, (ast.Name, ast.Attribute)):
+        name = ast.unparse(node)
+    else:
+        return None
+    if name.rpartition(".")[2] == "real_number_type":
+        return "real_number_type"
+    return "math.isfinite" if name in ("math.isfinite", "isfinite") else None
+
+
+#: where each scalar check may appear: a file, or a file's top-level definition
+SCALAR_CHECK_PLACES = {
+    "real_number_type": {"scenario.py"},
+    # real_number's float, and the --perturb-chsh float that argparse parsed
+    "math.isfinite": {"scenario.py:real_number", "cli.py:main"},
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_real_scalars_are_real_number_alone(path):
+    # real_number is the one rule of a real scalar input
+    stray = [
+        f"{path.name}:{node.lineno}: {check}"
+        for statement in ast.parse(path.read_text()).body
+        for node in ast.walk(statement)
+        if (check := scalar_check(node))
+        and not {path.name, f"{path.name}:{getattr(statement, 'name', None)}"} & SCALAR_CHECK_PLACES[check]
     ]
     assert stray == []
